@@ -57,6 +57,22 @@ def lift_signed(arr: np.ndarray):
     return np.asarray(arr).view(np.int64).tolist()
 
 
+def segment_sum(v: np.ndarray, width: int, lengths) -> np.ndarray:
+    """Read ``v`` as consecutive rows of ``width`` slots and sum each run of
+    ``lengths[k]`` rows into row k of a ``(len(lengths), width)`` result; an
+    empty run gives a zero row.  Linear, so it applies to additive shares
+    as it does to values (uint64 sums wrap)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    rows = v.reshape(int(lengths.sum()), width)
+    out = np.zeros((len(lengths), width), dtype=v.dtype)
+    full = lengths > 0
+    if full.any():
+        starts = np.cumsum(lengths) - lengths
+        with np.errstate(over="ignore"):
+            out[full] = np.add.reduceat(rows, starts[full], axis=0)
+    return out
+
+
 def tagged_rng(tag: str, seed) -> np.random.Generator:
     """Independent generator for one purpose: the tag namespaces the seed so
     subsystems sharing a master seed never share a stream."""

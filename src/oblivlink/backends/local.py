@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT,
-                   Backend, Capabilities, lift_signed, to_u64)
+                   Backend, Capabilities, lift_signed, segment_sum, to_u64)
 
 
 class LocalBackend(Backend):
@@ -35,6 +35,10 @@ class LocalBackend(Backend):
         if self.domain == EXACT:
             return to_u64(value)
         return np.asarray(value, dtype=np.float64)
+
+    def _bits(self, bit: np.ndarray) -> np.ndarray:
+        """A gate's boolean result as a payload, in one conversion."""
+        return bit.astype(np.uint64 if self.domain == EXACT else np.float64)
 
     def _signed(self, payload: np.ndarray) -> np.ndarray:
         if self.domain == EXACT:
@@ -84,7 +88,7 @@ class LocalBackend(Backend):
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._record("matmul", a.shape, b.shape)
         with np.errstate(over="ignore"):
-            return (a[:, :, None] * b[None, :, :]).sum(axis=1)
+            return np.matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
     def vecmat(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
         self._record("vecmat", v.shape, m.shape)
@@ -126,9 +130,13 @@ class LocalBackend(Backend):
         self._record("repeat_each", v.shape, times)
         return np.repeat(v, times)
 
-    def concat(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self._record("concat", a.shape, b.shape)
-        return np.concatenate([a, b])
+    def concat(self, *parts: np.ndarray) -> np.ndarray:
+        self._record("concat", *(p.shape for p in parts))
+        return np.concatenate(parts)
+
+    def segment_sum(self, v: np.ndarray, width: int, lengths: list[int]) -> np.ndarray:
+        self._record("segment_sum", v.shape, (len(lengths), width), list(lengths))
+        return segment_sum(v, width, lengths)
 
     def slice(self, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
         self._record("slice", v.shape, lo, hi)
@@ -151,14 +159,12 @@ class LocalBackend(Backend):
     def eq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.require("native_eq")
         self._record("eq", a.shape)
-        bit = (a == b)
-        return self._coerce(bit.astype(np.int64))
+        return self._bits(a == b)
 
     def gt(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.require("compare")
         self._record("gt", a.shape)
-        bit = (self._signed(a) > self._signed(b))
-        return self._coerce(bit.astype(np.int64))
+        return self._bits(self._signed(a) > self._signed(b))
 
     def sort(self, v: np.ndarray) -> np.ndarray:
         self.require("sort")
@@ -194,27 +200,6 @@ class LocalBackend(Backend):
             raise ZeroDivisionError("masked reciprocal of zero")
         recip = self.enc(1.0 / opened_arr)
         return self.mul(recip, r_enc)
-
-    def masked_round(self, x: np.ndarray, helper_role: str = "P3") -> np.ndarray:
-        """Snap a near-integer private value back to the exact integer.
-
-        Same helper pattern as the reciprocal: an additive integer mask r
-        hides the value, the helper rounds the opened x+r in clear, and r is
-        subtracted again.  Approximate backends need this between a private
-        lookup and the mask generation that consumes its result, because the
-        equality workaround's residual error scales with the looked-up
-        magnitude and would flatten the next one-hot mask.
-        """
-        self.require("division")
-        if self.domain == EXACT:
-            return x
-        r = self.rng.integers(1 << 16, 1 << 24, size=x.shape).astype(np.float64)
-        r_enc = self.enc(r)
-        masked = self.add(x, r_enc)
-        opened = self.dec(masked)
-        self.observe(helper_role, "masked_value", opened)
-        rounded = self.enc(np.rint(np.asarray(opened, dtype=np.float64)))
-        return self.sub(rounded, r_enc)
 
     # -- lifecycle ---------------------------------------------------------------
 

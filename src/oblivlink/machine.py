@@ -238,9 +238,11 @@ class Machine:
 
     # -- structure helpers (public shapes) ------------------------------------
 
-    def concat(self, v1: PrivateVector, v2: PrivateVector) -> PrivateVector:
-        self._check_ctx(v1, v2)
-        return PrivateVector(self.b, self.b.concat(v1.payload, v2.payload))
+    def concat(self, first: PrivateVector, *rest: PrivateVector) -> PrivateVector:
+        """The vectors joined end to end."""
+        parts = (first,) + rest
+        self._check_ctx(*parts)
+        return PrivateVector(self.b, self.b.concat(*(p.payload for p in parts)))
 
     def tile(self, v: PrivateVector, times: int) -> PrivateVector:
         """The whole vector repeated ``times`` times."""
@@ -260,6 +262,18 @@ class Machine:
         """Element at a public index (the index is not protected)."""
         self._check_ctx(v)
         return PrivateScalar(self.b, self.b.vget(v.payload, int(i)))
+
+    def segment_sum(self, v: PrivateVector, width: int, lengths) -> PrivateMatrix:
+        """Read ``v`` as rows of ``width`` slots; row k of the result sums the
+        next ``lengths[k]`` rows (zero rows for a length of 0).  Linear, so
+        local on every backend; width and lengths are public."""
+        self._check_ctx(v)
+        width = int(width)
+        lengths = [int(n) for n in lengths]
+        if width < 0 or min(lengths, default=0) < 0 or v.length != sum(lengths) * width:
+            raise ShapeError(f"segment sum of {v.length} slots into rows of {width} "
+                             f"with run lengths {lengths}")
+        return PrivateMatrix(self.b, self.b.segment_sum(v.payload, width, lengths))
 
     def broadcast(self, s: PrivateScalar, n: int) -> PrivateVector:
         self._check_ctx(s)
@@ -322,12 +336,6 @@ class Machine:
         observes only r*x."""
         self._check_ctx(x)
         return self._wrap(self.b.masked_reciprocal(x.payload, helper_role))
-
-    def masked_round(self, x, helper_role: str = "P3"):
-        """Snap a near-integer private value to the integer it drifted from
-        (approximate backends; helper sees only the additively masked value)."""
-        self._check_ctx(x)
-        return self._wrap(self.b.masked_round(x.payload, helper_role))
 
     def sort_vec(self, v: PrivateVector) -> PrivateVector:
         """Obliviously sorted copy (backend sort capability)."""

@@ -171,8 +171,13 @@ class MpcBackend(Backend):
         return self._local("repeat_each", "repeat_each", [v], (v.shape[0] * times,),
                            {"times": int(times)})
 
-    def concat(self, a, b):
-        return self._local("concat", "concat", [a, b], (a.shape[0] + b.shape[0],))
+    def concat(self, *parts):
+        return self._local("concat", "concat", list(parts), (sum(p.shape[0] for p in parts),))
+
+    def segment_sum(self, v, width, lengths):
+        return self._local("segment_sum", "segment_sum", [v], (len(lengths), width),
+                           {"width": width, "lengths": list(lengths)},
+                           meta=((len(lengths), width), list(lengths)))
 
     def slice(self, v, lo, hi):
         return self._local("slice", "slice", [v], (hi - lo,), {"lo": int(lo), "hi": int(hi)})

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends.base import tagged_rng
+from ..backends.base import segment_sum, tagged_rng
 from .sharing import BeaverTriple, beaver_combine, make_triples, share3
 
 PARTIES = ("party0", "party1", "party2")
@@ -236,7 +236,9 @@ class PartyActor:
             elif op == "repeat_each":
                 out = np.repeat(args[0], p["times"])
             elif op == "concat":
-                out = np.concatenate([args[0], args[1]])
+                out = np.concatenate(args)
+            elif op == "segment_sum":
+                out = segment_sum(args[0], p["width"], p["lengths"])
             elif op == "slice":
                 out = args[0][p["lo"]:p["hi"]].copy()
             elif op == "get":

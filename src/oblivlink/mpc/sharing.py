@@ -50,7 +50,7 @@ def bilinear(op: str, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if op == "vecmat":
             return (u[:, None] * v).sum(axis=0)
         if op == "matmul":
-            return (u[:, :, None] * v[None, :, :]).sum(axis=1)
+            return np.matmul(np.ascontiguousarray(u), np.ascontiguousarray(v))
     raise ValueError(f"unknown bilinear op {op!r}")
 
 

@@ -29,13 +29,17 @@ from .backends import make_backend
 from .backends.base import APPROX, tagged_rng
 from .blocking import (EncodedRecord, MinHasher, build_block_index,
                        optimal_band_plan, pack_tokens)
-from .errors import StageError
+from .errors import DomainError, StageError
 from .intersect import JaccardParams, Strategy, jaccard_match, pick_strategy
 from .machine import Machine, PrivateMatrix, PrivateVector
 
 ROLE_OWNER_1 = "P1"
 ROLE_OWNER_2 = "P2"
 ROLE_HOST = "P3"
+
+# Equality offset of merge's indicator gates on the approximate domain; the
+# error bound checked in merge_and_dedup scales with it.
+MERGE_XI = 1e-6
 
 
 @dataclass
@@ -130,28 +134,63 @@ def prepare_upload(records, config: PipelineConfig) -> PartyUpload:
 # -- machine-level stages ----------------------------------------------------
 
 
+def _key_groups(keys: list[str], b1: dict[str, PrivateVector],
+                b2: dict[str, PrivateVector], shape: tuple[int, int]) -> list[list[str]]:
+    """Consecutive runs of ``keys`` whose one-hot indicators hold at most
+    rows*cols slots on each side, so merge's temporaries stay within the
+    size of the matrix it returns; a key above that bound alone is a run of
+    its own.  Depends on public block sizes only."""
+    rows, cols = shape
+    groups: list[list[str]] = []
+    n1 = n2 = 0
+    for key in keys:
+        l1, l2 = b1[key].length, b2[key].length
+        # side 1's one-hot holds n1*rows slots, side 2's n2*cols
+        if groups and n1 + l1 <= cols and n2 + l2 <= rows:
+            groups[-1].append(key)
+            n1, n2 = n1 + l1, n2 + l2
+        else:
+            groups.append([key])
+            n1, n2 = l1, l2
+    return groups
+
+
+def _indicator(mach: Machine, blocks: list[PrivateVector], width: int) -> PrivateMatrix:
+    """len(blocks) x width matrix whose row k is 1 at the ids in blocks[k]."""
+    ids = mach.concat(*blocks)
+    onehot = mach.eeq(mach.repeat_each(ids, width),
+                      mach.tile(mach.enc(np.arange(width)), ids.length), MERGE_XI)
+    return mach.segment_sum(onehot, width, [b.length for b in blocks])
+
+
 def merge_and_dedup(mach: Machine, b1: dict[str, PrivateVector],
                     b2: dict[str, PrivateVector], shape: tuple[int, int]) -> PrivateMatrix:
-    """Alg.-style block merge: for every key present on both sides, each
-    cross id pair is privately written true into the candidate matrix; the
-    boolean matrix deduplicates pairs that share several keys."""
-    rows, cols = shape
-    cand = mach.enc(np.zeros(shape, dtype=np.int64))
-    exactify = mach.b.domain == APPROX
-    for bkey in sorted(b1):
-        if bkey not in b2:
-            continue
-        r1_ids, r2_ids = b1[bkey], b2[bkey]
-        for i in range(r1_ids.length):
-            enc_r1 = mach.vector_lookup(r1_ids, mach.enc(i))
-            if exactify:
-                enc_r1 = mach.masked_round(enc_r1)
-            for j in range(r2_ids.length):
-                enc_r2 = mach.vector_lookup(r2_ids, mach.enc(j))
-                if exactify:
-                    enc_r2 = mach.masked_round(enc_r2)
-                cand = mach.matrix_update(cand, enc_r1, enc_r2, mach.enc(1))
-    return cand
+    """Block merge: every cross id pair of a key present on both sides is a
+    candidate.  With the shared keys' id indicators stacked as U (keys x
+    rows) and V (keys x cols), cell (i, j) of Uᵀ·V counts the keys that
+    rows i and j share, so one matrix product per key group plus one
+    comparison gate flags, and deduplicates, the candidate matrix."""
+    keys = [k for k in sorted(b1) if k in b2 and b1[k].length and b2[k].length]
+    approx = mach.b.domain == APPROX
+    if approx:
+        # each one-hot slot errs by at most xi' = xi/(1-xi), so each cross
+        # pair's product term by xi'(2+xi'); the sum must stay under 1/2
+        cross_pairs = sum(b1[k].length * b2[k].length for k in keys)
+        slot_err = MERGE_XI / (1 - MERGE_XI)
+        worst = cross_pairs * slot_err * (2 + slot_err)
+        if worst >= 0.5:
+            raise DomainError(
+                f"merge of {cross_pairs} cross pairs may err by {worst:.3g} per cell, "
+                "not under the 1/2 the candidate threshold tolerates")
+    counts = None
+    for group in _key_groups(keys, b1, b2, shape):
+        u = _indicator(mach, [b1[k] for k in group], shape[0])
+        v = _indicator(mach, [b2[k] for k in group], shape[1])
+        part = mach.mul(mach.transpose(u), v)
+        counts = part if counts is None else mach.add(counts, part)
+    if counts is None:
+        return mach.enc(np.zeros(shape, dtype=np.int64))
+    return mach.gt(counts, mach.enc(np.full(shape, 0.5 if approx else 0)))
 
 
 def obfuscate(mach: Machine, cand: PrivateMatrix, policy: ObfuscationPolicy,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oblivlink import JaccardParams, Machine, Strategy, jaccard_match
+from oblivlink import JaccardParams, Machine, ShapeError, Strategy, jaccard_match
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
 from oblivlink.mpc.sharing import beaver_combine, bilinear, make_triples, rand_u64
 
@@ -73,6 +73,10 @@ def test_bilinear_forms_match_numpy():
         assert np.array_equal(bilinear("mul", u, v), u * v)
         assert int(bilinear("dot", u, v)) == int((u * v).sum())
         assert np.array_equal(bilinear("outer", u, v), u[:, None] * v[None, :])
+        # wrapping products of a transposed (non-contiguous) operand
+        a, b = rand_u64(rng, (5, 3)).T, rand_u64(rng, (5, 4))
+        assert np.array_equal(bilinear("matmul", a, b),
+                              (a[:, :, None] * b[None, :, :]).sum(axis=1))
 
 
 # -- machine-level protocol runs --------------------------------------------------
@@ -250,6 +254,46 @@ def test_every_machine_primitive_matches_clear_backend():
         both(lambda m: m.vector_lookup(m.enc(x), m.enc(i)))
         both(lambda m: m.matrix_update(m.enc(grid), m.enc(0), m.enc(2), m.enc(7)))
     mpc_b.close()
+    clr_b.close()
+
+
+@pytest.mark.parametrize("spec", ["sim:simd", "mpc"])
+def test_segment_sum_and_concat_match_clear_backend(spec):
+    mach, auth, b = open_machine(spec, seed=21)
+    clr_m, clr_auth, clr_b = open_machine("clear", seed=21)
+
+    def both(op):
+        got = dec_round(mach, auth, op(mach))
+        want = dec_round(clr_m, clr_auth, op(clr_m))
+        assert got == want, op
+        return want
+
+    assert both(lambda m: m.segment_sum(m.enc([1, 2, 3, 4, 5, 6]), 2, [0, 2, 1])) == \
+        [[0, 0], [4, 6], [5, 6]]
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        lengths = rng.integers(0, 3, size=5).tolist()
+        width = int(rng.integers(1, 5))
+        # negative values are wrapped near 2^64 on the exact backends
+        x = rng.integers(-50, 50, size=sum(lengths) * width).tolist()
+        rows = np.asarray(x, dtype=np.int64).reshape(-1, width)
+        ends = np.cumsum(lengths)
+        want = [rows[e - n:e].sum(axis=0).tolist() for n, e in zip(lengths, ends)]
+        assert both(lambda m: m.segment_sum(m.enc(x), width, lengths)) == want
+        cut = sorted(rng.integers(0, len(x) + 1, size=2).tolist())
+        assert both(lambda m: m.concat(m.enc(x[:cut[0]]), m.enc(x[cut[0]:cut[1]]),
+                                       m.enc(x[cut[1]:]))) == x
+    assert both(lambda m: m.segment_sum(m.enc([]), 3, [0, 0])) == [[0, 0, 0], [0, 0, 0]]
+    assert both(lambda m: m.concat(m.enc([]), m.enc([4]), m.enc([]))) == [4]
+    with pytest.raises(ShapeError):
+        mach.segment_sum(mach.enc([1, 2, 3]), 2, [1])
+    if spec == "mpc":  # sums that wrap past 2^64, compared without rounding
+        big = [MASK64, (1 << 63) + 5, 13, (1 << 63) + 7]
+        for m, a in ((mach, auth), (clr_m, clr_auth)):
+            assert m.dec(m.segment_sum(m.enc(big), 2, [2, 0]), a) == [[12, 12], [0, 0]]
+            assert m.dec(m.concat(m.enc(big[:1]), m.enc(big[1:])), a) == \
+                [-1, 5 - (1 << 63), 13, 7 - (1 << 63)]
+    b.close()
     clr_b.close()
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oblivlink import (JaccardParams, Machine, MinHasher, ObfuscationPolicy,
+from oblivlink import (DomainError, JaccardParams, Machine, MinHasher, ObfuscationPolicy,
                        PartyUpload, PipelineConfig, Strategy, assert_oblivious,
                        generate_dataset, make_backend, optimal_band_plan,
                        plain_blocked_pairs, plain_matches, run_pper,
@@ -71,6 +71,36 @@ def test_merge_matches_clear_backend(spec):
         return got.tolist()
 
     assert run(spec) == run("clear")
+
+
+def test_merge_past_the_approximate_error_bound_raises_domain_error():
+    # 600 x 600 cross pairs of one key: the worst-case error of the summed
+    # indicator products reaches 1/2, so merge refuses before any gate
+    mach, _, b = open_machine("sim:simd")
+    ids = list(range(600))
+    with pytest.raises(DomainError):
+        merge_and_dedup(mach, _enc_blocks(mach, {"k": ids}), _enc_blocks(mach, {"k": ids}),
+                        (600, 600))
+    assert not {"mul", "gt", "dec"} & set(b.ledger.by_op())
+    b.close()
+
+
+@pytest.mark.parametrize("seed", [17, 42])
+def test_simd_merge_equals_clear_at_n400(seed):
+    # corpora on which per-pair private id lookups once marked wrong cells
+    d1, d2, _ = generate_dataset(seed=seed, size=400)
+    cfg = PipelineConfig()
+    index1, index2 = prepare_upload(d1, cfg).index, prepare_upload(d2, cfg).index
+
+    def run(spec):
+        mach, auth, b = open_machine(spec)
+        cand = merge_and_dedup(mach, _enc_blocks(mach, index1), _enc_blocks(mach, index2),
+                               (len(d1), len(d2)))
+        got = np.rint(np.asarray(mach.dec(cand, auth), dtype=np.float64)).astype(int)
+        b.close()
+        return got.tolist()
+
+    assert run("sim:simd") == run("clear")
 
 
 # -- obfuscation -------------------------------------------------------------------
@@ -271,13 +301,14 @@ def test_stage_ledger_covers_pipeline_stages():
     assert {"upload", "merge_dedup", "obfuscate", "filter_er", "finalize"} <= stages
 
 
-def _twin_uploads(token_shift):
-    # identical shapes, ids, and block structure; token contents differ
+def _twin_uploads(token_shift, index1=None):
+    # identical shapes and block keys and sizes; token contents differ, and
+    # so do the block ids when index1 is given
     enc1 = [EncodedRecord("0", (1000 + token_shift, 2000, 3000), 1),
             EncodedRecord("1", (1500, 2500 + token_shift, 3500), 1)]
     enc2 = [EncodedRecord("0", (1000, 2000, 3000 + token_shift), 1),
             EncodedRecord("1", (9000, 9100, 9200), 1)]
-    index1 = {"aa": [0], "bb": [1]}
+    index1 = index1 or {"aa": [0], "bb": [1]}
     index2 = {"aa": [0], "bb": [1]}
     u1 = PartyUpload(enc1, index1, ["a0", "a1"], {})
     u2 = PartyUpload(enc2, index2, ["b0", "b1"], {})
@@ -297,6 +328,23 @@ def test_full_run_twin_traces_identical():
         return trace
 
     assert_oblivious(run(0), run(7))
+
+
+@pytest.mark.parametrize("spec", ["sim:generic", "sim:simd", "mpc"])
+def test_full_run_twin_traces_independent_of_block_ids(spec):
+    # rho=1 reveals every cell, so only merge could make the traces differ
+    def run(index1):
+        u1, u2 = _twin_uploads(0, index1)
+        kind, _, profile = spec.partition(":")
+        backend = make_backend(kind, profile or "generic", seed=0)
+        backend.enable_trace()
+        cfg = PipelineConfig(backend=kind, strategy="ve", t_jaccard=Fraction(1, 2),
+                             rho=1.0, seed=0)
+        result = run_pper_from_uploads(u1, u2, cfg, backend=backend)
+        backend.close()
+        return result.trace
+
+    assert_oblivious(run({"aa": [0, 1], "bb": [0]}), run({"aa": [1, 0], "bb": [1]}))
 
 
 def test_leakage_budget_p3_transcript():
