@@ -20,8 +20,8 @@ from .evalkit import (CorruptionProfile, GoldStandard, MetricsReport, Record,
                       compute_metrics, generate_dataset, jaccard_fraction,
                       performance_sweep, plain_blocked_pairs, plain_matches)
 from .intersect import (JaccardParams, Strategy, intersection_size, isect_mj,
-                        isect_pj, isect_so, isect_ve, isect_vr, jaccard_match,
-                        pick_strategy, supported_strategies, zero_count)
+                        isect_pj, isect_so, isect_ve, isect_vr, jaccard_cells,
+                        jaccard_match, pick_strategy, supported_strategies, zero_count)
 from .machine import (Machine, PrivateBool, PrivateMatrix, PrivateScalar,
                       PrivateVector, TAU_BOOL, TAU_NUM, XI_DEFAULT)
 from .pipeline import (ObfuscationPolicy, PartyUpload, PipelineConfig,
@@ -42,7 +42,7 @@ __all__ = [
     "compute_metrics", "generate_dataset", "jaccard_fraction",
     "performance_sweep", "plain_blocked_pairs", "plain_matches",
     "JaccardParams", "Strategy", "intersection_size", "isect_mj", "isect_pj",
-    "isect_so", "isect_ve", "isect_vr", "jaccard_match", "pick_strategy",
+    "isect_so", "isect_ve", "isect_vr", "jaccard_cells", "jaccard_match", "pick_strategy",
     "supported_strategies", "zero_count",
     "Machine", "PrivateBool", "PrivateMatrix", "PrivateScalar", "PrivateVector",
     "TAU_BOOL", "TAU_NUM", "XI_DEFAULT",

@@ -206,6 +206,9 @@ class Backend:
 
     kind = "abstract"
     profile = "generic"
+    # largest |a - b| the comparison gate keeps the sign of; None when any
+    # difference in the domain is compared correctly
+    compare_bound: int | None = None
 
     def __init__(self, caps: Capabilities, domain: str, seed: int = 0):
         self.context_id = next(_context_counter)

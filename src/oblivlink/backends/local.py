@@ -130,6 +130,11 @@ class LocalBackend(Backend):
         self._record("repeat_each", v.shape, times)
         return np.repeat(v, times)
 
+    def take(self, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        self.require("repeat_elements")
+        self._record("take", v.shape, idx.shape)
+        return v.reshape(-1)[idx]
+
     def concat(self, *parts: np.ndarray) -> np.ndarray:
         self._record("concat", *(p.shape for p in parts))
         return np.concatenate(parts)

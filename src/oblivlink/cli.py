@@ -12,8 +12,9 @@ import argparse
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
+from dataclasses import fields
 
 from .blocking import MinHasher, optimal_band_plan
 from .errors import OblivLinkError, StageError
@@ -43,29 +44,21 @@ def _build_config(args) -> PipelineConfig:
     config = PipelineConfig()
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
 
-    def pick(name, cast, current):
-        flag = getattr(args, name, None)
+    def pick(flag_name, key, cast, current):
+        flag = getattr(args, flag_name, None)
         if flag is not None:
             return cast(flag)
-        if name in file_values:
-            return cast(file_values[name])
+        if key in file_values:
+            return cast(file_values[key])
         return current
 
-    config.backend = pick("backend", str, config.backend)
-    config.profile = pick("profile", str, config.profile)
-    config.strategy = pick("isect", str, config.strategy)
-    config.t_jaccard = pick("t_jaccard", Fraction, config.t_jaccard)
-    config.t_block = pick("t_block", float, config.t_block)
-    config.num_perm = pick("num_perm", int, config.num_perm)
-    config.fp_weight = pick("fp_weight", float, config.fp_weight)
-    config.fn_weight = pick("fn_weight", float, config.fn_weight)
-    config.pack = pick("pack", int, config.pack)
-    config.rho = pick("rho", float, config.rho)
-    config.noise_source = pick("noise_source", str, config.noise_source)
-    config.epsilon = pick("epsilon", float, config.epsilon)
-    config.seed = pick("seed", int, config.seed)
-    config.latency_us = pick("latency_us", float, config.latency_us)
-    config.jobs = pick("jobs", int, config.jobs)
+    types = typing.get_type_hints(PipelineConfig)
+    for f in fields(PipelineConfig):
+        # the strategy's flag keeps its historical name; its file key is the
+        # field name that run.config writes
+        flag_name = "isect" if f.name == "strategy" else f.name
+        setattr(config, f.name,
+                pick(flag_name, f.name, types[f.name], getattr(config, f.name)))
     return config
 
 

@@ -13,7 +13,9 @@ lean on:
   MJ  matrix join: one oblivious equality-join gate.
 
 All strategies decrypt to the same cardinality; their primitive-operation
-footprints differ and are what the cost ledger measures.
+footprints differ and are what the cost ledger measures.  The match
+decision runs over many record pairs at once (``jaccard_cells``): VE packs
+every pair into gathered vectors, and one threshold gate decides them all.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .backends.base import EXACT
 from .errors import CapabilityError
-from .machine import Machine, PrivateScalar, PrivateVector, TAU_NUM
+from .machine import Machine, PrivateScalar, PrivateVector, TAU_NUM, slot_runs
 
 # Public padding value for VR, outside the 16-bit-token / packed-container
 # encoding by construction.
@@ -86,7 +90,7 @@ def estimated_cost(strategy: Strategy, m: int, n: int, caps, weights=None) -> fl
     if strategy is Strategy.VR:
         return big * (u("rotate") + u("sub") + u("add") + u("eq", _zero_count_ops(caps))) + 2 * u("enc")
     if strategy is Strategy.VE:
-        return u("tile") + u("repeat_each") + u("sub") + u("eq", _zero_count_ops(caps))
+        return 3 * u("take") + u("eq", _eq_ops(caps)) + u("segment_sum") + u("get")
     if strategy is Strategy.SO:
         return u("concat") + u("sort") + 2 * u("slice") + u("sub") + u("eq", _zero_count_ops(caps))
     if strategy is Strategy.MJ:
@@ -178,17 +182,53 @@ def isect_vr(mach: Machine, v1: PrivateVector, v2: PrivateVector,
 
 def ve_extend(mach: Machine, v1: PrivateVector, v2: PrivateVector):
     """VE intermediates: v1 tiled |v2| times, each v2 element repeated |v1|
-    times."""
+    times.  The reference layout that ``_ve_counts`` gathers."""
     return mach.tile(v1, v2.length), mach.repeat_each(v2, v1.length)
+
+
+def _joined(mach: Machine, vectors: list[PrivateVector]) -> PrivateVector:
+    return vectors[0] if len(vectors) == 1 else mach.concat(*vectors)
+
+
+def _lengths(vectors: list[PrivateVector]) -> np.ndarray:
+    return np.array([v.length for v in vectors], dtype=np.int64)
+
+
+def _ve_counts(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVector],
+               cells: np.ndarray, max_slots: int) -> PrivateVector:
+    """VE over many cells at once.  Both sides are joined once; a public
+    gather then lays out every cell's tiled and repeated operands (the
+    layout of ``ve_extend``), one equality gate compares them and a width-1
+    segment sum counts each cell's equal slots.  Cells go in runs of at
+    most ``max_slots`` slots."""
+    len1, len2 = _lengths(enc1), _lengths(enc2)
+    off1, off2 = np.cumsum(len1) - len1, np.cumsum(len2) - len2
+    all1, all2 = _joined(mach, enc1), _joined(mach, enc2)
+    i, j = cells[:, 0], cells[:, 1]
+    slots = len1[i] * len2[j]
+    parts = []
+    for run in slot_runs([(int(n),) for n in slots], max_slots):
+        r = slice(run.start, run.stop)
+        n = slots[r]
+        # slot p of a cell pairs v1[p % |v1|] with v2[p // |v1|]
+        p = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+        width = np.repeat(len1[i[r]], n)
+        idx1 = np.repeat(off1[i[r]], n) + p % width
+        idx2 = np.repeat(off2[j[r]], n) + p // width
+        bits = mach.eeq(mach.take(all1, idx1), mach.take(all2, idx2))
+        counts = mach.segment_sum(bits, 1, n.tolist())
+        parts.append(mach.take(counts, np.arange(len(n))))
+    return _joined(mach, parts)
 
 
 def isect_ve(mach: Machine, v1: PrivateVector, v2: PrivateVector,
              debug: bool = False) -> PrivateScalar:
-    """Vector extension: one difference over the extended vectors."""
+    """Vector extension: the one-cell case of the batched count."""
     if debug:
         _debug_check_unique(mach, v1, v2)
-    v1e, v2e = ve_extend(mach, v1, v2)
-    return zero_count(mach, mach.esub(v1e, v2e))
+    counts = _ve_counts(mach, [v1], [v2], np.zeros((1, 2), dtype=np.int64),
+                        v1.length * v2.length)
+    return mach.vget(counts, 0)
 
 
 def so_adjacent_diff(mach: Machine, v1: PrivateVector, v2: PrivateVector) -> PrivateVector:
@@ -252,25 +292,60 @@ class JaccardParams:
             raise ValueError("epsilon must be non-negative")
 
 
-def jaccard_match(mach: Machine, r1: PrivateVector, r2: PrivateVector,
-                  params: JaccardParams, strategy: Strategy,
-                  debug: bool = False) -> PrivateScalar:
-    """Private bit: similarity inter/(|r1|+|r2|-inter) above the threshold.
+def _over_threshold(mach: Machine, inter: PrivateVector, sums: np.ndarray,
+                    params: JaccardParams) -> PrivateVector:
+    """Slot k: inter[k]/(sums[k]-inter[k]) above the threshold.
 
     Exact backends evaluate the division-free rearrangement
     den*inter > num*(s1+s2-inter) with strict inequality; approximate
     backends evaluate the quotient form with epsilon slack.
     """
-    s1 = mach.size(r1)
-    s2 = mach.size(r2)
-    inter = intersection_size(mach, r1, r2, strategy, debug=debug)
+    k = len(sums)
     if mach.b.domain == EXACT:
         num, den = params.threshold.numerator, params.threshold.denominator
-        lhs = mach.mul(mach.enc(den), inter)
-        union = mach.sub(mach.enc(s1 + s2), inter)
-        rhs = mach.mul(mach.enc(num), union)
-        return mach.gt(lhs, rhs)
-    union = mach.sub(mach.enc(float(s1 + s2)), inter)
+        lhs = mach.mul(mach.enc(np.full(k, den)), inter)
+        union = mach.sub(mach.enc(sums), inter)
+        rhs = mach.mul(mach.enc(np.full(k, num)), union)
+        # both sides lie in [0, den*(s1+s2)]
+        return mach.gt(lhs, rhs, bound=den * int(sums.max()))
+    union = mach.sub(mach.enc(sums.astype(np.float64)), inter)
     sim = mach.mul(inter, mach.masked_reciprocal(union))
-    lhs = mach.add(sim, mach.enc(params.epsilon))
-    return mach.gt(lhs, mach.enc(float(params.threshold)))
+    lhs = mach.add(sim, mach.enc(np.full(k, params.epsilon)))
+    return mach.gt(lhs, mach.enc(np.full(k, float(params.threshold))))
+
+
+def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVector],
+                  cells, params: JaccardParams, strategy: Strategy, max_slots: int,
+                  debug: bool = False) -> PrivateVector:
+    """Private match bits of the public cells ``(i, j)``: bit k is 1 iff the
+    similarity of enc1[i] and enc2[j] lies above the threshold.
+
+    VE runs batched over all cells (see ``_ve_counts``); the other
+    strategies count each pair and join the counts with one ``stack``.
+    One threshold gate then decides every cell.  ``cells`` must not be
+    empty.
+    """
+    if not strategy_supported(strategy, mach.b.caps):
+        raise CapabilityError(
+            f"strategy {strategy.value} unsupported on {mach.b.kind}/{mach.b.profile}")
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    if strategy is Strategy.VE:
+        if debug:
+            _debug_check_unique(mach, *(enc1[i] for i in set(cells[:, 0].tolist())),
+                                *(enc2[j] for j in set(cells[:, 1].tolist())))
+        inter = _ve_counts(mach, enc1, enc2, cells, max_slots)
+    else:
+        inter = mach.stack(*(_DISPATCH[strategy](mach, enc1[i], enc2[j], debug=debug)
+                             for i, j in cells.tolist()))
+    sums = _lengths(enc1)[cells[:, 0]] + _lengths(enc2)[cells[:, 1]]
+    return _over_threshold(mach, inter, sums, params)
+
+
+def jaccard_match(mach: Machine, r1: PrivateVector, r2: PrivateVector,
+                  params: JaccardParams, strategy: Strategy,
+                  debug: bool = False) -> PrivateScalar:
+    """Private bit: similarity inter/(|r1|+|r2|-inter) above the threshold;
+    the one-cell case of ``jaccard_cells``."""
+    bits = jaccard_cells(mach, [r1], [r2], [(0, 0)], params, strategy,
+                         r1.length * r2.length, debug=debug)
+    return mach.vget(bits, 0)

@@ -18,15 +18,38 @@ primitive sequence that depends only on public shapes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .backends.base import Backend
-from .errors import CapabilityError, ContextMismatchError, ShapeError, TaintViolation
+from .errors import (CapabilityError, ContextMismatchError, DomainError, ShapeError,
+                     TaintViolation)
 
 # Offset for the arithmetic equality workaround; bounds derived from it.
 XI_DEFAULT = 1e-3
 TAU_BOOL = 2 * XI_DEFAULT
 TAU_NUM = 1e-6
+
+
+def slot_runs(sizes, bound: int) -> list[range]:
+    """Consecutive runs of items whose slot counts, summed coordinate by
+    coordinate, stay within ``bound``; an item above the bound alone is a
+    run of its own.  Batched stages use it to keep each batch's temporaries
+    within a public budget; sizes are public, so the runs are too."""
+    runs: list[range] = []
+    start, totals = 0, None
+    for k, size in enumerate(sizes):
+        grown = None if totals is None else [t + s for t, s in zip(totals, size)]
+        if grown is not None and max(grown) <= bound:
+            totals = grown
+            continue
+        if totals is not None:
+            runs.append(range(start, k))
+        start, totals = k, list(size)
+    if totals is not None:
+        runs.append(range(start, len(sizes)))
+    return runs
 
 
 class _PrivateValue:
@@ -254,6 +277,18 @@ class Machine:
         self._check_ctx(v)
         return PrivateVector(self.b, self.b.repeat_each(v.payload, int(times)))
 
+    def take(self, v, idx):
+        """Gather at public indices: slot k of the result is slot ``idx[k]``
+        of ``v`` read in row-major order, so the result has idx's shape.
+        ``tile`` and ``repeat_each`` are the special cases of a fixed index
+        pattern.  The trace holds the two shapes, never the index."""
+        self._check_ctx(v)
+        idx = np.asarray(idx, dtype=np.int64)
+        size = math.prod(v.payload.shape)
+        if idx.ndim > 2 or (idx.size and (idx.min() < 0 or idx.max() >= size)):
+            raise ShapeError(f"gather of index shape {idx.shape} out of {size} slots")
+        return self._wrap(self.b.take(v.payload, idx))
+
     def slice(self, v: PrivateVector, lo: int, hi: int) -> PrivateVector:
         self._check_ctx(v)
         return PrivateVector(self.b, self.b.slice(v.payload, lo, hi))
@@ -283,14 +318,11 @@ class Machine:
         self._check_ctx(s)
         return PrivateMatrix(self.b, self.b.broadcast(s.payload, tuple(shape)))
 
-    def matrix_from_cells(self, grid) -> PrivateMatrix:
-        """Assemble a matrix from a public-shape grid of private scalars."""
-        rows = []
-        for row in grid:
-            for cell in row:
-                self._check_ctx(cell)
-            rows.append(self.b.stack([c.payload for c in row]))
-        return PrivateMatrix(self.b, self.b.stack(rows))
+    def stack(self, first: PrivateScalar, *rest: PrivateScalar) -> PrivateVector:
+        """The scalars joined into one vector."""
+        parts = (first,) + rest
+        self._check_ctx(*parts)
+        return PrivateVector(self.b, self.b.stack([p.payload for p in parts]))
 
     # -- equality and ordering gates --------------------------------------------
 
@@ -311,11 +343,11 @@ class Machine:
                 "equality needs a native gate or division for the workaround")
         n = seq.length
         d = self.sub(seq, idx)
-        shifted = self.add(d, self.enc([xi] * n))
+        shifted = self.add(d, self.enc(np.full(n, xi)))
         recip = self._wrap(self.b.masked_reciprocal(shifted.payload))
-        neg = self.emul(recip, self.enc([-1.0] * n))
+        neg = self.emul(recip, self.enc(np.full(n, -1.0)))
         term = self.emul(d, neg)
-        return self.add(term, self.enc([1.0] * n))
+        return self.add(term, self.enc(np.full(n, 1.0)))
 
     def eeq_scalar(self, a: PrivateScalar, b: PrivateScalar, xi: float = XI_DEFAULT) -> PrivateScalar:
         self._check_ctx(a, b)
@@ -325,10 +357,18 @@ class Machine:
         vb = PrivateVector(self.b, self.b.broadcast(b.payload, (1,)))
         return self.vget(self.eeq(va, vb, xi), 0)
 
-    def gt(self, a, b) -> PrivateScalar:
-        """1 iff a > b (signed), computed by the backend's comparison gate."""
+    def gt(self, a, b, bound: int | None = None) -> PrivateScalar:
+        """1 iff a > b (signed), computed by the backend's comparison gate.
+
+        ``bound`` is the caller's public bound on |a - b|.  A backend whose
+        gate keeps the sign only for differences under its ``compare_bound``
+        refuses, before the gate, a bound that reaches it."""
         self._check_ctx(a, b)
         self._same_shape(a, b)
+        limit = self.b.compare_bound
+        if bound is not None and limit is not None and bound >= limit:
+            raise DomainError(f"comparison operands bounded by {bound} reach the "
+                              f"gate's bound {limit}")
         return self._wrap(self.b.gt(a.payload, b.payload))
 
     def masked_reciprocal(self, x, helper_role: str = "P3"):

@@ -171,6 +171,11 @@ class MpcBackend(Backend):
         return self._local("repeat_each", "repeat_each", [v], (v.shape[0] * times,),
                            {"times": int(times)})
 
+    def take(self, v, idx):
+        # the index is public: it travels with the instruction, not as data
+        self.require("repeat_elements")
+        return self._local("take", "take", [v], idx.shape, {"idx": idx}, meta=(idx.shape,))
+
     def concat(self, *parts):
         return self._local("concat", "concat", list(parts), (sum(p.shape[0] for p in parts),))
 

@@ -235,6 +235,8 @@ class PartyActor:
                 out = np.tile(args[0], p["times"])
             elif op == "repeat_each":
                 out = np.repeat(args[0], p["times"])
+            elif op == "take":
+                out = args[0].reshape(-1)[p["idx"]]
             elif op == "concat":
                 out = np.concatenate(args)
             elif op == "segment_sum":

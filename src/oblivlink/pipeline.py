@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +30,10 @@ from .backends.base import APPROX, tagged_rng
 from .blocking import (EncodedRecord, MinHasher, build_block_index,
                        optimal_band_plan, pack_tokens)
 from .errors import DomainError, StageError
-from .intersect import JaccardParams, Strategy, jaccard_match, pick_strategy
-from .machine import Machine, PrivateMatrix, PrivateVector
+# jaccard_match stays importable from here for callers that wrap it
+from .intersect import (JaccardParams, Strategy, jaccard_cells, jaccard_match,  # noqa: F401
+                        pick_strategy)
+from .machine import Machine, PrivateMatrix, PrivateVector, slot_runs
 
 ROLE_OWNER_1 = "P1"
 ROLE_OWNER_2 = "P2"
@@ -79,17 +81,14 @@ class PipelineConfig:
         return JaccardParams(Fraction(self.t_jaccard), self.epsilon)
 
     def flat_items(self) -> list[tuple[str, str]]:
-        t = Fraction(self.t_jaccard)
-        return [
-            ("backend", self.backend), ("profile", self.profile),
-            ("strategy", self.strategy), ("t_jaccard", f"{t.numerator}/{t.denominator}"),
-            ("t_block", str(self.t_block)), ("num_perm", str(self.num_perm)),
-            ("fp_weight", str(self.fp_weight)), ("fn_weight", str(self.fn_weight)),
-            ("pack", str(self.pack)), ("rho", str(self.rho)),
-            ("noise_source", str(self.noise_source)), ("epsilon", str(self.epsilon)),
-            ("seed", str(self.seed)), ("latency_us", str(self.latency_us)),
-            ("jobs", str(self.jobs)),
-        ]
+        items = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "t_jaccard":
+                value = Fraction(value)
+                value = f"{value.numerator}/{value.denominator}"
+            items.append((f.name, str(value)))
+        return items
 
 
 @dataclass
@@ -131,28 +130,35 @@ def prepare_upload(records, config: PipelineConfig) -> PartyUpload:
     return PartyUpload(encoded, index, [r.record_id for r in records], manifest)
 
 
+def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig):
+    """Refuse, before any machine work, uploads that would link to a quietly
+    wrong answer: owners that hashed, banded or packed differently from each
+    other or from the link config, and blocks whose ids lie outside their
+    owner's rows or repeat.  A manifest that omits a field is not checked on
+    it."""
+    plan = optimal_band_plan(config.t_block, config.num_perm,
+                             config.fp_weight, config.fn_weight)
+    wanted = {"num_perm": config.num_perm, "bands": plan.bands, "rows": plan.rows,
+              "seed": config.seed, "pack": config.pack}
+    for key, want in wanted.items():
+        got1, got2 = u1.manifest.get(key, want), u2.manifest.get(key, want)
+        if got1 != got2:
+            raise StageError("upload", f"the owners' manifests disagree on {key}: "
+                                       f"{got1} vs {got2}")
+        if got1 != want:
+            raise StageError("upload", f"the manifests' {key} {got1} disagrees with "
+                                       f"the link config's {want}")
+    for role, up in (("D1", u1), ("D2", u2)):
+        size = len(up.encoded)
+        for key, ids in up.index.items():
+            if len(set(ids)) != len(ids):
+                raise StageError("upload", f"{role} block {key} repeats an id")
+            if ids and (min(ids) < 0 or max(ids) >= size):
+                raise StageError("upload", f"{role} block {key} holds an id outside "
+                                           f"[0, {size})")
+
+
 # -- machine-level stages ----------------------------------------------------
-
-
-def _key_groups(keys: list[str], b1: dict[str, PrivateVector],
-                b2: dict[str, PrivateVector], shape: tuple[int, int]) -> list[list[str]]:
-    """Consecutive runs of ``keys`` whose one-hot indicators hold at most
-    rows*cols slots on each side, so merge's temporaries stay within the
-    size of the matrix it returns; a key above that bound alone is a run of
-    its own.  Depends on public block sizes only."""
-    rows, cols = shape
-    groups: list[list[str]] = []
-    n1 = n2 = 0
-    for key in keys:
-        l1, l2 = b1[key].length, b2[key].length
-        # side 1's one-hot holds n1*rows slots, side 2's n2*cols
-        if groups and n1 + l1 <= cols and n2 + l2 <= rows:
-            groups[-1].append(key)
-            n1, n2 = n1 + l1, n2 + l2
-        else:
-            groups.append([key])
-            n1, n2 = l1, l2
-    return groups
 
 
 def _indicator(mach: Machine, blocks: list[PrivateVector], width: int) -> PrivateMatrix:
@@ -182,15 +188,21 @@ def merge_and_dedup(mach: Machine, b1: dict[str, PrivateVector],
             raise DomainError(
                 f"merge of {cross_pairs} cross pairs may err by {worst:.3g} per cell, "
                 "not under the 1/2 the candidate threshold tolerates")
+    rows, cols = shape
+    # side 1's one-hot holds rows slots per id, side 2's cols; a group's
+    # one-hots stay within the rows*cols slots of the matrix merge returns
+    sizes = [(b1[k].length * rows, b2[k].length * cols) for k in keys]
     counts = None
-    for group in _key_groups(keys, b1, b2, shape):
-        u = _indicator(mach, [b1[k] for k in group], shape[0])
-        v = _indicator(mach, [b2[k] for k in group], shape[1])
+    for run in slot_runs(sizes, rows * cols):
+        group = keys[run.start:run.stop]
+        u = _indicator(mach, [b1[k] for k in group], rows)
+        v = _indicator(mach, [b2[k] for k in group], cols)
         part = mach.mul(mach.transpose(u), v)
         counts = part if counts is None else mach.add(counts, part)
     if counts is None:
         return mach.enc(np.zeros(shape, dtype=np.int64))
-    return mach.gt(counts, mach.enc(np.full(shape, 0.5 if approx else 0)))
+    # a cell counts at most every shared key
+    return mach.gt(counts, mach.enc(np.full(shape, 0.5 if approx else 0)), bound=len(keys))
 
 
 def obfuscate(mach: Machine, cand: PrivateMatrix, policy: ObfuscationPolicy,
@@ -212,23 +224,18 @@ def filter_and_resolve(mach: Machine, enc1: list[PrivateVector], enc2: list[Priv
                        obfu: np.ndarray, params: JaccardParams,
                        strategy: Strategy):
     """Evaluate the match bit exactly where the revealed matrix is true;
-    every other cell stays encrypted false.  The loop structure is public
-    and driven by the revealed matrix alone."""
+    every other cell stays encrypted false.  All revealed cells go through
+    one batched pass; one public gather then places each bit in the matrix,
+    pointing every other cell at an appended zero.  The work done depends
+    on the revealed matrix and the public record lengths alone."""
+    cells = np.argwhere(obfu)
+    if not len(cells):
+        return mach.enc(np.zeros(obfu.shape, dtype=np.int64)), 0
     rows, cols = obfu.shape
-    if rows == 0 or cols == 0:
-        return mach.enc(np.zeros((rows, cols), dtype=np.int64)), 0
-    evaluated = 0
-    grid = []
-    for i in range(rows):
-        row_cells = []
-        for j in range(cols):
-            if obfu[i][j]:
-                row_cells.append(jaccard_match(mach, enc1[i], enc2[j], params, strategy))
-                evaluated += 1
-            else:
-                row_cells.append(mach.enc(0))
-        grid.append(row_cells)
-    return mach.matrix_from_cells(grid), evaluated
+    bits = jaccard_cells(mach, enc1, enc2, cells, params, strategy, rows * cols)
+    place = np.full(obfu.shape, len(cells), dtype=np.int64)
+    place[cells[:, 0], cells[:, 1]] = np.arange(len(cells))
+    return mach.take(mach.concat(bits, mach.enc([0])), place), len(cells)
 
 
 def finalize(mach: Machine, results: PrivateMatrix, dummies: PrivateMatrix,
@@ -253,6 +260,7 @@ def _run_stage(backend, name, body):
 
 def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
                           backend=None) -> RunResult:
+    validate_uploads(u1, u2, config)
     own_backend = backend is None
     if backend is None:
         backend = make_backend(config.backend, config.profile, seed=config.seed,

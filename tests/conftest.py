@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from oblivlink import Machine, make_backend
+
+# Property tests draw the same examples on every run, and a fixed number of
+# them, so they are reproducible and their run time is bounded.
+settings.register_profile("oblivlink", derandomize=True, deadline=None,
+                          max_examples=50, database=None)
+settings.load_profile("oblivlink")
 
 ALL_BACKENDS = ["clear", "sim:generic", "sim:simd", "sim:sharemind", "mpc"]
 EXACT_BACKENDS = ["clear", "sim:generic", "sim:sharemind", "mpc"]

@@ -64,6 +64,21 @@ def test_rerun_is_byte_identical(tmp_path):
     assert _read(os.path.join(data, "d1.jsonl"))  # corpus written
 
 
+def test_run_config_fed_back_keeps_the_strategy(tmp_path):
+    data = str(tmp_path / "data")
+    blocks = str(tmp_path / "blocks")
+    main(["generate", "--out", data, "--size", "40", "--seed", "0"])
+    main(["block", "--data", data, "--out", blocks, "--seed", "0"])
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["link", "--blocks", blocks, "--out", first, "--backend", "sim",
+                 "--isect", "ve", "--seed", "0"]) == 0
+    assert main(["link", "--blocks", blocks, "--out", second,
+                 "--config", os.path.join(first, "run.config")]) == 0
+    for name in ("run.config", "ledger.csv", "matches.csv"):
+        assert _read(os.path.join(first, name)) == _read(os.path.join(second, name))
+    assert b"strategy_resolved=ve" in _read(os.path.join(second, "run.config"))
+
+
 def test_unknown_strategy_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["link", "--blocks", str(tmp_path), "--out", str(tmp_path / "o"),

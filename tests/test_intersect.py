@@ -179,6 +179,18 @@ def test_estimated_cost_ordering():
     b.close()
 
 
+def test_ve_estimate_equals_its_ledger():
+    # auto selection reads the estimate; it must price the ops VE records
+    for spec in ("sim:generic", "sim:simd", "mpc"):
+        for m, n in ((3, 2), (1, 5), (4, 4)):
+            mach, _, b = open_machine(spec)
+            v1, v2 = mach.enc(list(range(m))), mach.enc(list(range(2, 2 + n)))
+            b.ledger.counts.clear()
+            intersection_size(mach, v1, v2, Strategy.VE)
+            assert b.ledger.total() == estimated_cost(Strategy.VE, m, n, b.caps)
+            b.close()
+
+
 # -- jaccard -------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from oblivlink import (AuthorityError, ContextMismatchError, Machine, ShapeError,
                        TaintViolation, TAU_BOOL, TAU_NUM, XI_DEFAULT, make_backend)
+from oblivlink.machine import slot_runs
 
 from conftest import ALL_BACKENDS, EXACT_BACKENDS, LOCAL_EXACT, dec_round, open_machine
 
@@ -405,3 +406,13 @@ def test_clone_gives_independent_context():
         mach.add(mach.enc(1), child_mach.enc(1))
     child.close()
     b.close()
+
+
+def test_slot_runs_greedy_within_bound():
+    assert slot_runs([(2,), (3,), (4,), (9,), (1,)], 6) == [range(0, 2), range(2, 3),
+                                                           range(3, 4), range(4, 5)]
+    # every coordinate stays within the bound; an item above it runs alone
+    assert slot_runs([(1, 5), (1, 2), (7, 0), (0, 2)], 6) == [range(0, 1), range(1, 2),
+                                                             range(2, 3), range(3, 4)]
+    assert slot_runs([(1, 2), (2, 1), (4, 3)], 6) == [range(0, 2), range(2, 3)]
+    assert slot_runs([], 6) == []

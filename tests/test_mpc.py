@@ -297,6 +297,48 @@ def test_segment_sum_and_concat_match_clear_backend(spec):
     clr_b.close()
 
 
+@pytest.mark.parametrize("spec", ["sim:generic", "sim:simd", "sim:sharemind", "mpc"])
+def test_take_and_stack_match_clear_backend(spec):
+    mach, auth, b = open_machine(spec, seed=22)
+    clr_m, clr_auth, clr_b = open_machine("clear", seed=22)
+
+    def both(op):
+        got = dec_round(mach, auth, op(mach))
+        want = dec_round(clr_m, clr_auth, op(clr_m))
+        assert got == want, op
+        return want
+
+    x = [5, -3, 8, 0, 11]
+    assert both(lambda m: m.take(m.enc(x), [4, 0, 0, 2])) == [11, 5, 5, 8]
+    # a matrix index gives a matrix; a matrix source is read row-major
+    assert both(lambda m: m.take(m.enc(x), [[1, 1], [3, 4]])) == [[-3, -3], [0, 11]]
+    assert both(lambda m: m.take(m.enc([[1, 2], [3, 4]]), [3, 0])) == [4, 1]
+    assert both(lambda m: m.take(m.enc(x), np.zeros(0, dtype=np.int64))) == []
+    # tile and repeat_each are fixed index patterns
+    assert both(lambda m: m.take(m.enc(x[:2]), [0, 1, 0, 1])) == \
+        both(lambda m: m.tile(m.enc(x[:2]), 2))
+    assert both(lambda m: m.take(m.enc(x[:2]), [0, 0, 1, 1])) == \
+        both(lambda m: m.repeat_each(m.enc(x[:2]), 2))
+    assert both(lambda m: m.stack(m.enc(4), m.enc(-2), m.enc(9))) == [4, -2, 9]
+    for bad in ([5], [-1], [[[0]]]):
+        with pytest.raises(ShapeError):
+            mach.take(mach.enc(x), bad)
+    b.close()
+    clr_b.close()
+
+
+def test_take_trace_holds_shapes_not_indices():
+    def trace(idx):
+        mach, _, b = open_machine("mpc", seed=23)
+        b.enable_trace()
+        mach.take(mach.enc([1, 2, 3]), idx)
+        out = list(b.trace)
+        b.close()
+        return out
+
+    assert trace([2, 0]) == trace([1, 1]) == [("enc", (3,)), ("take", (3,), (2,))]
+
+
 def test_rounds_csv_export():
     mach, auth, b = open_machine("mpc", seed=17)
     with b.stage("demo"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oblivlink import (DomainError, JaccardParams, Machine, MinHasher, ObfuscationPolicy,
-                       PartyUpload, PipelineConfig, Strategy, assert_oblivious,
+                       PartyUpload, PipelineConfig, StageError, Strategy, assert_oblivious,
                        generate_dataset, make_backend, optimal_band_plan,
                        plain_blocked_pairs, plain_matches, run_pper,
                        run_pper_from_uploads, read_party_dir, write_party_dir,
@@ -282,7 +282,6 @@ def test_candidate_count_bounded_by_obfuscation():
 
 
 def test_stage_errors_carry_the_failing_stage():
-    from oblivlink import StageError
     d1, d2, _ = generate_dataset(seed=0, size=30, split=0.3)
     # SO needs a sort capability the mpc backend lacks; the failure surfaces
     # inside filter_er with that stage in the diagnostic
@@ -368,6 +367,54 @@ def test_leakage_budget_p3_transcript():
         for v in flat:
             if isinstance(v, (int, np.integer)):
                 assert int(v) not in tokens
+
+
+# -- upload validation ---------------------------------------------------------------
+
+
+def _refused_upload(u1, u2, cfg):
+    """The StageError of linking u1 and u2, checked to come before any
+    machine work."""
+    backend = make_backend("clear")
+    with pytest.raises(StageError) as excinfo:
+        run_pper_from_uploads(u1, u2, cfg, backend=backend)
+    assert excinfo.value.stage == "upload"
+    assert backend.ledger.total() == 0 and not backend.transcript
+    backend.close()
+    return str(excinfo.value)
+
+
+def test_upload_manifests_must_agree_with_each_other_and_the_config():
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    cfg = PipelineConfig()
+    u1 = prepare_upload(d1, cfg)
+    # owners hashing with different seeds share no blocking key
+    assert "seed" in _refused_upload(u1, prepare_upload(d2, PipelineConfig(seed=1)), cfg)
+    u2 = prepare_upload(d2, cfg)
+    assert "seed" in _refused_upload(u1, u2, PipelineConfig(seed=1))
+    # another blocking threshold gives another band layout
+    assert "bands" in _refused_upload(u1, u2, PipelineConfig(t_block=0.8))
+    assert "pack" in _refused_upload(u1, u2, PipelineConfig(pack=4))
+
+
+def test_upload_block_id_outside_the_rows_is_refused():
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    cfg = PipelineConfig()
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    key = sorted(u1.index)[0]
+    u1.index[key] = u1.index[key] + [999]
+    assert "outside" in _refused_upload(u1, u2, cfg)
+    u1.index[key] = [-1]
+    assert "outside" in _refused_upload(u1, u2, cfg)
+
+
+def test_upload_block_repeating_an_id_is_refused():
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    cfg = PipelineConfig()
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    key = sorted(u2.index)[0]
+    u2.index[key] = u2.index[key] + u2.index[key][:1]
+    assert "repeats" in _refused_upload(u1, u2, cfg)
 
 
 # -- transport ------------------------------------------------------------------------
