@@ -7,26 +7,19 @@ from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT,
                    OpCostLedger, assert_oblivious, tagged_rng)
 from .local import ClearBackend, SimBackend
 
-_KINDS = ("clear", "sim", "oblivious-sim", "mpc")
+_KINDS = ("clear", "sim", "mpc")
 
 
-def make_backend(kind: str, profile: str = "generic", seed: int = 0,
-                 latency_us: float = 0.0, jitter_us: float = 0.0,
-                 record_messages: bool = False) -> Backend:
+def make_backend(kind: str, profile: str = "generic", seed: int = 0) -> Backend:
     """Build a machine context: cleartext oracle, oblivious simulator with a
     capability profile, or the simulated three-party secret-sharing backend."""
     if kind == "clear":
         return ClearBackend(seed=seed)
-    if kind in ("sim", "oblivious-sim"):
+    if kind == "sim":
         return SimBackend(profile=profile, seed=seed)
     if kind == "mpc":
         from ..mpc.backend import MpcBackend
-        from ..mpc.runtime import LatencyModel
-        latency = None
-        if latency_us or jitter_us:
-            latency = LatencyModel(fixed_us=latency_us, jitter_us=jitter_us,
-                                   seed=seed if not isinstance(seed, tuple) else seed[0])
-        return MpcBackend(seed=seed, latency=latency, record_messages=record_messages)
+        return MpcBackend(seed=seed)
     raise ValueError(f"unknown backend kind {kind!r}; pick one of {_KINDS}")
 
 

@@ -73,6 +73,50 @@ def segment_sum(v: np.ndarray, width: int, lengths) -> np.ndarray:
     return out
 
 
+def _rotate(v: np.ndarray, k: int, cyclic: bool, fill) -> np.ndarray:
+    """Shift right by ``k`` (left for negative k): cyclic, or with the
+    vacated slots set to ``fill``."""
+    if cyclic:
+        return np.roll(v, k)
+    if k == 0 or len(v) == 0:
+        return v.copy()
+    out = np.full_like(v, fill)
+    if 0 < k < len(v):
+        out[k:] = v[:-k]
+    elif -len(v) < k < 0:
+        out[:k] = v[-k:]
+    return out
+
+
+# The numpy kernel of every primitive that is linear in each operand (the
+# structural ones included) or bilinear in two (mul, dot, outer, vecmat,
+# matmul).  Applied to additive shares, a linear kernel computes shares of
+# its result (a rotation's public fill is party 0's share), so the local
+# backends run the kernels on values, the mpc parties on their share
+# components and Beaver multiplication on its openings.  Callers on
+# wrapping uint64 payloads ignore overflow.
+KERNELS = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "dot": lambda u, v: np.asarray((u * v).sum()),
+    "outer": lambda u, v: u[:, None] * v[None, :],
+    "vecmat": lambda u, v: (u[:, None] * v).sum(axis=0),
+    "matmul": lambda u, v: np.matmul(np.ascontiguousarray(u), np.ascontiguousarray(v)),
+    "transpose": lambda m: m.T.copy(),
+    "rotate": _rotate,
+    "tile": np.tile,
+    "repeat_each": np.repeat,
+    "take": lambda v, idx: v.reshape(-1)[idx],
+    "concat": lambda *parts: np.concatenate(parts),
+    "segment_sum": segment_sum,
+    "slice": lambda v, lo, hi: v[lo:hi].copy(),
+    "get": lambda v, i: np.asarray(v[i]),
+    "broadcast": lambda s, shape: np.broadcast_to(s, shape).copy(),
+    "stack": lambda *rows: np.stack(rows),
+}
+
+
 def tagged_rng(tag: str, seed) -> np.random.Generator:
     """Independent generator for one purpose: the tag namespaces the seed so
     subsystems sharing a master seed never share a stream."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT,
-                   Backend, Capabilities, lift_signed, segment_sum, to_u64)
+from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS,
+                   Backend, Capabilities, lift_signed, to_u64)
 
 
 class LocalBackend(Backend):
@@ -63,11 +63,7 @@ class LocalBackend(Backend):
     def _ew(self, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._record(op, a.shape)
         with np.errstate(over="ignore"):
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            return a * b
+            return KERNELS[op](a, b)
 
     def add(self, a, b):
         return self._ew("add", a, b)
@@ -83,81 +79,72 @@ class LocalBackend(Backend):
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._record("dot", a.shape)
         with np.errstate(over="ignore"):
-            return np.asarray((a * b).sum())
+            return KERNELS["dot"](a, b)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._record("matmul", a.shape, b.shape)
         with np.errstate(over="ignore"):
-            return np.matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
+            return KERNELS["matmul"](a, b)
 
     def vecmat(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
         self._record("vecmat", v.shape, m.shape)
         with np.errstate(over="ignore"):
-            return (v[:, None] * m).sum(axis=0)
+            return KERNELS["vecmat"](v, m)
 
     def outer(self, col: np.ndarray, row: np.ndarray) -> np.ndarray:
         self._record("outer", col.shape, row.shape)
         with np.errstate(over="ignore"):
-            return col[:, None] * row[None, :]
+            return KERNELS["outer"](col, row)
 
     def transpose(self, m: np.ndarray) -> np.ndarray:
         self._record("transpose", m.shape)
-        return m.T.copy()
+        return KERNELS["transpose"](m)
 
     # -- vector structure ------------------------------------------------------
 
     def rotate(self, v: np.ndarray, k: int, cyclic: bool = True, fill=None) -> np.ndarray:
         self.require("rotation")
         self._record("rotate", v.shape, k, cyclic)
-        if cyclic:
-            return np.roll(v, k)
-        if k == 0 or len(v) == 0:
-            return v.copy()
-        out = np.full_like(v, self._coerce(fill))
-        if 0 < k < len(v):
-            out[k:] = v[:-k]
-        elif -len(v) < k < 0:
-            out[:k] = v[-k:]
-        return out
+        return KERNELS["rotate"](v, k, cyclic, None if cyclic else self._coerce(fill))
 
     def tile(self, v: np.ndarray, times: int) -> np.ndarray:
         self.require("repeat_elements")
         self._record("tile", v.shape, times)
-        return np.tile(v, times)
+        return KERNELS["tile"](v, times)
 
     def repeat_each(self, v: np.ndarray, times: int) -> np.ndarray:
         self.require("repeat_elements")
         self._record("repeat_each", v.shape, times)
-        return np.repeat(v, times)
+        return KERNELS["repeat_each"](v, times)
 
     def take(self, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
         self.require("repeat_elements")
         self._record("take", v.shape, idx.shape)
-        return v.reshape(-1)[idx]
+        return KERNELS["take"](v, idx)
 
     def concat(self, *parts: np.ndarray) -> np.ndarray:
         self._record("concat", *(p.shape for p in parts))
-        return np.concatenate(parts)
+        return KERNELS["concat"](*parts)
 
     def segment_sum(self, v: np.ndarray, width: int, lengths: list[int]) -> np.ndarray:
         self._record("segment_sum", v.shape, (len(lengths), width), list(lengths))
-        return segment_sum(v, width, lengths)
+        return KERNELS["segment_sum"](v, width, lengths)
 
     def slice(self, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
         self._record("slice", v.shape, lo, hi)
-        return v[lo:hi].copy()
+        return KERNELS["slice"](v, lo, hi)
 
     def vget(self, v: np.ndarray, i: int) -> np.ndarray:
         self._record("get", v.shape, i)
-        return np.asarray(v[i])
+        return KERNELS["get"](v, i)
 
     def broadcast(self, s: np.ndarray, shape) -> np.ndarray:
         self._record("broadcast", tuple(shape))
-        return np.broadcast_to(s, shape).copy()
+        return KERNELS["broadcast"](s, shape)
 
     def stack(self, rows) -> np.ndarray:
         self._record("stack", (len(rows),))
-        return np.stack([np.asarray(r) for r in rows])
+        return KERNELS["stack"](*rows)
 
     # -- gates ---------------------------------------------------------------
 
@@ -181,7 +168,7 @@ class LocalBackend(Backend):
     def join_count(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.require("join")
         self._record("join", a.shape, b.shape)
-        return self._coerce(len(np.intersect1d(a, b)))
+        return self._coerce(len(np.intersect1d(a, b, assume_unique=True)))
 
     # -- masked reciprocal protocol ---------------------------------------------
 
@@ -198,12 +185,12 @@ class LocalBackend(Backend):
         r = self.rng.uniform(0.5, 2.0, size=x.shape)
         r_enc = self.enc(r)
         masked = self.mul(x, r_enc)
-        opened = self.dec(masked)
-        self.observe(helper_role, "masked_value", opened)
-        opened_arr = np.asarray(opened, dtype=np.float64)
-        if np.any(opened_arr == 0.0):
+        # the helper decrypts r*x; the transcript keeps the array it reads
+        self._record("dec", masked.shape)
+        self.observe(helper_role, "masked_value", masked)
+        if np.any(masked == 0.0):
             raise ZeroDivisionError("masked reciprocal of zero")
-        recip = self.enc(1.0 / opened_arr)
+        recip = self.enc(1.0 / masked)
         return self.mul(recip, r_enc)
 
     # -- lifecycle ---------------------------------------------------------------
@@ -245,7 +232,7 @@ class SimBackend(LocalBackend):
     """Oblivious simulator: profile-restricted capabilities plus cost,
     trace, and transcript accounting."""
 
-    kind = "oblivious-sim"
+    kind = "sim"
 
     def __init__(self, profile: str = "generic", seed: int = 0):
         if profile not in _PROFILES:

@@ -260,7 +260,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--rho", type=float)
     parser.add_argument("--noise-source", dest="noise_source", choices=("host", "owner"))
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--latency-us", dest="latency_us", type=float)
     parser.add_argument("--jobs", type=int)
 
 

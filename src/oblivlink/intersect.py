@@ -21,6 +21,7 @@ every pair into gathered vectors, and one threshold gate decides them all.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,40 +63,50 @@ def supported_strategies(caps) -> list[Strategy]:
     return [s for s in Strategy if strategy_supported(s, caps)]
 
 
-def _eq_ops(caps) -> int:
-    # primitive ops per element-wise equality: one native gate, or the
-    # arithmetic workaround chain (sub, enc, add, masked reciprocal's
-    # enc/mul/dec/enc/mul, enc, mul, mul, enc, add)
-    return 1 if caps.native_eq else 13
+def _eq_ops(caps) -> Counter:
+    """Ledger entries of one element-wise equality (``Machine.eeq``): one
+    native gate, or the arithmetic workaround: sub, enc(xi), add, the masked
+    reciprocal's enc/mul/dec/enc/mul, enc(-1), mul, mul, enc(1), add."""
+    if caps.native_eq:
+        return Counter(eq=1)
+    return Counter(sub=1, enc=5, add=2, mul=4, dec=1)
 
 
-def _zero_count_ops(caps) -> int:
-    return 4 + _eq_ops(caps)
+def _scaled(ops: Counter, k: int) -> Counter:
+    return Counter({op: k * n for op, n in ops.items()})
+
+
+def _ledger_ops(strategy: Strategy, m: int, n: int, caps) -> Counter:
+    """The ledger entries, per primitive, of one intersection of an m-slot
+    and an n-slot private vector: what the implementations below record."""
+    eq = _eq_ops(caps)
+    zero_count = Counter(enc=2, broadcast=1, dot=1) + eq
+    if strategy is Strategy.PJ:
+        scalar_eq = eq if caps.native_eq else eq + Counter(broadcast=2, get=1)
+        return Counter(enc=1, get=m) + _scaled(scalar_eq + Counter(get=1, add=1), m * n)
+    if strategy is Strategy.VR:
+        length = max(m, n)
+        pads = (m < length) + (n < length)
+        steps = _scaled(zero_count + Counter(sub=1, rotate=1, add=1), length)
+        return Counter(enc=1 + pads, concat=pads) + steps
+    if strategy is Strategy.VE:
+        return Counter(take=3, segment_sum=1, get=1) + eq
+    if strategy is Strategy.SO:
+        if m + n <= 1:
+            return Counter(enc=1)
+        return Counter(concat=1, sort=1, slice=2, sub=1) + zero_count
+    if strategy is Strategy.MJ:
+        return Counter(join=1)
+    raise ValueError(strategy)
 
 
 def estimated_cost(strategy: Strategy, m: int, n: int, caps, weights=None) -> float:
-    """Predicted ledger total for one intersection, in primitive-op units.
-
-    Derived from the implementations below with every vector primitive
-    costing one unit (or its weight); used by auto strategy selection.
-    """
+    """Predicted ledger total for one intersection, in primitive-op units:
+    ``_ledger_ops`` with every primitive costing one unit (or its weight),
+    as ``OpCostLedger.total`` prices the ledger; used by auto strategy
+    selection."""
     w = weights or {}
-
-    def u(op, k=1.0):
-        return k * w.get(op, 1.0)
-
-    big = max(m, n, 1)
-    if strategy is Strategy.PJ:
-        return m * n * (u("eq", _eq_ops(caps)) + u("add") + u("get")) + m * u("get") + u("enc")
-    if strategy is Strategy.VR:
-        return big * (u("rotate") + u("sub") + u("add") + u("eq", _zero_count_ops(caps))) + 2 * u("enc")
-    if strategy is Strategy.VE:
-        return 3 * u("take") + u("eq", _eq_ops(caps)) + u("segment_sum") + u("get")
-    if strategy is Strategy.SO:
-        return u("concat") + u("sort") + 2 * u("slice") + u("sub") + u("eq", _zero_count_ops(caps))
-    if strategy is Strategy.MJ:
-        return u("join")
-    raise ValueError(strategy)
+    return float(sum(k * w.get(op, 1.0) for op, k in _ledger_ops(strategy, m, n, caps).items()))
 
 
 def pick_strategy(caps, m: int, n: int, weights=None) -> Strategy:

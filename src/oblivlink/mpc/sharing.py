@@ -3,7 +3,9 @@
 A secret x splits into components (s0, s1, s2) with s0+s1+s2 = x (mod 2^64);
 any two components are uniform and independent of x.  Multiplication uses
 dealer-generated Beaver triples (a, b, c=a*b): parties open the masked
-values d = x-a and e = y-b and combine c + d*b + e*a + d*e share-locally.
+values d = x-a and e = y-b and combine c + d*b + e*a + d*e share-locally,
+for each bilinear form (mul, dot, outer, vecmat, matmul) of the backends'
+kernel table.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..backends.base import KERNELS
 
 U64 = np.uint64
 FULL_RANGE = 1 << 64
@@ -38,22 +42,6 @@ def reconstruct3(components) -> np.ndarray:
     return total
 
 
-def bilinear(op: str, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The bilinear forms Beaver randomization linearizes over."""
-    with np.errstate(over="ignore"):
-        if op == "mul":
-            return u * v
-        if op == "dot":
-            return np.asarray((u * v).sum())
-        if op == "outer":
-            return u[:, None] * v[None, :]
-        if op == "vecmat":
-            return (u[:, None] * v).sum(axis=0)
-        if op == "matmul":
-            return np.matmul(np.ascontiguousarray(u), np.ascontiguousarray(v))
-    raise ValueError(f"unknown bilinear op {op!r}")
-
-
 @dataclass
 class BeaverTriple:
     """Per-party triple components; consumed by exactly one multiplication."""
@@ -66,7 +54,7 @@ def make_triples(op: str, shape_a, shape_b, rng: np.random.Generator) -> list[Be
     """Dealer-side triple generation for one bilinear operation."""
     a = rand_u64(rng, shape_a)
     b = rand_u64(rng, shape_b)
-    c = bilinear(op, a, b)
+    c = KERNELS[op](a, b)
     a_parts = share3(a, rng)
     b_parts = share3(b, rng)
     c_parts = share3(c, rng)
@@ -77,7 +65,8 @@ def beaver_combine(op: str, pid: int, triple: BeaverTriple,
                    d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Party-local share of x*y from the opened maskings d = x-a, e = y-b."""
     with np.errstate(over="ignore"):
-        z = triple.c + bilinear(op, d, triple.b) + bilinear(op, triple.a, e)
+        form = KERNELS[op]
+        z = triple.c + form(d, triple.b) + form(triple.a, e)
         if pid == 0:
-            z = z + bilinear(op, d, e)
+            z = z + form(d, e)
     return z

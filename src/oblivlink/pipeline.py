@@ -74,7 +74,6 @@ class PipelineConfig:
     noise_source: str = "host"
     epsilon: float = 1e-6
     seed: int = 0
-    latency_us: float = 0.0
     jobs: int = 1
 
     def jaccard_params(self) -> JaccardParams:
@@ -263,8 +262,7 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
     validate_uploads(u1, u2, config)
     own_backend = backend is None
     if backend is None:
-        backend = make_backend(config.backend, config.profile, seed=config.seed,
-                               latency_us=config.latency_us)
+        backend = make_backend(config.backend, config.profile, seed=config.seed)
     mach = Machine(backend)
     shape = (len(u1.encoded), len(u2.encoded))
     params = config.jaccard_params()

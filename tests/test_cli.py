@@ -1,10 +1,13 @@
 """Command suite: end-to-end runs, reproducibility, and flag handling."""
 
+import argparse
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from oblivlink.cli import main
+from oblivlink.cli import build_parser, main
 
 
 def _read(path):
@@ -118,3 +121,15 @@ def test_bench_candidates_decrease_with_threshold(tmp_path):
             row = dict(zip(header, line.strip().split(",")))
             rows[float(row["t_block"])] = int(row["candidates"])
     assert rows[0.2] > rows[0.5] > rows[0.8]
+
+
+def test_readme_flags_are_the_common_flags():
+    # README's Flags paragraph documents every flag all commands share
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Flags:"))
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices.values()
+    common = set.intersection(*({o for a in p._actions for o in a.option_strings}
+                                for p in commands)) - {"-h", "--help"}
+    assert documented == common

@@ -179,16 +179,29 @@ def test_estimated_cost_ordering():
     b.close()
 
 
+# a distinct weight per primitive, so a miscounted primitive shows in the total
+_PRIME_WEIGHTS = dict(zip(
+    ("enc", "get", "add", "eq", "sub", "mul", "dec", "broadcast", "dot", "rotate",
+     "concat", "take", "segment_sum", "sort", "slice", "join"),
+    (3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0, 29.0, 31.0, 37.0, 41.0, 43.0, 47.0,
+     53.0, 59.0)))
+
+
 def test_ve_estimate_equals_its_ledger():
-    # auto selection reads the estimate; it must price the ops VE records
-    for spec in ("sim:generic", "sim:simd", "mpc"):
-        for m, n in ((3, 2), (1, 5), (4, 4)):
-            mach, _, b = open_machine(spec)
-            v1, v2 = mach.enc(list(range(m))), mach.enc(list(range(2, 2 + n)))
-            b.ledger.counts.clear()
-            intersection_size(mach, v1, v2, Strategy.VE)
-            assert b.ledger.total() == estimated_cost(Strategy.VE, m, n, b.caps)
-            b.close()
+    # auto selection reads the estimate; it must price, primitive by
+    # primitive, the ops one intersection of every strategy records
+    for spec in ALL_BACKENDS:
+        mach, _, b = open_machine(spec)
+        for strategy in supported_strategies(b.caps):
+            for m, n in ((1, 1), (3, 5), (5, 3), (4, 4), (2, 1)):
+                v1, v2 = mach.enc(list(range(m))), mach.enc(list(range(2, 2 + n)))
+                b.ledger.counts.clear()
+                intersection_size(mach, v1, v2, strategy)
+                for weights in (None, _PRIME_WEIGHTS):
+                    assert b.ledger.total(weights) == \
+                        estimated_cost(strategy, m, n, b.caps, weights), \
+                        (spec, strategy, m, n, weights)
+        b.close()
 
 
 # -- jaccard -------------------------------------------------------------------
