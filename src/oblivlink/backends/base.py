@@ -172,10 +172,6 @@ class OpCostLedger:
         key = (stage, op)
         self.counts[key] = self.counts.get(key, 0) + n
 
-    def merge(self, other: "OpCostLedger"):
-        for key, n in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + n
-
     def by_op(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for (_, op), n in self.counts.items():
@@ -258,7 +254,6 @@ class Backend:
         self.context_id = next(_context_counter)
         self.caps = caps
         self.domain = domain
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.ledger = OpCostLedger()
         self.trace: list[tuple] = []
@@ -322,11 +317,6 @@ class Backend:
             raise DomainError(f"{why} requires {domain} domain, backend is {self.domain}")
 
     # -- lifecycle ---------------------------------------------------------
-
-    def clone(self) -> "Backend":
-        """Independent context with the same parameters and a derived seed;
-        ledgers are separate and may be merged after parallel work."""
-        raise NotImplementedError
 
     def close(self):
         pass

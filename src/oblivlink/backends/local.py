@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS,
-                   Backend, Capabilities, lift_signed, to_u64)
+                   Backend, lift_signed, to_u64)
 
 
 class LocalBackend(Backend):
@@ -24,10 +24,6 @@ class LocalBackend(Backend):
     """
 
     is_oracle = False
-
-    def __init__(self, caps: Capabilities, domain: str, seed: int = 0):
-        super().__init__(caps, domain, seed)
-        self._clones = 0
 
     # -- payload coercion --------------------------------------------------
 
@@ -193,18 +189,6 @@ class LocalBackend(Backend):
         recip = self.enc(1.0 / masked)
         return self.mul(recip, r_enc)
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def _child_seed(self) -> tuple:
-        self._clones += 1
-        base = self.seed if isinstance(self.seed, tuple) else (self.seed,)
-        return base + (self._clones,)
-
-    def clone(self):
-        child = type(self)(seed=self._child_seed())
-        child.trace_enabled = self.trace_enabled
-        return child
-
 
 class ClearBackend(LocalBackend):
     """Cleartext oracle: all capabilities, plain arithmetic, peek allowed."""
@@ -240,8 +224,3 @@ class SimBackend(LocalBackend):
         caps, domain = _PROFILES[profile]
         super().__init__(caps, domain, seed)
         self.profile = profile
-
-    def clone(self):
-        child = SimBackend(self.profile, seed=self._child_seed())
-        child.trace_enabled = self.trace_enabled
-        return child

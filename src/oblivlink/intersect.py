@@ -16,6 +16,9 @@ All strategies decrypt to the same cardinality; their primitive-operation
 footprints differ and are what the cost ledger measures.  The match
 decision runs over many record pairs at once (``jaccard_cells``): VE packs
 every pair into gathered vectors, and one threshold gate decides them all.
+The record sizes and the threshold are public, so the gate compares
+2·inter against a public integer cut per cell, the same expression on
+every backend and domain.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .backends.base import EXACT
-from .errors import CapabilityError
-from .machine import Machine, PrivateScalar, PrivateVector, TAU_NUM, slot_runs
+from .backends.base import APPROX
+from .errors import CapabilityError, DomainError
+from .machine import EQ_BIT_ERROR, Machine, PrivateScalar, PrivateVector, slot_runs
 
 # Public padding value for VR, outside the 16-bit-token / packed-container
 # encoding by construction.
@@ -289,40 +292,31 @@ def intersection_size(mach: Machine, v1: PrivateVector, v2: PrivateVector,
 
 @dataclass
 class JaccardParams:
-    """Match threshold as an exact rational, plus the tolerance added on
-    approximate backends."""
+    """Match threshold as an exact rational; a pair matches when its
+    similarity lies strictly above it, on every backend."""
 
     threshold: Fraction
-    epsilon: float = TAU_NUM
 
     def __post_init__(self):
         self.threshold = Fraction(self.threshold)
         if not 0 < self.threshold < 1:
             raise ValueError("jaccard threshold must lie strictly between 0 and 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
 
 
 def _over_threshold(mach: Machine, inter: PrivateVector, sums: np.ndarray,
                     params: JaccardParams) -> PrivateVector:
-    """Slot k: inter[k]/(sums[k]-inter[k]) above the threshold.
+    """Slot k: inter[k]/(sums[k]-inter[k]) above the threshold num/den.
 
-    Exact backends evaluate the division-free rearrangement
-    den*inter > num*(s1+s2-inter) with strict inequality; approximate
-    backends evaluate the quotient form with epsilon slack.
+    With s = sums[k] public, the test is (den+num)·inter > num·s, so it holds
+    exactly when inter reaches c = ⌊num·s/(den+num)⌋ + 1, a public integer.
+    One gate compares 2·inter with the odd cut 2c-1: exact on integer
+    domains, and on the approximate one whenever each count lies within 1/2
+    of its integer.  The cuts are Python integers, so num may be any size.
     """
-    k = len(sums)
-    if mach.b.domain == EXACT:
-        num, den = params.threshold.numerator, params.threshold.denominator
-        lhs = mach.mul(mach.enc(np.full(k, den)), inter)
-        union = mach.sub(mach.enc(sums), inter)
-        rhs = mach.mul(mach.enc(np.full(k, num)), union)
-        # both sides lie in [0, den*(s1+s2)]
-        return mach.gt(lhs, rhs, bound=den * int(sums.max()))
-    union = mach.sub(mach.enc(sums.astype(np.float64)), inter)
-    sim = mach.mul(inter, mach.masked_reciprocal(union))
-    lhs = mach.add(sim, mach.enc(np.full(k, params.epsilon)))
-    return mach.gt(lhs, mach.enc(np.full(k, float(params.threshold))))
+    num, den = params.threshold.numerator, params.threshold.denominator
+    cut = [2 * (num * s // (den + num)) + 1 for s in sums.tolist()]
+    # 2·inter lies in [0, 2s] and the cut in [1, s+1]
+    return mach.gt(mach.add(inter, inter), mach.enc(cut), bound=2 * int(sums.max()) + 1)
 
 
 def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVector],
@@ -334,12 +328,23 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
     VE runs batched over all cells (see ``_ve_counts``); the other
     strategies count each pair and join the counts with one ``stack``.
     One threshold gate then decides every cell.  ``cells`` must not be
-    empty.
+    empty.  On the approximate domain a count sums at most n² equality
+    bits, n the longest record's container count, each off by up to
+    ``EQ_BIT_ERROR``; cells for which that sum reaches 1/2 are refused
+    before any machine work.
     """
     if not strategy_supported(strategy, mach.b.caps):
         raise CapabilityError(
             f"strategy {strategy.value} unsupported on {mach.b.kind}/{mach.b.profile}")
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    len1, len2 = _lengths(enc1)[cells[:, 0]], _lengths(enc2)[cells[:, 1]]
+    if mach.b.domain == APPROX:
+        longest = int(max(len1.max(), len2.max()))
+        worst = longest * longest * EQ_BIT_ERROR
+        if worst >= 0.5:
+            raise DomainError(
+                f"a count over records of {longest} containers may err by {worst:.3g}, "
+                "not under the 1/2 the threshold gate tolerates")
     if strategy is Strategy.VE:
         if debug:
             _debug_check_unique(mach, *(enc1[i] for i in set(cells[:, 0].tolist())),
@@ -348,8 +353,7 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
     else:
         inter = mach.stack(*(_DISPATCH[strategy](mach, enc1[i], enc2[j], debug=debug)
                              for i, j in cells.tolist()))
-    sums = _lengths(enc1)[cells[:, 0]] + _lengths(enc2)[cells[:, 1]]
-    return _over_threshold(mach, inter, sums, params)
+    return _over_threshold(mach, inter, len1 + len2, params)
 
 
 def jaccard_match(mach: Machine, r1: PrivateVector, r2: PrivateVector,

@@ -26,8 +26,13 @@ from .backends.base import Backend
 from .errors import (CapabilityError, ContextMismatchError, DomainError, ShapeError,
                      TaintViolation)
 
-# Offset for the arithmetic equality workaround; bounds derived from it.
-XI_DEFAULT = 1e-3
+# Offset of every approximate equality (the arithmetic workaround in
+# ``Machine.eeq``).  On integer inputs a slot whose difference d is not 0
+# yields xi/(d+xi), so its bit errs by at most EQ_BIT_ERROR = xi/(1-xi) (at
+# d = -1); the approximate-domain guards of merge and of the Jaccard count
+# bound their sums of bits with it.
+XI_DEFAULT = 1e-6
+EQ_BIT_ERROR = XI_DEFAULT / (1 - XI_DEFAULT)
 TAU_BOOL = 2 * XI_DEFAULT
 TAU_NUM = 1e-6
 
@@ -326,13 +331,14 @@ class Machine:
 
     # -- equality and ordering gates --------------------------------------------
 
-    def eeq(self, seq: PrivateVector, idx: PrivateVector, xi: float = XI_DEFAULT) -> PrivateVector:
+    def eeq(self, seq: PrivateVector, idx: PrivateVector) -> PrivateVector:
         """Element-wise equality: slot i is 1 iff seq[i] == idx[i].
 
         Uses the native equality gate when the backend has one; otherwise
         falls back to the arithmetic workaround
-        ``(seq-idx) * (-1/(seq-idx+xi)) + 1`` whose output is within
-        ``2*xi`` of the exact bit for integer inputs.
+        ``(seq-idx) * (-1/(seq-idx+xi)) + 1`` with the one offset
+        ``XI_DEFAULT``, whose output is exact for equal integer inputs and
+        within ``EQ_BIT_ERROR`` of 0 for unequal ones.
         """
         self._check_ctx(seq, idx)
         self._same_shape(seq, idx)
@@ -343,30 +349,31 @@ class Machine:
                 "equality needs a native gate or division for the workaround")
         n = seq.length
         d = self.sub(seq, idx)
-        shifted = self.add(d, self.enc(np.full(n, xi)))
+        shifted = self.add(d, self.enc(np.full(n, XI_DEFAULT)))
         recip = self._wrap(self.b.masked_reciprocal(shifted.payload))
         neg = self.emul(recip, self.enc(np.full(n, -1.0)))
         term = self.emul(d, neg)
         return self.add(term, self.enc(np.full(n, 1.0)))
 
-    def eeq_scalar(self, a: PrivateScalar, b: PrivateScalar, xi: float = XI_DEFAULT) -> PrivateScalar:
+    def eeq_scalar(self, a: PrivateScalar, b: PrivateScalar) -> PrivateScalar:
         self._check_ctx(a, b)
         if self.b.caps.native_eq:
             return PrivateScalar(self.b, self.b.eq(a.payload, b.payload))
         va = PrivateVector(self.b, self.b.broadcast(a.payload, (1,)))
         vb = PrivateVector(self.b, self.b.broadcast(b.payload, (1,)))
-        return self.vget(self.eeq(va, vb, xi), 0)
+        return self.vget(self.eeq(va, vb), 0)
 
-    def gt(self, a, b, bound: int | None = None) -> PrivateScalar:
+    def gt(self, a, b, bound: int) -> PrivateScalar:
         """1 iff a > b (signed), computed by the backend's comparison gate.
 
-        ``bound`` is the caller's public bound on |a - b|.  A backend whose
-        gate keeps the sign only for differences under its ``compare_bound``
-        refuses, before the gate, a bound that reaches it."""
+        ``bound`` is the caller's public bound on |a - b|; every caller
+        states one.  A backend whose gate keeps the sign only for
+        differences under its ``compare_bound`` refuses, before the gate, a
+        bound that reaches it."""
         self._check_ctx(a, b)
         self._same_shape(a, b)
         limit = self.b.compare_bound
-        if bound is not None and limit is not None and bound >= limit:
+        if limit is not None and bound >= limit:
             raise DomainError(f"comparison operands bounded by {bound} reach the "
                               f"gate's bound {limit}")
         return self._wrap(self.b.gt(a.payload, b.payload))

@@ -60,7 +60,6 @@ class MpcBackend(Backend):
         self.net.actors[COORD] = self.collector
         self.share_rng = tagged_rng("share", seed)
         self._ids = itertools.count(1)
-        self._clones = 0
 
     # -- plumbing -----------------------------------------------------------
 
@@ -222,14 +221,7 @@ class MpcBackend(Backend):
     def masked_reciprocal(self, x, helper_role: str = "P3"):
         self.require("division")
 
-    # -- stats / lifecycle ----------------------------------------------------------
+    # -- stats ----------------------------------------------------------------------
 
     def round_stats(self):
         return self.net.stats
-
-    def clone(self):
-        self._clones += 1
-        base = self.seed if isinstance(self.seed, tuple) else (self.seed,)
-        child = MpcBackend(seed=base + (self._clones,), record_messages=self.net.record_log)
-        child.trace_enabled = self.trace_enabled
-        return child

@@ -27,21 +27,17 @@ import numpy as np
 
 from .backends import make_backend
 from .backends.base import APPROX, tagged_rng
-from .blocking import (EncodedRecord, MinHasher, build_block_index,
+from .blocking import (TOKEN_BITS, EncodedRecord, MinHasher, build_block_index,
                        optimal_band_plan, pack_tokens)
 from .errors import DomainError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (JaccardParams, Strategy, jaccard_cells, jaccard_match,  # noqa: F401
                         pick_strategy)
-from .machine import Machine, PrivateMatrix, PrivateVector, slot_runs
+from .machine import EQ_BIT_ERROR, Machine, PrivateMatrix, PrivateVector, slot_runs
 
 ROLE_OWNER_1 = "P1"
 ROLE_OWNER_2 = "P2"
 ROLE_HOST = "P3"
-
-# Equality offset of merge's indicator gates on the approximate domain; the
-# error bound checked in merge_and_dedup scales with it.
-MERGE_XI = 1e-6
 
 
 @dataclass
@@ -72,12 +68,11 @@ class PipelineConfig:
     pack: int = 1
     rho: float = 0.05
     noise_source: str = "host"
-    epsilon: float = 1e-6
     seed: int = 0
     jobs: int = 1
 
     def jaccard_params(self) -> JaccardParams:
-        return JaccardParams(Fraction(self.t_jaccard), self.epsilon)
+        return JaccardParams(Fraction(self.t_jaccard))
 
     def flat_items(self) -> list[tuple[str, str]]:
         items = []
@@ -132,9 +127,10 @@ def prepare_upload(records, config: PipelineConfig) -> PartyUpload:
 def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig):
     """Refuse, before any machine work, uploads that would link to a quietly
     wrong answer: owners that hashed, banded or packed differently from each
-    other or from the link config, and blocks whose ids lie outside their
-    owner's rows or repeat.  A manifest that omits a field is not checked on
-    it."""
+    other or from the link config, records whose containers repeat or do
+    not fit the packing's pack·16 bits, and blocks whose ids lie outside
+    their owner's rows or repeat.  A manifest that omits a field is not
+    checked on it."""
     plan = optimal_band_plan(config.t_block, config.num_perm,
                              config.fp_weight, config.fn_weight)
     wanted = {"num_perm": config.num_perm, "bands": plan.bands, "rows": plan.rows,
@@ -147,7 +143,15 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig):
         if got1 != want:
             raise StageError("upload", f"the manifests' {key} {got1} disagrees with "
                                        f"the link config's {want}")
+    bits = TOKEN_BITS * config.pack
+    limit = 1 << bits
     for role, up in (("D1", u1), ("D2", u2)):
+        for row, rec in enumerate(up.encoded):
+            if len(set(rec.containers)) != len(rec.containers):
+                raise StageError("upload", f"{role} record {row} repeats a container")
+            if rec.containers and (min(rec.containers) < 0 or max(rec.containers) >= limit):
+                raise StageError("upload", f"{role} record {row} holds a container outside "
+                                           f"[0, 2^{bits})")
         size = len(up.encoded)
         for key, ids in up.index.items():
             if len(set(ids)) != len(ids):
@@ -164,7 +168,7 @@ def _indicator(mach: Machine, blocks: list[PrivateVector], width: int) -> Privat
     """len(blocks) x width matrix whose row k is 1 at the ids in blocks[k]."""
     ids = mach.concat(*blocks)
     onehot = mach.eeq(mach.repeat_each(ids, width),
-                      mach.tile(mach.enc(np.arange(width)), ids.length), MERGE_XI)
+                      mach.tile(mach.enc(np.arange(width)), ids.length))
     return mach.segment_sum(onehot, width, [b.length for b in blocks])
 
 
@@ -178,11 +182,10 @@ def merge_and_dedup(mach: Machine, b1: dict[str, PrivateVector],
     keys = [k for k in sorted(b1) if k in b2 and b1[k].length and b2[k].length]
     approx = mach.b.domain == APPROX
     if approx:
-        # each one-hot slot errs by at most xi' = xi/(1-xi), so each cross
-        # pair's product term by xi'(2+xi'); the sum must stay under 1/2
+        # each one-hot slot errs by at most e = EQ_BIT_ERROR, so each cross
+        # pair's product term by e(2+e); the sum must stay under 1/2
         cross_pairs = sum(b1[k].length * b2[k].length for k in keys)
-        slot_err = MERGE_XI / (1 - MERGE_XI)
-        worst = cross_pairs * slot_err * (2 + slot_err)
+        worst = cross_pairs * EQ_BIT_ERROR * (2 + EQ_BIT_ERROR)
         if worst >= 0.5:
             raise DomainError(
                 f"merge of {cross_pairs} cross pairs may err by {worst:.3g} per cell, "

@@ -202,12 +202,13 @@ def _machine_op_trace(seed_tokens):
     mach.eadd(v1, v2); mach.esub(v1, v2); mach.emul(v1, v2)
     mach.dot(v1, v2); mach.rshift(v1, 2); mach.lshift(v1, 1)
     mach.transpose(m1); mach.mul(m1, mach.transpose(m2))
-    mach.eeq(v1, v2); mach.eeq_scalar(s1, s2); mach.gt(s1, s2)
-    mach.choose(mach.gt(s1, s2), s1, s2)
+    # both twins draw their tokens from [0, 10000), which bounds every gap
+    mach.eeq(v1, v2); mach.eeq_scalar(s1, s2); mach.gt(s1, s2, bound=10_000)
+    mach.choose(mach.gt(s1, s2, bound=10_000), s1, s2)
     mach.choose_vec(mach.eeq(v1, v2), v1, v2)
-    mach.choose_vec_ext(mach.gt(s1, s2), v1, v2)
+    mach.choose_vec_ext(mach.gt(s1, s2, bound=10_000), v1, v2)
     mach.choose_mat(mach.emul(m1, mach.enc([[0] * 3] * 2)), m1, m2)
-    mach.choose_mat_ext(mach.gt(s1, s2), m1, m2)
+    mach.choose_mat_ext(mach.gt(s1, s2, bound=10_000), m1, m2)
     mach.mask_gen(6, mach.enc(3))
     mach.vector_lookup(v1, mach.enc(2))
     mach.vector_update(v1, mach.enc(1), s1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oblivlink import (CapabilityError, JaccardParams, Machine, Strategy,
+from oblivlink import (CapabilityError, JaccardParams, Strategy,
                        TaintViolation, assert_oblivious, jaccard_match,
                        intersection_size, make_backend)
 from oblivlink.backends import CAPS_SHAREMIND, CAPS_SIMD
@@ -91,17 +91,6 @@ def test_ledger_csv_export():
     csv = b.ledger.to_csv()
     assert csv.splitlines()[0] == "stage,primitive,count"
     assert "demo,add,1" in csv
-    b.close()
-
-
-def test_ledger_merge_after_clone():
-    mach, _, b = open_machine("sim:generic")
-    child = b.clone()
-    Machine(child).enc(5)
-    before = b.ledger.total()
-    b.ledger.merge(child.ledger)
-    assert b.ledger.total() == before + child.ledger.total()
-    child.close()
     b.close()
 
 

@@ -7,19 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oblivlink import (DomainError, JaccardParams, MinHasher, PipelineConfig, StageError,
-                       assert_oblivious, generate_dataset, optimal_band_plan,
+from oblivlink import (DomainError, JaccardParams, MinHasher, PipelineConfig, Strategy,
+                       assert_oblivious, generate_dataset, jaccard_cells, optimal_band_plan,
                        plain_blocked_pairs, plain_matches, run_pper, supported_strategies)
-from oblivlink.backends import EXACT
 from oblivlink.pipeline import filter_and_resolve
 
 from conftest import ALL_BACKENDS, dec_round, open_machine
 
 MAX_LEN = 5  # tokens per record, so a union holds at most 2 * MAX_LEN
 # Reachable ratios i/u with u <= 10 lie at least 1/90 apart, so a ratio
-# moved by OFFSET is never reachable.  On the simd profile a drawn ratio errs
-# by under 0.003: each unequal token pair leaves under xi/|a-b| in its
-# equality bit, and a record's tokens are distinct.
+# moved by OFFSET is never reachable.  Every backend decides a threshold at
+# a reachable ratio, a tie, exactly too: the gate compares twice the count
+# with a public odd cut, and on the simd profile a count errs by under
+# MAX_LEN² · EQ_BIT_ERROR, far below the 1/2 that would move it across.
 OFFSET = Fraction(1, 200)
 
 
@@ -53,13 +53,13 @@ def filter_inputs(draw):
     return recs1, recs2, obfu, pick
 
 
-def _threshold(recs1, recs2, pick, exact: bool) -> Fraction:
-    """A threshold next to one cell's ratio: the ratio itself on exact
-    backends when ``tie`` is set (a tie must not match), else the ratio
-    moved by OFFSET up or down, staying inside (0, 1)."""
+def _threshold(recs1, recs2, pick) -> Fraction:
+    """A threshold next to one cell's ratio: the ratio itself when ``tie`` is
+    set (a tie must not match), else the ratio moved by OFFSET up or down,
+    staying inside (0, 1)."""
     i, j, above, tie = pick
     ratio = _jaccard(recs1[i], recs2[j])
-    if exact and tie and 0 < ratio < 1:
+    if tie and 0 < ratio < 1:
         return ratio
     if ratio == 1 or (ratio > 0 and not above):
         return ratio - OFFSET
@@ -71,7 +71,7 @@ def _threshold(recs1, recs2, pick, exact: bool) -> Fraction:
 def test_filter_equals_exact_jaccard_oracle(spec, strategy, inputs):
     recs1, recs2, obfu, pick = inputs
     mach, auth, b = open_machine(spec)
-    t = _threshold(recs1, recs2, pick, b.domain == EXACT)
+    t = _threshold(recs1, recs2, pick)
     results, evaluated = filter_and_resolve(
         mach, [mach.enc(r) for r in recs1], [mach.enc(r) for r in recs2], obfu,
         JaccardParams(t), strategy)
@@ -130,18 +130,34 @@ def test_gt_refuses_a_bound_at_the_gate_limit(spec):
     b.close()
 
 
-def test_threshold_past_the_gate_bound_raises_on_mpc_and_links_on_clear():
-    # den * max(s1 + s2) = 2^34 * (s1 + s2) reaches the mpc gate's 2^32;
-    # unchecked, the masked comparison flips signs and loses matches
+def test_fine_threshold_denominator_links_the_oracle_on_every_backend():
+    # the cut is public, so the gate's bound 2 * max(s1 + s2) + 1 does not
+    # grow with den = 2^34, and mpc's 2^32 gate decides this threshold too
     d1, d2, _ = generate_dataset(seed=0, size=60)
     t = Fraction(2 ** 33 - 1, 2 ** 34)
-    configs = {kind: PipelineConfig(backend=kind, strategy="ve", rho=0.05, t_jaccard=t)
-               for kind in ("clear", "mpc")}
-    clear = run_pper(d1, d2, configs["clear"])
     oracle = plain_blocked_pairs(d1, d2, optimal_band_plan(0.5), MinHasher(128, 0)) \
         & plain_matches(d1, d2, t)
-    assert clear.matches and set(clear.matches) == oracle
-    with pytest.raises(StageError) as excinfo:
-        run_pper(d1, d2, configs["mpc"])
-    assert excinfo.value.stage == "filter_er"
-    assert isinstance(excinfo.value.__cause__, DomainError)
+    assert oracle
+    for spec in ("clear", "mpc", "sim:simd"):
+        kind, _, profile = spec.partition(":")
+        config = PipelineConfig(backend=kind, profile=profile or "generic", strategy="ve",
+                                rho=0.05, t_jaccard=t)
+        assert set(run_pper(d1, d2, config).matches) == oracle, spec
+
+
+def test_simd_cell_past_the_count_error_bound_raises_before_any_work():
+    # 710² equality bits may err by 710² · EQ_BIT_ERROR > 1/2 in one count,
+    # which could move it across the cut; 700² stays under 1/2 and links
+    for size, refused in ((710, True), (700, False)):
+        mach, auth, b = open_machine("sim:simd")
+        r1, r2 = mach.enc(list(range(size))), mach.enc(list(range(1, size + 1)))
+        b.ledger.counts.clear()
+        params = JaccardParams(Fraction(1, 2))
+        if refused:
+            with pytest.raises(DomainError):
+                jaccard_cells(mach, [r1], [r2], [(0, 0)], params, Strategy.VE, size * size)
+            assert b.ledger.total() == 0
+        else:
+            bits = jaccard_cells(mach, [r1], [r2], [(0, 0)], params, Strategy.VE, size * size)
+            assert dec_round(mach, auth, bits) == [1]  # 699/701 > 1/2
+        b.close()

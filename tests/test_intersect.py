@@ -226,19 +226,21 @@ def test_jaccard_params_validation():
         JaccardParams(Fraction(0))
     with pytest.raises(ValueError):
         JaccardParams(Fraction(1))
-    with pytest.raises(ValueError):
-        JaccardParams(Fraction(1, 2), epsilon=-1.0)
 
 
 def test_division_free_equivalence_exhaustive():
-    # oracle: exact rational comparison; implementation form: den*inter >
-    # num*(s1+s2-inter); checked for all inter <= min(s1,s2) <= 64, t=k/100
+    # oracle: exact rational comparison; division-free form: den*inter >
+    # num*(s1+s2-inter); the gate's cut form: 2*inter > 2*floor(num*s/(den+num))+1
+    # with s = s1+s2; checked for all inter <= min(s1,s2) <= 64, t=k/100
     ks = np.arange(1, 100)
     for s1 in range(1, 65):
         for s2 in range(1, 65):
             inters = np.arange(0, min(s1, s2) + 1)
             union = s1 + s2 - inters
             lhs = 100 * inters[:, None] > ks[None, :] * union[:, None]
+            cut = 2 * (ks * (s1 + s2) // (100 + ks)) + 1
+            cut_form = 2 * inters[:, None] > cut[None, :]
+            assert np.array_equal(cut_form, lhs)
             for i, inter in enumerate(inters):
                 frac = Fraction(int(inter), int(s1 + s2 - inter))
                 true_count = sum(1 for k in (25, 50, 75) if frac > Fraction(k, 100))
@@ -248,7 +250,7 @@ def test_division_free_equivalence_exhaustive():
             exact = np.array([[Fraction(int(i), int(s1 + s2 - i)) > Fraction(int(k), 100)
                                for k in (1, 33, 66, 99)] for i in inters])
             assert np.array_equal(lhs[:, [0, 32, 65, 98]], exact)
-
+            assert np.array_equal(cut_form[:, [0, 32, 65, 98]], exact)
 
 def test_jaccard_threshold_monotonicity(clear_machine):
     mach, auth = clear_machine

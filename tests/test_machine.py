@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oblivlink import (AuthorityError, ContextMismatchError, Machine, ShapeError,
-                       TaintViolation, TAU_BOOL, TAU_NUM, XI_DEFAULT, make_backend)
+from oblivlink import (AuthorityError, ContextMismatchError, ShapeError, TaintViolation,
+                       TAU_BOOL, TAU_NUM, XI_DEFAULT, make_backend)
 from oblivlink.machine import slot_runs
 
 from conftest import ALL_BACKENDS, EXACT_BACKENDS, LOCAL_EXACT, dec_round, open_machine
@@ -393,19 +393,6 @@ def test_handle_repr_hides_contents(clear_machine):
     mach, _ = clear_machine
     assert "1234" not in repr(mach.enc(1234))
     assert "1234" not in repr(mach.enc([1234, 1234]))
-
-
-def test_clone_gives_independent_context():
-    mach, auth, b = open_machine("sim:generic")
-    child = b.clone()
-    assert child.context_id != b.context_id
-    child_mach = Machine(child)
-    child_auth = child.issue_authority("owners", "P1")
-    assert child_mach.dec(child_mach.enc(5), child_auth) == 5
-    with pytest.raises(ContextMismatchError):
-        mach.add(mach.enc(1), child_mach.enc(1))
-    child.close()
-    b.close()
 
 
 def test_slot_runs_greedy_within_bound():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oblivlink import JaccardParams, Machine, ShapeError, Strategy, jaccard_match
+from oblivlink import DomainError, JaccardParams, Machine, ShapeError, Strategy, jaccard_match
 from oblivlink.backends.base import KERNELS
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
 from oblivlink.mpc.sharing import beaver_combine, make_triples, rand_u64
@@ -136,7 +136,7 @@ def test_primitive_has_finished_when_it_returns(op):
     out = {"enc": lambda: mach.enc([7, 8]),
            "mul": lambda: mach.mul(x, y),
            "eeq": lambda: mach.eeq(x, y),
-           "gt": lambda: mach.gt(x, y),
+           "gt": lambda: mach.gt(x, y, bound=8),
            "take": lambda: mach.take(x, [2, 0])}[op]()
     assert all(out.payload.hid in p.store for p in b.parties)
     assert len(b.net.queue) == 0
@@ -159,7 +159,22 @@ def test_dealer_compare_gate_signed():
     mach, auth, b = open_machine("mpc", seed=11)
     cases = [(5, 3, 1), (3, 5, 0), (4, 4, 0), (-2, -7, 1), (-7, -2, 0), (0, -1, 1)]
     for x, y, want in cases:
-        assert mach.dec(mach.gt(mach.enc(x), mach.enc(y)), auth) == want
+        assert mach.dec(mach.gt(mach.enc(x), mach.enc(y), bound=5), auth) == want
+    b.close()
+
+
+def test_compare_gate_refuses_a_true_bound_past_its_reach():
+    # the masked comparison keeps the sign only under 2^32: these gaps of up
+    # to 2^63 would come back [0, 1, 0, 1] where clear gives [1, 0, 1, 0]
+    x, y = [1 << 40, -(1 << 40), 1 << 62, 5], [0, 0, -(1 << 62), 1 << 35]
+    clr, clr_auth, clr_b = open_machine("clear")
+    assert clr.dec(clr.gt(clr.enc(x), clr.enc(y), bound=1 << 63), clr_auth) == [1, 0, 1, 0]
+    clr_b.close()
+    mach, _, b = open_machine("mpc", seed=11)
+    a, c = mach.enc(x), mach.enc(y)
+    with pytest.raises(DomainError):
+        mach.gt(a, c, bound=1 << 63)
+    assert "gt" not in b.ledger.by_op()
     b.close()
 
 
@@ -253,7 +268,7 @@ def test_every_machine_primitive_matches_clear_backend():
         both(lambda m: m.transpose(m.enc(grid)))
         both(lambda m: m.mul(m.enc(grid), m.enc(grid2)))
         both(lambda m: m.eeq(m.enc(x), m.enc(y)))
-        both(lambda m: m.gt(m.enc(x[0]), m.enc(y[0])))
+        both(lambda m: m.gt(m.enc(x[0]), m.enc(y[0]), bound=1 << 20))
         both(lambda m: m.vector_lookup(m.enc(x), m.enc(i)))
         both(lambda m: m.matrix_update(m.enc(grid), m.enc(0), m.enc(2), m.enc(7)))
     mpc_b.close()

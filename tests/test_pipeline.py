@@ -85,6 +85,21 @@ def test_merge_past_the_approximate_error_bound_raises_domain_error():
     b.close()
 
 
+@pytest.mark.parametrize("t_block,t_jaccard", [(0.8, Fraction(4, 5)), (0.5, Fraction(1, 2))])
+def test_simd_decides_jaccard_ties_as_clear_does(t_block, t_jaccard):
+    # corpus with pairs whose similarity equals the threshold exactly; an
+    # approximate quotient with a slack once matched (rec-009-dup-0,
+    # rec-009-dup-2) and (rec-119-org, rec-020-org) on simd only
+    d1, d2, _ = generate_dataset(seed=2, size=400)
+
+    def matches(backend, profile):
+        return run_pper(d1, d2, PipelineConfig(backend=backend, profile=profile,
+                                               t_block=t_block, t_jaccard=t_jaccard,
+                                               rho=0.25)).matches
+
+    assert matches("sim", "simd") == matches("clear", "generic")
+
+
 @pytest.mark.parametrize("seed", [17, 42])
 def test_simd_merge_equals_clear_at_n400(seed):
     # corpora on which per-pair private id lookups once marked wrong cells
@@ -415,6 +430,28 @@ def test_upload_block_repeating_an_id_is_refused():
     key = sorted(u2.index)[0]
     u2.index[key] = u2.index[key] + u2.index[key][:1]
     assert "repeats" in _refused_upload(u1, u2, cfg)
+
+
+def test_upload_record_repeating_a_container_is_refused():
+    # row 19 (rec-012-org) with its containers doubled once linked quietly
+    # to the false match (rec-012-org, rec-005-dup-3)
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    cfg = PipelineConfig(strategy="ve", rho=1.0)
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    rec = u1.encoded[19]
+    u1.encoded[19] = EncodedRecord(rec.record_id, rec.containers * 2, rec.pack)
+    assert "repeats a container" in _refused_upload(u1, u2, cfg)
+
+
+@pytest.mark.parametrize("pack", [1, 4])
+def test_upload_container_outside_the_packing_is_refused(pack):
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    cfg = PipelineConfig(pack=pack)
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    rec = u2.encoded[3]
+    for bad in (1 << (16 * pack), -1):
+        u2.encoded[3] = EncodedRecord(rec.record_id, rec.containers + (bad,), rec.pack)
+        assert "outside" in _refused_upload(u1, u2, cfg)
 
 
 # -- transport ------------------------------------------------------------------------
