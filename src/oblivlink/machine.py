@@ -177,11 +177,11 @@ class Machine:
     # -- Enc / Dec -----------------------------------------------------------
 
     def enc(self, value):
-        """Encrypt a public scalar, vector, or matrix."""
-        payload = self.b.enc(value)
-        if payload.ndim > 2:
+        """Encrypt a public scalar, vector, or matrix.  Any other shape is
+        refused before the backend records, sends or stores anything."""
+        if np.ndim(value) > 2:
             raise ShapeError("only scalars, vectors, and matrices are supported")
-        return self._wrap(payload)
+        return self._wrap(self.b.enc(value))
 
     def dec(self, value, authority):
         """Decrypt under a valid authority; exact backends round-trip

@@ -25,13 +25,23 @@ CAPS_MPC = Capabilities(native_eq=True, rotation=True, repeat_elements=True,
 
 
 class ShareRef:
-    """Public-shape handle to a value held as shares by the parties."""
+    """Public-shape handle to a value held as shares by the parties.
 
-    __slots__ = ("hid", "shape")
+    Each handle owns its hid: when the last reference to it dies, its share
+    leaves every party's store.  Every primitive has finished by the time it
+    returns, so no reader can still be waiting for the share.  Freeing sends
+    no message and enters neither the trace nor the ledger."""
 
-    def __init__(self, hid: int, shape: tuple):
+    __slots__ = ("hid", "shape", "_stores")
+
+    def __init__(self, hid: int, shape: tuple, stores: tuple):
         self.hid = hid
         self.shape = tuple(int(s) for s in shape)
+        self._stores = stores
+
+    def __del__(self):
+        for store in self._stores:
+            store.pop(self.hid, None)
 
     @property
     def ndim(self) -> int:
@@ -60,6 +70,8 @@ class MpcBackend(Backend):
         self.net.actors[COORD] = self.collector
         self.share_rng = tagged_rng("share", seed)
         self._ids = itertools.count(1)
+        # the store dicts, not the backend, so a handle forms no cycle
+        self._stores = tuple(p.store for p in self.parties)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -67,7 +79,7 @@ class MpcBackend(Backend):
         return (self._stage, op)
 
     def _new_ref(self, shape) -> ShareRef:
-        return ShareRef(next(self._ids), shape)
+        return ShareRef(next(self._ids), shape, self._stores)
 
     def _local(self, op: str, srcs: list[ShareRef], shape, *args, meta: tuple = ()):
         """A linear primitive: each party applies the kernel to its own

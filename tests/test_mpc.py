@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oblivlink import DomainError, JaccardParams, Machine, ShapeError, Strategy, jaccard_match
+from oblivlink import (DomainError, JaccardParams, Machine, PipelineConfig, ShapeError, Strategy,
+                       generate_dataset, jaccard_match, run_pper)
 from oblivlink.backends.base import KERNELS
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
 from oblivlink.mpc.sharing import beaver_combine, make_triples, rand_u64
@@ -144,6 +145,64 @@ def test_primitive_has_finished_when_it_returns(op):
             "take": [4, 3]}[op]
     assert mach.dec(out, auth) == want
     b.close()
+
+
+def test_enc_refuses_three_dimensions_before_the_backend_acts():
+    mach, _, b = open_machine("mpc", seed=24)
+    b.enable_trace()
+    with pytest.raises(ShapeError):
+        mach.enc(np.zeros((2, 2, 2)))
+    st = b.round_stats()
+    assert b.ledger.rows() == [] and b.trace == []
+    assert (st.rounds, st.messages, st.bytes) == (0, 0, 0)
+    assert all(not p.store for p in b.parties)
+    b.close()
+
+
+# -- share lifetime ----------------------------------------------------------------
+
+
+def test_dropped_intermediate_leaves_every_store():
+    mach, auth, b = open_machine("mpc", seed=25)
+    x, y = mach.enc([1, 2]), mach.enc([10, 20])
+    assert mach.dec(mach.add(mach.add(x, y), y), auth) == [21, 42]
+    kept = {x.payload.hid, y.payload.hid}
+    assert all(set(p.store) == kept for p in b.parties)
+    del x
+    assert all(set(p.store) == {y.payload.hid} for p in b.parties)
+    b.close()
+
+
+class _KeepEveryShare(MpcBackend):
+    """An mpc backend that holds a handle to every result it makes, so no
+    share is ever freed."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.kept = []
+
+    def _new_ref(self, shape):
+        ref = super()._new_ref(shape)
+        self.kept.append(ref)
+        return ref
+
+
+def test_linkage_frees_every_share_and_changes_no_count():
+    d1, d2, _ = generate_dataset(seed=0, size=40)
+    cfg = PipelineConfig(backend="mpc", t_jaccard=Fraction(1, 2), t_block=0.5,
+                         rho=0.05, seed=0)
+    outputs, stored = {}, {}
+    for name, backend in (("freed", MpcBackend(seed=0)), ("kept", _KeepEveryShare(seed=0))):
+        backend.enable_trace()
+        result = run_pper(d1, d2, cfg, backend=backend)
+        outputs[name] = (result.matches, result.trace, backend.ledger.to_csv(),
+                         backend.round_stats().to_csv())
+        stored[name] = [len(p.store) for p in backend.parties]
+        backend.close()
+    assert stored["freed"] == [0, 0, 0]
+    assert min(stored["kept"]) > 1000
+    assert outputs["freed"][0]  # the corpus links some pairs
+    assert outputs["freed"] == outputs["kept"]
 
 
 def test_dealer_equality_gate_exhaustive():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oblivlink import (DomainError, JaccardParams, Machine, MinHasher, ObfuscationPolicy,
                        PartyUpload, PipelineConfig, StageError, Strategy, assert_oblivious,
@@ -14,7 +15,7 @@ from oblivlink import (DomainError, JaccardParams, Machine, MinHasher, Obfuscati
 from oblivlink.blocking import EncodedRecord
 from oblivlink.pipeline import finalize, filter_and_resolve, merge_and_dedup, obfuscate
 
-from conftest import open_machine
+from conftest import ALL_BACKENDS, open_machine
 
 
 def _enc_blocks(mach, plain):
@@ -257,6 +258,22 @@ def test_run_pper_equals_oracle_small_corpus():
                          t_block=0.5, rho=0.05, seed=0)
     result = run_pper(d1, d2, cfg)
     assert set(result.matches) == oracle
+
+
+# Each example links one corpus on all five backends, about half a second in
+# all, so the examples are capped to keep the suite quick.
+@settings(max_examples=16)
+@given(seed=st.integers(0, 10_000), size=st.integers(20, 60),
+       rho=st.sampled_from([0.0, 0.05, 0.25]),
+       t_jaccard=st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)]))
+def test_run_pper_equals_oracle_on_every_backend(seed, size, rho, t_jaccard):
+    d1, d2, _ = generate_dataset(seed=seed, size=size)
+    oracle = _oracle_matches(d1, d2, t_jaccard, 0.5, seed=seed)
+    for spec in ALL_BACKENDS:
+        kind, _, profile = spec.partition(":")
+        cfg = PipelineConfig(backend=kind, profile=profile or "generic", t_jaccard=t_jaccard,
+                             t_block=0.5, rho=rho, seed=seed)
+        assert set(run_pper(d1, d2, cfg).matches) == oracle, spec
 
 
 def test_obfuscation_neutrality():
