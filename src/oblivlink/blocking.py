@@ -10,6 +10,7 @@ the owner.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ PAD_CHAR = " "
 _MERSENNE_PRIME = 4294967311
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class MinHasher:
         return float((sig1 == sig2).mean())
 
 
-@dataclass
+@dataclass(frozen=True)
 class BandPlan:
     """LSH layout.  ``bands`` is the number of blocking keys per record;
     ``rows`` is the number of signature slots hashed into each key (the
@@ -145,10 +145,13 @@ def _weighted_error(threshold: float, bands: int, rows: int,
     return fp_weight * fp + fn_weight * fn
 
 
+@functools.lru_cache
 def optimal_band_plan(threshold: float, num_perm: int = 128,
                       fp_weight: float = 0.5, fn_weight: float = 0.5) -> BandPlan:
     """Exhaustive (bands, rows) search with bands*rows <= num_perm,
-    minimizing the weighted false-positive/false-negative area."""
+    minimizing the weighted false-positive/false-negative area.  The search
+    is a pure function of its arguments, so it runs once per process and
+    argument tuple; callers share the frozen plan."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("blocking threshold must lie strictly between 0 and 1")
     best = None
@@ -161,31 +164,42 @@ def optimal_band_plan(threshold: float, num_perm: int = 128,
     return BandPlan(bands, rows, num_perm, fp_weight, fn_weight, objective=err)
 
 
-def _fnv1a_u64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
+def _band_digests(signatures: np.ndarray, plan: BandPlan) -> np.ndarray:
+    """FNV-1a-64 of each band's signature slots, read as their native bytes,
+    for a C-contiguous (records, slots) signature stack: a (records, bands)
+    uint64 array.  The hash steps through the byte columns of all records
+    and bands at once (uint64 products wrap, as FNV-1a's do mod 2^64)."""
+    width = plan.rows * signatures.itemsize
+    data = signatures.view(np.uint8)[:, :plan.bands * width].reshape(
+        len(signatures), plan.bands, width)
+    digest = np.full(data.shape[:2], _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for col in range(width):
+        digest ^= data[:, :, col]
+        digest *= prime
+    return digest
+
+
+def _keys(digests: np.ndarray) -> list[str]:
+    return [f"{band:03d}-{digest:016x}" for band, digest in enumerate(digests.tolist())]
 
 
 def band_keys(signature: np.ndarray, plan: BandPlan) -> list[str]:
     """One public key per band: band index plus a stable 64-bit hash of the
     band's signature slots, hex encoded."""
-    keys = []
-    for band in range(plan.bands):
-        chunk = signature[band * plan.rows:(band + 1) * plan.rows]
-        digest = _fnv1a_u64(chunk.tobytes())
-        keys.append(f"{band:03d}-{digest:016x}")
-    return keys
+    return _keys(_band_digests(np.ascontiguousarray(signature)[None, :], plan)[0])
 
 
 def build_block_index(token_sets: list[TokenSet], plan: BandPlan,
                       hasher: MinHasher) -> dict[str, list[int]]:
     """Owner-side inverted index: blocking key -> 0-based record rows (the
     row order is the upload order)."""
-    index: dict[str, list[int]] = {}
+    signatures = np.empty((len(token_sets), hasher.num_perm), dtype=np.uint64)
     for row, tokens in enumerate(token_sets):
-        for key in band_keys(hasher.signature(tokens), plan):
+        signatures[row] = hasher.signature(tokens)
+    index: dict[str, list[int]] = {}
+    for row, digests in enumerate(_band_digests(signatures, plan)):
+        for key in _keys(digests):
             index.setdefault(key, []).append(row)
     return index
 

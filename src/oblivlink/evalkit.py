@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .backends.base import tagged_rng
-from .blocking import BandPlan, MinHasher, TokenSet, band_keys, normalize_text, tokenize_bigrams
+from .blocking import (BandPlan, MinHasher, TokenSet, build_block_index, normalize_text,
+                       tokenize_bigrams)
 
 DEFAULT_FIELDS = ["given_name", "surname", "street_number", "address",
                   "suburb", "postcode", "state"]
@@ -269,11 +270,8 @@ def plain_blocked_pairs(d1: list[Record], d2: list[Record], plan: BandPlan,
                         hasher: MinHasher) -> set:
     """Non-private blocking oracle: cross pairs sharing at least one key."""
     def index(records):
-        idx: dict[str, list[str]] = {}
-        for r in records:
-            for key in band_keys(hasher.signature(r.token_set()), plan):
-                idx.setdefault(key, []).append(r.record_id)
-        return idx
+        rows = build_block_index([r.token_set() for r in records], plan, hasher)
+        return {key: [records[row].record_id for row in ids] for key, ids in rows.items()}
 
     i1, i2 = index(d1), index(d2)
     pairs = set()

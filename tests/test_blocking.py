@@ -1,12 +1,14 @@
 """Tokenization, packing, MinHash signatures, band planning, block building."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oblivlink import (Machine, MinHasher, band_keys, build_block_index,
                        make_backend, optimal_band_plan, pack_tokens,
                        tokenize_bigrams)
-from oblivlink.blocking import BandPlan, build_blocks, collision_probability
+from oblivlink.blocking import BandPlan, TokenSet, build_blocks, collision_probability
 
 
 # -- tokenization -----------------------------------------------------------
@@ -157,6 +159,17 @@ def test_band_plan_argmin_band_counts():
     assert optimal_band_plan(0.8).bands == 9
 
 
+def test_band_plan_is_searched_once_and_frozen():
+    plan = optimal_band_plan(0.5)
+    assert optimal_band_plan(0.5) is plan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.bands = 1
+    # a refused threshold is not cached: every call raises again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            optimal_band_plan(1.5)
+
+
 def test_band_plan_invariant_validation():
     with pytest.raises(ValueError):
         BandPlan(bands=64, rows=3, num_perm=128)
@@ -165,6 +178,51 @@ def test_band_plan_invariant_validation():
 
 
 # -- keys and blocks ----------------------------------------------------------------
+
+
+def fnv1a_64(data: bytes) -> int:
+    """Reference FNV-1a-64: one xor and one multiply mod 2^64 per byte."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+def reference_band_keys(signature, plan):
+    rows = plan.rows
+    return [f"{band:03d}-{fnv1a_64(signature[band * rows:(band + 1) * rows].tobytes()):016x}"
+            for band in range(plan.bands)]
+
+
+def test_fnv1a_reference_matches_published_vectors():
+    assert fnv1a_64(b"") == 0xCBF29CE484222325
+    assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
+    assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+
+
+@pytest.mark.parametrize("threshold", [0.2, 0.5, 0.8])
+def test_keys_and_index_equal_the_scalar_fnv1a(threshold):
+    plan = optimal_band_plan(threshold)
+    rng = np.random.default_rng(11)
+    for sig in rng.integers(0, 1 << 64, size=(100, 128), dtype=np.uint64):
+        assert band_keys(sig, plan) == reference_band_keys(sig, plan)
+    hasher = MinHasher(128, seed=5)
+    codes = [rng.choice(1 << 16, size=int(rng.integers(1, 30)), replace=False) for _ in range(60)]
+    token_sets = [TokenSet(f"r{row}", frozenset(c.tolist())) for row, c in enumerate(codes)]
+    token_sets.append(TokenSet("copy", token_sets[0].tokens))
+    oracle = {}
+    for row, tokens in enumerate(token_sets):
+        for key in reference_band_keys(hasher.signature(tokens), plan):
+            oracle.setdefault(key, []).append(row)
+    assert build_block_index(token_sets, plan, hasher) == oracle
+
+
+def test_band_keys_are_pinned():
+    sig = np.arange(128, dtype=np.uint64) * np.uint64(2654435761)
+    assert band_keys(sig, optimal_band_plan(0.8)) == [
+        "000-c59136e4a31837a2", "001-99108e10a9137808", "002-d0fadf56386ff30b",
+        "003-ccae910c5acc56c6", "004-d50e8002ecbd64e6", "005-c805554d15e5a486",
+        "006-8467c38828a634d5", "007-f19cb46055e8cba7", "008-88b5aa5832fb4964"]
 
 
 def test_identical_signatures_identical_keys():

@@ -2,13 +2,16 @@
 dealer gates, round accounting, and transcript hygiene."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from oblivlink import (DomainError, JaccardParams, Machine, PipelineConfig, ShapeError, Strategy,
                        generate_dataset, jaccard_match, run_pper)
+from oblivlink.backends import base
 from oblivlink.backends.base import KERNELS
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
 from oblivlink.mpc.sharing import beaver_combine, make_triples, rand_u64
@@ -79,6 +82,56 @@ def test_bilinear_forms_match_numpy():
         a, b = rand_u64(rng, (5, 3)).T, rand_u64(rng, (5, 4))
         assert np.array_equal(KERNELS["matmul"](a, b),
                               (a[:, :, None] * b[None, :, :]).sum(axis=1))
+
+
+def _operand(rng, shape, kind):
+    if kind == "uniform":  # all four 16-bit limbs live
+        return rand_u64(rng, shape)
+    if kind == "max":
+        return np.full(shape, MASK64, dtype=np.uint64)
+    if kind == "bits":
+        return rng.integers(0, 2, size=shape, dtype=np.uint64)
+    return rng.integers(0, 1 << 20, size=shape, dtype=np.uint64)  # small: two limbs
+
+
+OPERAND_KINDS = ("uniform", "max", "bits", "small")
+
+
+@given(shape=st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+       kinds=st.tuples(st.sampled_from(OPERAND_KINDS), st.sampled_from(OPERAND_KINDS)),
+       transposed=st.tuples(st.booleans(), st.booleans()), seed=st.integers(0, 2 ** 32 - 1))
+def test_matmul_kernel_wraps_exactly(shape, kinds, transposed, seed):
+    rng = np.random.default_rng(seed)
+    m, k, n = shape
+    a = _operand(rng, (k, m), kinds[0]).T if transposed[0] else _operand(rng, (m, k), kinds[0])
+    b = _operand(rng, (n, k), kinds[1]).T if transposed[1] else _operand(rng, (k, n), kinds[1])
+    with np.errstate(over="ignore"):
+        want = (a[:, :, None] * b[None, :, :]).sum(axis=1)
+    # products this small take numpy's integer loop; force the limb path too
+    for floor in (base._LIMB_MIN_MACS, 0):
+        with mock.patch.object(base, "_LIMB_MIN_MACS", floor):
+            got = KERNELS["matmul"](a, b)
+        assert got.dtype == np.uint64 and got.shape == (m, n)
+        assert np.array_equal(got, want)
+
+
+def test_matmul_kernel_sums_past_the_float64_integer_range():
+    # (2^16-1)^2 per limb term: one float64 sum of 2^21+129 of them passes
+    # 2^53 and rounds, so the inner dimension must be summed in chunks
+    k = (1 << 21) + 129
+    a = np.full((1, k), MASK64, dtype=np.uint64)
+    b = np.full((k, 1), MASK64, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        want = (a[:, :, None] * b[None, :, :]).sum(axis=1)
+    assert int(want[0, 0]) == k  # (2^64-1)^2 = 1 mod 2^64
+    assert np.array_equal(KERNELS["matmul"](a, b), want)
+
+
+def test_matmul_kernel_keeps_float64_products():
+    rng = np.random.default_rng(8)
+    a, b = rng.random((6, 5)), rng.random((5, 3))
+    assert np.array_equal(KERNELS["matmul"](a, b), np.matmul(a, b))
+    assert np.array_equal(KERNELS["matmul"](a.T.copy().T, b), np.matmul(a, b))
 
 
 # -- machine-level protocol runs --------------------------------------------------
