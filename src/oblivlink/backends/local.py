@@ -48,6 +48,16 @@ class LocalBackend(Backend):
         self._record("enc", payload.shape)
         return payload
 
+    def enc_runs(self, flat, lengths: list[int]) -> list[np.ndarray]:
+        # one coercion; each run's payload is a slice of it
+        payload = self._coerce(flat)
+        runs, lo = [], 0
+        for n in lengths:
+            self._record("enc", (n,))
+            runs.append(payload[lo:lo + n])
+            lo += n
+        return runs
+
     def dec(self, payload: np.ndarray):
         self._record("dec", payload.shape)
         if self.domain == EXACT:
@@ -161,10 +171,11 @@ class LocalBackend(Backend):
             return np.sort(self._signed(v)).view(np.uint64)
         return np.sort(v)
 
-    def join_count(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def join_counts(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         self.require("join")
-        self._record("join", a.shape, b.shape)
-        return self._coerce(len(np.intersect1d(a, b, assume_unique=True)))
+        for a, b in pairs:
+            self._record("join", a.shape, b.shape)
+        return self._coerce([len(np.intersect1d(a, b, assume_unique=True)) for a, b in pairs])
 
     # -- masked reciprocal protocol ---------------------------------------------
 

@@ -205,8 +205,12 @@ def build_block_index(token_sets: list[TokenSet], plan: BandPlan,
 
 
 def encrypt_blocks(index: dict[str, list[int]], mach: Machine) -> dict[str, PrivateVector]:
-    """Encrypt each key's record-id vector before it leaves the owner."""
-    return {key: mach.enc(rows) for key, rows in sorted(index.items())}
+    """Encrypt each key's record-id vector before it leaves the owner: all
+    keys in one pass, in key order, one ``enc`` per key in the ledger."""
+    keys = sorted(index)
+    vectors = mach.enc_runs([row for key in keys for row in index[key]],
+                            [len(index[key]) for key in keys])
+    return dict(zip(keys, vectors))
 
 
 def build_blocks(token_sets: list[TokenSet], plan: BandPlan, hasher: MinHasher,

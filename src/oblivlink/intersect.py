@@ -15,7 +15,8 @@ lean on:
 All strategies decrypt to the same cardinality; their primitive-operation
 footprints differ and are what the cost ledger measures.  The match
 decision runs over many record pairs at once (``jaccard_cells``): VE packs
-every pair into gathered vectors, and one threshold gate decides them all.
+every pair into gathered vectors, MJ joins every pair in one call, and one
+threshold gate decides them all.
 The record sizes and the threshold are public, so the gate compares
 2·inter against a public integer cut per cell, the same expression on
 every backend and domain.
@@ -325,8 +326,9 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
     """Private match bits of the public cells ``(i, j)``: bit k is 1 iff the
     similarity of enc1[i] and enc2[j] lies above the threshold.
 
-    VE runs batched over all cells (see ``_ve_counts``); the other
-    strategies count each pair and join the counts with one ``stack``.
+    VE runs batched over all cells (see ``_ve_counts``), MJ joins every
+    cell in one backend call; the other strategies count each pair and
+    join the counts with one ``stack``.
     One threshold gate then decides every cell.  ``cells`` must not be
     empty.  On the approximate domain a count sums at most n² equality
     bits, n the longest record's container count, each off by up to
@@ -345,11 +347,12 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
             raise DomainError(
                 f"a count over records of {longest} containers may err by {worst:.3g}, "
                 "not under the 1/2 the threshold gate tolerates")
-    if strategy is Strategy.VE:
+    if strategy in (Strategy.VE, Strategy.MJ):
         if debug:
             _debug_check_unique(mach, *(enc1[i] for i in set(cells[:, 0].tolist())),
                                 *(enc2[j] for j in set(cells[:, 1].tolist())))
-        inter = _ve_counts(mach, enc1, enc2, cells, max_slots)
+        inter = (_ve_counts(mach, enc1, enc2, cells, max_slots) if strategy is Strategy.VE
+                 else mach.join_counts(enc1, enc2, cells))
     else:
         inter = mach.stack(*(_DISPATCH[strategy](mach, enc1[i], enc2[j], debug=debug)
                              for i, j in cells.tolist()))

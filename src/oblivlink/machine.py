@@ -183,6 +183,19 @@ class Machine:
             raise ShapeError("only scalars, vectors, and matrices are supported")
         return self._wrap(self.b.enc(value))
 
+    def enc_runs(self, flat, lengths) -> list[PrivateVector]:
+        """Encrypt consecutive runs of a flat public vector in one backend
+        call: vector k holds the next ``lengths[k]`` values.  The ledger and
+        trace record one ``enc`` per run, as the same runs passed to ``enc``
+        one at a time do.  Malformed runs are refused before the backend
+        records, sends or stores anything."""
+        flat = np.asarray(flat)
+        lengths = [int(n) for n in lengths]
+        if flat.ndim != 1 or min(lengths, default=0) < 0 or len(flat) != sum(lengths):
+            raise ShapeError(f"runs of lengths {lengths} over a flat value of shape "
+                             f"{flat.shape}")
+        return [PrivateVector(self.b, p) for p in self.b.enc_runs(flat, lengths)]
+
     def dec(self, value, authority):
         """Decrypt under a valid authority; exact backends round-trip
         exactly, approximate ones within TAU_NUM."""
@@ -389,11 +402,21 @@ class Machine:
         self._check_ctx(v)
         return PrivateVector(self.b, self.b.sort(v.payload))
 
+    def join_counts(self, enc1: list[PrivateVector], enc2: list[PrivateVector],
+                    cells) -> PrivateVector:
+        """Equality-join cardinality of enc1[i] and enc2[j], unique-entry
+        vectors, for every public cell (i, j), as one vector (backend join
+        capability).  One backend call; the ledger and trace record one
+        ``join`` per cell, in cell order."""
+        pairs = [(enc1[i], enc2[j])
+                 for i, j in np.asarray(cells, dtype=np.int64).reshape(-1, 2).tolist()]
+        self._check_ctx(*(v for pair in pairs for v in pair))
+        return PrivateVector(self.b, self.b.join_counts([(a.payload, b.payload)
+                                                         for a, b in pairs]))
+
     def join_count(self, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
-        """Equality-join cardinality of two unique-entry vectors (backend
-        join capability)."""
-        self._check_ctx(v1, v2)
-        return PrivateScalar(self.b, self.b.join_count(v1.payload, v2.payload))
+        """The one-pair case of ``join_counts``."""
+        return PrivateScalar(self.b, self.join_counts([v1], [v2], [(0, 0)]).payload.reshape(()))
 
     # -- ternary operators ----------------------------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..backends.base import EXACT, KERNELS, Backend, Capabilities, lift_signed, tagged_rng, to_u64
 from .runtime import COORD, DEALER, PARTIES, Collector, DealerActor, Network, PartyActor
-from .sharing import reconstruct3, share3
+from .sharing import rand_u64, reconstruct3, share3
 
 CAPS_MPC = Capabilities(native_eq=True, rotation=True, repeat_elements=True,
                         sort=False, join=False, division=False, compare=True)
@@ -121,15 +121,34 @@ class MpcBackend(Backend):
 
     # -- enc / dec ------------------------------------------------------------
 
-    def enc(self, value) -> ShareRef:
-        arr = to_u64(value)
-        self._record("enc", arr.shape)
-        out = self._new_ref(arr.shape)
+    def _store(self, shape, parts) -> ShareRef:
+        """Upload one value: each party receives its share component."""
+        self._record("enc", shape)
+        out = self._new_ref(shape)
         tag = self._tag("enc")
-        for name, part in zip(PARTIES, share3(arr, self.share_rng)):
+        for name, part in zip(PARTIES, parts):
             self.net.send(COORD, name, "store", {"dst": out.hid, "component": part}, tag)
         self.net.pump()
         return out
+
+    def enc(self, value) -> ShareRef:
+        arr = to_u64(value)
+        return self._store(arr.shape, share3(arr, self.share_rng))
+
+    def enc_runs(self, flat, lengths: list[int]) -> list[ShareRef]:
+        arr = to_u64(flat)
+        # Full-range draws split the stream exactly, so in one draw of two
+        # words per value, run k's two random components are the words
+        # share3 would draw for that run alone, after the runs before it.
+        words = rand_u64(self.share_rng, 2 * len(arr))
+        refs, lo = [], 0
+        for n in lengths:
+            s0, s1 = words[2 * lo:2 * lo + n], words[2 * lo + n:2 * (lo + n)]
+            with np.errstate(over="ignore"):
+                s2 = arr[lo:lo + n] - s0 - s1
+            refs.append(self._store((n,), (s0, s1, s2)))
+            lo += n
+        return refs
 
     def dec(self, payload: ShareRef):
         self._record("dec", payload.shape)
@@ -227,7 +246,7 @@ class MpcBackend(Backend):
     def sort(self, v):
         self.require("sort")
 
-    def join_count(self, a, b):
+    def join_counts(self, pairs):
         self.require("join")
 
     def masked_reciprocal(self, x, helper_role: str = "P3"):

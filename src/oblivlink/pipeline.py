@@ -28,7 +28,7 @@ import numpy as np
 from .backends import make_backend
 from .backends.base import APPROX, tagged_rng
 from .blocking import (TOKEN_BITS, EncodedRecord, MinHasher, build_block_index,
-                       optimal_band_plan, pack_tokens)
+                       encrypt_blocks, optimal_band_plan, pack_tokens)
 from .errors import DomainError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (JaccardParams, Strategy, jaccard_cells, jaccard_match,  # noqa: F401
@@ -281,22 +281,22 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
         strategy = Strategy(config.strategy)
 
     def upload():
+        # records before blocks, D1 before D2: the order mpc draws the shares in
         backend.observe(ROLE_HOST, "dataset_size", ("D1", shape[0]))
         backend.observe(ROLE_HOST, "dataset_size", ("D2", shape[1]))
-        enc1, enc2 = [], []
-        for role, up, out in ((1, u1, enc1), (2, u2, enc2)):
-            for row, rec in enumerate(up.encoded):
-                backend.observe(ROLE_HOST, "record_container_count",
-                                (f"D{role}", row, len(rec.containers)))
-                out.append(mach.enc(list(rec.containers)))
-        b1, b2 = {}, {}
-        for role, up, out in ((1, u1, b1), (2, u2, b2)):
+        records = []
+        for role, up, sizes in (("D1", u1, sizes1), ("D2", u2, sizes2)):
+            for row, n in enumerate(sizes):
+                backend.observe(ROLE_HOST, "record_container_count", (role, row, n))
+            records.append(mach.enc_runs(
+                [c for rec in up.encoded for c in rec.containers], sizes))
+        blocks = []
+        for role, up in (("D1", u1), ("D2", u2)):
             for key in sorted(up.index):
-                ids = up.index[key]
                 backend.observe(ROLE_HOST, "block_key", key)
-                backend.observe(ROLE_HOST, "block_size", (f"D{role}", key, len(ids)))
-                out[key] = mach.enc(ids)
-        return enc1, enc2, b1, b2
+                backend.observe(ROLE_HOST, "block_size", (role, key, len(up.index[key])))
+            blocks.append(encrypt_blocks(up.index, mach))
+        return (*records, *blocks)
 
     enc1, enc2, b1, b2 = _run_stage(backend, "upload", upload)
     cand = _run_stage(backend, "merge_dedup",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oblivlink import (CapabilityError, JaccardParams, Strategy,
                        intersection_size, jaccard_match,
@@ -11,7 +12,7 @@ from oblivlink import (CapabilityError, JaccardParams, Strategy,
 from oblivlink.intersect import (estimated_cost, isect_so, isect_vr, so_adjacent_diff,
                                  ve_extend, vr_diff_sequence)
 
-from conftest import ALL_BACKENDS, dec_round, open_machine
+from conftest import ALL_BACKENDS, LOCAL_EXACT, dec_round, open_machine
 
 
 def _oracle(v1, v2):
@@ -105,6 +106,35 @@ def test_mj_examples(clear_machine):
     assert mach.dec(intersection_size(mach, mach.enc([1, 2, 4]), mach.enc([2, 3]), Strategy.MJ), auth) == 1
     same = [3, 1, 4, 15, 9]
     assert mach.dec(intersection_size(mach, mach.enc(same), mach.enc(same), Strategy.MJ), auth) == 5
+
+
+_TOKEN_SETS = st.lists(st.sets(st.integers(0, 30), max_size=8), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("spec", LOCAL_EXACT)
+@given(rows=_TOKEN_SETS, cols=_TOKEN_SETS, data=st.data())
+def test_join_counts_equal_set_intersections(spec, rows, cols, data):
+    cells = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                         st.integers(0, len(cols) - 1)), max_size=8))
+    mach, auth, b = open_machine(spec)
+    enc1, enc2 = [mach.enc(list(s)) for s in rows], [mach.enc(list(s)) for s in cols]
+    b.enable_trace()
+    counts = mach.join_counts(enc1, enc2, cells)
+    # one join per cell, in cell order, as many one-pair joins record
+    assert b.trace == [("join", (len(rows[i]),), (len(cols[j]),)) for i, j in cells]
+    assert dec_round(mach, auth, counts) == [len(rows[i] & cols[j]) for i, j in cells]
+    b.close()
+
+
+@pytest.mark.parametrize("spec", ["mpc", "sim:simd"])
+def test_join_counts_refused_without_the_join_capability(spec):
+    mach, _, b = open_machine(spec)
+    v1, v2 = mach.enc([1, 2]), mach.enc([2, 3])
+    with b.stage("filter_er"):
+        with pytest.raises(CapabilityError):
+            mach.join_counts([v1], [v2], [(0, 0)])
+    assert not b.ledger.by_stage().get("filter_er")
+    b.close()
 
 
 def test_duplicate_precondition_surfaced_by_oracle_debug(clear_machine):

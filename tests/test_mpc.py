@@ -16,7 +16,7 @@ from oblivlink.backends.base import KERNELS
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
 from oblivlink.mpc.sharing import beaver_combine, make_triples, rand_u64
 
-from conftest import dec_round, open_machine
+from conftest import ALL_BACKENDS, dec_round, open_machine
 
 MASK64 = (1 << 64) - 1
 
@@ -181,22 +181,73 @@ def test_opened_beaver_maskings_look_uniform():
     b.close()
 
 
-@pytest.mark.parametrize("op", ["enc", "mul", "eeq", "gt", "take"])
+@pytest.mark.parametrize("op", ["enc", "enc_runs", "mul", "eeq", "gt", "take"])
 def test_primitive_has_finished_when_it_returns(op):
     # run-to-completion: the result is in every party's store and nothing
     # is left in flight, so per-stage time and traffic belong to the caller
     mach, auth, b = open_machine("mpc", seed=19)
     x, y = mach.enc([3, 9, 4]), mach.enc([3, 1, 5])
-    out = {"enc": lambda: mach.enc([7, 8]),
-           "mul": lambda: mach.mul(x, y),
-           "eeq": lambda: mach.eeq(x, y),
-           "gt": lambda: mach.gt(x, y, bound=8),
-           "take": lambda: mach.take(x, [2, 0])}[op]()
-    assert all(out.payload.hid in p.store for p in b.parties)
+    out = {"enc": lambda: [mach.enc([7, 8])],
+           "enc_runs": lambda: mach.enc_runs([7, 8, 6], [2, 0, 1]),
+           "mul": lambda: [mach.mul(x, y)],
+           "eeq": lambda: [mach.eeq(x, y)],
+           "gt": lambda: [mach.gt(x, y, bound=8)],
+           "take": lambda: [mach.take(x, [2, 0])]}[op]()
+    assert all(v.payload.hid in p.store for v in out for p in b.parties)
     assert len(b.net.queue) == 0
-    want = {"enc": [7, 8], "mul": [9, 9, 20], "eeq": [1, 0, 0], "gt": [0, 1, 0],
-            "take": [4, 3]}[op]
-    assert mach.dec(out, auth) == want
+    want = {"enc": [[7, 8]], "enc_runs": [[7, 8], [], [6]], "mul": [[9, 9, 20]],
+            "eeq": [[1, 0, 0]], "gt": [[0, 1, 0]], "take": [[4, 3]]}[op]
+    assert [mach.dec(v, auth) for v in out] == want
+    b.close()
+
+
+def _enc_each_run(mach, flat, lengths):
+    out, lo = [], 0
+    for n in lengths:
+        out.append(mach.enc(flat[lo:lo + n]))
+        lo += n
+    return out
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+@given(lengths=st.lists(st.integers(0, 6), max_size=6), data=st.data())
+def test_enc_runs_equals_enc_one_run_at_a_time(spec, lengths, data):
+    total = sum(lengths)
+    flat = data.draw(st.lists(st.integers(0, (1 << 40) - 1), min_size=total, max_size=total))
+    seen = []
+    for encrypt in (_enc_each_run, Machine.enc_runs):
+        mach, auth, b = open_machine(spec, seed=31)
+        b.enable_trace()
+        vectors = encrypt(mach, flat, lengths)
+        ledger, trace = b.ledger.rows(), list(b.trace)
+        stats = b.round_stats().to_csv() if spec == "mpc" else None
+        shares = ([[p.store[v.payload.hid].tolist() for p in b.parties] for v in vectors]
+                  if spec == "mpc" else None)
+        seen.append((ledger, trace, stats, shares, [dec_round(mach, auth, v) for v in vectors]))
+        b.close()
+    assert seen[0] == seen[1]
+    starts = np.cumsum([0] + lengths).tolist()
+    assert seen[1][-1] == [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+@pytest.mark.parametrize("flat, lengths", [
+    (5, [1]),                    # not a vector
+    ([[1, 2], [3, 4]], [2, 2]),  # not a vector
+    ([1, 2], [3, -1]),           # a negative length
+    ([1, 2, 3], [1, 1]),         # lengths that do not cover the value
+    ([1, 2], [2, 1]),            # lengths that overrun it
+])
+def test_enc_runs_refuses_malformed_runs_before_the_backend_acts(spec, flat, lengths):
+    mach, _, b = open_machine(spec, seed=32)
+    b.enable_trace()
+    with pytest.raises(ShapeError):
+        mach.enc_runs(flat, lengths)
+    assert b.ledger.rows() == [] and b.trace == []
+    if spec == "mpc":
+        st = b.round_stats()
+        assert (st.rounds, st.messages, st.bytes) == (0, 0, 0)
+        assert all(not p.store for p in b.parties)
     b.close()
 
 

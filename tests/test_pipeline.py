@@ -13,6 +13,7 @@ from oblivlink import (DomainError, JaccardParams, Machine, MinHasher, Obfuscati
                        run_pper_from_uploads, read_party_dir, write_party_dir,
                        prepare_upload)
 from oblivlink.blocking import EncodedRecord
+from oblivlink.machine import PrivateScalar
 from oblivlink.pipeline import finalize, filter_and_resolve, merge_and_dedup, obfuscate
 
 from conftest import ALL_BACKENDS, open_machine
@@ -376,6 +377,101 @@ def test_full_run_twin_traces_independent_of_block_ids(spec):
         return result.trace
 
     assert_oblivious(run({"aa": [0, 1], "bb": [0]}), run({"aa": [1, 0], "bb": [1]}))
+
+
+# container counts of each side's records, and both sides' sizes of each
+# block; two or more keys, so that which cells they flag depends on the ids
+_SHAPES = st.integers(2, 4).flatmap(lambda n1: st.integers(2, 4).flatmap(lambda n2: st.tuples(
+    st.lists(st.integers(0, 4), min_size=n1, max_size=n1),
+    st.lists(st.integers(0, 4), min_size=n2, max_size=n2),
+    st.lists(st.tuples(st.integers(1, n1), st.integers(1, n2)), min_size=2, max_size=4))))
+
+
+def _random_upload(data, counts, block_sizes, side):
+    """An upload of the given public shape with drawn contents and ids."""
+    rows = len(counts)
+    encoded = [EncodedRecord(str(r), tuple(data.draw(st.lists(
+        st.integers(0, (1 << 16) - 1), min_size=n, max_size=n, unique=True))), 1)
+        for r, n in enumerate(counts)]
+    index = {f"k{k}": data.draw(st.permutations(range(rows)))[:sizes[side]]
+             for k, sizes in enumerate(block_sizes)}
+    return PartyUpload(encoded, index, [f"{side}{r}" for r in range(rows)], {})
+
+
+# Each example links two twins on three backends, about 50 ms in all.
+@settings(max_examples=12)
+@given(shapes=_SHAPES, data=st.data())
+def test_twin_traces_of_random_uploads_identical(shapes, data):
+    # the generalized _twin_uploads: same container counts, block keys and
+    # block sizes, drawn contents and ids; rho=1 reveals every cell, so the
+    # candidates the contents make cannot steer the work
+    counts1, counts2, block_sizes = shapes
+    twins = [(_random_upload(data, counts1, block_sizes, 0),
+              _random_upload(data, counts2, block_sizes, 1)) for _ in range(2)]
+    for spec in ("sim:generic", "sim:simd", "mpc"):
+        kind, _, profile = spec.partition(":")
+        cfg = PipelineConfig(backend=kind, profile=profile or "generic",
+                             t_jaccard=Fraction(1, 2), rho=1.0, seed=0)
+        traces = []
+        for u1, u2 in twins:
+            backend = make_backend(kind, profile or "generic", seed=0)
+            backend.enable_trace()
+            traces.append(run_pper_from_uploads(u1, u2, cfg, backend=backend).trace)
+            backend.close()
+        assert_oblivious(*traces)
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatch):
+    d1, d2, _ = generate_dataset(seed=0, size=60)
+    kind, _, profile = spec.partition(":")
+    cfg = PipelineConfig(backend=kind, profile=profile or "generic", seed=0)
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    # what the upload before batching encrypted, one enc each, in its order
+    per_value = ([list(rec.containers) for up in (u1, u2) for rec in up.encoded]
+                 + [up.index[key] for up in (u1, u2) for key in sorted(up.index)])
+    encrypted = []
+
+    def per_value_upload(mach, flat, lengths):
+        out, lo = [], 0
+        for n in lengths:
+            encrypted.append(list(flat[lo:lo + n]))
+            out.append(mach.enc(flat[lo:lo + n]))
+            lo += n
+        return out
+
+    batched_join = Machine.join_counts
+
+    def per_cell_join(mach, enc1, enc2, cells):
+        # MJ before batching: one one-pair join per cell, then one stack
+        return mach.stack(*(PrivateScalar(mach.b, batched_join(
+            mach, [enc1[i]], [enc2[j]], [(0, 0)]).payload.reshape(()))
+            for i, j in np.asarray(cells).tolist()))
+
+    outputs = []
+    for reference in (True, False):
+        with monkeypatch.context() as patch:
+            if reference:
+                patch.setattr(Machine, "enc_runs", per_value_upload)
+                patch.setattr(Machine, "join_counts", per_cell_join)
+            backend = make_backend(kind, profile or "generic", seed=0)
+            backend.enable_trace()
+            result = run_pper_from_uploads(u1, u2, cfg, backend=backend)
+            transcript = [(o.role, o.kind, np.asarray(o.value).tolist())
+                          for o in result.transcript]
+            rounds = backend.round_stats().to_csv() if kind == "mpc" else None
+            outputs.append((result.matches, transcript, result.trace, rounds,
+                            backend.ledger.rows()))
+            backend.close()
+    assert encrypted == per_value
+    (matches, transcript, trace, rounds, ledger), batched = outputs
+    assert matches  # the corpus links some pairs
+    if result.strategy is Strategy.MJ:
+        # the one difference: MJ's counts no longer pass through a stack
+        assert [e for e in trace if e[0] == "stack"] == [("stack", (result.evaluated_cells,))]
+        trace = [e for e in trace if e[0] != "stack"]
+        ledger = [row for row in ledger if row[:2] != ("filter_er", "stack")]
+    assert batched == (matches, transcript, trace, rounds, ledger)
 
 
 def test_leakage_budget_p3_transcript():
