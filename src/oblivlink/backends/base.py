@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -266,6 +267,61 @@ class Observation:
     value: object
 
 
+class Transcript(Sequence):
+    """The role-visible observations of one context, in the order made.
+
+    Besides single observations it holds batches: for each index k, one
+    observation per ``(kind, columns)`` group, in group order, whose value
+    is the k-th item of the group's one column, or the tuple of the k-th
+    items of its columns.  Reading yields the same ``Observation`` sequence
+    that the equivalent ``append`` calls give, so a stage that observes one
+    fact per record or per key records them in one call."""
+
+    def __init__(self):
+        self._parts: list = []  # Observation, or (role, groups, items per group)
+        self._len = 0
+
+    def append(self, obs: Observation):
+        self._parts.append(obs)
+        self._len += 1
+
+    def append_batch(self, role: str, groups):
+        """Columns are sequences of one length holding the values as they
+        are to be read (Python numbers, not numpy scalars); they are copied."""
+        groups = tuple((kind, tuple(tuple(col) for col in columns))
+                       for kind, columns in groups)
+        sizes = {len(col) for _, columns in groups for col in columns}
+        if len(sizes) > 1 or not all(columns for _, columns in groups):
+            raise ValueError("a transcript batch needs one or more columns of one length")
+        n = sizes.pop() if sizes else 0
+        self._parts.append((role, groups, n))
+        self._len += n * len(groups)
+
+    def copy(self) -> Transcript:
+        """A snapshot: observations made later are not in it."""
+        out = Transcript()
+        out._parts, out._len = list(self._parts), self._len
+        return out
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for part in self._parts:
+            if isinstance(part, Observation):
+                yield part
+                continue
+            role, groups, _ = part
+            kinds = [kind for kind, _ in groups]
+            streams = [cols[0] if len(cols) == 1 else zip(*cols) for _, cols in groups]
+            for values in zip(*streams):
+                for kind, value in zip(kinds, values):
+                    yield Observation(role, kind, value)
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+
 class DecryptionAuthority:
     """Token naming who may decrypt values from one backend context."""
 
@@ -318,7 +374,7 @@ class Backend:
         self.ledger = OpCostLedger()
         self.trace: list[tuple] = []
         self.trace_enabled = False
-        self.transcript: list[Observation] = []
+        self.transcript = Transcript()
         self.cost_weights: dict[str, float] = {}
         self._stage = "main"
         self._authorities: list[DecryptionAuthority] = []
@@ -338,6 +394,14 @@ class Backend:
         if self.trace_enabled:
             self.trace.append((op,) + meta)
 
+    def _record_runs(self, op: str, lengths: list[int]):
+        """``_record(op, (n,))`` for each run length n, in order: one ledger
+        tick by the run count, and trace entries only while tracing."""
+        if lengths:
+            self.ledger.tick(self._stage, op, len(lengths))
+        if self.trace_enabled:
+            self.trace.extend((op, (n,)) for n in lengths)
+
     def enable_trace(self, on: bool = True):
         self.trace_enabled = on
         if on:
@@ -345,6 +409,11 @@ class Backend:
 
     def observe(self, role: str, kind: str, value):
         self.transcript.append(Observation(role, kind, value))
+
+    def observe_batch(self, role: str, *groups):
+        """Observe, for each index k and each ``(kind, columns)`` group in
+        turn, the k-th value of the group (see ``Transcript``)."""
+        self.transcript.append_batch(role, groups)
 
     def observations(self, role: str) -> list[Observation]:
         return [o for o in self.transcript if o.role == role]

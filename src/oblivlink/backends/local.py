@@ -10,6 +10,8 @@ machine layer and audited via trace/transcript.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS,
@@ -51,12 +53,9 @@ class LocalBackend(Backend):
     def enc_runs(self, flat, lengths: list[int]) -> list[np.ndarray]:
         # one coercion; each run's payload is a slice of it
         payload = self._coerce(flat)
-        runs, lo = [], 0
-        for n in lengths:
-            self._record("enc", (n,))
-            runs.append(payload[lo:lo + n])
-            lo += n
-        return runs
+        self._record_runs("enc", lengths)
+        ends = list(itertools.accumulate(lengths))
+        return [payload[hi - n:hi] for n, hi in zip(lengths, ends)]
 
     def dec(self, payload: np.ndarray):
         self._record("dec", payload.shape)

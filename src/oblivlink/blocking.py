@@ -5,12 +5,15 @@ bigrams (8-bit characters, so each token is a 16-bit code), optionally
 packed four-to-a-container, MinHash-signed with 128 seeded universal
 hashes, and indexed under per-band blocking keys.  Blocking keys are public
 by design; the record-id vectors they map to are encrypted before leaving
-the owner.
+the owner.  An owner's records go through each step together, as
+whole-array passes; the one-record functions are their one-item cases.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,12 @@ PAD_CHAR = " "
 _MERSENNE_PRIME = 4294967311
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+# owner-side temporaries stay within _CHUNK_ELEMS elements: MinHash signs
+# spans of up to _SPAN_TOKENS tokens, _CHUNK_ELEMS // _SPAN_TOKENS = 16
+# permutations at a time (fewer for one larger set), so a small corpus's
+# temporaries stay small too
+_CHUNK_ELEMS = 1 << 19
+_SPAN_TOKENS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -51,38 +60,77 @@ def normalize_text(fields: dict[str, str], order: list[str], sep: str = " ") -> 
     return sep.join(str(fields.get(name, "")).lower() for name in order)
 
 
-def tokenize_bigrams(text: str, record_id: str = "") -> TokenSet:
-    """Distinct overlapping bigrams of normalized text.
+def bigram_codes(texts: list[str], record_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct overlapping bigrams of many normalized texts at once: every
+    record's codes in ascending order, record after record (uint64), and
+    each record's count (int64).
 
     Characters must fit 8 bits; a bigram code is first*256 + second.  Empty
-    or single-character text yields one space-padded bigram.
-    """
-    for ch in text:
-        if ord(ch) > 0xFF:
-            raise ValueError(f"non-8-bit character {ch!r} in {record_id or text!r}")
-    if len(text) < 2:
-        text = (text + PAD_CHAR * 2)[:2]
-    codes = {(ord(text[i]) << 8) | ord(text[i + 1]) for i in range(len(text) - 1)}
-    return TokenSet(record_id, frozenset(codes))
+    or single-character text yields one space-padded bigram.  A text with a
+    wider character raises ``ValueError`` naming the first such record.
+    All texts are encoded as one latin-1 byte string; the pairs that cross
+    a record boundary are dropped, and one sort of row<<16 | code orders
+    every record's codes and puts its repeats side by side."""
+    padded = [t if len(t) >= 2 else (t + PAD_CHAR * 2)[:2] for t in texts]
+    joined = "".join(padded)
+    try:
+        data = np.frombuffer(joined.encode("latin-1"), dtype=np.uint8)
+    except UnicodeEncodeError as exc:
+        # padding only appends, so the first wide character is in the
+        # first record whose padded text reaches past exc.start
+        row = bisect.bisect_right(list(itertools.accumulate(map(len, padded))), exc.start)
+        raise ValueError(f"non-8-bit character {joined[exc.start]!r} in "
+                         f"{record_ids[row] or texts[row]!r}") from None
+    lengths = np.fromiter(map(len, padded), dtype=np.int64, count=len(padded))
+    pairs = (data[:-1].astype(np.int64) << 8) | data[1:]
+    rows = np.repeat(np.arange(len(padded), dtype=np.int64), lengths - 1)
+    inside = np.ones(len(pairs), dtype=bool)
+    inside[np.cumsum(lengths)[:-1] - 1] = False
+    keys = np.sort((rows << TOKEN_BITS) | pairs[inside])
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    codes = (keys & ((1 << TOKEN_BITS) - 1)).astype(np.uint64)
+    return codes, np.bincount(keys >> TOKEN_BITS, minlength=len(padded))
+
+
+def tokenize_bigrams(text: str, record_id: str = "") -> TokenSet:
+    """Distinct overlapping bigrams of one normalized text (see
+    ``bigram_codes``)."""
+    codes, _ = bigram_codes([text], [record_id])
+    return TokenSet(record_id, frozenset(codes.tolist()))
+
+
+def pack_records(record_ids, codes: np.ndarray, lengths, pack: int = 1) -> list[EncodedRecord]:
+    """Encode many records at once from their ascending token codes, record
+    after record (as ``bigram_codes`` gives them): record k gets
+    ceil(lengths[k]/pack) containers.  pack=4 packs four codes big-endian per
+    container (zero padded); pack=1 keeps exact set semantics."""
+    if pack not in (1, 4):
+        raise ValueError("packing factor must be 1 or 4")
+    codes = np.asarray(codes, dtype=np.uint64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    counts = -(-lengths // pack)
+    if pack == 1:
+        containers = codes
+    else:
+        # code j of a record lands in slot j of its record's first container
+        shift = np.cumsum(lengths - pack * counts) - (lengths - pack * counts)
+        slots = np.zeros((int(counts.sum()), pack), dtype=np.uint64)
+        slots.reshape(-1)[np.arange(len(codes)) - np.repeat(shift, lengths)] = codes
+        containers = slots[:, 0]
+        for j in range(1, pack):
+            containers = (containers << np.uint64(TOKEN_BITS)) | slots[:, j]
+    values, ends = containers.tolist(), np.cumsum(counts).tolist()
+    return [EncodedRecord(rid, tuple(values[hi - n:hi]), pack)
+            for rid, n, hi in zip(record_ids, counts.tolist(), ends)]
 
 
 def pack_tokens(tokens: TokenSet, pack: int = 1) -> EncodedRecord:
-    """ceil(|tokens|/k) containers from the ascending token codes; k=4 packs
-    four codes big-endian per container (zero padded), k=1 keeps exact
-    set semantics."""
-    if pack not in (1, 4):
-        raise ValueError("packing factor must be 1 or 4")
+    """ceil(|tokens|/k) containers from the ascending token codes (see
+    ``pack_records``)."""
     codes = tokens.sorted_tokens()
-    if pack == 1:
-        return EncodedRecord(tokens.record_id, tuple(codes), 1)
-    containers = []
-    for i in range(0, len(codes), pack):
-        chunk = codes[i:i + pack]
-        value = 0
-        for j in range(pack):
-            value = (value << TOKEN_BITS) | (chunk[j] if j < len(chunk) else 0)
-        containers.append(value)
-    return EncodedRecord(tokens.record_id, tuple(containers), pack)
+    return pack_records([tokens.record_id], codes, [len(codes)], pack)[0]
 
 
 class MinHasher:
@@ -96,13 +144,40 @@ class MinHasher:
         self.a = rng.integers(1, _MERSENNE_PRIME, size=num_perm, dtype=np.uint64)
         self.b = rng.integers(0, _MERSENNE_PRIME, size=num_perm, dtype=np.uint64)
 
+    def signatures(self, codes, lengths) -> np.ndarray:
+        """Signatures of many token sets at once, as a (sets, num_perm)
+        uint64 array: set k is the next ``lengths[k]`` values of the flat
+        ``codes``.  Only the distinct codes of a span of sets are hashed;
+        the hashes are gathered per token and reduced per set.  Spans and
+        permutation chunks keep every temporary within _CHUNK_ELEMS
+        elements (a span holds at most _SPAN_TOKENS tokens, or one larger
+        set).  An empty set signs as p-1 in every slot."""
+        codes = np.asarray(codes, dtype=np.uint64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        out = np.full((self.num_perm, len(lengths)), _MERSENNE_PRIME - 1, dtype=np.uint64)
+        ends = np.cumsum(lengths)
+        lo = 0
+        while lo < len(lengths):
+            first = int(ends[lo] - lengths[lo])
+            hi = max(lo + 1, int(np.searchsorted(ends, first + _SPAN_TOKENS, side="right")))
+            full = np.flatnonzero(lengths[lo:hi]) + lo
+            if len(full):
+                distinct, inv = np.unique(codes[first:int(ends[hi - 1])], return_inverse=True)
+                starts = (ends[full] - lengths[full]) - first
+                step = max(1, _CHUNK_ELEMS // max(_SPAN_TOKENS, len(inv)))
+                for p in range(0, self.num_perm, step):
+                    a, b = self.a[p:p + step, None], self.b[p:p + step, None]
+                    table = (a * distinct + b) % np.uint64(_MERSENNE_PRIME)
+                    out[p:p + step, full] = np.minimum.reduceat(
+                        np.take(table, inv, axis=1), starts, axis=1)
+            lo = hi
+        return np.ascontiguousarray(out.T)
+
     def signature(self, tokens) -> np.ndarray:
+        """Signature of one token set (see ``signatures``)."""
         values = tokens.tokens if isinstance(tokens, TokenSet) else tokens
-        if not values:
-            return np.full(self.num_perm, _MERSENNE_PRIME - 1, dtype=np.uint64)
-        x = np.fromiter(values, dtype=np.uint64)
-        hashed = (self.a[:, None] * x[None, :] + self.b[:, None]) % np.uint64(_MERSENNE_PRIME)
-        return hashed.min(axis=1)
+        codes = np.fromiter(values, dtype=np.uint64)
+        return self.signatures(codes, [len(codes)])[0]
 
     def estimate_similarity(self, sig1: np.ndarray, sig2: np.ndarray) -> float:
         return float((sig1 == sig2).mean())
@@ -180,37 +255,62 @@ def _band_digests(signatures: np.ndarray, plan: BandPlan) -> np.ndarray:
     return digest
 
 
-def _keys(digests: np.ndarray) -> list[str]:
-    return [f"{band:03d}-{digest:016x}" for band, digest in enumerate(digests.tolist())]
+def block_index(signatures: np.ndarray, plan: BandPlan) -> dict[str, list[int]]:
+    """Owner-side inverted index from a (records, slots) signature stack:
+    blocking key -> 0-based record rows (the row order is the upload
+    order), keys in the order they first occur, record by record and band
+    by band.  A key is the band index plus a stable 64-bit hash of the
+    band's signature slots, hex encoded.  A stable sort of each band's
+    digests groups the rows of equal keys, in ascending row order, and
+    orders the keys as their strings sort."""
+    digests = _band_digests(np.ascontiguousarray(signatures), plan).T
+    rows = np.argsort(digests, axis=1, kind="stable")
+    digest = np.take_along_axis(digests, rows, axis=1).reshape(-1)
+    band = np.repeat(np.arange(plan.bands), digests.shape[1])
+    rows = rows.reshape(-1)
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (band[1:] != band[:-1]) | (digest[1:] != digest[:-1])
+    starts = np.flatnonzero(new)
+    hexes = digest[starts].astype(">u8").tobytes().hex()
+    prefixes = [f"{b:03d}-" for b in range(plan.bands)]
+    keys = [prefixes[b] + hexes[16 * k:16 * k + 16]
+            for k, b in enumerate(band[starts].tolist())]
+    first = rows[starts] * plan.bands + band[starts]
+    groups, bounds = rows.tolist(), starts.tolist() + [len(rows)]
+    return {keys[k]: groups[bounds[k]:bounds[k + 1]]
+            for k in np.argsort(first, kind="stable").tolist()}
 
 
 def band_keys(signature: np.ndarray, plan: BandPlan) -> list[str]:
-    """One public key per band: band index plus a stable 64-bit hash of the
-    band's signature slots, hex encoded."""
-    return _keys(_band_digests(np.ascontiguousarray(signature)[None, :], plan)[0])
+    """One public key per band, in band order (see ``block_index``)."""
+    return list(block_index(np.asarray(signature)[None, :], plan))
 
 
 def build_block_index(token_sets: list[TokenSet], plan: BandPlan,
                       hasher: MinHasher) -> dict[str, list[int]]:
-    """Owner-side inverted index: blocking key -> 0-based record rows (the
-    row order is the upload order)."""
-    signatures = np.empty((len(token_sets), hasher.num_perm), dtype=np.uint64)
-    for row, tokens in enumerate(token_sets):
-        signatures[row] = hasher.signature(tokens)
-    index: dict[str, list[int]] = {}
-    for row, digests in enumerate(_band_digests(signatures, plan)):
-        for key in _keys(digests):
-            index.setdefault(key, []).append(row)
-    return index
+    """Owner-side inverted index of token sets (see ``block_index``)."""
+    codes = np.fromiter(itertools.chain.from_iterable(t.tokens for t in token_sets),
+                        dtype=np.uint64)
+    return block_index(hasher.signatures(codes, [len(t.tokens) for t in token_sets]), plan)
+
+
+def flat_column(runs: list) -> np.ndarray:
+    """The integers of ``runs``, run after run, as one uint64 array; as
+    Python ints when some value does not fit, so that range checks on the
+    column stay exact."""
+    flat = itertools.chain.from_iterable(runs)
+    try:
+        return np.fromiter(flat, dtype=np.uint64, count=sum(map(len, runs)))
+    except OverflowError:
+        return np.array(list(itertools.chain.from_iterable(runs)), dtype=object)
 
 
 def encrypt_blocks(index: dict[str, list[int]], mach: Machine) -> dict[str, PrivateVector]:
     """Encrypt each key's record-id vector before it leaves the owner: all
     keys in one pass, in key order, one ``enc`` per key in the ledger."""
     keys = sorted(index)
-    vectors = mach.enc_runs([row for key in keys for row in index[key]],
-                            [len(index[key]) for key in keys])
-    return dict(zip(keys, vectors))
+    runs = [index[key] for key in keys]
+    return dict(zip(keys, mach.enc_runs(flat_column(runs), [len(r) for r in runs])))
 
 
 def build_blocks(token_sets: list[TokenSet], plan: BandPlan, hasher: MinHasher,

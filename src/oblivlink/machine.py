@@ -188,12 +188,13 @@ class Machine:
         call: vector k holds the next ``lengths[k]`` values.  The ledger and
         trace record one ``enc`` per run, as the same runs passed to ``enc``
         one at a time do.  Malformed runs are refused before the backend
-        records, sends or stores anything."""
-        flat = np.asarray(flat)
+        records, sends or stores anything.  The backend coerces ``flat``
+        itself, as ``enc`` does, so 64-bit values stay exact."""
+        shape = np.shape(flat)
         lengths = [int(n) for n in lengths]
-        if flat.ndim != 1 or min(lengths, default=0) < 0 or len(flat) != sum(lengths):
+        if len(shape) != 1 or min(lengths, default=0) < 0 or shape[0] != sum(lengths):
             raise ShapeError(f"runs of lengths {lengths} over a flat value of shape "
-                             f"{flat.shape}")
+                             f"{shape}")
         return [PrivateVector(self.b, p) for p in self.b.enc_runs(flat, lengths)]
 
     def dec(self, value, authority):
@@ -246,8 +247,6 @@ class Machine:
         self._check_ctx(v1, v2)
         self._same_shape(v1, v2)
         return PrivateScalar(self.b, self.b.dot(v1.payload, v2.payload))
-
-    inner_product = dot
 
     def rshift(self, v: PrivateVector, k: int = 1, cyclic: bool = True, fill=0):
         """Shift right by a public amount; cyclic rotation by default, or

@@ -122,8 +122,8 @@ class MpcBackend(Backend):
     # -- enc / dec ------------------------------------------------------------
 
     def _store(self, shape, parts) -> ShareRef:
-        """Upload one value: each party receives its share component."""
-        self._record("enc", shape)
+        """Upload one value: each party receives its share component.  The
+        caller records the ``enc``."""
         out = self._new_ref(shape)
         tag = self._tag("enc")
         for name, part in zip(PARTIES, parts):
@@ -133,6 +133,7 @@ class MpcBackend(Backend):
 
     def enc(self, value) -> ShareRef:
         arr = to_u64(value)
+        self._record("enc", arr.shape)
         return self._store(arr.shape, share3(arr, self.share_rng))
 
     def enc_runs(self, flat, lengths: list[int]) -> list[ShareRef]:
@@ -141,6 +142,7 @@ class MpcBackend(Backend):
         # words per value, run k's two random components are the words
         # share3 would draw for that run alone, after the runs before it.
         words = rand_u64(self.share_rng, 2 * len(arr))
+        self._record_runs("enc", lengths)
         refs, lo = [], 0
         for n in lengths:
             s0, s1 = words[2 * lo:2 * lo + n], words[2 * lo + n:2 * (lo + n)]

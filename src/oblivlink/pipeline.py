@@ -26,9 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import make_backend
-from .backends.base import APPROX, tagged_rng
-from .blocking import (TOKEN_BITS, EncodedRecord, MinHasher, build_block_index,
-                       encrypt_blocks, optimal_band_plan, pack_tokens)
+from .backends.base import APPROX, Transcript, tagged_rng
+from .blocking import (TOKEN_BITS, EncodedRecord, MinHasher, bigram_codes, block_index,
+                       encrypt_blocks, flat_column, optimal_band_plan, pack_records)
 from .errors import DomainError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (JaccardParams, Strategy, jaccard_cells, jaccard_match,  # noqa: F401
@@ -104,24 +104,26 @@ class RunResult:
     shape: tuple[int, int]
     ledger: object
     round_stats: object | None
-    transcript: list
+    transcript: Transcript
     trace: list
 
 
 def prepare_upload(records, config: PipelineConfig) -> PartyUpload:
-    """Owner-side encoding and blocking (no machine operations)."""
-    token_sets = [r.token_set() for r in records]
-    encoded = [pack_tokens(t, config.pack) for t in token_sets]
+    """Owner-side encoding and blocking (no machine operations), for all
+    records at once."""
+    ids = [r.record_id for r in records]
+    codes, lengths = bigram_codes([r.text() for r in records], ids)
+    encoded = pack_records(ids, codes, lengths, config.pack)
     plan = optimal_band_plan(config.t_block, config.num_perm,
                              config.fp_weight, config.fn_weight)
     hasher = MinHasher(config.num_perm, config.seed)
-    index = build_block_index(token_sets, plan, hasher)
+    index = block_index(hasher.signatures(codes, lengths), plan)
     manifest = {
         "size": len(records), "pack": config.pack, "t_block": config.t_block,
         "num_perm": config.num_perm, "bands": plan.bands, "rows": plan.rows,
         "seed": config.seed,
     }
-    return PartyUpload(encoded, index, [r.record_id for r in records], manifest)
+    return PartyUpload(encoded, index, ids, manifest)
 
 
 def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig):
@@ -144,21 +146,37 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig):
             raise StageError("upload", f"the manifests' {key} {got1} disagrees with "
                                        f"the link config's {want}")
     bits = TOKEN_BITS * config.pack
-    limit = 1 << bits
     for role, up in (("D1", u1), ("D2", u2)):
-        for row, rec in enumerate(up.encoded):
-            if len(set(rec.containers)) != len(rec.containers):
-                raise StageError("upload", f"{role} record {row} repeats a container")
-            if rec.containers and (min(rec.containers) < 0 or max(rec.containers) >= limit):
-                raise StageError("upload", f"{role} record {row} holds a container outside "
-                                           f"[0, 2^{bits})")
+        fault = _first_fault([rec.containers for rec in up.encoded], 1 << bits)
+        if fault:
+            row, repeats = fault
+            raise StageError("upload", f"{role} record {row} repeats a container" if repeats
+                             else f"{role} record {row} holds a container outside [0, 2^{bits})")
         size = len(up.encoded)
-        for key, ids in up.index.items():
-            if len(set(ids)) != len(ids):
-                raise StageError("upload", f"{role} block {key} repeats an id")
-            if ids and (min(ids) < 0 or max(ids) >= size):
-                raise StageError("upload", f"{role} block {key} holds an id outside "
-                                           f"[0, {size})")
+        fault = _first_fault(list(up.index.values()), size)
+        if fault:
+            key, repeats = list(up.index)[fault[0]], fault[1]
+            raise StageError("upload", f"{role} block {key} repeats an id" if repeats
+                             else f"{role} block {key} holds an id outside [0, {size})")
+
+
+def _first_fault(runs: list, limit: int) -> tuple[int, bool] | None:
+    """The first run that repeats a value or holds one outside [0, limit),
+    and whether it repeats one (a run that does both repeats); None when
+    every run is sound.  A run in ascending order, as owners upload
+    them, repeats a value exactly where two neighbours are equal; when some
+    run is out of order, one stable sort by (run, value) makes that so."""
+    values = flat_column(runs)
+    run = np.repeat(np.arange(len(runs)), [len(r) for r in runs])
+    if not np.all((values[1:] > values[:-1]) | (run[1:] != run[:-1])):
+        order = np.lexsort((values, run))
+        values, run = values[order], run[order]
+    repeats = run[1:][(values[1:] == values[:-1]) & (run[1:] == run[:-1])]
+    outside = run[(values < 0) | (values >= limit)]
+    first = min(repeats.min(initial=len(runs)), outside.min(initial=len(runs)))
+    if first == len(runs):
+        return None
+    return int(first), bool(first in repeats)
 
 
 # -- machine-level stages ----------------------------------------------------
@@ -286,16 +304,17 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
         backend.observe(ROLE_HOST, "dataset_size", ("D2", shape[1]))
         records = []
         for role, up, sizes in (("D1", u1, sizes1), ("D2", u2, sizes2)):
-            for row, n in enumerate(sizes):
-                backend.observe(ROLE_HOST, "record_container_count", (role, row, n))
-            records.append(mach.enc_runs(
-                [c for rec in up.encoded for c in rec.containers], sizes))
+            backend.observe_batch(ROLE_HOST, ("record_container_count",
+                                              ([role] * len(sizes), range(len(sizes)), sizes)))
+            records.append(mach.enc_runs(flat_column([rec.containers for rec in up.encoded]),
+                                         sizes))
         blocks = []
         for role, up in (("D1", u1), ("D2", u2)):
-            for key in sorted(up.index):
-                backend.observe(ROLE_HOST, "block_key", key)
-                backend.observe(ROLE_HOST, "block_size", (role, key, len(up.index[key])))
             blocks.append(encrypt_blocks(up.index, mach))
+            keys = list(blocks[-1])
+            backend.observe_batch(ROLE_HOST, ("block_key", (keys,)),
+                                  ("block_size", ([role] * len(keys), keys,
+                                                  [len(up.index[k]) for k in keys])))
         return (*records, *blocks)
 
     enc1, enc2, b1, b2 = _run_stage(backend, "upload", upload)
@@ -333,7 +352,7 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
         matches=matches, strategy=strategy,
         obfu_count=int(obfu.sum()), evaluated_cells=evaluated, shape=shape,
         ledger=backend.ledger, round_stats=stats,
-        transcript=list(backend.transcript),
+        transcript=backend.transcript.copy(),
         trace=list(backend.trace) if backend.trace_enabled else [],
     )
     if own_backend:

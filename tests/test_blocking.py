@@ -4,11 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oblivlink.blocking as blocking
 from oblivlink import (Machine, MinHasher, band_keys, build_block_index,
                        make_backend, optimal_band_plan, pack_tokens,
                        tokenize_bigrams)
-from oblivlink.blocking import BandPlan, TokenSet, build_blocks, collision_probability
+from oblivlink.blocking import (BandPlan, TokenSet, bigram_codes, block_index, build_blocks,
+                                collision_probability, pack_records)
 
 
 # -- tokenization -----------------------------------------------------------
@@ -293,3 +296,113 @@ def test_build_blocks_encrypts_id_vectors():
         ids = mach.dec(vec, auth)
         assert all(i in (0, 1) for i in ids)
     backend.close()
+
+
+# -- the batched owner path against loop references ---------------------------------
+
+
+def loop_bigrams(text):
+    """Reference tokenizer: one code per character pair."""
+    if len(text) < 2:
+        text = (text + "  ")[:2]
+    return {(ord(text[i]) << 8) | ord(text[i + 1]) for i in range(len(text) - 1)}
+
+
+def loop_pack(codes, pack):
+    """Reference packer: k ascending codes per container, big-endian."""
+    if pack == 1:
+        return tuple(codes)
+    containers = []
+    for i in range(0, len(codes), pack):
+        chunk = codes[i:i + pack]
+        value = 0
+        for j in range(pack):
+            value = (value << 16) | (chunk[j] if j < len(chunk) else 0)
+        containers.append(value)
+    return tuple(containers)
+
+
+def loop_signature(hasher, codes):
+    """Reference MinHash: every token hashed under every permutation."""
+    if not codes:
+        return np.full(hasher.num_perm, 4294967311 - 1, dtype=np.uint64)
+    x = np.array(sorted(codes), dtype=np.uint64)
+    return ((hasher.a[:, None] * x[None, :] + hasher.b[:, None]) % np.uint64(4294967311)).min(axis=1)
+
+
+# 8-bit texts: a small alphabet repeats bigrams; the high half is drawn on its own
+EIGHT_BIT = st.text(alphabet=st.sampled_from("ab ") | st.characters(max_codepoint=0xFF)
+                    | st.characters(min_codepoint=0x80, max_codepoint=0xFF), max_size=14)
+
+
+@given(texts=st.lists(EIGHT_BIT, max_size=8), pack=st.sampled_from([1, 4]),
+       num_perm=st.integers(1, 48), seed=st.integers(0, 2**31), data=st.data())
+def test_batched_owner_path_equals_the_one_item_functions(texts, pack, num_perm, seed, data):
+    bands = data.draw(st.integers(1, num_perm))
+    plan = BandPlan(bands, data.draw(st.integers(1, num_perm // bands)), num_perm)
+    hasher = MinHasher(num_perm, seed)
+    ids = [f"r{k}" for k in range(len(texts))]
+
+    codes, lengths = bigram_codes(texts, ids)
+    token_sets = [tokenize_bigrams(text, rid) for text, rid in zip(texts, ids)]
+    assert [t.tokens for t in token_sets] == [loop_bigrams(text) for text in texts]
+    ends = np.cumsum(lengths).tolist()
+    assert [codes[hi - n:hi].tolist() for n, hi in zip(lengths.tolist(), ends)] == \
+        [t.sorted_tokens() for t in token_sets]
+
+    encoded = pack_records(ids, codes, lengths, pack)
+    assert encoded == [pack_tokens(t, pack) for t in token_sets]
+    assert [rec.containers for rec in encoded] == \
+        [loop_pack(t.sorted_tokens(), pack) for t in token_sets]
+
+    signatures = hasher.signatures(codes, lengths)
+    assert signatures.shape == (len(texts), num_perm)
+    for sig, tokens in zip(signatures, token_sets):
+        assert np.array_equal(sig, hasher.signature(tokens))
+        assert np.array_equal(sig, loop_signature(hasher, tokens.tokens))
+    assert np.array_equal(hasher.signature(frozenset()), loop_signature(hasher, ()))
+
+    oracle = {}
+    for row, sig in enumerate(signatures):
+        keys = reference_band_keys(sig, plan)
+        assert band_keys(sig, plan) == keys
+        for key in keys:
+            oracle.setdefault(key, []).append(row)
+    # same keys, row lists and key insertion order
+    assert list(block_index(signatures, plan).items()) == list(oracle.items())
+    assert list(build_block_index(token_sets, plan, hasher).items()) == list(oracle.items())
+
+
+@given(texts=st.lists(EIGHT_BIT, min_size=1, max_size=6),
+       wide=st.characters(min_codepoint=0x100, max_codepoint=0x2FF), data=st.data())
+def test_a_wide_character_names_the_first_record_holding_one(texts, wide, data):
+    first = data.draw(st.integers(0, len(texts) - 1))
+    for row in range(first, len(texts)):
+        if row == first or data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(texts[row])))
+            texts[row] = texts[row][:at] + wide + texts[row][at:]
+    ids = [data.draw(st.sampled_from(["", f"r{k}"])) for k in range(len(texts))]
+    # the first wide character of that record, named by its id or, without one, its text
+    bad = next(ch for ch in texts[first] if ord(ch) > 0xFF)
+    message = f"non-8-bit character {bad!r} in {ids[first] or texts[first]!r}"
+    with pytest.raises(ValueError) as batched:
+        bigram_codes(texts, ids)
+    with pytest.raises(ValueError) as single:
+        tokenize_bigrams(texts[first], ids[first])
+    assert str(batched.value) == str(single.value) == message
+
+
+def test_minhash_spans_and_chunks_sign_like_one_pass(monkeypatch):
+    # spans of at most 7 tokens and 3 permutations at a time
+    rng = np.random.default_rng(12)
+    sets = [frozenset(rng.integers(0, 1 << 16, size=int(rng.integers(0, 12))).tolist())
+            for _ in range(40)]
+    codes = np.fromiter((c for s in sets for c in s), dtype=np.uint64)
+    lengths = [len(s) for s in sets]
+    hasher = MinHasher(32, seed=3)
+    whole = hasher.signatures(codes, lengths)
+    monkeypatch.setattr(blocking, "_SPAN_TOKENS", 7)
+    monkeypatch.setattr(blocking, "_CHUNK_ELEMS", 21)
+    assert np.array_equal(hasher.signatures(codes, lengths), whole)
+    for sig, tokens in zip(whole, sets):
+        assert np.array_equal(sig, loop_signature(hasher, tokens))

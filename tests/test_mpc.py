@@ -16,7 +16,7 @@ from oblivlink.backends.base import KERNELS
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
 from oblivlink.mpc.sharing import beaver_combine, make_triples, rand_u64
 
-from conftest import ALL_BACKENDS, dec_round, open_machine
+from conftest import ALL_BACKENDS, EXACT_BACKENDS, dec_round, open_machine
 
 MASK64 = (1 << 64) - 1
 
@@ -228,6 +228,17 @@ def test_enc_runs_equals_enc_one_run_at_a_time(spec, lengths, data):
     assert seen[0] == seen[1]
     starts = np.cumsum([0] + lengths).tolist()
     assert seen[1][-1] == [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+
+@pytest.mark.parametrize("spec", EXACT_BACKENDS)
+def test_enc_runs_keeps_64_bit_values_exact(spec):
+    # a list mixing small values and values of 2^63 or more once became
+    # float64 on its way to the backend, and the large ones lost their low bits
+    mach, auth, b = open_machine(spec, seed=33)
+    flat = [1, (1 << 63) + 5, (1 << 64) - 1]
+    vectors = mach.enc_runs(flat, [1, 2])
+    assert [[v % (1 << 64) for v in mach.dec(vec, auth)] for vec in vectors] == [flat[:1], flat[1:]]
+    b.close()
 
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)

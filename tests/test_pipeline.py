@@ -512,6 +512,63 @@ def _refused_upload(u1, u2, cfg):
     return str(excinfo.value)
 
 
+def test_run_result_transcript_is_a_snapshot_of_python_values():
+    d1, d2, _ = generate_dataset(seed=0, size=40, split=0.25)
+    backend = make_backend("clear")
+    result = run_pper(d1, d2, PipelineConfig(rho=0.05), backend=backend)
+    seen = list(result.transcript)
+    assert result.transcript is not backend.transcript and seen == list(backend.transcript)
+    backend.observe("P3", "late", 1)
+    assert list(result.transcript) == seen and len(result.transcript) == len(seen)
+    counts = [o.value for o in seen if o.kind == "record_container_count"]
+    sizes = [o.value for o in seen if o.kind == "block_size"]
+    assert [row for _, row, _ in counts] == list(range(10)) + list(range(30))
+    assert len(sizes) == len([o for o in seen if o.kind == "block_key"]) > 0
+    for value in counts + sizes:
+        assert type(value[0]) is str and type(value[-1]) is int
+    assert all(type(row) is int for _, row, _ in counts)
+    backend.close()
+
+
+def test_upload_refusal_names_the_first_fault_in_order():
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    cfg = PipelineConfig()
+
+    def uploads():
+        return prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+
+    def doubled(rec, extra=()):
+        return EncodedRecord(rec.record_id, rec.containers * 2 + extra, rec.pack)
+
+    def widened(rec):
+        return EncodedRecord(rec.record_id, rec.containers + (1 << 16,), rec.pack)
+
+    # two faulty rows on one side: the lower row is named, whatever its fault
+    u1, u2 = uploads()
+    u2.encoded[7], u2.encoded[3] = doubled(u2.encoded[7]), widened(u2.encoded[3])
+    assert _refused_upload(u1, u2, cfg) == \
+        "[upload] D2 record 3 holds a container outside [0, 2^16)"
+    u2.encoded[7], u2.encoded[3] = widened(u2.encoded[7]), doubled(u2.encoded[3])
+    assert _refused_upload(u1, u2, cfg) == "[upload] D2 record 3 repeats a container"
+    # a record that repeats a container and holds one outside is said to repeat
+    u2.encoded[3] = doubled(u2.encoded[3], (1 << 16,))
+    assert _refused_upload(u1, u2, cfg) == "[upload] D2 record 3 repeats a container"
+    # records before blocks; blocks in the index's key order
+    keys = list(u2.index)
+    u2.index[keys[5]] = u2.index[keys[5]] + [999]
+    u2.index[keys[2]] = u2.index[keys[2]] * 2
+    assert _refused_upload(u1, u2, cfg) == "[upload] D2 record 3 repeats a container"
+    u2.encoded = uploads()[1].encoded
+    assert _refused_upload(u1, u2, cfg) == f"[upload] D2 block {keys[2]} repeats an id"
+    # D1 before D2
+    u1.index[sorted(u1.index)[-1]] = [-1]
+    assert _refused_upload(u1, u2, cfg) == \
+        f"[upload] D1 block {sorted(u1.index)[-1]} holds an id outside [0, 20)"
+    # the manifests first
+    u1.manifest["seed"] = 1
+    assert "manifests disagree on seed" in _refused_upload(u1, u2, cfg)
+
+
 def test_upload_manifests_must_agree_with_each_other_and_the_config():
     d1, d2, _ = generate_dataset(seed=0, size=100)
     cfg = PipelineConfig()
