@@ -22,7 +22,7 @@ from .evalkit import (CorruptionProfile, GoldStandard, MetricsReport, Record,
 from .intersect import (JaccardParams, Strategy, intersection_size, isect_mj,
                         isect_pj, isect_so, isect_ve, isect_vr, jaccard_cells,
                         jaccard_match, pick_strategy, supported_strategies, zero_count)
-from .machine import (Machine, PrivateBool, PrivateMatrix, PrivateScalar,
+from .machine import (EQ_BIT_ERROR, Machine, PrivateBool, PrivateMatrix, PrivateScalar,
                       PrivateVector, TAU_BOOL, TAU_NUM, XI_DEFAULT)
 from .pipeline import (ObfuscationPolicy, PartyUpload, PipelineConfig,
                        RunResult, finalize, filter_and_resolve, merge_and_dedup,
@@ -45,7 +45,7 @@ __all__ = [
     "isect_so", "isect_ve", "isect_vr", "jaccard_cells", "jaccard_match", "pick_strategy",
     "supported_strategies", "zero_count",
     "Machine", "PrivateBool", "PrivateMatrix", "PrivateScalar", "PrivateVector",
-    "TAU_BOOL", "TAU_NUM", "XI_DEFAULT",
+    "EQ_BIT_ERROR", "TAU_BOOL", "TAU_NUM", "XI_DEFAULT",
     "ObfuscationPolicy", "PartyUpload", "PipelineConfig", "RunResult",
     "finalize", "filter_and_resolve", "merge_and_dedup", "obfuscate",
     "prepare_upload", "read_party_dir", "run_pper", "run_pper_from_uploads",

@@ -31,6 +31,14 @@ MASK64 = (1 << 64) - 1
 EXACT = "exact-integer-64"
 APPROX = "approximate-fixed-point"
 
+# Offset of every approximate equality (the arithmetic workaround that
+# ``LocalBackend.approx_eq`` runs).  On integer inputs a slot whose
+# difference d is not 0 yields xi/(d+xi), so its bit errs by at most
+# EQ_BIT_ERROR = xi/(1-xi) (at d = -1); the approximate-domain guards of
+# merge and of the Jaccard count bound their sums of bits with it.
+XI_DEFAULT = 1e-6
+EQ_BIT_ERROR = XI_DEFAULT / (1 - XI_DEFAULT)
+
 _context_counter = itertools.count(1)
 
 

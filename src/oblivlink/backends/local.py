@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS,
-                   Backend, lift_signed, to_u64)
+                   XI_DEFAULT, Backend, lift_signed, to_u64)
 
 
 class LocalBackend(Backend):
@@ -189,15 +189,45 @@ class LocalBackend(Backend):
         self.require("division")
         self.require_domain(APPROX, "masked reciprocal")
         r = self.rng.uniform(0.5, 2.0, size=x.shape)
-        r_enc = self.enc(r)
-        masked = self.mul(x, r_enc)
+        # the ledger and trace hold enc(r), mul, dec, enc(1/(r*x)), mul
+        self._record("enc", r.shape)
+        self._record("mul", x.shape)
+        with np.errstate(over="ignore"):
+            masked = x * r
         # the helper decrypts r*x; the transcript keeps the array it reads
         self._record("dec", masked.shape)
         self.observe(helper_role, "masked_value", masked)
-        if np.any(masked == 0.0):
+        if not masked.all():
             raise ZeroDivisionError("masked reciprocal of zero")
-        recip = self.enc(1.0 / masked)
-        return self.mul(recip, r_enc)
+        self._record("enc", masked.shape)
+        self._record("mul", masked.shape)
+        recip = np.divide(1.0, masked)
+        with np.errstate(over="ignore"):
+            recip *= r
+        return recip
+
+    def approx_eq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Element-wise equality without a native gate, by the arithmetic
+        workaround ``1 - d·(1/(d+xi))``, d = a - b, with the reciprocal
+        taken by ``masked_reciprocal``.  One call in a few numpy passes; the
+        ledger and trace hold the machine-level chain it stands for, in its
+        order: sub, enc(xi), add, the reciprocal's enc, mul, dec, enc, mul,
+        then enc(-1), mul, mul, enc(1), add.  ``d·(-q) + 1`` and ``1 - d·q``
+        are the same float64 value, so the bits equal the chain's."""
+        self.require("division")
+        shape = a.shape
+        self._record("sub", shape)
+        self._record("enc", shape)
+        self._record("add", shape)
+        with np.errstate(over="ignore"):
+            d = a - b
+            shifted = d + XI_DEFAULT
+        bits = self.masked_reciprocal(shifted)
+        for op in ("enc", "mul", "mul", "enc", "add"):
+            self._record(op, shape)
+        with np.errstate(over="ignore"):
+            bits *= d
+            return np.subtract(1.0, bits, out=bits)
 
 
 class ClearBackend(LocalBackend):

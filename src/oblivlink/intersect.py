@@ -69,8 +69,10 @@ def supported_strategies(caps) -> list[Strategy]:
 
 def _eq_ops(caps) -> Counter:
     """Ledger entries of one element-wise equality (``Machine.eeq``): one
-    native gate, or the arithmetic workaround: sub, enc(xi), add, the masked
-    reciprocal's enc/mul/dec/enc/mul, enc(-1), mul, mul, enc(1), add."""
+    native gate, or the arithmetic workaround, which the backend runs in one
+    ``approx_eq`` call that records the chain's entries: sub, enc(xi), add,
+    the masked reciprocal's enc/mul/dec/enc/mul, enc(-1), mul, mul, enc(1),
+    add."""
     if caps.native_eq:
         return Counter(eq=1)
     return Counter(sub=1, enc=5, add=2, mul=4, dec=1)
@@ -225,11 +227,18 @@ def _ve_counts(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVecto
     for run in slot_runs([(int(n),) for n in slots], max_slots):
         r = slice(run.start, run.stop)
         n = slots[r]
-        # slot p of a cell pairs v1[p % |v1|] with v2[p // |v1|]
-        p = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
-        width = np.repeat(len1[i[r]], n)
-        idx1 = np.repeat(off1[i[r]], n) + p % width
-        idx2 = np.repeat(off2[j[r]], n) + p // width
+        # A cell's slots are one block per v2 element, |v1| slots wide, that
+        # pairs the element with each of v1 in turn.  A cell with an empty
+        # v1 has no blocks, so no array here outgrows the run's slots.
+        width = len1[i[r]]
+        blocks = np.where(width > 0, len2[j[r]], 0)
+        first = np.cumsum(blocks) - blocks
+        block_width = np.repeat(width, blocks)
+        block_start = np.cumsum(block_width) - block_width
+        elem2 = np.arange(len(block_width)) + np.repeat(off2[j[r]] - first, blocks)
+        idx1 = (np.arange(int(n.sum()))
+                + np.repeat(np.repeat(off1[i[r]], blocks) - block_start, block_width))
+        idx2 = np.repeat(elem2, block_width)
         bits = mach.eeq(mach.take(all1, idx1), mach.take(all2, idx2))
         counts = mach.segment_sum(bits, 1, n.tolist())
         parts.append(mach.take(counts, np.arange(len(n))))

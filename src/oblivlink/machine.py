@@ -22,17 +22,12 @@ import math
 
 import numpy as np
 
-from .backends.base import Backend
+# XI_DEFAULT and EQ_BIT_ERROR, the approximate equality's offset and bit
+# error, are defined with the backend that runs it and re-exported here.
+from .backends.base import EQ_BIT_ERROR, XI_DEFAULT, Backend  # noqa: F401
 from .errors import (CapabilityError, ContextMismatchError, DomainError, ShapeError,
                      TaintViolation)
 
-# Offset of every approximate equality (the arithmetic workaround in
-# ``Machine.eeq``).  On integer inputs a slot whose difference d is not 0
-# yields xi/(d+xi), so its bit errs by at most EQ_BIT_ERROR = xi/(1-xi) (at
-# d = -1); the approximate-domain guards of merge and of the Jaccard count
-# bound their sums of bits with it.
-XI_DEFAULT = 1e-6
-EQ_BIT_ERROR = XI_DEFAULT / (1 - XI_DEFAULT)
 TAU_BOOL = 2 * XI_DEFAULT
 TAU_NUM = 1e-6
 
@@ -347,10 +342,12 @@ class Machine:
         """Element-wise equality: slot i is 1 iff seq[i] == idx[i].
 
         Uses the native equality gate when the backend has one; otherwise
-        falls back to the arithmetic workaround
-        ``(seq-idx) * (-1/(seq-idx+xi)) + 1`` with the one offset
-        ``XI_DEFAULT``, whose output is exact for equal integer inputs and
-        within ``EQ_BIT_ERROR`` of 0 for unequal ones.
+        the backend's ``approx_eq`` runs, as one call, the arithmetic
+        workaround ``(seq-idx) * (-1/(seq-idx+xi)) + 1`` with the one offset
+        ``XI_DEFAULT`` and its reciprocal through ``masked_reciprocal``.
+        Its output is exact for equal integer inputs and within
+        ``EQ_BIT_ERROR`` of 0 for unequal ones; the ledger and trace hold
+        the workaround's thirteen entries (see ``intersect._eq_ops``).
         """
         self._check_ctx(seq, idx)
         self._same_shape(seq, idx)
@@ -359,13 +356,7 @@ class Machine:
         if not self.b.caps.division:
             raise CapabilityError(
                 "equality needs a native gate or division for the workaround")
-        n = seq.length
-        d = self.sub(seq, idx)
-        shifted = self.add(d, self.enc(np.full(n, XI_DEFAULT)))
-        recip = self._wrap(self.b.masked_reciprocal(shifted.payload))
-        neg = self.emul(recip, self.enc(np.full(n, -1.0)))
-        term = self.emul(d, neg)
-        return self.add(term, self.enc(np.full(n, 1.0)))
+        return PrivateVector(self.b, self.b.approx_eq(seq.payload, idx.payload))
 
     def eeq_scalar(self, a: PrivateScalar, b: PrivateScalar) -> PrivateScalar:
         self._check_ctx(a, b)

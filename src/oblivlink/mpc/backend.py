@@ -254,6 +254,9 @@ class MpcBackend(Backend):
     def masked_reciprocal(self, x, helper_role: str = "P3"):
         self.require("division")
 
+    def approx_eq(self, a, b):
+        self.require("division")
+
     # -- stats ----------------------------------------------------------------------
 
     def round_stats(self):

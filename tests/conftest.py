@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from oblivlink import Machine, make_backend
+from oblivlink import XI_DEFAULT, Machine, make_backend
 
 # Property tests draw the same examples on every run, and a fixed number of
 # them, so they are reproducible and their run time is bounded.
@@ -37,3 +37,30 @@ def dec_round(mach, auth, value):
     small tolerances on integral data."""
     out = mach.dec(value, auth)
     return np.rint(np.asarray(out, dtype=np.float64)).astype(np.int64).tolist()
+
+
+def reference_eeq(mach, seq, idx):
+    """``Machine.eeq`` without a native gate, as machine-level calls: the
+    arithmetic workaround ``(seq-idx) * (-1/(seq-idx+xi)) + 1``, one call
+    per step.  The reference the one-call ``approx_eq`` must reproduce."""
+    n = seq.length
+    d = mach.sub(seq, idx)
+    shifted = mach.add(d, mach.enc(np.full(n, XI_DEFAULT)))
+    recip = mach.masked_reciprocal(shifted)
+    neg = mach.emul(recip, mach.enc(np.full(n, -1.0)))
+    term = mach.emul(d, neg)
+    return mach.add(term, mach.enc(np.full(n, 1.0)))
+
+
+def reference_ve_indices(len1, len2, cells):
+    """VE's gather indices of ``cells`` by the slot formula: slot p of a cell
+    pairs v1[p % |v1|] with v2[p // |v1|], every vector at its offset in its
+    side's joined vector."""
+    len1, len2 = np.asarray(len1, dtype=np.int64), np.asarray(len2, dtype=np.int64)
+    off1, off2 = np.cumsum(len1) - len1, np.cumsum(len2) - len2
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    i, j = cells[:, 0], cells[:, 1]
+    n = len1[i] * len2[j]
+    p = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    width = np.repeat(len1[i], n)
+    return (np.repeat(off1[i], n) + p % width, np.repeat(off2[j], n) + p // width)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oblivlink import (CapabilityError, JaccardParams, Strategy,
+from oblivlink import (CapabilityError, JaccardParams, Machine, Strategy,
                        intersection_size, jaccard_match,
                        pick_strategy, supported_strategies, zero_count)
-from oblivlink.intersect import (estimated_cost, isect_so, isect_vr, so_adjacent_diff,
-                                 ve_extend, vr_diff_sequence)
+from oblivlink.intersect import (_ve_counts, estimated_cost, isect_so, isect_vr,
+                                 so_adjacent_diff, ve_extend, vr_diff_sequence)
+from oblivlink.machine import slot_runs
 
-from conftest import ALL_BACKENDS, LOCAL_EXACT, dec_round, open_machine
+from conftest import ALL_BACKENDS, LOCAL_EXACT, dec_round, open_machine, reference_ve_indices
 
 
 def _oracle(v1, v2):
@@ -122,6 +123,38 @@ def test_join_counts_equal_set_intersections(spec, rows, cols, data):
     counts = mach.join_counts(enc1, enc2, cells)
     # one join per cell, in cell order, as many one-pair joins record
     assert b.trace == [("join", (len(rows[i]),), (len(cols[j]),)) for i, j in cells]
+    assert dec_round(mach, auth, counts) == [len(rows[i] & cols[j]) for i, j in cells]
+    b.close()
+
+
+@pytest.mark.parametrize("spec", ["sim:generic", "sim:simd", "mpc"])
+@given(rows=_TOKEN_SETS, cols=_TOKEN_SETS, data=st.data())
+def test_ve_gathers_the_slot_formula_layout(spec, rows, cols, data):
+    # records of 0, 1 and many tokens; cells may repeat
+    cells = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                         st.integers(0, len(cols) - 1)),
+                               min_size=1, max_size=8))
+    len1, len2 = [len(s) for s in rows], [len(s) for s in cols]
+    slots = [len1[i] * len2[j] for i, j in cells]
+    # a run bound below one cell's slots splits runs down to single cells
+    max_slots = data.draw(st.integers(1, 2 * max(slots) + 1))
+    mach, auth, b = open_machine(spec)
+    enc1, enc2 = [mach.enc(sorted(s)) for s in rows], [mach.enc(sorted(s)) for s in cols]
+    taken, take = [], Machine.take
+
+    def capture(mach, v, idx):
+        taken.append(np.asarray(idx))
+        return take(mach, v, idx)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Machine, "take", capture)
+        counts = _ve_counts(mach, enc1, enc2, np.array(cells), max_slots)
+    runs = slot_runs([(n,) for n in slots], max_slots)
+    # per run: the two operand gathers, then the counts' flattening
+    assert len(taken) == 3 * len(runs)
+    for run, idx1, idx2 in zip(runs, taken[0::3], taken[1::3]):
+        want1, want2 = reference_ve_indices(len1, len2, cells[run.start:run.stop])
+        assert idx1.tolist() == want1.tolist() and idx2.tolist() == want2.tolist()
     assert dec_round(mach, auth, counts) == [len(rows[i] & cols[j]) for i, j in cells]
     b.close()
 

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from oblivlink import (AuthorityError, ContextMismatchError, ShapeError, TaintViolation,
-                       TAU_BOOL, TAU_NUM, XI_DEFAULT, make_backend)
+from oblivlink import (AuthorityError, ContextMismatchError, Machine, ShapeError,
+                       TaintViolation, TAU_BOOL, TAU_NUM, XI_DEFAULT, make_backend)
 from oblivlink.machine import slot_runs
 
-from conftest import ALL_BACKENDS, EXACT_BACKENDS, LOCAL_EXACT, dec_round, open_machine
+from conftest import (ALL_BACKENDS, EXACT_BACKENDS, LOCAL_EXACT, dec_round, open_machine,
+                      reference_eeq)
 
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
@@ -156,6 +158,40 @@ def test_eeq_workaround_random_integer_inputs():
         for got, s in zip(out, seq):
             assert abs(got - (1 if s == pivot else 0)) <= TAU_BOOL
     b.close()
+
+
+def _equality_run(eeq, seq, idx):
+    """Everything one equality leaves behind on a fresh simd context: the
+    bits (or the exception), ledger, trace, P3's openings and the rng."""
+    mach, auth, b = open_machine("sim:simd", seed=7)
+    b.enable_trace()
+    try:
+        bits = np.asarray(mach.dec(eeq(mach, mach.enc(seq), mach.enc(idx)), auth)).tobytes()
+    except ZeroDivisionError as exc:
+        bits = repr(exc)
+    opened = [(o.role, o.kind, np.asarray(o.value).tobytes()) for o in b.transcript]
+    out = (bits, b.ledger.rows(), b.trace, opened, b.rng.bit_generator.state)
+    b.close()
+    return out
+
+
+_TOKENS = st.lists(st.integers(0, (1 << 16) - 1), max_size=24)
+
+
+@given(seq=_TOKENS, data=st.data())
+def test_approx_eq_is_the_machine_chain(seq, data):
+    # idx repeats seq's values in some slots, so both bits occur
+    slot = st.sampled_from(seq) | st.integers(0, (1 << 16) - 1) if seq else st.nothing()
+    idx = data.draw(st.lists(slot, min_size=len(seq), max_size=len(seq)))
+    assert _equality_run(Machine.eeq, seq, idx) == _equality_run(reference_eeq, seq, idx)
+
+
+def test_approx_eq_refuses_an_offset_cancelling_difference_as_the_chain_did():
+    # d = -xi makes d + xi exactly 0, which the masked reciprocal refuses
+    fused = _equality_run(Machine.eeq, [0.0], [XI_DEFAULT])
+    assert fused[0].startswith("ZeroDivisionError")
+    assert fused == _equality_run(reference_eeq, [0.0], [XI_DEFAULT])
+    assert [e[0] for e in fused[2]] == ["enc", "enc", "sub", "enc", "add", "enc", "mul", "dec"]
 
 
 # -- masked reciprocal -------------------------------------------------------------

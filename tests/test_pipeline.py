@@ -12,11 +12,12 @@ from oblivlink import (DomainError, JaccardParams, Machine, MinHasher, Obfuscati
                        plain_blocked_pairs, plain_matches, run_pper,
                        run_pper_from_uploads, read_party_dir, write_party_dir,
                        prepare_upload)
+from oblivlink import intersect
 from oblivlink.blocking import EncodedRecord
-from oblivlink.machine import PrivateScalar
+from oblivlink.machine import PrivateScalar, slot_runs
 from oblivlink.pipeline import finalize, filter_and_resolve, merge_and_dedup, obfuscate
 
-from conftest import ALL_BACKENDS, open_machine
+from conftest import ALL_BACKENDS, open_machine, reference_eeq, reference_ve_indices
 
 
 def _enc_blocks(mach, plain):
@@ -472,6 +473,52 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
         trace = [e for e in trace if e[0] != "stack"]
         ledger = [row for row in ledger if row[:2] != ("filter_er", "stack")]
     assert batched == (matches, transcript, trace, rounds, ledger)
+
+
+def _reference_ve_counts(mach, enc1, enc2, cells, max_slots):
+    """VE's batched count with each run's gather indices by the slot formula."""
+    len1, len2 = [v.length for v in enc1], [v.length for v in enc2]
+    all1 = enc1[0] if len(enc1) == 1 else mach.concat(*enc1)
+    all2 = enc2[0] if len(enc2) == 1 else mach.concat(*enc2)
+    slots = [len1[i] * len2[j] for i, j in cells.tolist()]
+    parts = []
+    for run in slot_runs([(n,) for n in slots], max_slots):
+        idx1, idx2 = reference_ve_indices(len1, len2, cells[run.start:run.stop])
+        bits = mach.eeq(mach.take(all1, idx1), mach.take(all2, idx2))
+        counts = mach.segment_sum(bits, 1, slots[run.start:run.stop])
+        parts.append(mach.take(counts, np.arange(len(run))))
+    return parts[0] if len(parts) == 1 else mach.concat(*parts)
+
+
+@pytest.mark.parametrize("spec, size, rho, t_jaccard, strategy", [
+    ("sim:simd", 200, 0.25, Fraction(397, 796), "auto"),
+    ("mpc", 60, 0.05, Fraction(1, 2), "ve"),
+])
+def test_fused_equality_and_ve_layout_link_as_the_machine_chain_did(
+        spec, size, rho, t_jaccard, strategy, monkeypatch):
+    d1, d2, _ = generate_dataset(seed=0, size=size)
+    kind, _, profile = spec.partition(":")
+    cfg = PipelineConfig(backend=kind, profile=profile or "generic", seed=0, rho=rho,
+                         t_jaccard=t_jaccard, strategy=strategy)
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    outputs = []
+    for reference in (True, False):
+        with monkeypatch.context() as patch:
+            backend = make_backend(kind, profile or "generic", seed=0)
+            if reference:
+                patch.setattr(intersect, "_ve_counts", _reference_ve_counts)
+                if not backend.caps.native_eq:
+                    patch.setattr(Machine, "eeq", reference_eeq)
+            backend.enable_trace()
+            result = run_pper_from_uploads(u1, u2, cfg, backend=backend)
+            transcript = [(o.role, o.kind, np.asarray(o.value).tobytes())
+                          for o in result.transcript]
+            rounds = backend.round_stats().to_csv() if kind == "mpc" else None
+            outputs.append((result.strategy, result.matches, backend.ledger.to_csv(),
+                            result.trace, transcript, rounds))
+            backend.close()
+    assert outputs[0][0] is Strategy.VE and outputs[0][1]  # VE links some pairs
+    assert outputs[1] == outputs[0]
 
 
 def test_leakage_budget_p3_transcript():
