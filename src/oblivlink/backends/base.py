@@ -72,11 +72,16 @@ def segment_sum(v: np.ndarray, width: int, lengths) -> np.ndarray:
     empty run gives a zero row.  Linear, so it applies to additive shares
     as it does to values (uint64 sums wrap)."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    rows = v.reshape(int(lengths.sum()), width)
+    ends = np.cumsum(lengths)
+    rows = v.reshape(int(ends[-1]) if len(ends) else 0, width)
+    starts = ends - lengths
+    if len(lengths) and lengths.all():
+        # no run is empty: one reduceat gives every row
+        with np.errstate(over="ignore"):
+            return np.add.reduceat(rows, starts, axis=0)
     out = np.zeros((len(lengths), width), dtype=v.dtype)
     full = lengths > 0
     if full.any():
-        starts = np.cumsum(lengths) - lengths
         with np.errstate(over="ignore"):
             out[full] = np.add.reduceat(rows, starts[full], axis=0)
     return out

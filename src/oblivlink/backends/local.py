@@ -132,7 +132,9 @@ class LocalBackend(Backend):
         return KERNELS["concat"](*parts)
 
     def segment_sum(self, v: np.ndarray, width: int, lengths: list[int]) -> np.ndarray:
-        self._record("segment_sum", v.shape, (len(lengths), width), list(lengths))
+        # the length list enters the trace only while tracing
+        meta = ((len(lengths), width), [int(n) for n in lengths]) if self.trace_enabled else ()
+        self._record("segment_sum", v.shape, *meta)
         return KERNELS["segment_sum"](v, width, lengths)
 
     def slice(self, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -172,8 +174,12 @@ class LocalBackend(Backend):
 
     def join_counts(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         self.require("join")
-        for a, b in pairs:
-            self._record("join", a.shape, b.shape)
+        # _record("join", a.shape, b.shape) per pair: one ledger tick by the
+        # pair count, and trace entries only while tracing
+        if pairs:
+            self.ledger.tick(self._stage, "join", len(pairs))
+        if self.trace_enabled:
+            self.trace.extend(("join", a.shape, b.shape) for a, b in pairs)
         return self._coerce([len(np.intersect1d(a, b, assume_unique=True)) for a, b in pairs])
 
     # -- masked reciprocal protocol ---------------------------------------------

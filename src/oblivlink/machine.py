@@ -297,7 +297,8 @@ class Machine:
         self._check_ctx(v)
         idx = np.asarray(idx, dtype=np.int64)
         size = math.prod(v.payload.shape)
-        if idx.ndim > 2 or (idx.size and (idx.min() < 0 or idx.max() >= size)):
+        # one pass: a negative index viewed as uint64 is at least 2^63
+        if idx.ndim > 2 or (idx.size and idx.view(np.uint64).max() >= size):
             raise ShapeError(f"gather of index shape {idx.shape} out of {size} slots")
         return self._wrap(self.b.take(v.payload, idx))
 
@@ -397,12 +398,13 @@ class Machine:
         """Equality-join cardinality of enc1[i] and enc2[j], unique-entry
         vectors, for every public cell (i, j), as one vector (backend join
         capability).  One backend call; the ledger and trace record one
-        ``join`` per cell, in cell order."""
-        pairs = [(enc1[i], enc2[j])
+        ``join`` per cell, in cell order.  Every handle in both lists must
+        belong to this context, whether a cell names it or not."""
+        self._check_ctx(*enc1, *enc2)
+        p1, p2 = [v.payload for v in enc1], [v.payload for v in enc2]
+        pairs = [(p1[i], p2[j])
                  for i, j in np.asarray(cells, dtype=np.int64).reshape(-1, 2).tolist()]
-        self._check_ctx(*(v for pair in pairs for v in pair))
-        return PrivateVector(self.b, self.b.join_counts([(a.payload, b.payload)
-                                                         for a, b in pairs]))
+        return PrivateVector(self.b, self.b.join_counts(pairs))
 
     def join_count(self, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
         """The one-pair case of ``join_counts``."""

@@ -30,13 +30,15 @@ class ShareRef:
     Each handle owns its hid: when the last reference to it dies, its share
     leaves every party's store.  Every primitive has finished by the time it
     returns, so no reader can still be waiting for the share.  Freeing sends
-    no message and enters neither the trace nor the ledger."""
+    no message and enters neither the trace nor the ledger.  ``shape`` is
+    a tuple of Python ints, as numpy shapes are; the backend builds every
+    other shape from ints."""
 
     __slots__ = ("hid", "shape", "_stores")
 
     def __init__(self, hid: int, shape: tuple, stores: tuple):
         self.hid = hid
-        self.shape = tuple(int(s) for s in shape)
+        self.shape = shape
         self._stores = stores
 
     def __del__(self):
@@ -75,66 +77,69 @@ class MpcBackend(Backend):
 
     # -- plumbing -----------------------------------------------------------
 
-    def _tag(self, op: str) -> tuple:
-        return (self._stage, op)
-
     def _new_ref(self, shape) -> ShareRef:
         return ShareRef(next(self._ids), shape, self._stores)
 
     def _local(self, op: str, srcs: list[ShareRef], shape, *args, meta: tuple = ()):
         """A linear primitive: each party applies the kernel to its own
         components; no message is sent."""
-        self._record(op, *(s.shape for s in srcs), *meta)
+        self._record(op, *[s.shape for s in srcs], *meta)
         out = self._new_ref(shape)
         kernel = KERNELS[op]
+        hids = [s.hid for s in srcs]
         with np.errstate(over="ignore"):
-            for p in self.parties:
-                p.store[out.hid] = kernel(*(p.store[s.hid] for s in srcs), *args)
+            for store in self._stores:
+                store[out.hid] = kernel(*[store[h] for h in hids], *args)
         return out
 
     def _beaver(self, op: str, a: ShareRef, b: ShareRef, shape):
         self._record(op, a.shape, b.shape)
-        tag = self._tag(op)
-        self.net.send(COORD, DEALER, "make_triple",
-                      {"op": op, "shape_a": a.shape, "shape_b": b.shape}, tag, data=False)
-        self.net.pump()
-        for p in self.parties:
-            p.beaver_open(a.hid, b.hid, tag)
-        self.net.pump()
-        out = self._new_ref(shape)
-        for p in self.parties:
-            p.beaver_close(op, out.hid)
-        self.net.stats.add_round(tag)
+        tag = (self._stage, op)
+        net, parties = self.net, self.parties
+        # one errstate for every hop: the actors' share arithmetic wraps
+        with np.errstate(over="ignore"):
+            net.send(COORD, DEALER, "make_triple",
+                     {"op": op, "shape_a": a.shape, "shape_b": b.shape}, tag, None)
+            net.pump()
+            for p in parties:
+                p.beaver_open(a.hid, b.hid, tag)
+            net.pump()
+            out = self._new_ref(shape)
+            for p in parties:
+                p.beaver_close(op, out.hid)
+        net.stats.add_round(tag)
         return out
 
     def _gate(self, op: str, a: ShareRef, b: ShareRef):
         self._record(op, a.shape)
-        tag = self._tag(op)
-        for p in self.parties:
-            p.gate_mask(op, a.hid, b.hid, tag)
-        self.net.pump()
-        out = self._new_ref(a.shape)
-        for p in self.parties:
-            p.gate_close(out.hid)
-        self.net.stats.add_round(tag)
+        tag = (self._stage, op)
+        net, parties = self.net, self.parties
+        with np.errstate(over="ignore"):
+            for p in parties:
+                p.gate_mask(op, a.hid, b.hid, tag)
+            net.pump()
+            out = self._new_ref(a.shape)
+            for p in parties:
+                p.gate_close(out.hid)
+        net.stats.add_round(tag)
         return out
 
     # -- enc / dec ------------------------------------------------------------
 
-    def _store(self, shape, parts) -> ShareRef:
+    def _store(self, shape, parts, tag) -> ShareRef:
         """Upload one value: each party receives its share component.  The
         caller records the ``enc``."""
         out = self._new_ref(shape)
-        tag = self._tag("enc")
+        send = self.net.send
         for name, part in zip(PARTIES, parts):
-            self.net.send(COORD, name, "store", {"dst": out.hid, "component": part}, tag)
+            send(COORD, name, "store", {"dst": out.hid, "component": part}, tag, part.nbytes)
         self.net.pump()
         return out
 
     def enc(self, value) -> ShareRef:
         arr = to_u64(value)
         self._record("enc", arr.shape)
-        return self._store(arr.shape, share3(arr, self.share_rng))
+        return self._store(arr.shape, share3(arr, self.share_rng), (self._stage, "enc"))
 
     def enc_runs(self, flat, lengths: list[int]) -> list[ShareRef]:
         arr = to_u64(flat)
@@ -143,20 +148,27 @@ class MpcBackend(Backend):
         # share3 would draw for that run alone, after the runs before it.
         words = rand_u64(self.share_rng, 2 * len(arr))
         self._record_runs("enc", lengths)
+        # flat value j, in a run of n values from lo, has its random
+        # components at words lo + j and lo + n + j: one subtraction gives
+        # every run's third component
+        counts = np.asarray(lengths, dtype=np.int64)
+        first = np.arange(len(arr)) + np.repeat(np.cumsum(counts) - counts, counts)
+        with np.errstate(over="ignore"):
+            s2 = arr - words[first] - words[first + np.repeat(counts, counts)]
+        tag = (self._stage, "enc")
         refs, lo = [], 0
         for n in lengths:
             s0, s1 = words[2 * lo:2 * lo + n], words[2 * lo + n:2 * (lo + n)]
-            with np.errstate(over="ignore"):
-                s2 = arr[lo:lo + n] - s0 - s1
-            refs.append(self._store((n,), (s0, s1, s2)))
+            refs.append(self._store((n,), (s0, s1, s2[lo:lo + n]), tag))
             lo += n
         return refs
 
     def dec(self, payload: ShareRef):
         self._record("dec", payload.shape)
-        tag = self._tag("dec")
+        tag = (self._stage, "dec")
         for p in self.parties:
-            self.net.send(p.name, COORD, "revealed", {"component": p.store[payload.hid]}, tag)
+            part = p.store[payload.hid]
+            self.net.send(p.name, COORD, "revealed", {"component": part}, tag, part.nbytes)
         self.net.pump()
         self.net.stats.add_round(tag)
         parts, self.collector.revealed = self.collector.revealed, []
@@ -203,11 +215,13 @@ class MpcBackend(Backend):
 
     def tile(self, v, times):
         self.require("repeat_elements")
-        return self._local("tile", [v], (v.shape[0] * times,), int(times))
+        times = int(times)
+        return self._local("tile", [v], (v.shape[0] * times,), times)
 
     def repeat_each(self, v, times):
         self.require("repeat_elements")
-        return self._local("repeat_each", [v], (v.shape[0] * times,), int(times))
+        times = int(times)
+        return self._local("repeat_each", [v], (v.shape[0] * times,), times)
 
     def take(self, v, idx):
         # the index is public: the parties know it, it is never sent as data
@@ -218,11 +232,16 @@ class MpcBackend(Backend):
         return self._local("concat", list(parts), (sum(p.shape[0] for p in parts),))
 
     def segment_sum(self, v, width, lengths):
-        return self._local("segment_sum", [v], (len(lengths), width), width, list(lengths),
-                           meta=((len(lengths), width), list(lengths)))
+        width = int(width)
+        shape = (len(lengths), width)
+        # the length list enters the trace only while tracing
+        meta = (shape, [int(n) for n in lengths]) if self.trace_enabled else ()
+        return self._local("segment_sum", [v], shape, width,
+                           np.asarray(lengths, dtype=np.int64), meta=meta)
 
     def slice(self, v, lo, hi):
-        return self._local("slice", [v], (hi - lo,), int(lo), int(hi))
+        lo, hi = int(lo), int(hi)
+        return self._local("slice", [v], (hi - lo,), lo, hi)
 
     def vget(self, v, i):
         return self._local("get", [v], (), int(i))

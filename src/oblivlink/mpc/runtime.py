@@ -11,59 +11,76 @@ kernels to the three share stores directly.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..backends.base import tagged_rng
-from .sharing import BeaverTriple, beaver_combine, make_triples, share3
+from .sharing import beaver_combine, make_triples, share3
 
 PARTIES = ("party0", "party1", "party2")
 DEALER = "dealer"
 COORD = "coord"
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     src: str
     dst: str
     kind: str
     payload: dict
     tag: tuple  # (stage, op) for accounting
-    data: bool  # protocol data vs. coordinator control
+    nbytes: int | None  # payload bytes of protocol data; None for control
+
+    @property
+    def data(self) -> bool:
+        """Protocol data, as opposed to coordinator control."""
+        return self.nbytes is not None
+
+
+def _zero_row() -> list[int]:
+    return [0, 0, 0]  # rounds, messages, bytes
 
 
 class RoundStats:
-    """Rounds, messages, and bytes, totalled and broken down by pipeline
-    stage and by operation kind."""
+    """Rounds, messages, and bytes: running totals, and one counter row per
+    ``(stage, op)`` tag, from which the per-stage and per-operation
+    breakdowns are derived."""
 
     def __init__(self):
         self.rounds = 0
         self.messages = 0
         self.bytes = 0
-        self.per_stage: dict[str, dict[str, float]] = {}
-        self.per_op: dict[str, dict[str, float]] = {}
-
-    def _bucket(self, table, key):
-        if key not in table:
-            table[key] = {"rounds": 0, "messages": 0, "bytes": 0}
-        return table[key]
+        self.rows: defaultdict[tuple, list[int]] = defaultdict(_zero_row)
 
     def add_round(self, tag, n: int = 1):
-        stage, op = tag
         self.rounds += n
-        self._bucket(self.per_stage, stage)["rounds"] += n
-        self._bucket(self.per_op, op)["rounds"] += n
+        self.rows[tag][0] += n
 
     def add_message(self, tag, nbytes: int):
-        stage, op = tag
         self.messages += 1
         self.bytes += nbytes
-        for table, key in ((self.per_stage, stage), (self.per_op, op)):
-            bucket = self._bucket(table, key)
-            bucket["messages"] += 1
+        row = self.rows[tag]
+        row[1] += 1
+        row[2] += nbytes
+
+    def _view(self, part: int) -> dict[str, dict[str, int]]:
+        table: dict[str, dict[str, int]] = {}
+        for tag, (rounds, messages, nbytes) in self.rows.items():
+            bucket = table.setdefault(tag[part], {"rounds": 0, "messages": 0, "bytes": 0})
+            bucket["rounds"] += rounds
+            bucket["messages"] += messages
             bucket["bytes"] += nbytes
+        return table
+
+    @property
+    def per_stage(self) -> dict[str, dict[str, int]]:
+        return self._view(0)
+
+    @property
+    def per_op(self) -> dict[str, dict[str, int]]:
+        return self._view(1)
 
     def to_csv(self) -> str:
         lines = ["scope,key,rounds,messages,bytes"]
@@ -73,16 +90,6 @@ class RoundStats:
         for op, b in sorted(self.per_op.items()):
             lines.append(f"op,{op},{b['rounds']},{b['messages']},{b['bytes']}")
         return "\n".join(lines) + "\n"
-
-
-def _payload_bytes(payload: dict) -> int:
-    total = 0
-    for v in payload.values():
-        if isinstance(v, (np.ndarray, np.generic)):
-            total += v.nbytes
-        elif isinstance(v, BeaverTriple):
-            total += v.a.nbytes + v.b.nbytes + v.c.nbytes
-    return total
 
 
 class Network:
@@ -96,29 +103,36 @@ class Network:
         self.actors: dict[str, object] = {}
 
     def send(self, src: str, dst: str, kind: str, payload: dict, tag: tuple,
-             data: bool = True):
-        env = Envelope(src, dst, kind, payload, tag, data)
-        if data:
-            self.stats.add_message(tag, _payload_bytes(payload))
+             nbytes: int | None):
+        """Queue one message.  The sender gives a data message's payload
+        size in bytes, which the stats count; control messages pass None."""
+        env = Envelope(src, dst, kind, payload, tag, nbytes)
+        if nbytes is not None:
+            self.stats.add_message(tag, nbytes)
         if self.record_log:
             self.log.append(env)
         self.queue.append(env)
 
     def pump(self):
         """Deliver until quiescent."""
-        while self.queue:
-            env = self.queue.popleft()
-            self.actors[env.dst].handle(env)
+        queue, actors = self.queue, self.actors
+        while queue:
+            env = queue.popleft()
+            actors[env.dst].handle(env)
 
 
 class PartyActor:
     """One computation party: a share store, and its side of the Beaver
     multiplication and of the dealer gates.  Protocol data that arrives
-    during a hop waits in ``inbox`` until the party's next step reads it."""
+    during a hop waits in ``inbox`` until the party's next step reads it.
+    The backend runs each Beaver or gate primitive, all its hops included,
+    inside one ``np.errstate(over="ignore")``, so share arithmetic here
+    wraps without warnings."""
 
     def __init__(self, pid: int, net: Network, mask_seed):
         self.pid = pid
         self.name = PARTIES[pid]
+        self.peers = tuple(p for p in PARTIES if p != self.name)
         self.net = net
         self.store: dict[int, np.ndarray] = {}
         # Mask randomness shared by all parties (never by the dealer); the
@@ -126,10 +140,6 @@ class PartyActor:
         self.mask_rng = tagged_rng("party-mask", mask_seed)
         self.inbox: list[dict] = []
         self._masking: tuple | None = None
-
-    @property
-    def peers(self):
-        return [p for p in PARTIES if p != self.name]
 
     def handle(self, env: Envelope):
         if env.kind == "store":
@@ -148,36 +158,34 @@ class PartyActor:
         d = x - a, e = y - b to the peers."""
         (msg,) = self._received()
         triple = msg["triple"]
-        with np.errstate(over="ignore"):
-            d = self.store[h1] - triple.a
-            e = self.store[h2] - triple.b
+        d = self.store[h1] - triple.a
+        e = self.store[h2] - triple.b
+        nbytes = d.nbytes + e.nbytes
         for peer in self.peers:
-            self.net.send(self.name, peer, "open", {"d": d, "e": e}, tag)
+            self.net.send(self.name, peer, "open", {"d": d, "e": e}, tag, nbytes)
         self._masking = (triple, d, e)
 
     def beaver_close(self, op: str, dst: int):
         """Sum the peers' maskings into the opened d, e and combine."""
         triple, d, e = self._masking
         self._masking = None
-        with np.errstate(over="ignore"):
-            for msg in self._received():
-                d = d + msg["d"]
-                e = e + msg["e"]
+        for msg in self._received():
+            d = d + msg["d"]
+            e = e + msg["e"]
         self.store[dst] = beaver_combine(op, self.pid, triple, d, e)
 
     def gate_mask(self, op: str, h1: int, h2: int, tag):
         """Send the dealer this party's share of the masked difference."""
-        with np.errstate(over="ignore"):
-            diff = self.store[h1] - self.store[h2]
+        diff = self.store[h1] - self.store[h2]
         if op == "eq":
             # odd multiplicative mask: r*diff == 0 iff diff == 0
             r = (self.mask_rng.integers(0, 1 << 63, size=diff.shape, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
         else:
             # bounded positive mask keeps the sign of small differences
             r = self.mask_rng.integers(1, 1 << 30, size=diff.shape, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            masked = r * diff
-        self.net.send(self.name, DEALER, "masked", {"op": op, "fragment": masked}, tag)
+        masked = r * diff
+        self.net.send(self.name, DEALER, "masked", {"op": op, "fragment": masked}, tag,
+                      masked.nbytes)
 
     def gate_close(self, dst: int):
         (msg,) = self._received()
@@ -186,7 +194,8 @@ class PartyActor:
 
 class DealerActor:
     """Trusted dealer: Beaver triples on request, and the idealized
-    equality / comparison gates over masked differences."""
+    equality / comparison gates over masked differences.  It runs inside
+    the requesting primitive's ``np.errstate``, as the parties do."""
 
     def __init__(self, net: Network, seed):
         self.name = DEALER
@@ -198,24 +207,26 @@ class DealerActor:
         if env.kind == "make_triple":
             p = env.payload
             triples = make_triples(p["op"], p["shape_a"], p["shape_b"], self.rng)
-            for pid, name in enumerate(PARTIES):
-                self.net.send(self.name, name, "triple", {"triple": triples[pid]}, env.tag)
+            t = triples[0]
+            nbytes = t.a.nbytes + t.b.nbytes + t.c.nbytes
+            for name, triple in zip(PARTIES, triples):
+                self.net.send(self.name, name, "triple", {"triple": triple}, env.tag, nbytes)
             return
         if env.kind == "masked":
             self._fragments.append(env.payload["fragment"])
             if len(self._fragments) < 3:
                 return
             frags, self._fragments = self._fragments, []
-            with np.errstate(over="ignore"):
-                total = np.asarray(frags[0] + frags[1] + frags[2])
+            total = np.asarray(frags[0] + frags[1] + frags[2])
             if env.payload["op"] == "eq":
                 bit = np.asarray(total == 0, dtype=np.uint64)
             else:
                 signed = total.view(np.int64)
                 bit = np.asarray(signed > 0, dtype=np.uint64)
             parts = share3(bit, self.rng)
-            for pid, name in enumerate(PARTIES):
-                self.net.send(self.name, name, "gate_result", {"share": parts[pid]}, env.tag)
+            nbytes = parts[0].nbytes
+            for name, part in zip(PARTIES, parts):
+                self.net.send(self.name, name, "gate_result", {"share": part}, env.tag, nbytes)
             return
         raise RuntimeError(f"dealer: unexpected message {env.kind}")
 

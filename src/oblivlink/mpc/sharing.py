@@ -25,12 +25,14 @@ def rand_u64(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def share3(value: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two uniform components plus the correcting third."""
+    """Two uniform components plus the correcting third.  Both random
+    components come from one draw: full-range draws split the stream
+    exactly, so they are the words two draws of the value's shape give."""
     value = np.asarray(value, dtype=np.uint64)
-    s0 = rand_u64(rng, value.shape)
-    s1 = rand_u64(rng, value.shape)
-    with np.errstate(over="ignore"):
-        s2 = value - s0 - s1
+    words = rand_u64(rng, (2,) + value.shape)
+    s0, s1 = words[0, ...], words[1, ...]
+    # ufuncs wrap mod 2^64 without overflow warnings, even on scalars
+    s2 = np.subtract(np.subtract(value, s0), s1)
     return s0, s1, s2
 
 
@@ -63,10 +65,10 @@ def make_triples(op: str, shape_a, shape_b, rng: np.random.Generator) -> list[Be
 
 def beaver_combine(op: str, pid: int, triple: BeaverTriple,
                    d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Party-local share of x*y from the opened maskings d = x-a, e = y-b."""
-    with np.errstate(over="ignore"):
-        form = KERNELS[op]
-        z = triple.c + form(d, triple.b) + form(triple.a, e)
-        if pid == 0:
-            z = z + form(d, e)
+    """Party-local share of x*y from the opened maskings d = x-a, e = y-b.
+    The sums are ufunc calls, which wrap without overflow warnings."""
+    form = KERNELS[op]
+    z = np.add(np.add(triple.c, form(d, triple.b)), form(triple.a, e))
+    if pid == 0:
+        z = np.add(z, form(d, e))
     return z

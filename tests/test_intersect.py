@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oblivlink import (CapabilityError, JaccardParams, Machine, Strategy,
+from oblivlink import (CapabilityError, ContextMismatchError, JaccardParams, Machine, Strategy,
                        intersection_size, jaccard_match,
                        pick_strategy, supported_strategies, zero_count)
 from oblivlink.intersect import (_ve_counts, estimated_cost, isect_so, isect_vr,
@@ -123,8 +123,23 @@ def test_join_counts_equal_set_intersections(spec, rows, cols, data):
     counts = mach.join_counts(enc1, enc2, cells)
     # one join per cell, in cell order, as many one-pair joins record
     assert b.trace == [("join", (len(rows[i]),), (len(cols[j]),)) for i, j in cells]
+    assert b.ledger.counts.get(("main", "join")) == (len(cells) or None)
     assert dec_round(mach, auth, counts) == [len(rows[i] & cols[j]) for i, j in cells]
     b.close()
+
+
+def test_join_counts_refuses_a_foreign_handle_in_either_list():
+    # each list is checked whole, whether a cell names the handle or not
+    mach, _, b = open_machine("clear")
+    other, _, other_b = open_machine("clear")
+    v, foreign = mach.enc([1, 2]), other.enc([2])
+    b.enable_trace()
+    for enc1, enc2 in (([v, foreign], [v]), ([v], [v, foreign])):
+        with pytest.raises(ContextMismatchError):
+            mach.join_counts(enc1, enc2, [(0, 0)])
+    assert b.trace == []
+    b.close()
+    other_b.close()
 
 
 @pytest.mark.parametrize("spec", ["sim:generic", "sim:simd", "mpc"])

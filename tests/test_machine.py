@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from oblivlink import (AuthorityError, ContextMismatchError, Machine, ShapeError,
                        TaintViolation, TAU_BOOL, TAU_NUM, XI_DEFAULT, make_backend)
+from oblivlink.backends.base import KERNELS
 from oblivlink.machine import slot_runs
 
 from conftest import (ALL_BACKENDS, EXACT_BACKENDS, LOCAL_EXACT, dec_round, open_machine,
@@ -439,3 +440,71 @@ def test_slot_runs_greedy_within_bound():
                                                              range(2, 3), range(3, 4)]
     assert slot_runs([(1, 2), (2, 1), (4, 3)], 6) == [range(0, 2), range(2, 3)]
     assert slot_runs([], 6) == []
+
+
+def _take_refused_reference(idx, size):
+    """The two-pass bounds check ``Machine.take`` made before it scanned the
+    index once, kept as the reference."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return bool(idx.ndim > 2 or (idx.size and (idx.min() < 0 or idx.max() >= size)))
+
+
+@pytest.mark.parametrize("source, idx", [
+    ([5, 6, 7, 8, 9], [4]),                         # the last slot, size - 1
+    ([5, 6, 7, 8, 9], [5]),                         # one past it
+    ([5, 6, 7, 8, 9], [-1]),
+    ([5, 6, 7, 8, 9], [0, -(1 << 63)]),             # the most negative index
+    ([5, 6, 7, 8, 9], [(1 << 63) - 1]),
+    ([5, 6, 7, 8, 9], [[0, 4], [4, 0]]),
+    ([5, 6, 7, 8, 9], [[[0]]]),                     # three dimensions
+    ([5, 6, 7, 8, 9], np.zeros((0,), dtype=np.int64)),
+    ([5, 6, 7, 8, 9], np.zeros((0, 3), dtype=np.int64)),
+    ([5, 6, 7, 8, 9], np.zeros((0, 0, 0), dtype=np.int64)),
+    ([[1, 2, 3], [4, 5, 6]], [5, 0]),               # a matrix is read row-major
+    ([[1, 2, 3], [4, 5, 6]], [6]),
+    ([], [0]),
+    ([], np.zeros((0,), dtype=np.int64)),
+])
+def test_take_bounds_check_refuses_what_the_two_pass_check_refused(clear_machine,
+                                                                   source, idx):
+    mach, auth = clear_machine
+    v = mach.enc(source)
+    size = int(np.asarray(source).size)
+    if _take_refused_reference(idx, size):
+        with pytest.raises(ShapeError):
+            mach.take(v, idx)
+    else:
+        flat = np.asarray(source, dtype=np.int64).reshape(-1)
+        assert mach.dec(mach.take(v, idx), auth) == flat[np.asarray(idx, dtype=np.int64)].tolist()
+
+
+def _segment_sum_reference(v, width, lengths):
+    """The segment-sum kernel as it was before its one-reduceat case: a
+    zero matrix, filled at the nonempty runs."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    rows = v.reshape(int(lengths.sum()), width)
+    out = np.zeros((len(lengths), width), dtype=v.dtype)
+    full = lengths > 0
+    if full.any():
+        starts = np.cumsum(lengths) - lengths
+        with np.errstate(over="ignore"):
+            out[full] = np.add.reduceat(rows, starts[full], axis=0)
+    return out
+
+
+@given(lengths=st.lists(st.integers(0, 4), max_size=6), width=st.integers(0, 3),
+       use_float=st.booleans(), data=st.data())
+def test_segment_sum_kernel_equals_the_zero_matrix_kernel(lengths, width, use_float, data):
+    # empty runs or none, width 0, 1 and above, uint64 sums that wrap past
+    # 2^64 and float64 sums in the kernel's own order
+    n = sum(lengths) * width
+    if use_float:
+        elems = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+        v = np.array(data.draw(st.lists(elems, min_size=n, max_size=n)), dtype=np.float64)
+    else:
+        elems = st.integers(0, (1 << 64) - 1)
+        v = np.array(data.draw(st.lists(elems, min_size=n, max_size=n)), dtype=np.uint64)
+    got = KERNELS["segment_sum"](v, width, lengths)
+    want = _segment_sum_reference(v, width, lengths)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

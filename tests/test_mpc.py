@@ -14,7 +14,7 @@ from oblivlink import (DomainError, JaccardParams, Machine, PipelineConfig, Shap
 from oblivlink.backends import base
 from oblivlink.backends.base import KERNELS
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
-from oblivlink.mpc.sharing import beaver_combine, make_triples, rand_u64
+from oblivlink.mpc.sharing import BeaverTriple, beaver_combine, make_triples, rand_u64
 
 from conftest import ALL_BACKENDS, EXACT_BACKENDS, dec_round, open_machine
 
@@ -529,6 +529,56 @@ def test_take_trace_holds_shapes_not_indices():
         return out
 
     assert trace([2, 0]) == trace([1, 1]) == [("enc", (3,)), ("take", (3,), (2,))]
+
+
+def _payload_bytes(payload: dict) -> int:
+    """The receiver-side scan of every payload that the runtime made before
+    senders passed the byte count, kept as the reference."""
+    total = 0
+    for v in payload.values():
+        if isinstance(v, (np.ndarray, np.generic)):
+            total += v.nbytes
+        elif isinstance(v, BeaverTriple):
+            total += v.a.nbytes + v.b.nbytes + v.c.nbytes
+    return total
+
+
+def test_senders_count_each_message_and_the_tags_give_rounds_csv():
+    d1, d2, _ = generate_dataset(0, 60)
+    b = MpcBackend(seed=0, record_messages=True)
+    run_pper(d1, d2, PipelineConfig(backend="mpc"), backend=b)
+    # per tag: messages, bytes, and the round-closing messages of each
+    # primitive (a Beaver product's one control request, a gate's three
+    # masked fragments, a reveal's three components)
+    rows: dict[tuple, list] = {}
+    for env in b.net.log:
+        row = rows.setdefault(env.tag, [0, 0, 0])
+        if not env.data:
+            assert env.kind == "make_triple" and env.nbytes is None
+            row[0] += 1
+            continue
+        assert env.nbytes == _payload_bytes(env.payload), (env.kind, env.tag)
+        row[1] += 1
+        row[2] += env.nbytes
+        if env.kind in ("masked", "revealed"):
+            row[0] += Fraction(1, 3)
+    assert {"store", "triple", "open", "masked", "gate_result", "revealed"} <= \
+        {env.kind for env in b.net.log}
+
+    def sums(part):
+        out: dict[str, list] = {}
+        for tag, row in rows.items():
+            total = out.setdefault(tag[part], [0, 0, 0])
+            for k in range(3):
+                total[k] += row[k]
+        return sorted(out.items())
+
+    totals = [sum(row[k] for row in rows.values()) for k in range(3)]
+    lines = ["scope,key,rounds,messages,bytes", "total,all," + ",".join(map(str, totals))]
+    for scope, part in (("stage", 0), ("op", 1)):
+        lines += [f"{scope},{key},{r},{m},{n}" for key, (r, m, n) in sums(part)]
+    assert b.round_stats().to_csv() == "\n".join(lines) + "\n"
+    b.close()
 
 
 def test_rounds_csv_export():
