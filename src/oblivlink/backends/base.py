@@ -167,8 +167,8 @@ def _matmul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # matmul).  Applied to additive shares, a linear kernel computes shares of
 # its result (a rotation's public fill is party 0's share), so the local
 # backends run the kernels on values, the mpc parties on their share
-# components and Beaver multiplication on its openings.  Callers on
-# wrapping uint64 payloads ignore overflow.
+# components and Beaver multiplication on its openings.  On uint64 payloads
+# the kernels wrap without overflow warnings.
 KERNELS = {
     "add": np.add,
     "sub": np.subtract,
@@ -188,6 +188,16 @@ KERNELS = {
     "get": lambda v, i: np.asarray(v[i]),
     "broadcast": lambda s, shape: np.broadcast_to(s, shape).copy(),
     "stack": lambda *rows: np.stack(rows),
+}
+
+# The result shape of each bilinear form, from its operands' shapes: public,
+# so a backend and the mpc dealer derive it before any payload exists.
+PRODUCT_SHAPES = {
+    "mul": lambda sa, sb: sa,
+    "dot": lambda sa, sb: (),
+    "outer": lambda sa, sb: (sa[0], sb[0]),
+    "vecmat": lambda sa, sb: (sb[1],),
+    "matmul": lambda sa, sb: (sa[0], sb[1]),
 }
 
 
@@ -366,15 +376,27 @@ def assert_oblivious(trace_a: list, trace_b: list):
 
 
 class Backend:
-    """Common machinery: identity, ledger, trace, transcript, authorities.
+    """Common machinery (identity, ledger, trace, transcript, authorities)
+    and the one definition of each primitive that all backends share.
 
-    Concrete backends implement the primitive methods; every primitive must
-    call ``_record`` with its name and public shape metadata so that cost
-    accounting and the obliviousness trace stay in lockstep.
+    A shared primitive checks its capability, records its op and public
+    metadata, computes its result's shape, and hands the payloads to a hook
+    of the concrete backend: ``_linear(op, srcs, shape, *args)`` for linear
+    and structural kernels, ``_bilinear(op, a, b, shape)`` for products,
+    ``_compare(op, a, b)`` for the ``eq``/``gt`` gates, and ``_rotate(v, k,
+    cyclic, fill)``.  So every backend records the same ledger and trace.
+    Public arguments (indices, counts, widths, shapes) arrive as Python ints
+    and bools, which ``Machine`` makes them.
+
+    ``enc``, ``enc_runs`` and ``dec`` are per backend.  The optional
+    primitives (sort, join, masked reciprocal, approximate equality) only
+    check their capability here, and a backend that has it overrides them.
     """
 
     kind = "abstract"
     profile = "generic"
+    # only the cleartext oracle lets debug checks peek at payloads
+    is_oracle = False
     # largest |a - b| the comparison gate keeps the sign of; None when any
     # difference in the domain is compared correctly
     compare_bound: int | None = None
@@ -407,13 +429,14 @@ class Backend:
         if self.trace_enabled:
             self.trace.append((op,) + meta)
 
-    def _record_runs(self, op: str, lengths: list[int]):
-        """``_record(op, (n,))`` for each run length n, in order: one ledger
-        tick by the run count, and trace entries only while tracing."""
-        if lengths:
-            self.ledger.tick(self._stage, op, len(lengths))
+    def _record_each(self, op: str, count: int, metas):
+        """``_record(op, *meta)`` for each of ``count`` meta tuples, in order:
+        one ledger tick by the count, and ``metas`` (an iterable of the
+        tuples) read only while tracing."""
+        if count:
+            self.ledger.tick(self._stage, op, count)
         if self.trace_enabled:
-            self.trace.extend((op, (n,)) for n in lengths)
+            self.trace.extend((op,) + meta for meta in metas)
 
     def enable_trace(self, on: bool = True):
         self.trace_enabled = on
@@ -457,6 +480,117 @@ class Backend:
     def require_domain(self, domain: str, why: str):
         if self.domain != domain:
             raise DomainError(f"{why} requires {domain} domain, backend is {self.domain}")
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _product(self, op: str, a, b, *meta):
+        self._record(op, *meta)
+        return self._bilinear(op, a, b, PRODUCT_SHAPES[op](a.shape, b.shape))
+
+    def add(self, a, b):
+        self._record("add", a.shape)
+        return self._linear("add", (a, b), a.shape)
+
+    def sub(self, a, b):
+        self._record("sub", a.shape)
+        return self._linear("sub", (a, b), a.shape)
+
+    def mul(self, a, b):
+        return self._product("mul", a, b, a.shape)
+
+    def dot(self, a, b):
+        return self._product("dot", a, b, a.shape)
+
+    def matmul(self, a, b):
+        return self._product("matmul", a, b, a.shape, b.shape)
+
+    def vecmat(self, v, m):
+        return self._product("vecmat", v, m, v.shape, m.shape)
+
+    def outer(self, col, row):
+        return self._product("outer", col, row, col.shape, row.shape)
+
+    def transpose(self, m):
+        self._record("transpose", m.shape)
+        return self._linear("transpose", (m,), m.shape[::-1])
+
+    # -- structure -------------------------------------------------------------
+
+    def rotate(self, v, k: int, cyclic: bool = True, fill=None):
+        self.require("rotation")
+        self._record("rotate", v.shape, k, cyclic)
+        return self._rotate(v, k, cyclic, fill)
+
+    def tile(self, v, times: int):
+        self.require("repeat_elements")
+        self._record("tile", v.shape, times)
+        return self._linear("tile", (v,), (v.shape[0] * times,), times)
+
+    def repeat_each(self, v, times: int):
+        self.require("repeat_elements")
+        self._record("repeat_each", v.shape, times)
+        return self._linear("repeat_each", (v,), (v.shape[0] * times,), times)
+
+    def take(self, v, idx: np.ndarray):
+        # the index is public: every party knows it, and the trace holds its
+        # shape only
+        self.require("repeat_elements")
+        self._record("take", v.shape, idx.shape)
+        return self._linear("take", (v,), idx.shape, idx)
+
+    def concat(self, *parts):
+        self._record("concat", *(p.shape for p in parts))
+        return self._linear("concat", parts, (sum(p.shape[0] for p in parts),))
+
+    def segment_sum(self, v, width: int, lengths: list[int]):
+        shape = (len(lengths), width)
+        # the length list enters the trace only while tracing
+        meta = (shape, list(lengths)) if self.trace_enabled else ()
+        self._record("segment_sum", v.shape, *meta)
+        return self._linear("segment_sum", (v,), shape, width,
+                            np.asarray(lengths, dtype=np.int64))
+
+    def slice(self, v, lo: int, hi: int):
+        self._record("slice", v.shape, lo, hi)
+        return self._linear("slice", (v,), (hi - lo,), lo, hi)
+
+    def vget(self, v, i: int):
+        self._record("get", v.shape, i)
+        return self._linear("get", (v,), (), i)
+
+    def broadcast(self, s, shape: tuple):
+        self._record("broadcast", shape)
+        return self._linear("broadcast", (s,), shape, shape)
+
+    def stack(self, rows):
+        self._record("stack", (len(rows),))
+        return self._linear("stack", rows, (len(rows),) + rows[0].shape)
+
+    # -- gates -------------------------------------------------------------------
+
+    def eq(self, a, b):
+        self.require("native_eq")
+        self._record("eq", a.shape)
+        return self._compare("eq", a, b)
+
+    def gt(self, a, b):
+        self.require("compare")
+        self._record("gt", a.shape)
+        return self._compare("gt", a, b)
+
+    # -- optional primitives: a backend with the capability overrides them ------
+
+    def sort(self, v):
+        self.require("sort")
+
+    def join_counts(self, pairs):
+        self.require("join")
+
+    def masked_reciprocal(self, x, helper_role: str = "P3"):
+        self.require("division")
+
+    def approx_eq(self, a, b):
+        self.require("division")
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -5,7 +5,9 @@ and (uniquely) a ``peek`` hook so debug-mode precondition checks can inspect
 payloads.  ``SimBackend`` is the cost-accounting oblivious simulator: same
 numerics, but capabilities restricted by profile and leakage surfaced through
 the transcript.  Neither performs real encryption; opacity is enforced at the
-machine layer and audited via trace/transcript.
+machine layer and audited via trace/transcript.  The primitives they share
+with every backend are defined on ``Backend``; here their hooks apply the
+numpy kernels to the values themselves.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS,
 
 
 class LocalBackend(Backend):
-    """Shared numpy implementation of the primitive layer.
+    """The primitive layer over numpy values, and the optional primitives
+    (sort, join, masked reciprocal, approximate equality).
 
     Exact domain payloads are wrapping ``uint64`` arrays (two's complement
     view for signed semantics); approximate domain payloads are ``float64``.
     """
-
-    is_oracle = False
 
     # -- payload coercion --------------------------------------------------
 
@@ -53,7 +54,7 @@ class LocalBackend(Backend):
     def enc_runs(self, flat, lengths: list[int]) -> list[np.ndarray]:
         # one coercion; each run's payload is a slice of it
         payload = self._coerce(flat)
-        self._record_runs("enc", lengths)
+        self._record_each("enc", len(lengths), (((n,),) for n in lengths))
         ends = list(itertools.accumulate(lengths))
         return [payload[hi - n:hi] for n, hi in zip(lengths, ends)]
 
@@ -63,107 +64,26 @@ class LocalBackend(Backend):
             return lift_signed(payload)
         return payload.tolist()
 
-    # -- element-wise arithmetic ----------------------------------------------
+    # -- the shared primitives' hooks ------------------------------------------
+    # uint64 ufuncs wrap without warnings, so a linear kernel runs bare; the
+    # products also silence float64 overflow, where values square
 
-    def _ew(self, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self._record(op, a.shape)
+    def _linear(self, op: str, srcs, shape, *args) -> np.ndarray:
+        return KERNELS[op](*srcs, *args)
+
+    def _bilinear(self, op: str, a: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
         with np.errstate(over="ignore"):
             return KERNELS[op](a, b)
 
-    def add(self, a, b):
-        return self._ew("add", a, b)
+    def _compare(self, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if op == "eq":
+            return self._bits(a == b)
+        return self._bits(self._signed(a) > self._signed(b))
 
-    def sub(self, a, b):
-        return self._ew("sub", a, b)
-
-    def mul(self, a, b):
-        return self._ew("mul", a, b)
-
-    # -- linear algebra ------------------------------------------------------
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self._record("dot", a.shape)
-        with np.errstate(over="ignore"):
-            return KERNELS["dot"](a, b)
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self._record("matmul", a.shape, b.shape)
-        with np.errstate(over="ignore"):
-            return KERNELS["matmul"](a, b)
-
-    def vecmat(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
-        self._record("vecmat", v.shape, m.shape)
-        with np.errstate(over="ignore"):
-            return KERNELS["vecmat"](v, m)
-
-    def outer(self, col: np.ndarray, row: np.ndarray) -> np.ndarray:
-        self._record("outer", col.shape, row.shape)
-        with np.errstate(over="ignore"):
-            return KERNELS["outer"](col, row)
-
-    def transpose(self, m: np.ndarray) -> np.ndarray:
-        self._record("transpose", m.shape)
-        return KERNELS["transpose"](m)
-
-    # -- vector structure ------------------------------------------------------
-
-    def rotate(self, v: np.ndarray, k: int, cyclic: bool = True, fill=None) -> np.ndarray:
-        self.require("rotation")
-        self._record("rotate", v.shape, k, cyclic)
+    def _rotate(self, v: np.ndarray, k: int, cyclic: bool, fill) -> np.ndarray:
         return KERNELS["rotate"](v, k, cyclic, None if cyclic else self._coerce(fill))
 
-    def tile(self, v: np.ndarray, times: int) -> np.ndarray:
-        self.require("repeat_elements")
-        self._record("tile", v.shape, times)
-        return KERNELS["tile"](v, times)
-
-    def repeat_each(self, v: np.ndarray, times: int) -> np.ndarray:
-        self.require("repeat_elements")
-        self._record("repeat_each", v.shape, times)
-        return KERNELS["repeat_each"](v, times)
-
-    def take(self, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        self.require("repeat_elements")
-        self._record("take", v.shape, idx.shape)
-        return KERNELS["take"](v, idx)
-
-    def concat(self, *parts: np.ndarray) -> np.ndarray:
-        self._record("concat", *(p.shape for p in parts))
-        return KERNELS["concat"](*parts)
-
-    def segment_sum(self, v: np.ndarray, width: int, lengths: list[int]) -> np.ndarray:
-        # the length list enters the trace only while tracing
-        meta = ((len(lengths), width), [int(n) for n in lengths]) if self.trace_enabled else ()
-        self._record("segment_sum", v.shape, *meta)
-        return KERNELS["segment_sum"](v, width, lengths)
-
-    def slice(self, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        self._record("slice", v.shape, lo, hi)
-        return KERNELS["slice"](v, lo, hi)
-
-    def vget(self, v: np.ndarray, i: int) -> np.ndarray:
-        self._record("get", v.shape, i)
-        return KERNELS["get"](v, i)
-
-    def broadcast(self, s: np.ndarray, shape) -> np.ndarray:
-        self._record("broadcast", tuple(shape))
-        return KERNELS["broadcast"](s, shape)
-
-    def stack(self, rows) -> np.ndarray:
-        self._record("stack", (len(rows),))
-        return KERNELS["stack"](*rows)
-
-    # -- gates ---------------------------------------------------------------
-
-    def eq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.require("native_eq")
-        self._record("eq", a.shape)
-        return self._bits(a == b)
-
-    def gt(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.require("compare")
-        self._record("gt", a.shape)
-        return self._bits(self._signed(a) > self._signed(b))
+    # -- optional primitives ---------------------------------------------------
 
     def sort(self, v: np.ndarray) -> np.ndarray:
         self.require("sort")
@@ -174,12 +94,7 @@ class LocalBackend(Backend):
 
     def join_counts(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         self.require("join")
-        # _record("join", a.shape, b.shape) per pair: one ledger tick by the
-        # pair count, and trace entries only while tracing
-        if pairs:
-            self.ledger.tick(self._stage, "join", len(pairs))
-        if self.trace_enabled:
-            self.trace.extend(("join", a.shape, b.shape) for a, b in pairs)
+        self._record_each("join", len(pairs), ((a.shape, b.shape) for a, b in pairs))
         return self._coerce([len(np.intersect1d(a, b, assume_unique=True)) for a, b in pairs])
 
     # -- masked reciprocal protocol ---------------------------------------------

@@ -125,7 +125,7 @@ def pick_strategy(caps, m: int, n: int, weights=None) -> Strategy:
 
 def _debug_check_unique(mach: Machine, *vectors):
     """Uniqueness precondition; only the cleartext oracle can look."""
-    if not getattr(mach.b, "is_oracle", False):
+    if not mach.b.is_oracle:
         return
     for v in vectors:
         values = mach.b.peek(v.payload)

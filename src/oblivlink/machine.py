@@ -247,11 +247,11 @@ class Machine:
         """Shift right by a public amount; cyclic rotation by default, or
         fill vacated slots with a public sentinel when ``cyclic=False``."""
         self._check_ctx(v)
-        return PrivateVector(self.b, self.b.rotate(v.payload, int(k), cyclic, fill))
+        return PrivateVector(self.b, self.b.rotate(v.payload, int(k), bool(cyclic), fill))
 
     def lshift(self, v: PrivateVector, k: int = 1, cyclic: bool = True, fill=0):
         self._check_ctx(v)
-        return PrivateVector(self.b, self.b.rotate(v.payload, -int(k), cyclic, fill))
+        return PrivateVector(self.b, self.b.rotate(v.payload, -int(k), bool(cyclic), fill))
 
     def size(self, value):
         """Public size: length of a vector, (rows, cols) of a matrix."""
@@ -303,7 +303,12 @@ class Machine:
         return self._wrap(self.b.take(v.payload, idx))
 
     def slice(self, v: PrivateVector, lo: int, hi: int) -> PrivateVector:
+        """Slots lo to hi - 1, for public bounds 0 <= lo <= hi <= len(v);
+        others are refused before the backend records anything."""
         self._check_ctx(v)
+        lo, hi = int(lo), int(hi)
+        if not 0 <= lo <= hi <= v.length:
+            raise ShapeError(f"slice [{lo}:{hi}] of a vector of {v.length} slots")
         return PrivateVector(self.b, self.b.slice(v.payload, lo, hi))
 
     def vget(self, v: PrivateVector, i: int) -> PrivateScalar:
@@ -329,7 +334,7 @@ class Machine:
 
     def broadcast_mat(self, s: PrivateScalar, shape) -> PrivateMatrix:
         self._check_ctx(s)
-        return PrivateMatrix(self.b, self.b.broadcast(s.payload, tuple(shape)))
+        return PrivateMatrix(self.b, self.b.broadcast(s.payload, tuple(int(n) for n in shape)))
 
     def stack(self, first: PrivateScalar, *rest: PrivateScalar) -> PrivateVector:
         """The scalars joined into one vector."""

@@ -1,13 +1,14 @@
 """Backend that executes machine primitives over the three-party runtime.
 
-Values are handles into the parties' share stores; linear and structural
-operations run party-locally, multiplications consume dealer Beaver triples
-(one exchange round), and equality/ordering use the dealer gates over
-masked differences.  Every primitive runs to completion: it sends its
-messages hop by hop, pumping the network after each, so its result is in
-every party's store and no message is in flight when it returns.  Sorting,
-joins, and division are not provided, so the SO and MJ intersection
-strategies are unavailable here.
+Values are handles into the parties' share stores.  The primitives, with
+their ledger and trace entries, are defined once on ``Backend``; this
+backend supplies the hooks that run them: linear and structural operations
+party-locally, products on dealer Beaver triples (one exchange round), and
+equality/ordering on the dealer gates over masked differences.  Every
+primitive runs to completion: it sends its messages hop by hop, pumping the
+network after each, so its result is in every party's store and no message
+is in flight when it returns.  Sorting, joins, and division are not
+provided, so the SO and MJ intersection strategies are unavailable here.
 """
 
 from __future__ import annotations
@@ -54,9 +55,11 @@ class ShareRef:
 
 
 class MpcBackend(Backend):
+    """Shares in three party stores; ``enc``, ``enc_runs`` and ``dec`` move
+    them, and the four hooks compute on them."""
+
     kind = "mpc"
     profile = "3party-dealer"
-    is_oracle = False
 
     # the comparison gate preserves sign only for bounded differences
     compare_bound = 1 << 32
@@ -80,10 +83,11 @@ class MpcBackend(Backend):
     def _new_ref(self, shape) -> ShareRef:
         return ShareRef(next(self._ids), shape, self._stores)
 
-    def _local(self, op: str, srcs: list[ShareRef], shape, *args, meta: tuple = ()):
-        """A linear primitive: each party applies the kernel to its own
-        components; no message is sent."""
-        self._record(op, *[s.shape for s in srcs], *meta)
+    # -- the shared primitives' hooks ------------------------------------------
+
+    def _linear(self, op: str, srcs, shape, *args) -> ShareRef:
+        """Party-local: each party applies the kernel to its own components;
+        no message is sent."""
         out = self._new_ref(shape)
         kernel = KERNELS[op]
         hids = [s.hid for s in srcs]
@@ -92,8 +96,8 @@ class MpcBackend(Backend):
                 store[out.hid] = kernel(*[store[h] for h in hids], *args)
         return out
 
-    def _beaver(self, op: str, a: ShareRef, b: ShareRef, shape):
-        self._record(op, a.shape, b.shape)
+    def _bilinear(self, op: str, a: ShareRef, b: ShareRef, shape) -> ShareRef:
+        """A Beaver product: one dealer triple and one exchange round."""
         tag = (self._stage, op)
         net, parties = self.net, self.parties
         # one errstate for every hop: the actors' share arithmetic wraps
@@ -110,8 +114,8 @@ class MpcBackend(Backend):
         net.stats.add_round(tag)
         return out
 
-    def _gate(self, op: str, a: ShareRef, b: ShareRef):
-        self._record(op, a.shape)
+    def _compare(self, op: str, a: ShareRef, b: ShareRef) -> ShareRef:
+        """The dealer gate over the parties' masked differences."""
         tag = (self._stage, op)
         net, parties = self.net, self.parties
         with np.errstate(over="ignore"):
@@ -122,6 +126,14 @@ class MpcBackend(Backend):
             for p in parties:
                 p.gate_close(out.hid)
         net.stats.add_round(tag)
+        return out
+
+    def _rotate(self, v: ShareRef, k: int, cyclic: bool, fill) -> ShareRef:
+        out = self._new_ref(v.shape)
+        # a public fill is party 0's component of it; the others fill zeros
+        fills = (to_u64(0 if fill is None else int(fill)), np.uint64(0), np.uint64(0))
+        for p, part in zip(self.parties, fills):
+            p.store[out.hid] = KERNELS["rotate"](p.store[v.hid], k, cyclic, part)
         return out
 
     # -- enc / dec ------------------------------------------------------------
@@ -147,7 +159,7 @@ class MpcBackend(Backend):
         # words per value, run k's two random components are the words
         # share3 would draw for that run alone, after the runs before it.
         words = rand_u64(self.share_rng, 2 * len(arr))
-        self._record_runs("enc", lengths)
+        self._record_each("enc", len(lengths), (((n,),) for n in lengths))
         # flat value j, in a run of n values from lo, has its random
         # components at words lo + j and lo + n + j: one subtraction gives
         # every run's third component
@@ -173,108 +185,6 @@ class MpcBackend(Backend):
         self.net.stats.add_round(tag)
         parts, self.collector.revealed = self.collector.revealed, []
         return lift_signed(reconstruct3(parts).reshape(payload.shape))
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def add(self, a, b):
-        return self._local("add", [a, b], a.shape)
-
-    def sub(self, a, b):
-        return self._local("sub", [a, b], a.shape)
-
-    def mul(self, a, b):
-        return self._beaver("mul", a, b, a.shape)
-
-    def dot(self, a, b):
-        return self._beaver("dot", a, b, ())
-
-    def matmul(self, a, b):
-        return self._beaver("matmul", a, b, (a.shape[0], b.shape[1]))
-
-    def vecmat(self, v, m):
-        return self._beaver("vecmat", v, m, (m.shape[1],))
-
-    def outer(self, col, row):
-        return self._beaver("outer", col, row, (col.shape[0], row.shape[0]))
-
-    def transpose(self, m):
-        return self._local("transpose", [m], tuple(reversed(m.shape)))
-
-    # -- structure -----------------------------------------------------------------
-
-    def rotate(self, v, k, cyclic=True, fill=None):
-        self.require("rotation")
-        k, cyclic = int(k), bool(cyclic)
-        self._record("rotate", v.shape, k, cyclic)
-        out = self._new_ref(v.shape)
-        # a public fill is party 0's component of it; the others fill zeros
-        fills = (to_u64(0 if fill is None else int(fill)), np.uint64(0), np.uint64(0))
-        for p, part in zip(self.parties, fills):
-            p.store[out.hid] = KERNELS["rotate"](p.store[v.hid], k, cyclic, part)
-        return out
-
-    def tile(self, v, times):
-        self.require("repeat_elements")
-        times = int(times)
-        return self._local("tile", [v], (v.shape[0] * times,), times)
-
-    def repeat_each(self, v, times):
-        self.require("repeat_elements")
-        times = int(times)
-        return self._local("repeat_each", [v], (v.shape[0] * times,), times)
-
-    def take(self, v, idx):
-        # the index is public: the parties know it, it is never sent as data
-        self.require("repeat_elements")
-        return self._local("take", [v], idx.shape, idx, meta=(idx.shape,))
-
-    def concat(self, *parts):
-        return self._local("concat", list(parts), (sum(p.shape[0] for p in parts),))
-
-    def segment_sum(self, v, width, lengths):
-        width = int(width)
-        shape = (len(lengths), width)
-        # the length list enters the trace only while tracing
-        meta = (shape, [int(n) for n in lengths]) if self.trace_enabled else ()
-        return self._local("segment_sum", [v], shape, width,
-                           np.asarray(lengths, dtype=np.int64), meta=meta)
-
-    def slice(self, v, lo, hi):
-        lo, hi = int(lo), int(hi)
-        return self._local("slice", [v], (hi - lo,), lo, hi)
-
-    def vget(self, v, i):
-        return self._local("get", [v], (), int(i))
-
-    def broadcast(self, s, shape):
-        shape = tuple(int(x) for x in shape)
-        return self._local("broadcast", [s], shape, shape)
-
-    def stack(self, rows):
-        inner = rows[0].shape
-        return self._local("stack", list(rows), (len(rows),) + inner)
-
-    # -- gates ------------------------------------------------------------------------
-
-    def eq(self, a, b):
-        self.require("native_eq")
-        return self._gate("eq", a, b)
-
-    def gt(self, a, b):
-        self.require("compare")
-        return self._gate("gt", a, b)
-
-    def sort(self, v):
-        self.require("sort")
-
-    def join_counts(self, pairs):
-        self.require("join")
-
-    def masked_reciprocal(self, x, helper_role: str = "P3"):
-        self.require("division")
-
-    def approx_eq(self, a, b):
-        self.require("division")
 
     # -- stats ----------------------------------------------------------------------
 

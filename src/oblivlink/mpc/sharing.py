@@ -10,11 +10,12 @@ kernel table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends.base import KERNELS
+from ..backends.base import KERNELS, PRODUCT_SHAPES
 
 U64 = np.uint64
 FULL_RANGE = 1 << 64
@@ -53,14 +54,22 @@ class BeaverTriple:
 
 
 def make_triples(op: str, shape_a, shape_b, rng: np.random.Generator) -> list[BeaverTriple]:
-    """Dealer-side triple generation for one bilinear operation."""
-    a = rand_u64(rng, shape_a)
-    b = rand_u64(rng, shape_b)
-    c = KERNELS[op](a, b)
-    a_parts = share3(a, rng)
-    b_parts = share3(b, rng)
-    c_parts = share3(c, rng)
-    return [BeaverTriple(a_parts[i], b_parts[i], c_parts[i]) for i in range(3)]
+    """Dealer-side triple generation for one bilinear operation.  All its
+    randomness is one draw: full-range draws split the stream exactly, so
+    the words are those of drawing a, then b, then sharing a, b and c with
+    ``share3`` in turn."""
+    shapes = (shape_a, shape_b, PRODUCT_SHAPES[op](shape_a, shape_b))
+    na, nb, nc = (math.prod(s) for s in shapes)
+    words = rand_u64(rng, 3 * na + 3 * nb + 2 * nc)
+    a = words[:na].reshape(shape_a)
+    b = words[na:na + nb].reshape(shape_b)
+    parts, lo = [], na + nb
+    for value, shape, n in zip((a, b, KERNELS[op](a, b)), shapes, (na, nb, nc)):
+        s0 = words[lo:lo + n].reshape(shape)
+        s1 = words[lo + n:lo + 2 * n].reshape(shape)
+        parts.append((s0, s1, np.subtract(np.subtract(value, s0), s1)))
+        lo += 2 * n
+    return [BeaverTriple(*(p[i] for p in parts)) for i in range(3)]
 
 
 def beaver_combine(op: str, pid: int, triple: BeaverTriple,

@@ -8,9 +8,11 @@ import pytest
 from oblivlink import (CapabilityError, JaccardParams, Strategy,
                        TaintViolation, assert_oblivious, jaccard_match,
                        intersection_size, make_backend)
-from oblivlink.backends import CAPS_SHAREMIND, CAPS_SIMD
+from oblivlink.backends import CAPS_SHAREMIND, CAPS_SIMD, Backend, ClearBackend, SimBackend
+from oblivlink.backends.local import LocalBackend
+from oblivlink.mpc import MpcBackend
 
-from conftest import open_machine
+from conftest import EXACT_BACKENDS, open_machine
 
 
 def test_profile_capability_tables():
@@ -237,3 +239,46 @@ def test_transcript_copy_is_a_snapshot():
     backend.observe_batch("P3", ("block_key", (["002-cc"],)))
     assert len(copy) == 3 and [o.kind for o in copy] == ["dataset_size", "block_key", "block_key"]
     assert len(backend.transcript) == 5
+
+
+# -- one definition per primitive ----------------------------------------------------
+
+SHARED_PRIMITIVES = ("add", "sub", "mul", "dot", "matmul", "vecmat", "outer", "transpose",
+                     "rotate", "tile", "repeat_each", "take", "concat", "segment_sum",
+                     "slice", "vget", "broadcast", "stack", "eq", "gt")
+
+
+def test_shared_primitives_are_defined_once_on_backend():
+    assert all(name in vars(Backend) for name in SHARED_PRIMITIVES)
+    for cls in (LocalBackend, ClearBackend, SimBackend, MpcBackend):
+        assert not set(SHARED_PRIMITIVES) & set(vars(cls)), cls
+    # mpc lacks these capabilities, and inherits the refusal
+    assert not {"sort", "join_counts", "masked_reciprocal", "approx_eq"} & set(vars(MpcBackend))
+
+
+def _public_arguments(i, lo, hi, times, n):
+    def body(mach, auth):
+        v = mach.enc([3, 1, 4, 1, 5])
+        s = mach.enc(7)
+        mach.vget(v, i)
+        mach.slice(v, lo, hi)
+        mach.tile(v, times)
+        mach.repeat_each(v, times)
+        mach.broadcast(s, n)
+        mach.broadcast_mat(s, (2, n))
+        mach.stack(s, mach.vget(v, i))
+        mach.dot(mach.emul(mach.sub(mach.add(v, v), v), v), v)
+    return body
+
+
+def test_one_program_records_one_trace_on_every_exact_backend():
+    base = (0, 1, 3, 2, 2)
+    traces = {spec: _trace_of(_public_arguments(*base), spec) for spec in EXACT_BACKENDS}
+    assert all(trace == traces["clear"] for trace in traces.values())
+    # the twin check sees a different index, slice bound, count or size on
+    # every backend alike
+    for k, changed in enumerate((3, 0, 2, 3, 4)):
+        args = base[:k] + (changed,) + base[k + 1:]
+        for spec in EXACT_BACKENDS:
+            with pytest.raises(TaintViolation):
+                assert_oblivious(traces[spec], _trace_of(_public_arguments(*args), spec))

@@ -82,6 +82,20 @@ def test_mul_is_matrix_product_emul_elementwise(clear_machine):
     assert mach.dec(mach.transpose(a), auth) == [[1, 3], [2, 4]]
 
 
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 5)])
+def test_slice_refuses_bounds_outside_the_vector(spec, lo, hi):
+    # the backends derive a slice's shape as hi - lo, which only holds inside
+    mach, auth, b = open_machine(spec)
+    v = mach.enc([1, 2, 3, 4])
+    b.enable_trace()
+    with pytest.raises(ShapeError):
+        mach.slice(v, lo, hi)
+    assert b.trace == []
+    assert dec_round(mach, auth, mach.slice(v, 1, 3)) == [2, 3]
+    b.close()
+
+
 def test_size_is_public(clear_machine):
     mach, auth = clear_machine
     assert mach.size(mach.enc([1, 2, 3])) == 3

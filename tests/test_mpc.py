@@ -70,6 +70,33 @@ def test_beaver_combine_oracle():
         assert int(z) == (x * y) & MASK64
 
 
+def _five_draw_triples(op, shape_a, shape_b, rng):
+    """Triple generation in five draws (a, b, then one per sharing), kept as
+    the reference for the one-draw ``make_triples``."""
+    a = rand_u64(rng, shape_a)
+    b = rand_u64(rng, shape_b)
+    c = KERNELS[op](a, b)
+    a_parts, b_parts, c_parts = share3(a, rng), share3(b, rng), share3(c, rng)
+    return [BeaverTriple(a_parts[i], b_parts[i], c_parts[i]) for i in range(3)]
+
+
+@pytest.mark.parametrize("op, shape_a, shape_b", [
+    ("mul", (), ()), ("mul", (5,), (5,)), ("mul", (2, 3), (2, 3)), ("mul", (0,), (0,)),
+    ("dot", (4,), (4,)), ("dot", (0,), (0,)), ("outer", (3,), (4,)),
+    ("vecmat", (3,), (3, 2)), ("matmul", (2, 3), (3, 4)),
+])
+def test_one_draw_triples_equal_five_draws(op, shape_a, shape_b):
+    rngs = np.random.default_rng(19), np.random.default_rng(19)
+    got = make_triples(op, shape_a, shape_b, rngs[0])
+    want = _five_draw_triples(op, shape_a, shape_b, rngs[1])
+    for g, w in zip(got, want):
+        for x, y in ((g.a, w.a), (g.b, w.b), (g.c, w.c)):
+            assert type(x) is type(y) and np.shape(x) == np.shape(y)
+            assert np.array_equal(x, y)
+    # the streams stay aligned for the next triple
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def test_bilinear_forms_match_numpy():
     rng = np.random.default_rng(5)
     u = rand_u64(rng, (4,))
