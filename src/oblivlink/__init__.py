@@ -4,12 +4,13 @@ Two data owners encode and block their records locally; a computation host
 links them over encrypted values using ternary arithmetic selection, private
 matrix manipulation, and one of five set-intersection-size strategies, with
 candidate-pair obfuscation hiding the true candidate count.  Backends:
-a cleartext oracle, a cost-accounting oblivious simulator with capability
-profiles, and a simulated three-party additive-secret-sharing runtime.
+a cost-accounting oblivious simulator with capability profiles, whose
+``generic`` profile is the cleartext reference, and a simulated three-party
+additive-secret-sharing runtime.
 """
 
-from .backends import (Capabilities, ClearBackend, DecryptionAuthority,
-                       OpCostLedger, SimBackend, assert_oblivious, make_backend)
+from .backends import (Capabilities, DecryptionAuthority, OpCostLedger, SimBackend,
+                       assert_oblivious, make_backend)
 from .blocking import (BandPlan, EncodedRecord, MinHasher, TokenSet, band_keys,
                        build_block_index, optimal_band_plan, pack_tokens,
                        tokenize_bigrams)
@@ -32,7 +33,7 @@ from .pipeline import (ObfuscationPolicy, PartyUpload, PipelineConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Capabilities", "ClearBackend", "DecryptionAuthority", "OpCostLedger",
+    "Capabilities", "DecryptionAuthority", "OpCostLedger",
     "SimBackend", "assert_oblivious", "make_backend",
     "BandPlan", "EncodedRecord", "MinHasher", "TokenSet", "band_keys",
     "build_block_index", "optimal_band_plan", "pack_tokens", "tokenize_bigrams",

@@ -222,17 +222,6 @@ class Capabilities:
     division: bool = True
     compare: bool = True
 
-    def flags(self) -> dict:
-        return {
-            "native_eq": self.native_eq,
-            "rotation": self.rotation,
-            "repeat_elements": self.repeat_elements,
-            "sort": self.sort,
-            "join": self.join,
-            "division": self.division,
-            "compare": self.compare,
-        }
-
 
 CAPS_ALL = Capabilities()
 # Mirrors a SIMD/slot-packing HE platform: rotations and slot replication are
@@ -391,12 +380,12 @@ class Backend:
     ``enc``, ``enc_runs`` and ``dec`` are per backend.  The optional
     primitives (sort, join, masked reciprocal, approximate equality) only
     check their capability here, and a backend that has it overrides them.
+    No backend can read a payload outside ``dec``: the cleartext reference
+    is the ``generic`` profile, an ordinary backend with every capability.
     """
 
     kind = "abstract"
     profile = "generic"
-    # only the cleartext oracle lets debug checks peek at payloads
-    is_oracle = False
     # largest |a - b| the comparison gate keeps the sign of; None when any
     # difference in the domain is compared correctly
     compare_bound: int | None = None
@@ -410,7 +399,6 @@ class Backend:
         self.trace: list[tuple] = []
         self.trace_enabled = False
         self.transcript = Transcript()
-        self.cost_weights: dict[str, float] = {}
         self._stage = "main"
         self._authorities: list[DecryptionAuthority] = []
 
@@ -473,7 +461,7 @@ class Backend:
     # -- capability gating -----------------------------------------------
 
     def require(self, capability: str):
-        if not self.caps.flags()[capability]:
+        if not getattr(self.caps, capability):
             raise CapabilityError(
                 f"backend {self.kind}/{self.profile} lacks capability {capability!r}")
 

@@ -1,13 +1,12 @@
-"""In-process backends over numpy payloads.
+"""The in-process backend over numpy payloads.
 
-``ClearBackend`` is the cleartext oracle: every capability, exact results,
-and (uniquely) a ``peek`` hook so debug-mode precondition checks can inspect
-payloads.  ``SimBackend`` is the cost-accounting oblivious simulator: same
-numerics, but capabilities restricted by profile and leakage surfaced through
-the transcript.  Neither performs real encryption; opacity is enforced at the
-machine layer and audited via trace/transcript.  The primitives they share
-with every backend are defined on ``Backend``; here their hooks apply the
-numpy kernels to the values themselves.
+``SimBackend`` is the cost-accounting oblivious simulator, with capabilities
+set by a platform profile.  Its ``generic`` profile has every capability and
+exact results; it is the cleartext reference (the ``clear`` kind) that every
+other backend and profile must match.  It performs no real encryption;
+opacity is enforced at the machine layer and audited via trace/transcript.
+The primitives it shares with every backend are defined on ``Backend``; here
+their hooks apply the numpy kernels to the values themselves.
 """
 
 from __future__ import annotations
@@ -149,21 +148,6 @@ class LocalBackend(Backend):
         with np.errstate(over="ignore"):
             bits *= d
             return np.subtract(1.0, bits, out=bits)
-
-
-class ClearBackend(LocalBackend):
-    """Cleartext oracle: all capabilities, plain arithmetic, peek allowed."""
-
-    kind = "clear"
-    profile = "generic"
-    is_oracle = True
-
-    def __init__(self, seed: int = 0):
-        super().__init__(CAPS_ALL, EXACT, seed)
-
-    def peek(self, payload: np.ndarray):
-        """Debug-only payload inspection; exists on the oracle alone."""
-        return lift_signed(payload)
 
 
 _PROFILES = {

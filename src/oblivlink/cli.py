@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 from .blocking import MinHasher, optimal_band_plan
@@ -173,27 +172,16 @@ def cmd_bench(args) -> int:
     backends = args.backends.split(",")
     strategies = args.strategies.split(",")
 
-    cells = []
     uploads: dict[float, tuple] = {}
     for t in thresholds:
         cfg_t = PipelineConfig(**{**config.__dict__, "t_block": t})
         uploads[t] = (prepare_upload(d1, cfg_t), prepare_upload(d2, cfg_t))
+    rows = []
     for backend in backends:
         profile = config.profile if backend != "clear" else "generic"
         for strategy in strategies:
             for t in thresholds:
-                cells.append((backend, profile, strategy, t))
-
-    def run(cell):
-        backend, profile, strategy, t = cell
-        u1, u2 = uploads[t]
-        return _bench_cell(u1, u2, config, backend, profile, strategy, t)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(c) for c in cells]
+                rows.append(_bench_cell(*uploads[t], config, backend, profile, strategy, t))
 
     os.makedirs(args.out, exist_ok=True)
     header = ["backend", "profile", "strategy", "t_block", "candidates",
@@ -260,7 +248,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--rho", type=float)
     parser.add_argument("--noise-source", dest="noise_source", choices=("host", "owner"))
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--jobs", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -123,16 +123,6 @@ def pick_strategy(caps, m: int, n: int, weights=None) -> Strategy:
     return min(options, key=lambda s: estimated_cost(s, m, n, caps, weights))
 
 
-def _debug_check_unique(mach: Machine, *vectors):
-    """Uniqueness precondition; only the cleartext oracle can look."""
-    if not mach.b.is_oracle:
-        return
-    for v in vectors:
-        values = mach.b.peek(v.payload)
-        if len(values) != len(set(values)):
-            raise ValueError("intersection input contains duplicate entries")
-
-
 def zero_count(mach: Machine, diff: PrivateVector) -> PrivateScalar:
     """Private count of zero slots: equality against broadcast zero, then a
     dot product with all-ones."""
@@ -143,11 +133,8 @@ def zero_count(mach: Machine, diff: PrivateVector) -> PrivateScalar:
     return mach.dot(bits, ones)
 
 
-def isect_pj(mach: Machine, v1: PrivateVector, v2: PrivateVector,
-             debug: bool = False) -> PrivateScalar:
+def isect_pj(mach: Machine, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
     """Pairwise join: |v1| * |v2| serial scalar equality gates."""
-    if debug:
-        _debug_check_unique(mach, v1, v2)
     count = mach.enc(0)
     for i in range(v1.length):
         a = mach.vget(v1, i)
@@ -183,14 +170,12 @@ def vr_diff_sequence(mach: Machine, v1: PrivateVector, v2: PrivateVector,
 
 
 def isect_vr(mach: Machine, v1: PrivateVector, v2: PrivateVector,
-             pad=PAD_SENTINEL, token_range=None, debug: bool = False) -> PrivateScalar:
+             pad=PAD_SENTINEL, token_range=None) -> PrivateScalar:
     """Vector rotation: rotate max(|v1|,|v2|) times, accumulating the zero
     count of each difference; the rotation count intentionally covers the
     padded length so every slot pairing is visited exactly once."""
     if token_range is not None and token_range[0] <= pad < token_range[1]:
         raise ValueError(f"padding value {pad} collides with the token encoding range")
-    if debug:
-        _debug_check_unique(mach, v1, v2)
     total = mach.enc(0)
     for diff in vr_diff_sequence(mach, v1, v2, pad):
         total = mach.add(total, zero_count(mach, diff))
@@ -245,11 +230,8 @@ def _ve_counts(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVecto
     return _joined(mach, parts)
 
 
-def isect_ve(mach: Machine, v1: PrivateVector, v2: PrivateVector,
-             debug: bool = False) -> PrivateScalar:
+def isect_ve(mach: Machine, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
     """Vector extension: the one-cell case of the batched count."""
-    if debug:
-        _debug_check_unique(mach, v1, v2)
     counts = _ve_counts(mach, [v1], [v2], np.zeros((1, 2), dtype=np.int64),
                         v1.length * v2.length)
     return mach.vget(counts, 0)
@@ -264,22 +246,16 @@ def so_adjacent_diff(mach: Machine, v1: PrivateVector, v2: PrivateVector) -> Pri
     return mach.esub(head, tail)
 
 
-def isect_so(mach: Machine, v1: PrivateVector, v2: PrivateVector,
-             debug: bool = False) -> PrivateScalar:
+def isect_so(mach: Machine, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
     """Sorting: equal adjacent slots of the sorted merge straddle the two
     unique-entry inputs, so counting them counts the overlap."""
-    if debug:
-        _debug_check_unique(mach, v1, v2)
     if v1.length + v2.length <= 1:
         return mach.enc(0)
     return zero_count(mach, so_adjacent_diff(mach, v1, v2))
 
 
-def isect_mj(mach: Machine, v1: PrivateVector, v2: PrivateVector,
-             debug: bool = False) -> PrivateScalar:
+def isect_mj(mach: Machine, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
     """Matrix join: one oblivious equality-join gate."""
-    if debug:
-        _debug_check_unique(mach, v1, v2)
     return mach.join_count(v1, v2)
 
 
@@ -292,12 +268,16 @@ _DISPATCH = {
 }
 
 
-def intersection_size(mach: Machine, v1: PrivateVector, v2: PrivateVector,
-                      strategy: Strategy, debug: bool = False) -> PrivateScalar:
+def _require_strategy(mach: Machine, strategy: Strategy):
     if not strategy_supported(strategy, mach.b.caps):
         raise CapabilityError(
             f"strategy {strategy.value} unsupported on {mach.b.kind}/{mach.b.profile}")
-    return _DISPATCH[strategy](mach, v1, v2, debug=debug)
+
+
+def intersection_size(mach: Machine, v1: PrivateVector, v2: PrivateVector,
+                      strategy: Strategy) -> PrivateScalar:
+    _require_strategy(mach, strategy)
+    return _DISPATCH[strategy](mach, v1, v2)
 
 
 @dataclass
@@ -330,8 +310,8 @@ def _over_threshold(mach: Machine, inter: PrivateVector, sums: np.ndarray,
 
 
 def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVector],
-                  cells, params: JaccardParams, strategy: Strategy, max_slots: int,
-                  debug: bool = False) -> PrivateVector:
+                  cells, params: JaccardParams, strategy: Strategy,
+                  max_slots: int) -> PrivateVector:
     """Private match bits of the public cells ``(i, j)``: bit k is 1 iff the
     similarity of enc1[i] and enc2[j] lies above the threshold.
 
@@ -344,9 +324,7 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
     ``EQ_BIT_ERROR``; cells for which that sum reaches 1/2 are refused
     before any machine work.
     """
-    if not strategy_supported(strategy, mach.b.caps):
-        raise CapabilityError(
-            f"strategy {strategy.value} unsupported on {mach.b.kind}/{mach.b.profile}")
+    _require_strategy(mach, strategy)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
     len1, len2 = _lengths(enc1)[cells[:, 0]], _lengths(enc2)[cells[:, 1]]
     if mach.b.domain == APPROX:
@@ -356,23 +334,20 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
             raise DomainError(
                 f"a count over records of {longest} containers may err by {worst:.3g}, "
                 "not under the 1/2 the threshold gate tolerates")
-    if strategy in (Strategy.VE, Strategy.MJ):
-        if debug:
-            _debug_check_unique(mach, *(enc1[i] for i in set(cells[:, 0].tolist())),
-                                *(enc2[j] for j in set(cells[:, 1].tolist())))
-        inter = (_ve_counts(mach, enc1, enc2, cells, max_slots) if strategy is Strategy.VE
-                 else mach.join_counts(enc1, enc2, cells))
+    if strategy is Strategy.VE:
+        inter = _ve_counts(mach, enc1, enc2, cells, max_slots)
+    elif strategy is Strategy.MJ:
+        inter = mach.join_counts(enc1, enc2, cells)
     else:
-        inter = mach.stack(*(_DISPATCH[strategy](mach, enc1[i], enc2[j], debug=debug)
+        inter = mach.stack(*(_DISPATCH[strategy](mach, enc1[i], enc2[j])
                              for i, j in cells.tolist()))
     return _over_threshold(mach, inter, len1 + len2, params)
 
 
 def jaccard_match(mach: Machine, r1: PrivateVector, r2: PrivateVector,
-                  params: JaccardParams, strategy: Strategy,
-                  debug: bool = False) -> PrivateScalar:
+                  params: JaccardParams, strategy: Strategy) -> PrivateScalar:
     """Private bit: similarity inter/(|r1|+|r2|-inter) above the threshold;
     the one-cell case of ``jaccard_cells``."""
     bits = jaccard_cells(mach, [r1], [r2], [(0, 0)], params, strategy,
-                         r1.length * r2.length, debug=debug)
+                         r1.length * r2.length)
     return mach.vget(bits, 0)

@@ -69,7 +69,6 @@ class PipelineConfig:
     rho: float = 0.05
     noise_source: str = "host"
     seed: int = 0
-    jobs: int = 1
 
     def jaccard_params(self) -> JaccardParams:
         return JaccardParams(Fraction(self.t_jaccard))
@@ -293,8 +292,7 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
     if config.strategy == "auto":
         mean1 = int(np.mean(sizes1)) if sizes1 else 1
         mean2 = int(np.mean(sizes2)) if sizes2 else 1
-        strategy = pick_strategy(backend.caps, mean1, mean2,
-                                 getattr(backend, "cost_weights", None))
+        strategy = pick_strategy(backend.caps, mean1, mean2)
     else:
         strategy = Strategy(config.strategy)
 

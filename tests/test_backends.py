@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oblivlink import (CapabilityError, JaccardParams, Strategy,
-                       TaintViolation, assert_oblivious, jaccard_match,
-                       intersection_size, make_backend)
-from oblivlink.backends import CAPS_SHAREMIND, CAPS_SIMD, Backend, ClearBackend, SimBackend
+from oblivlink import (CapabilityError, JaccardParams, PipelineConfig, Strategy,
+                       TaintViolation, assert_oblivious, generate_dataset, jaccard_match,
+                       intersection_size, make_backend, run_pper)
+from oblivlink.backends import (CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, Backend,
+                                SimBackend)
 from oblivlink.backends.local import LocalBackend
 from oblivlink.mpc import MpcBackend
 
@@ -27,6 +28,25 @@ def test_unknown_kind_and_profile_rejected():
         make_backend("quantum")
     with pytest.raises(ValueError):
         make_backend("sim", profile="exotic")
+
+
+def test_clear_is_the_generic_simulator():
+    b = make_backend("clear", profile="simd")
+    assert (b.caps, b.domain) == (CAPS_ALL, EXACT)
+    b.close()
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    runs = []
+    for kind in ("clear", "sim"):
+        backend = make_backend(kind, "generic", seed=0)
+        backend.enable_trace()
+        result = run_pper(d1, d2, PipelineConfig(backend=kind, seed=0), backend=backend)
+        transcript = [(o.role, o.kind, np.asarray(o.value).tolist())
+                      for o in result.transcript]
+        runs.append((result.matches, result.ledger.to_csv(), result.trace, transcript,
+                     result.strategy))
+        backend.close()
+    assert runs[0][0]  # the corpus links some pairs
+    assert runs[0] == runs[1]
 
 
 def test_clear_backend_equals_plain_arithmetic():
@@ -250,7 +270,7 @@ SHARED_PRIMITIVES = ("add", "sub", "mul", "dot", "matmul", "vecmat", "outer", "t
 
 def test_shared_primitives_are_defined_once_on_backend():
     assert all(name in vars(Backend) for name in SHARED_PRIMITIVES)
-    for cls in (LocalBackend, ClearBackend, SimBackend, MpcBackend):
+    for cls in (LocalBackend, SimBackend, MpcBackend):
         assert not set(SHARED_PRIMITIVES) & set(vars(cls)), cls
     # mpc lacks these capabilities, and inherits the refusal
     assert not {"sort", "join_counts", "masked_reciprocal", "approx_eq"} & set(vars(MpcBackend))

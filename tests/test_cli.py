@@ -107,13 +107,27 @@ def test_config_file_supplies_defaults_flags_override(tmp_path):
     assert values["t_block"] == "0.3"
 
 
+def test_config_with_the_retired_jobs_key_still_loads(tmp_path):
+    # run.config files written while bench had a --jobs flag hold jobs=N
+    data, blocks, out = (str(tmp_path / d) for d in ("data", "blocks", "link"))
+    main(["generate", "--out", data, "--size", "40", "--seed", "0"])
+    main(["block", "--data", data, "--out", blocks, "--seed", "0"])
+    cfg = tmp_path / "old.config"
+    cfg.write_text("backend=sim\nstrategy=ve\nseed=0\njobs=4\n")
+    assert main(["link", "--blocks", blocks, "--out", out, "--config", str(cfg)]) == 0
+    with open(os.path.join(out, "run.config")) as fh:
+        values = dict(line.strip().split("=", 1) for line in fh)
+    assert values["backend"] == "sim" and values["strategy"] == "ve"
+    assert "jobs" not in values
+
+
 def test_bench_candidates_decrease_with_threshold(tmp_path):
     data = str(tmp_path / "data")
     out = str(tmp_path / "bench")
     main(["generate", "--out", data, "--size", "60", "--seed", "0"])
     assert main(["bench", "--data", data, "--out", out, "--backends", "sim",
                  "--strategies", "ve", "--t-blocks", "0.2,0.5,0.8",
-                 "--seed", "0", "--jobs", "2"]) == 0
+                 "--seed", "0"]) == 0
     rows = {}
     with open(os.path.join(out, "bench.csv")) as fh:
         header = fh.readline().strip().split(",")

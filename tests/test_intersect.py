@@ -185,12 +185,6 @@ def test_join_counts_refused_without_the_join_capability(spec):
     b.close()
 
 
-def test_duplicate_precondition_surfaced_by_oracle_debug(clear_machine):
-    mach, _ = clear_machine
-    with pytest.raises(ValueError):
-        intersection_size(mach, mach.enc([2, 2]), mach.enc([3]), Strategy.PJ, debug=True)
-
-
 # -- agreement / symmetry / capability ------------------------------------------
 
 
