@@ -202,7 +202,9 @@ def _ve_counts(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVecto
     gather then lays out every cell's tiled and repeated operands (the
     layout of ``ve_extend``), one equality gate compares them and a width-1
     segment sum counts each cell's equal slots.  Cells go in runs of at
-    most ``max_slots`` slots."""
+    most ``max_slots`` slots (a cell above it is a run of its own); the
+    pipeline passes ``run_slots`` of the matrix's shape, and the one-cell
+    case its own slot count."""
     len1, len2 = _lengths(enc1), _lengths(enc2)
     off1, off2 = np.cumsum(len1) - len1, np.cumsum(len2) - len2
     all1, all2 = _joined(mach, enc1), _joined(mach, enc2)
@@ -322,7 +324,8 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
     empty.  On the approximate domain a count sums at most n² equality
     bits, n the longest record's container count, each off by up to
     ``EQ_BIT_ERROR``; cells for which that sum reaches 1/2 are refused
-    before any machine work.
+    before any machine work.  ``max_slots`` bounds each VE run's slots and
+    is unused by the other strategies.
     """
     _require_strategy(mach, strategy)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)

@@ -33,7 +33,8 @@ from .errors import DomainError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (JaccardParams, Strategy, jaccard_cells, jaccard_match,  # noqa: F401
                         pick_strategy)
-from .machine import EQ_BIT_ERROR, Machine, PrivateMatrix, PrivateVector, slot_runs
+from .machine import (EQ_BIT_ERROR, MIN_RUN_SLOTS, Machine, PrivateMatrix, PrivateVector,
+                      slot_runs)
 
 ROLE_OWNER_1 = "P1"
 ROLE_OWNER_2 = "P2"
@@ -43,8 +44,11 @@ ROLE_HOST = "P3"
 @dataclass
 class ObfuscationPolicy:
     """Noise unioned into the candidate matrix before it is revealed; noise
-    only ever adds cells.  Source is the host RNG or an owner-encrypted
-    noise matrix."""
+    only ever adds cells.  Either source, "host" or "owner", draws the noise
+    from ``tagged_rng`` over the public link ``seed``, under its own tag, so
+    the host (P3) can recompute it and the noise hides only the candidates
+    it happens to cover; a noise secret that P3 does not hold is ROADMAP
+    item 2."""
     rate: float = 0.05
     source: str = "host"
 
@@ -131,7 +135,7 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig):
     other or from the link config, records whose containers repeat or do
     not fit the packing's pack·16 bits, and blocks whose ids lie outside
     their owner's rows or repeat.  A manifest that omits a field is not
-    checked on it."""
+    checked on it, and an id map must hold one row per record."""
     plan = optimal_band_plan(config.t_block, config.num_perm,
                              config.fp_weight, config.fn_weight)
     wanted = {"num_perm": config.num_perm, "bands": plan.bands, "rows": plan.rows,
@@ -146,6 +150,9 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig):
                                        f"the link config's {want}")
     bits = TOKEN_BITS * config.pack
     for role, up in (("D1", u1), ("D2", u2)):
+        if len(up.id_map) != len(up.encoded):
+            raise StageError("upload", f"{role} id map holds {len(up.id_map)} rows "
+                                       f"for {len(up.encoded)} records")
         fault = _first_fault([rec.containers for rec in up.encoded], 1 << bits)
         if fault:
             row, repeats = fault
@@ -181,6 +188,14 @@ def _first_fault(runs: list, limit: int) -> tuple[int, bool] | None:
 # -- machine-level stages ----------------------------------------------------
 
 
+def run_slots(shape: tuple[int, int]) -> int:
+    """The slot budget of one run of a batched stage over a rows x cols
+    candidate matrix: the matrix's own size, but never under
+    ``MIN_RUN_SLOTS``.  It depends on the public shape alone."""
+    rows, cols = shape
+    return max(rows * cols, MIN_RUN_SLOTS)
+
+
 def _indicator(mach: Machine, blocks: list[PrivateVector], width: int) -> PrivateMatrix:
     """len(blocks) x width matrix whose row k is 1 at the ids in blocks[k]."""
     ids = mach.concat(*blocks)
@@ -195,7 +210,8 @@ def merge_and_dedup(mach: Machine, b1: dict[str, PrivateVector],
     candidate.  With the shared keys' id indicators stacked as U (keys x
     rows) and V (keys x cols), cell (i, j) of Uᵀ·V counts the keys that
     rows i and j share, so one matrix product per key group plus one
-    comparison gate flags, and deduplicates, the candidate matrix."""
+    comparison gate flags, and deduplicates, the candidate matrix.  Keys
+    are grouped so that each side's one-hots stay within ``run_slots``."""
     keys = [k for k in sorted(b1) if k in b2 and b1[k].length and b2[k].length]
     approx = mach.b.domain == APPROX
     if approx:
@@ -209,10 +225,10 @@ def merge_and_dedup(mach: Machine, b1: dict[str, PrivateVector],
                 "not under the 1/2 the candidate threshold tolerates")
     rows, cols = shape
     # side 1's one-hot holds rows slots per id, side 2's cols; a group's
-    # one-hots stay within the rows*cols slots of the matrix merge returns
+    # one-hots stay within the run budget on each side
     sizes = [(b1[k].length * rows, b2[k].length * cols) for k in keys]
     counts = None
-    for run in slot_runs(sizes, rows * cols):
+    for run in slot_runs(sizes, run_slots(shape)):
         group = keys[run.start:run.stop]
         u = _indicator(mach, [b1[k] for k in group], rows)
         v = _indicator(mach, [b2[k] for k in group], cols)
@@ -250,8 +266,7 @@ def filter_and_resolve(mach: Machine, enc1: list[PrivateVector], enc2: list[Priv
     cells = np.argwhere(obfu)
     if not len(cells):
         return mach.enc(np.zeros(obfu.shape, dtype=np.int64)), 0
-    rows, cols = obfu.shape
-    bits = jaccard_cells(mach, enc1, enc2, cells, params, strategy, rows * cols)
+    bits = jaccard_cells(mach, enc1, enc2, cells, params, strategy, run_slots(obfu.shape))
     place = np.full(obfu.shape, len(cells), dtype=np.int64)
     place[cells[:, 0], cells[:, 1]] = np.arange(len(cells))
     return mach.take(mach.concat(bits, mach.enc([0])), place), len(cells)
@@ -388,21 +403,38 @@ def write_party_dir(path: str, upload: PartyUpload):
             fh.write(f"{row},{rid}\n")
 
 
+def _check_rows(path: str, name: str, rows: list):
+    """Refuse a file whose ``row`` fields are not 0..n-1 in order: blocks
+    name the owner's rows by number, and records and id map hold them by
+    position."""
+    for k, row in enumerate(rows):
+        if str(row) != str(k):
+            raise StageError("upload", f"{os.path.join(path, name)} entry {k} "
+                                       f"holds row {row}, not {k}")
+
+
 def read_party_dir(path: str) -> PartyUpload:
-    encoded = []
+    """Load what ``write_party_dir`` wrote; records or id-map rows that are
+    out of order are refused with ``StageError("upload", …)``."""
+    encoded, rows = [], []
     with open(os.path.join(path, "records.enc")) as fh:
         for line in fh:
             item = json.loads(line)
-            encoded.append(EncodedRecord(str(item["row"]), tuple(item["containers"]),
+            row = item.get("row")
+            rows.append(row)
+            encoded.append(EncodedRecord(str(row), tuple(item["containers"]),
                                          item.get("pack", 1)))
+    _check_rows(path, "records.enc", rows)
     with open(os.path.join(path, "blocks.enc")) as fh:
         index = {k: list(map(int, v)) for k, v in json.load(fh).items()}
     with open(os.path.join(path, "manifest")) as fh:
         manifest = json.load(fh)
-    id_map = []
+    id_map, rows = [], []
     with open(os.path.join(path, "idmap.csv")) as fh:
         next(fh)
         for line in fh:
             row, rid = line.rstrip("\n").split(",", 1)
+            rows.append(row)
             id_map.append(rid)
+    _check_rows(path, "idmap.csv", rows)
     return PartyUpload(encoded, index, id_map, manifest)

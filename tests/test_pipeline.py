@@ -1,5 +1,6 @@
 """Stage-level pipeline behaviour and full-run properties."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,9 @@ from oblivlink import (DomainError, JaccardParams, Machine, MinHasher, Obfuscati
                        plain_blocked_pairs, plain_matches, run_pper,
                        run_pper_from_uploads, read_party_dir, write_party_dir,
                        prepare_upload)
-from oblivlink import intersect
+from oblivlink import intersect, pipeline
 from oblivlink.blocking import EncodedRecord
-from oblivlink.machine import PrivateScalar, slot_runs
+from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, slot_runs
 from oblivlink.pipeline import finalize, filter_and_resolve, merge_and_dedup, obfuscate
 
 from conftest import ALL_BACKENDS, open_machine, reference_eeq, reference_ve_indices
@@ -514,11 +515,62 @@ def test_fused_equality_and_ve_layout_link_as_the_machine_chain_did(
             transcript = [(o.role, o.kind, np.asarray(o.value).tobytes())
                           for o in result.transcript]
             rounds = backend.round_stats().to_csv() if kind == "mpc" else None
+            # each VE run makes one equality: a gate, or one masked reciprocal
+            ve_runs = backend.ledger.counts[
+                ("filter_er", "eq" if backend.caps.native_eq else "dec")]
             outputs.append((result.strategy, result.matches, backend.ledger.to_csv(),
                             result.trace, transcript, rounds))
             backend.close()
     assert outputs[0][0] is Strategy.VE and outputs[0][1]  # VE links some pairs
+    assert ve_runs > 1  # the layouts are compared across run boundaries
     assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("strategy", ["ve", "auto"])
+@pytest.mark.parametrize("spec", ["clear", "sim:simd", "sim:sharemind", "mpc"])
+def test_run_slot_floor_changes_no_result_and_sets_the_runs(spec, strategy, monkeypatch):
+    # 20 x 80 records: rows*cols is under MIN_RUN_SLOTS, so the floor binds;
+    # a floor of 0 is the rule of runs of at most rows*cols slots
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    kind, _, profile = spec.partition(":")
+    cfg = PipelineConfig(backend=kind, profile=profile or "generic", seed=0, rho=0.05,
+                         strategy=strategy)
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    rows, cols = len(u1.encoded), len(u2.encoded)
+    assert rows * cols < MIN_RUN_SLOTS
+    len1 = np.array([len(r.containers) for r in u1.encoded])
+    len2 = np.array([len(r.containers) for r in u2.encoded])
+    keys = [k for k in sorted(u1.index) if u1.index[k] and u2.index.get(k)]
+    key_slots = [(len(u1.index[k]) * rows, len(u2.index[k]) * cols) for k in keys]
+    outputs, runs = [], {}
+    for floor in (0, MIN_RUN_SLOTS):
+        monkeypatch.setattr(pipeline, "MIN_RUN_SLOTS", floor)
+        backend = make_backend(kind, profile or "generic", seed=0)
+        result = run_pper_from_uploads(u1, u2, cfg, backend=backend)
+        seen = list(result.transcript)
+        reveal = [o.kind for o in seen].index("obfu_pairs")
+        filter_masked = b"".join(np.asarray(o.value).tobytes() for o in seen[reveal:]
+                                 if o.kind == "masked_value")
+        outputs.append((result.strategy, result.matches, result.obfu_count,
+                        result.evaluated_cells, filter_masked))
+        # each group or run makes one equality per indicator or cell batch:
+        # a gate, or on simd one masked reciprocal
+        counts = backend.ledger.counts
+        made = "eq" if backend.caps.native_eq else "dec"
+        budget = max(rows * cols, MIN_RUN_SLOTS if floor else 0)
+        runs[floor] = [len(slot_runs(key_slots, budget))]
+        assert counts[("merge_dedup", made)] == 2 * runs[floor][0]
+        if result.strategy is Strategy.VE:
+            cells = np.argwhere(np.array(seen[reveal].value, dtype=bool))
+            runs[floor].append(len(slot_runs(
+                [(int(n),) for n in len1[cells[:, 0]] * len2[cells[:, 1]]], budget)))
+            assert counts[("filter_er", made)] == runs[floor][1]
+        backend.close()
+    assert outputs[0][1] and outputs[1] == outputs[0]
+    if spec == "sim:simd":
+        assert outputs[0][4]  # the filter's openings are compared
+    # both rules split both stages, the floor into fewer runs
+    assert all(by_rows > by_floor >= 2 for by_rows, by_floor in zip(runs[0], runs[MIN_RUN_SLOTS]))
 
 
 def test_leakage_budget_p3_transcript():
@@ -549,9 +601,12 @@ def test_leakage_budget_p3_transcript():
 
 def _refused_upload(u1, u2, cfg):
     """The StageError of linking u1 and u2, checked to come before any
-    machine work."""
+    machine work.  An upload given as a directory is read inside the
+    check."""
     backend = make_backend("clear")
     with pytest.raises(StageError) as excinfo:
+        u1, u2 = (read_party_dir(str(u)) if isinstance(u, os.PathLike) else u
+                  for u in (u1, u2))
         run_pper_from_uploads(u1, u2, cfg, backend=backend)
     assert excinfo.value.stage == "upload"
     assert backend.ledger.total() == 0 and not backend.transcript
@@ -669,6 +724,49 @@ def test_upload_container_outside_the_packing_is_refused(pack):
     for bad in (1 << (16 * pack), -1):
         u2.encoded[3] = EncodedRecord(rec.record_id, rec.containers + (bad,), rec.pack)
         assert "outside" in _refused_upload(u1, u2, cfg)
+
+
+def _party_dirs(tmp_path, cfg, size):
+    d1, d2, _ = generate_dataset(seed=0, size=size)
+    dirs = tmp_path / "p1", tmp_path / "p2"
+    for path, records in zip(dirs, (d1, d2)):
+        write_party_dir(str(path), prepare_upload(records, cfg))
+    return dirs
+
+
+def test_upload_records_out_of_row_order_are_refused(tmp_path):
+    # swapping P1's first two records once linked 23 matches instead of 25
+    cfg = PipelineConfig()
+    p1, p2 = _party_dirs(tmp_path, cfg, 60)
+    assert len(run_pper_from_uploads(read_party_dir(str(p1)), read_party_dir(str(p2)),
+                                     cfg).matches) == 25
+    lines = (p1 / "records.enc").read_text().splitlines(keepends=True)
+    (p1 / "records.enc").write_text("".join([lines[1], lines[0]] + lines[2:]))
+    assert _refused_upload(p1, p2, cfg).endswith("records.enc entry 0 holds row 1, not 0")
+    (p1 / "records.enc").write_text("".join([lines[0], '{"containers": [1]}\n'] + lines[2:]))
+    assert _refused_upload(p1, p2, cfg).endswith("records.enc entry 1 holds row None, not 1")
+    # a record dropped from the end leaves the rows in order; the id map
+    # then holds a row too many
+    (p1 / "records.enc").write_text("".join(lines[:-1]))
+    assert _refused_upload(p1, p2, cfg) == "[upload] D1 id map holds 12 rows for 11 records"
+    (p1 / "records.enc").write_text("".join(lines))
+    rows = (p2 / "idmap.csv").read_text().splitlines(keepends=True)
+    (p2 / "idmap.csv").write_text("".join(rows[:3] + [rows[4], rows[3]] + rows[5:]))
+    assert _refused_upload(p1, p2, cfg).endswith("idmap.csv entry 2 holds row 3, not 2")
+
+
+def test_upload_id_map_of_another_length_is_refused(tmp_path):
+    # an id map three rows short once failed only in finalize, after all
+    # machine work
+    cfg = PipelineConfig()
+    p1, p2 = _party_dirs(tmp_path, cfg, 60)
+    rows = (p1 / "idmap.csv").read_text().splitlines(keepends=True)
+    (p1 / "idmap.csv").write_text("".join(rows[:-3]))
+    assert _refused_upload(p1, p2, cfg) == "[upload] D1 id map holds 9 rows for 12 records"
+    (p1 / "idmap.csv").write_text("".join(rows))
+    u1, u2 = read_party_dir(str(p1)), read_party_dir(str(p2))
+    u2.id_map.append("extra")
+    assert _refused_upload(u1, u2, cfg) == "[upload] D2 id map holds 49 rows for 48 records"
 
 
 # -- transport ------------------------------------------------------------------------
