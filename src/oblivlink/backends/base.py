@@ -1,8 +1,9 @@
 """Backend contexts for the oblivious machine.
 
-A backend realizes the primitive operator set (encrypt/decrypt, element-wise
-arithmetic, dot products, rotations, gates) over opaque payloads.  Every
-backend carries:
+A backend runs the primitives that ``Machine`` defines over opaque
+payloads: it supplies encrypt/decrypt, the kernels of the shared primitives
+(linear, bilinear, comparison gates, rotation) and its own protocols for
+the optional ones.  Every backend carries:
 
   * a capability table that strategy selection consults,
   * an operation-cost ledger (counts per pipeline stage and primitive),
@@ -216,23 +217,21 @@ class Capabilities:
 
     native_eq: bool = True
     rotation: bool = True
-    repeat_elements: bool = True
     sort: bool = True
     join: bool = True
     division: bool = True
-    compare: bool = True
 
 
 CAPS_ALL = Capabilities()
 # Mirrors a SIMD/slot-packing HE platform: rotations and slot replication are
 # cheap, no native equality/sort/join, division via the masked-reciprocal
 # protocol only.
-CAPS_SIMD = Capabilities(native_eq=False, rotation=True, repeat_elements=True,
-                         sort=False, join=False, division=True, compare=True)
+CAPS_SIMD = Capabilities(native_eq=False, rotation=True, sort=False, join=False,
+                         division=True)
 # Mirrors an MPC platform with native comparison protocols, gather-style
 # element repetition, sorting, and an oblivious table join; no slot rotation.
-CAPS_SHAREMIND = Capabilities(native_eq=True, rotation=False, repeat_elements=True,
-                              sort=True, join=True, division=False, compare=True)
+CAPS_SHAREMIND = Capabilities(native_eq=True, rotation=False, sort=True, join=True,
+                              division=False)
 
 
 class OpCostLedger:
@@ -366,22 +365,24 @@ def assert_oblivious(trace_a: list, trace_b: list):
 
 class Backend:
     """Common machinery (identity, ledger, trace, transcript, authorities)
-    and the one definition of each primitive that all backends share.
+    of a backend context.
 
-    A shared primitive checks its capability, records its op and public
-    metadata, computes its result's shape, and hands the payloads to a hook
-    of the concrete backend: ``_linear(op, srcs, shape, *args)`` for linear
-    and structural kernels, ``_bilinear(op, a, b, shape)`` for products,
-    ``_compare(op, a, b)`` for the ``eq``/``gt`` gates, and ``_rotate(v, k,
-    cyclic, fill)``.  So every backend records the same ledger and trace.
-    Public arguments (indices, counts, widths, shapes) arrive as Python ints
-    and bools, which ``Machine`` makes them.
+    ``Machine`` defines each primitive once: it checks the handles and the
+    capability, records the op and its public metadata here, and then calls
+    one of four kernel hooks that a concrete backend supplies:
+    ``_linear(op, srcs, *args)`` for linear and structural kernels,
+    ``_bilinear(op, a, b)`` for products, ``_compare(op, a, b)`` for the
+    ``eq``/``gt`` gates, and ``_rotate(v, k, cyclic, fill)``.  A hook reads
+    its result's shape off its payloads.  So every backend records the same
+    ledger and trace.  Public arguments (indices, counts, widths, shapes)
+    arrive as Python ints and bools, which ``Machine`` makes them.
 
-    ``enc``, ``enc_runs`` and ``dec`` are per backend.  The optional
-    primitives (sort, join, masked reciprocal, approximate equality) only
-    check their capability here, and a backend that has it overrides them.
-    No backend can read a payload outside ``dec``: the cleartext reference
-    is the ``generic`` profile, an ordinary backend with every capability.
+    Besides the hooks, a backend supplies ``enc``, ``enc_runs`` and ``dec``
+    and its own protocols for the optional primitives it has the capability
+    for (sort, join, masked reciprocal, approximate equality); each of these
+    records its own entries.  No backend can read a payload outside ``dec``:
+    the cleartext reference is the ``generic`` profile, an ordinary backend
+    with every capability.
     """
 
     kind = "abstract"
@@ -468,117 +469,6 @@ class Backend:
     def require_domain(self, domain: str, why: str):
         if self.domain != domain:
             raise DomainError(f"{why} requires {domain} domain, backend is {self.domain}")
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _product(self, op: str, a, b, *meta):
-        self._record(op, *meta)
-        return self._bilinear(op, a, b, PRODUCT_SHAPES[op](a.shape, b.shape))
-
-    def add(self, a, b):
-        self._record("add", a.shape)
-        return self._linear("add", (a, b), a.shape)
-
-    def sub(self, a, b):
-        self._record("sub", a.shape)
-        return self._linear("sub", (a, b), a.shape)
-
-    def mul(self, a, b):
-        return self._product("mul", a, b, a.shape)
-
-    def dot(self, a, b):
-        return self._product("dot", a, b, a.shape)
-
-    def matmul(self, a, b):
-        return self._product("matmul", a, b, a.shape, b.shape)
-
-    def vecmat(self, v, m):
-        return self._product("vecmat", v, m, v.shape, m.shape)
-
-    def outer(self, col, row):
-        return self._product("outer", col, row, col.shape, row.shape)
-
-    def transpose(self, m):
-        self._record("transpose", m.shape)
-        return self._linear("transpose", (m,), m.shape[::-1])
-
-    # -- structure -------------------------------------------------------------
-
-    def rotate(self, v, k: int, cyclic: bool = True, fill=None):
-        self.require("rotation")
-        self._record("rotate", v.shape, k, cyclic)
-        return self._rotate(v, k, cyclic, fill)
-
-    def tile(self, v, times: int):
-        self.require("repeat_elements")
-        self._record("tile", v.shape, times)
-        return self._linear("tile", (v,), (v.shape[0] * times,), times)
-
-    def repeat_each(self, v, times: int):
-        self.require("repeat_elements")
-        self._record("repeat_each", v.shape, times)
-        return self._linear("repeat_each", (v,), (v.shape[0] * times,), times)
-
-    def take(self, v, idx: np.ndarray):
-        # the index is public: every party knows it, and the trace holds its
-        # shape only
-        self.require("repeat_elements")
-        self._record("take", v.shape, idx.shape)
-        return self._linear("take", (v,), idx.shape, idx)
-
-    def concat(self, *parts):
-        self._record("concat", *(p.shape for p in parts))
-        return self._linear("concat", parts, (sum(p.shape[0] for p in parts),))
-
-    def segment_sum(self, v, width: int, lengths: list[int]):
-        shape = (len(lengths), width)
-        # the length list enters the trace only while tracing
-        meta = (shape, list(lengths)) if self.trace_enabled else ()
-        self._record("segment_sum", v.shape, *meta)
-        return self._linear("segment_sum", (v,), shape, width,
-                            np.asarray(lengths, dtype=np.int64))
-
-    def slice(self, v, lo: int, hi: int):
-        self._record("slice", v.shape, lo, hi)
-        return self._linear("slice", (v,), (hi - lo,), lo, hi)
-
-    def vget(self, v, i: int):
-        self._record("get", v.shape, i)
-        return self._linear("get", (v,), (), i)
-
-    def broadcast(self, s, shape: tuple):
-        self._record("broadcast", shape)
-        return self._linear("broadcast", (s,), shape, shape)
-
-    def stack(self, rows):
-        self._record("stack", (len(rows),))
-        return self._linear("stack", rows, (len(rows),) + rows[0].shape)
-
-    # -- gates -------------------------------------------------------------------
-
-    def eq(self, a, b):
-        self.require("native_eq")
-        self._record("eq", a.shape)
-        return self._compare("eq", a, b)
-
-    def gt(self, a, b):
-        self.require("compare")
-        self._record("gt", a.shape)
-        return self._compare("gt", a, b)
-
-    # -- optional primitives: a backend with the capability overrides them ------
-
-    def sort(self, v):
-        self.require("sort")
-
-    def join_counts(self, pairs):
-        self.require("join")
-
-    def masked_reciprocal(self, x, helper_role: str = "P3"):
-        self.require("division")
-
-    def approx_eq(self, a, b):
-        self.require("division")
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -5,8 +5,10 @@ set by a platform profile.  Its ``generic`` profile has every capability and
 exact results; it is the cleartext reference (the ``clear`` kind) that every
 other backend and profile must match.  It performs no real encryption;
 opacity is enforced at the machine layer and audited via trace/transcript.
-The primitives it shares with every backend are defined on ``Backend``; here
-their hooks apply the numpy kernels to the values themselves.
+``Machine`` defines each shared primitive; this backend supplies enc/dec,
+the four kernel hooks, which apply the numpy kernels to the values
+themselves, and its own protocols for sort, join, the masked reciprocal and
+approximate equality.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS,
 
 
 class LocalBackend(Backend):
-    """The primitive layer over numpy values, and the optional primitives
-    (sort, join, masked reciprocal, approximate equality).
+    """The kernel hooks over numpy values, and the optional primitives
+    (sort, join, masked reciprocal, approximate equality); ``Machine`` has
+    checked the capability of each before it calls.
 
     Exact domain payloads are wrapping ``uint64`` arrays (two's complement
     view for signed semantics); approximate domain payloads are ``float64``.
@@ -67,10 +70,10 @@ class LocalBackend(Backend):
     # uint64 ufuncs wrap without warnings, so a linear kernel runs bare; the
     # products also silence float64 overflow, where values square
 
-    def _linear(self, op: str, srcs, shape, *args) -> np.ndarray:
+    def _linear(self, op: str, srcs, *args) -> np.ndarray:
         return KERNELS[op](*srcs, *args)
 
-    def _bilinear(self, op: str, a: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
+    def _bilinear(self, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             return KERNELS[op](a, b)
 
@@ -85,14 +88,12 @@ class LocalBackend(Backend):
     # -- optional primitives ---------------------------------------------------
 
     def sort(self, v: np.ndarray) -> np.ndarray:
-        self.require("sort")
         self._record("sort", v.shape)
         if self.domain == EXACT:
             return np.sort(self._signed(v)).view(np.uint64)
         return np.sort(v)
 
     def join_counts(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        self.require("join")
         self._record_each("join", len(pairs), ((a.shape, b.shape) for a, b in pairs))
         return self._coerce([len(np.intersect1d(a, b, assume_unique=True)) for a, b in pairs])
 
@@ -106,7 +107,6 @@ class LocalBackend(Backend):
         multiplied by enc(r) again.  The helper's transcript therefore holds
         r*x, never x.
         """
-        self.require("division")
         self.require_domain(APPROX, "masked reciprocal")
         r = self.rng.uniform(0.5, 2.0, size=x.shape)
         # the ledger and trace hold enc(r), mul, dec, enc(1/(r*x)), mul
@@ -134,7 +134,6 @@ class LocalBackend(Backend):
         order: sub, enc(xi), add, the reciprocal's enc, mul, dec, enc, mul,
         then enc(-1), mul, mul, enc(1), add.  ``d·(-q) + 1`` and ``1 - d·q``
         are the same float64 value, so the bits equal the chain's."""
-        self.require("division")
         shape = a.shape
         self._record("sub", shape)
         self._record("enc", shape)

@@ -25,6 +25,12 @@ from .pipeline import (PipelineConfig, prepare_upload, read_party_dir,
 _BACKENDS = ["clear", "sim", "mpc"]
 _PROFILES = ["generic", "simd", "sharemind"]
 _STRATEGIES = ["pj", "vr", "ve", "so", "mj", "auto"]
+# Keys a config file may hold besides the PipelineConfig fields: the extras
+# that generate, link and bench write into run.config, and the keys of
+# retired flags (jobs, epsilon, latency_us).  None of them sets anything.
+_EXTRA_KEYS = frozenset({
+    "size", "split", "strategy_resolved", "obfu_count", "evaluated_cells",
+    "grid_backends", "grid_strategies", "grid_t_blocks", "jobs", "epsilon", "latency_us"})
 
 
 def _read_config_file(path: str) -> dict:
@@ -42,6 +48,10 @@ def _read_config_file(path: str) -> dict:
 def _build_config(args) -> PipelineConfig:
     config = PipelineConfig()
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_values) - _EXTRA_KEYS - {f.name for f in fields(PipelineConfig)})
+    if unknown:
+        raise OblivLinkError(f"config file {args.config} holds unknown key "
+                             f"{unknown[0]!r}")
 
     def pick(flag_name, key, cast, current):
         flag = getattr(args, flag_name, None)

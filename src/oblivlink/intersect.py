@@ -50,12 +50,10 @@ class Strategy(enum.Enum):
 
 def strategy_supported(strategy: Strategy, caps) -> bool:
     """Capability table: which strategies a backend can execute."""
-    if strategy is Strategy.PJ:
+    if strategy in (Strategy.PJ, Strategy.VE):
         return caps.native_eq or caps.division
     if strategy is Strategy.VR:
         return caps.rotation and (caps.native_eq or caps.division)
-    if strategy is Strategy.VE:
-        return caps.repeat_elements and (caps.native_eq or caps.division)
     if strategy is Strategy.SO:
         return caps.sort
     if strategy is Strategy.MJ:
@@ -270,7 +268,8 @@ _DISPATCH = {
 }
 
 
-def _require_strategy(mach: Machine, strategy: Strategy):
+def require_strategy(mach: Machine, strategy: Strategy):
+    """Refuse, with ``CapabilityError``, a strategy the backend cannot run."""
     if not strategy_supported(strategy, mach.b.caps):
         raise CapabilityError(
             f"strategy {strategy.value} unsupported on {mach.b.kind}/{mach.b.profile}")
@@ -278,7 +277,7 @@ def _require_strategy(mach: Machine, strategy: Strategy):
 
 def intersection_size(mach: Machine, v1: PrivateVector, v2: PrivateVector,
                       strategy: Strategy) -> PrivateScalar:
-    _require_strategy(mach, strategy)
+    require_strategy(mach, strategy)
     return _DISPATCH[strategy](mach, v1, v2)
 
 
@@ -327,7 +326,7 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
     before any machine work.  ``max_slots`` bounds each VE run's slots and
     is unused by the other strategies.
     """
-    _require_strategy(mach, strategy)
+    require_strategy(mach, strategy)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
     len1, len2 = _lengths(enc1)[cells[:, 0]], _lengths(enc2)[cells[:, 1]]
     if mach.b.domain == APPROX:

@@ -14,6 +14,11 @@ plus the derived operators built from them: the arithmetic ternary selectors
 update, element-wise private equality (native gate or the arithmetic
 reciprocal workaround), and ordering tests.  Every operator executes a
 primitive sequence that depends only on public shapes.
+
+Each primitive is defined here, once for every backend: it checks its
+handles and the backend's capability, records its ledger and trace entry,
+and runs one of the backend's four kernel hooks.  A backend supplies
+enc/dec, those hooks and its own protocols for the optional primitives.
 """
 
 from __future__ import annotations
@@ -155,7 +160,8 @@ PrivateBool = PrivateScalar
 
 
 class Machine:
-    """Operator set over one backend context."""
+    """Operator set over one backend context, and the one definition of
+    each primitive."""
 
     def __init__(self, backend: Backend):
         self.b = backend
@@ -211,16 +217,25 @@ class Machine:
         return self.b.dec(value.payload)
 
     # -- primitive arithmetic ----------------------------------------------
+    # Each primitive checks its handles, then the backend's capability, then
+    # records its op and public metadata, and only then runs the backend's
+    # kernel hook: a refusal leaves the ledger and trace as they were.
+
+    def _product(self, op: str, a, b, *meta):
+        self.b._record(op, *meta)
+        return self.b._bilinear(op, a.payload, b.payload)
 
     def add(self, a, b):
         self._check_ctx(a, b)
         self._same_shape(a, b)
-        return self._wrap(self.b.add(a.payload, b.payload))
+        self.b._record("add", a.payload.shape)
+        return self._wrap(self.b._linear("add", (a.payload, b.payload)))
 
     def sub(self, a, b):
         self._check_ctx(a, b)
         self._same_shape(a, b)
-        return self._wrap(self.b.sub(a.payload, b.payload))
+        self.b._record("sub", a.payload.shape)
+        return self._wrap(self.b._linear("sub", (a.payload, b.payload)))
 
     def mul(self, a, b):
         """Scalar product, or matrix product when both operands are
@@ -229,13 +244,15 @@ class Machine:
         if isinstance(a, PrivateMatrix) and isinstance(b, PrivateMatrix):
             if a.cols != b.rows:
                 raise ShapeError(f"matrix product mismatch: {a.shape} x {b.shape}")
-            return self._wrap(self.b.matmul(a.payload, b.payload))
+            return PrivateMatrix(self.b, self._product("matmul", a, b, a.payload.shape,
+                                                       b.payload.shape))
         if isinstance(a, PrivateVector) and isinstance(b, PrivateMatrix):
             if a.length != b.rows:
                 raise ShapeError(f"vector-matrix mismatch: {a.length} x {b.shape}")
-            return self._wrap(self.b.vecmat(a.payload, b.payload))
+            return PrivateVector(self.b, self._product("vecmat", a, b, a.payload.shape,
+                                                       b.payload.shape))
         self._same_shape(a, b)
-        return self._wrap(self.b.mul(a.payload, b.payload))
+        return self._wrap(self._product("mul", a, b, a.payload.shape))
 
     def eadd(self, a, b):
         return self.add(a, b)
@@ -246,23 +263,35 @@ class Machine:
     def emul(self, a, b):
         self._check_ctx(a, b)
         self._same_shape(a, b)
-        return self._wrap(self.b.mul(a.payload, b.payload))
+        return self._wrap(self._product("mul", a, b, a.payload.shape))
 
     def dot(self, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
         """Dot product of equal-length vectors (a.k.a. inner product)."""
         self._check_ctx(v1, v2)
         self._same_shape(v1, v2)
-        return PrivateScalar(self.b, self.b.dot(v1.payload, v2.payload))
+        return PrivateScalar(self.b, self._product("dot", v1, v2, v1.payload.shape))
+
+    def outer(self, col: PrivateVector, row: PrivateVector) -> PrivateMatrix:
+        """Outer product: cell (i, j) is col[i]·row[j]."""
+        self._check_ctx(col, row)
+        if not (isinstance(col, PrivateVector) and isinstance(row, PrivateVector)):
+            raise ShapeError(f"outer product of {col!r} and {row!r}")
+        return PrivateMatrix(self.b, self._product("outer", col, row, col.payload.shape,
+                                                   row.payload.shape))
 
     def rshift(self, v: PrivateVector, k: int = 1, cyclic: bool = True, fill=0):
         """Shift right by a public amount; cyclic rotation by default, or
         fill vacated slots with a public sentinel when ``cyclic=False``."""
-        self._check_ctx(v)
-        return PrivateVector(self.b, self.b.rotate(v.payload, int(k), bool(cyclic), fill))
+        return self._shift(v, int(k), bool(cyclic), fill)
 
     def lshift(self, v: PrivateVector, k: int = 1, cyclic: bool = True, fill=0):
+        return self._shift(v, -int(k), bool(cyclic), fill)
+
+    def _shift(self, v: PrivateVector, k: int, cyclic: bool, fill) -> PrivateVector:
         self._check_ctx(v)
-        return PrivateVector(self.b, self.b.rotate(v.payload, -int(k), bool(cyclic), fill))
+        self.b.require("rotation")
+        self.b._record("rotate", v.payload.shape, k, cyclic)
+        return PrivateVector(self.b, self.b._rotate(v.payload, k, cyclic, fill))
 
     def size(self, value):
         """Public size: length of a vector, (rows, cols) of a matrix."""
@@ -276,10 +305,10 @@ class Machine:
 
     def transpose(self, value):
         self._check_ctx(value)
-        if isinstance(value, PrivateMatrix):
-            return PrivateMatrix(self.b, self.b.transpose(value.payload))
-        # Vector transpose is orientation bookkeeping only.
         self.b._record("transpose", value.payload.shape)
+        if isinstance(value, PrivateMatrix):
+            return PrivateMatrix(self.b, self.b._linear("transpose", (value.payload,)))
+        # Vector transpose is orientation bookkeeping only.
         return value
 
     # -- structure helpers (public shapes) ------------------------------------
@@ -288,30 +317,38 @@ class Machine:
         """The vectors joined end to end."""
         parts = (first,) + rest
         self._check_ctx(*parts)
-        return PrivateVector(self.b, self.b.concat(*(p.payload for p in parts)))
+        payloads = [p.payload for p in parts]
+        self.b._record("concat", *(p.shape for p in payloads))
+        return PrivateVector(self.b, self.b._linear("concat", payloads))
 
     def tile(self, v: PrivateVector, times: int) -> PrivateVector:
         """The whole vector repeated ``times`` times."""
         self._check_ctx(v)
-        return PrivateVector(self.b, self.b.tile(v.payload, int(times)))
+        times = int(times)
+        self.b._record("tile", v.payload.shape, times)
+        return PrivateVector(self.b, self.b._linear("tile", (v.payload,), times))
 
     def repeat_each(self, v: PrivateVector, times: int) -> PrivateVector:
         """Each element repeated ``times`` times, in place."""
         self._check_ctx(v)
-        return PrivateVector(self.b, self.b.repeat_each(v.payload, int(times)))
+        times = int(times)
+        self.b._record("repeat_each", v.payload.shape, times)
+        return PrivateVector(self.b, self.b._linear("repeat_each", (v.payload,), times))
 
     def take(self, v, idx):
         """Gather at public indices: slot k of the result is slot ``idx[k]``
         of ``v`` read in row-major order, so the result has idx's shape.
         ``tile`` and ``repeat_each`` are the special cases of a fixed index
-        pattern.  The trace holds the two shapes, never the index."""
+        pattern.  The index is public: every party knows it, and the trace
+        holds the two shapes, never the index."""
         self._check_ctx(v)
         idx = np.asarray(idx, dtype=np.int64)
         size = math.prod(v.payload.shape)
         # one pass: a negative index viewed as uint64 is at least 2^63
         if idx.ndim > 2 or (idx.size and idx.view(np.uint64).max() >= size):
             raise ShapeError(f"gather of index shape {idx.shape} out of {size} slots")
-        return self._wrap(self.b.take(v.payload, idx))
+        self.b._record("take", v.payload.shape, idx.shape)
+        return self._wrap(self.b._linear("take", (v.payload,), idx))
 
     def slice(self, v: PrivateVector, lo: int, hi: int) -> PrivateVector:
         """Slots lo to hi - 1, for public bounds 0 <= lo <= hi <= len(v);
@@ -320,12 +357,15 @@ class Machine:
         lo, hi = int(lo), int(hi)
         if not 0 <= lo <= hi <= v.length:
             raise ShapeError(f"slice [{lo}:{hi}] of a vector of {v.length} slots")
-        return PrivateVector(self.b, self.b.slice(v.payload, lo, hi))
+        self.b._record("slice", v.payload.shape, lo, hi)
+        return PrivateVector(self.b, self.b._linear("slice", (v.payload,), lo, hi))
 
     def vget(self, v: PrivateVector, i: int) -> PrivateScalar:
         """Element at a public index (the index is not protected)."""
         self._check_ctx(v)
-        return PrivateScalar(self.b, self.b.vget(v.payload, int(i)))
+        i = int(i)
+        self.b._record("get", v.payload.shape, i)
+        return PrivateScalar(self.b, self.b._linear("get", (v.payload,), i))
 
     def segment_sum(self, v: PrivateVector, width: int, lengths) -> PrivateMatrix:
         """Read ``v`` as rows of ``width`` slots; row k of the result sums the
@@ -337,23 +377,36 @@ class Machine:
         if width < 0 or min(lengths, default=0) < 0 or v.length != sum(lengths) * width:
             raise ShapeError(f"segment sum of {v.length} slots into rows of {width} "
                              f"with run lengths {lengths}")
-        return PrivateMatrix(self.b, self.b.segment_sum(v.payload, width, lengths))
+        # the length list enters the trace only while tracing
+        meta = ((len(lengths), width), lengths) if self.b.trace_enabled else ()
+        self.b._record("segment_sum", v.payload.shape, *meta)
+        return PrivateMatrix(self.b, self.b._linear("segment_sum", (v.payload,), width,
+                                                    np.asarray(lengths, dtype=np.int64)))
+
+    def _broadcast(self, s: PrivateScalar, shape: tuple):
+        self._check_ctx(s)
+        self.b._record("broadcast", shape)
+        return self.b._linear("broadcast", (s.payload,), shape)
 
     def broadcast(self, s: PrivateScalar, n: int) -> PrivateVector:
-        self._check_ctx(s)
-        return PrivateVector(self.b, self.b.broadcast(s.payload, (int(n),)))
+        return PrivateVector(self.b, self._broadcast(s, (int(n),)))
 
     def broadcast_mat(self, s: PrivateScalar, shape) -> PrivateMatrix:
-        self._check_ctx(s)
-        return PrivateMatrix(self.b, self.b.broadcast(s.payload, tuple(int(n) for n in shape)))
+        return PrivateMatrix(self.b, self._broadcast(s, tuple(int(n) for n in shape)))
 
     def stack(self, first: PrivateScalar, *rest: PrivateScalar) -> PrivateVector:
         """The scalars joined into one vector."""
         parts = (first,) + rest
         self._check_ctx(*parts)
-        return PrivateVector(self.b, self.b.stack([p.payload for p in parts]))
+        self.b._record("stack", (len(parts),))
+        return PrivateVector(self.b, self.b._linear("stack", [p.payload for p in parts]))
 
     # -- equality and ordering gates --------------------------------------------
+
+    def _eq(self, a, b):
+        """The native gate; the callers have checked ``native_eq``."""
+        self.b._record("eq", a.payload.shape)
+        return self.b._compare("eq", a.payload, b.payload)
 
     def eeq(self, seq: PrivateVector, idx: PrivateVector) -> PrivateVector:
         """Element-wise equality: slot i is 1 iff seq[i] == idx[i].
@@ -369,7 +422,7 @@ class Machine:
         self._check_ctx(seq, idx)
         self._same_shape(seq, idx)
         if self.b.caps.native_eq:
-            return PrivateVector(self.b, self.b.eq(seq.payload, idx.payload))
+            return PrivateVector(self.b, self._eq(seq, idx))
         if not self.b.caps.division:
             raise CapabilityError(
                 "equality needs a native gate or division for the workaround")
@@ -378,10 +431,8 @@ class Machine:
     def eeq_scalar(self, a: PrivateScalar, b: PrivateScalar) -> PrivateScalar:
         self._check_ctx(a, b)
         if self.b.caps.native_eq:
-            return PrivateScalar(self.b, self.b.eq(a.payload, b.payload))
-        va = PrivateVector(self.b, self.b.broadcast(a.payload, (1,)))
-        vb = PrivateVector(self.b, self.b.broadcast(b.payload, (1,)))
-        return self.vget(self.eeq(va, vb), 0)
+            return PrivateScalar(self.b, self._eq(a, b))
+        return self.vget(self.eeq(self.broadcast(a, 1), self.broadcast(b, 1)), 0)
 
     def gt(self, a, b, bound: int) -> PrivateScalar:
         """1 iff a > b (signed), computed by the backend's comparison gate.
@@ -396,17 +447,22 @@ class Machine:
         if limit is not None and bound >= limit:
             raise DomainError(f"comparison operands bounded by {bound} reach the "
                               f"gate's bound {limit}")
-        return self._wrap(self.b.gt(a.payload, b.payload))
+        self.b._record("gt", a.payload.shape)
+        return self._wrap(self.b._compare("gt", a.payload, b.payload))
+
+    # -- optional primitives: the backend runs its own protocol ------------------
 
     def masked_reciprocal(self, x, helper_role: str = "P3"):
         """1/x via the owner-randomness masking protocol; the helper party
         observes only r*x."""
         self._check_ctx(x)
+        self.b.require("division")
         return self._wrap(self.b.masked_reciprocal(x.payload, helper_role))
 
     def sort_vec(self, v: PrivateVector) -> PrivateVector:
         """Obliviously sorted copy (backend sort capability)."""
         self._check_ctx(v)
+        self.b.require("sort")
         return PrivateVector(self.b, self.b.sort(v.payload))
 
     def join_counts(self, enc1: list[PrivateVector], enc2: list[PrivateVector],
@@ -417,6 +473,7 @@ class Machine:
         ``join`` per cell, in cell order.  Every handle in both lists must
         belong to this context, whether a cell names it or not."""
         self._check_ctx(*enc1, *enc2)
+        self.b.require("join")
         p1, p2 = [v.payload for v in enc1], [v.payload for v in enc2]
         pairs = [(p1[i], p2[j])
                  for i, j in np.asarray(cells, dtype=np.int64).reshape(-1, 2).tolist()]
@@ -466,12 +523,11 @@ class Machine:
 
     def matrix_lookup(self, mat: PrivateMatrix, row: PrivateScalar, col: PrivateScalar) -> PrivateScalar:
         mask = self.mask_gen(mat.rows, row)
-        row_vec = PrivateVector(self.b, self.b.vecmat(mask.payload, mat.payload))
-        return self.vector_lookup(row_vec, col)
+        return self.vector_lookup(self.mul(mask, mat), col)
 
     def matrix_update(self, mat: PrivateMatrix, row: PrivateScalar, col: PrivateScalar,
                       val: PrivateScalar) -> PrivateMatrix:
         row_mask = self.mask_gen(mat.rows, row)
         col_mask = self.mask_gen(mat.cols, col)
-        mask = PrivateMatrix(self.b, self.b.outer(row_mask.payload, col_mask.payload))
-        return self.choose_mat(mask, self.broadcast_mat(val, mat.shape), mat)
+        return self.choose_mat(self.outer(row_mask, col_mask),
+                               self.broadcast_mat(val, mat.shape), mat)

@@ -1,14 +1,15 @@
 """Backend that executes machine primitives over the three-party runtime.
 
-Values are handles into the parties' share stores.  The primitives, with
-their ledger and trace entries, are defined once on ``Backend``; this
-backend supplies the hooks that run them: linear and structural operations
-party-locally, products on dealer Beaver triples (one exchange round), and
-equality/ordering on the dealer gates over masked differences.  Every
-primitive runs to completion: it sends its messages hop by hop, pumping the
-network after each, so its result is in every party's store and no message
-is in flight when it returns.  Sorting, joins, and division are not
-provided, so the SO and MJ intersection strategies are unavailable here.
+Values are handles into the parties' share stores.  ``Machine`` defines
+each primitive and records its ledger and trace entries; this backend
+supplies enc/dec and the four kernel hooks that run them: linear and
+structural operations party-locally, products on dealer Beaver triples (one
+exchange round), and equality/ordering on the dealer gates over masked
+differences.  Every primitive runs to completion: it sends its messages hop
+by hop, pumping the network after each, so its result is in every party's
+store and no message is in flight when it returns.  Sorting, joins, and
+division are not provided, so the SO and MJ intersection strategies are
+unavailable here.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import itertools
 
 import numpy as np
 
-from ..backends.base import EXACT, KERNELS, Backend, Capabilities, lift_signed, tagged_rng, to_u64
+from ..backends.base import (EXACT, KERNELS, PRODUCT_SHAPES, Backend, Capabilities,
+                             lift_signed, tagged_rng, to_u64)
 from .runtime import COORD, DEALER, PARTIES, Collector, DealerActor, Network, PartyActor
 from .sharing import rand_u64, reconstruct3, share3
 
-CAPS_MPC = Capabilities(native_eq=True, rotation=True, repeat_elements=True,
-                        sort=False, join=False, division=False, compare=True)
+CAPS_MPC = Capabilities(native_eq=True, rotation=True, sort=False, join=False,
+                        division=False)
 
 
 class ShareRef:
@@ -32,8 +34,8 @@ class ShareRef:
     leaves every party's store.  Every primitive has finished by the time it
     returns, so no reader can still be waiting for the share.  Freeing sends
     no message and enters neither the trace nor the ledger.  ``shape`` is
-    a tuple of Python ints, as numpy shapes are; the backend builds every
-    other shape from ints."""
+    a tuple of Python ints: a numpy shape, or a ``PRODUCT_SHAPES`` result
+    over such shapes."""
 
     __slots__ = ("hid", "shape", "_stores")
 
@@ -85,18 +87,19 @@ class MpcBackend(Backend):
 
     # -- the shared primitives' hooks ------------------------------------------
 
-    def _linear(self, op: str, srcs, shape, *args) -> ShareRef:
+    def _linear(self, op: str, srcs, *args) -> ShareRef:
         """Party-local: each party applies the kernel to its own components;
-        no message is sent."""
-        out = self._new_ref(shape)
+        no message is sent.  The result's shape is that of party 0's."""
         kernel = KERNELS[op]
         hids = [s.hid for s in srcs]
         with np.errstate(over="ignore"):
-            for store in self._stores:
-                store[out.hid] = kernel(*[store[h] for h in hids], *args)
+            parts = [kernel(*[store[h] for h in hids], *args) for store in self._stores]
+        out = self._new_ref(parts[0].shape)
+        for store, part in zip(self._stores, parts):
+            store[out.hid] = part
         return out
 
-    def _bilinear(self, op: str, a: ShareRef, b: ShareRef, shape) -> ShareRef:
+    def _bilinear(self, op: str, a: ShareRef, b: ShareRef) -> ShareRef:
         """A Beaver product: one dealer triple and one exchange round."""
         tag = (self._stage, op)
         net, parties = self.net, self.parties
@@ -108,7 +111,7 @@ class MpcBackend(Backend):
             for p in parties:
                 p.beaver_open(a.hid, b.hid, tag)
             net.pump()
-            out = self._new_ref(shape)
+            out = self._new_ref(PRODUCT_SHAPES[op](a.shape, b.shape))
             for p in parties:
                 p.beaver_close(op, out.hid)
         net.stats.add_round(tag)

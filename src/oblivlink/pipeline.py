@@ -32,7 +32,7 @@ from .blocking import (TOKEN_BITS, EncodedRecord, MinHasher, bigram_codes, block
 from .errors import DomainError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (JaccardParams, Strategy, jaccard_cells, jaccard_match,  # noqa: F401
-                        pick_strategy)
+                        pick_strategy, require_strategy)
 from .machine import (EQ_BIT_ERROR, MIN_RUN_SLOTS, Machine, PrivateMatrix, PrivateVector,
                       slot_runs)
 
@@ -310,6 +310,8 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
         strategy = pick_strategy(backend.caps, mean1, mean2)
     else:
         strategy = Strategy(config.strategy)
+    # before any machine work: filter_er would refuse it only after merge
+    require_strategy(mach, strategy)
 
     def upload():
         # records before blocks, D1 before D2: the order mpc draws the shares in
@@ -403,37 +405,71 @@ def write_party_dir(path: str, upload: PartyUpload):
             fh.write(f"{row},{rid}\n")
 
 
+def _upload_error(path: str, name: str, what: str) -> StageError:
+    return StageError("upload", f"{os.path.join(path, name)} {what}")
+
+
+def _parse_object(path: str, name: str, text: str, where: str = "") -> dict:
+    """The JSON object that ``text`` holds; anything else is refused."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        value = None
+    if not isinstance(value, dict):
+        raise _upload_error(path, name, f"{where}is not a JSON object")
+    return value
+
+
 def _check_rows(path: str, name: str, rows: list):
     """Refuse a file whose ``row`` fields are not 0..n-1 in order: blocks
     name the owner's rows by number, and records and id map hold them by
     position."""
     for k, row in enumerate(rows):
         if str(row) != str(k):
-            raise StageError("upload", f"{os.path.join(path, name)} entry {k} "
-                                       f"holds row {row}, not {k}")
+            raise _upload_error(path, name, f"entry {k} holds row {row}, not {k}")
 
 
 def read_party_dir(path: str) -> PartyUpload:
-    """Load what ``write_party_dir`` wrote; records or id-map rows that are
-    out of order are refused with ``StageError("upload", …)``."""
-    encoded, rows = [], []
-    with open(os.path.join(path, "records.enc")) as fh:
-        for line in fh:
-            item = json.loads(line)
-            row = item.get("row")
-            rows.append(row)
-            encoded.append(EncodedRecord(str(row), tuple(item["containers"]),
-                                         item.get("pack", 1)))
-    _check_rows(path, "records.enc", rows)
-    with open(os.path.join(path, "blocks.enc")) as fh:
-        index = {k: list(map(int, v)) for k, v in json.load(fh).items()}
+    """Load what ``write_party_dir`` wrote.  Anything else is refused with
+    ``StageError("upload", …)``: a file that does not parse, records or
+    id-map rows out of order, a record without its containers or pack, a
+    container, pack or block id that is not an integer (JSON's true and
+    false included), and a record whose pack is not the manifest's (or,
+    when the manifest has none, the first record's)."""
     with open(os.path.join(path, "manifest")) as fh:
-        manifest = json.load(fh)
+        manifest = _parse_object(path, "manifest", fh.read())
+    with open(os.path.join(path, "records.enc")) as fh:
+        items = [_parse_object(path, "records.enc", line, f"entry {k} ")
+                 for k, line in enumerate(fh)]
+    _check_rows(path, "records.enc", [item.get("row") for item in items])
+    pack = manifest.get("pack")
+    encoded = []
+    for k, item in enumerate(items):
+        missing = [key for key in ("containers", "pack") if key not in item]
+        if missing:
+            raise _upload_error(path, "records.enc", f"entry {k} lacks {' and '.join(missing)}")
+        containers = item["containers"]
+        if type(containers) is not list or not all(type(c) is int for c in containers):
+            raise _upload_error(path, "records.enc",
+                                f"entry {k} holds a container that is not an integer")
+        pack = item["pack"] if pack is None else pack
+        if type(item["pack"]) is not int or item["pack"] != pack:
+            raise _upload_error(path, "records.enc",
+                                f"entry {k} has pack {item['pack']!r}, not {pack!r}")
+        encoded.append(EncodedRecord(str(k), tuple(containers), pack))
+    with open(os.path.join(path, "blocks.enc")) as fh:
+        index = _parse_object(path, "blocks.enc", fh.read())
+    for key, ids in index.items():
+        if type(ids) is not list or not all(type(i) is int for i in ids):
+            raise _upload_error(path, "blocks.enc",
+                                f"block {key} holds an id that is not an integer")
     id_map, rows = [], []
     with open(os.path.join(path, "idmap.csv")) as fh:
-        next(fh)
-        for line in fh:
-            row, rid = line.rstrip("\n").split(",", 1)
+        next(fh, None)
+        for k, line in enumerate(fh):
+            row, comma, rid = line.rstrip("\n").partition(",")
+            if not comma:
+                raise _upload_error(path, "idmap.csv", f"entry {k} holds no record id")
             rows.append(row)
             id_map.append(rid)
     _check_rows(path, "idmap.csv", rows)

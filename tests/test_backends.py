@@ -17,7 +17,7 @@ from conftest import EXACT_BACKENDS, open_machine
 
 
 def test_profile_capability_tables():
-    assert CAPS_SIMD.rotation and CAPS_SIMD.repeat_elements and CAPS_SIMD.division
+    assert CAPS_SIMD.rotation and CAPS_SIMD.division
     assert not (CAPS_SIMD.native_eq or CAPS_SIMD.sort or CAPS_SIMD.join)
     assert CAPS_SHAREMIND.native_eq and CAPS_SHAREMIND.sort and CAPS_SHAREMIND.join
     assert not CAPS_SHAREMIND.rotation and not CAPS_SHAREMIND.division
@@ -268,12 +268,28 @@ SHARED_PRIMITIVES = ("add", "sub", "mul", "dot", "matmul", "vecmat", "outer", "t
                      "slice", "vget", "broadcast", "stack", "eq", "gt")
 
 
-def test_shared_primitives_are_defined_once_on_backend():
-    assert all(name in vars(Backend) for name in SHARED_PRIMITIVES)
-    for cls in (LocalBackend, SimBackend, MpcBackend):
-        assert not set(SHARED_PRIMITIVES) & set(vars(cls)), cls
-    # mpc lacks these capabilities, and inherits the refusal
+def test_shared_primitives_are_defined_once_on_machine():
+    for cls in (Backend, LocalBackend, SimBackend, MpcBackend):
+        assert not set(SHARED_PRIMITIVES + ("_product",)) & set(vars(cls)), cls
+    # mpc lacks these capabilities; Machine refuses them before any call
     assert not {"sort", "join_counts", "masked_reciprocal", "approx_eq"} & set(vars(MpcBackend))
+
+
+@pytest.mark.parametrize("spec, call", [
+    ("sim:sharemind", lambda mach, v: mach.rshift(v, 1)),
+    ("mpc", lambda mach, v: mach.sort_vec(v)),
+    ("mpc", lambda mach, v: mach.join_counts([v], [v], [(0, 0)])),
+    ("mpc", lambda mach, v: mach.masked_reciprocal(v)),
+])
+def test_a_capability_refusal_records_nothing(spec, call):
+    mach, _, b = open_machine(spec, seed=3)
+    v = mach.enc([2, 1])
+    b.enable_trace()
+    before = b.ledger.rows()
+    with pytest.raises(CapabilityError):
+        call(mach, v)
+    assert b.ledger.rows() == before and b.trace == []
+    b.close()
 
 
 def _public_arguments(i, lo, hi, times, n):

@@ -121,6 +121,44 @@ def test_config_with_the_retired_jobs_key_still_loads(tmp_path):
     assert "jobs" not in values
 
 
+def test_every_commands_run_config_loads_back(tmp_path):
+    # each command's own flags, then the common flags that its run.config
+    # supplies on the second run
+    data, blocks = str(tmp_path / "data"), str(tmp_path / "blocks")
+    runs = {
+        "generate": (["--out", data, "--size", "40"], ["--seed", "2"]),
+        "block": (["--data", data, "--out", blocks], ["--seed", "2", "--pack", "4"]),
+        "link": (["--blocks", blocks, "--out", str(tmp_path / "link")],
+                 ["--seed", "2", "--pack", "4", "--isect", "ve", "--rho", "0.1"]),
+        "bench": (["--data", data, "--out", str(tmp_path / "bench"), "--backends", "clear",
+                   "--t-blocks", "0.5"], ["--seed", "2"]),
+        "eval": (["--data", data, "--out", str(tmp_path / "eval")], ["--seed", "2"]),
+    }
+    for command, (own, common) in runs.items():
+        assert main([command] + own + common) == 0, command
+        out = own[own.index("--out") + 1]
+        again = [out + "-again" if arg == out else arg for arg in own]
+        assert main([command] + again + ["--config", os.path.join(out, "run.config")]) == 0, \
+            command
+        assert _read(os.path.join(out, "run.config")) == \
+            _read(os.path.join(out + "-again", "run.config")), command
+
+
+def test_config_with_an_unknown_key_is_refused(tmp_path, capsys):
+    # a misspelt rho once linked with the default 0.05
+    data, blocks = str(tmp_path / "data"), str(tmp_path / "blocks")
+    main(["generate", "--out", data, "--size", "40", "--seed", "0"])
+    main(["block", "--data", data, "--out", blocks, "--seed", "0"])
+    capsys.readouterr()
+    cfg = tmp_path / "typo.config"
+    cfg.write_text("backend=sim\nrh0=0.5\n")
+    out = tmp_path / "link"
+    assert main(["link", "--blocks", blocks, "--out", str(out), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config file {cfg} holds unknown key 'rh0'\n"
+    assert not out.exists()
+
+
 def test_bench_candidates_decrease_with_threshold(tmp_path):
     data = str(tmp_path / "data")
     out = str(tmp_path / "bench")

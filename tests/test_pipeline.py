@@ -1,13 +1,15 @@
 """Stage-level pipeline behaviour and full-run properties."""
 
+import json
 import os
+import shutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oblivlink import (DomainError, JaccardParams, Machine, MinHasher, ObfuscationPolicy,
+from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, MinHasher, ObfuscationPolicy,
                        PartyUpload, PipelineConfig, StageError, Strategy, assert_oblivious,
                        generate_dataset, make_backend, optimal_band_plan,
                        plain_blocked_pairs, plain_matches, run_pper,
@@ -317,14 +319,17 @@ def test_candidate_count_bounded_by_obfuscation():
 
 
 def test_stage_errors_carry_the_failing_stage():
-    d1, d2, _ = generate_dataset(seed=0, size=30, split=0.3)
-    # SO needs a sort capability the mpc backend lacks; the failure surfaces
-    # inside filter_er with that stage in the diagnostic
-    cfg = PipelineConfig(backend="mpc", strategy="so", seed=0)
+    # one candidate cell of two 710-container records: on simd its count
+    # may err past 1/2, and jaccard_cells refuses it inside filter_er, whose
+    # name the diagnostic carries
+    def upload(first):
+        return PartyUpload([EncodedRecord("0", tuple(range(first, first + 710)), 1)],
+                           {"k": [0]}, ["r"])
+    cfg = PipelineConfig(backend="sim", profile="simd", strategy="ve", seed=0)
     with pytest.raises(StageError) as excinfo:
-        run_pper(d1, d2, cfg)
+        run_pper_from_uploads(upload(0), upload(1), cfg)
     assert excinfo.value.stage == "filter_er"
-    assert "filter_er" in str(excinfo.value)
+    assert str(excinfo.value).startswith("[filter_er] a count over records of 710")
 
 
 def test_stage_ledger_covers_pipeline_stages():
@@ -767,6 +772,119 @@ def test_upload_id_map_of_another_length_is_refused(tmp_path):
     u1, u2 = read_party_dir(str(p1)), read_party_dir(str(p2))
     u2.id_map.append("extra")
     assert _refused_upload(u1, u2, cfg) == "[upload] D2 id map holds 49 rows for 48 records"
+
+
+@pytest.mark.parametrize("spec, strategy", [
+    ("mpc", "so"), ("mpc", "mj"), ("sim:simd", "so"), ("sim:simd", "mj"),
+    ("sim:sharemind", "vr")])
+def test_unsupported_strategy_is_refused_before_any_work(spec, strategy):
+    # mpc SO was refused only in filter_er, after upload, merge and obfuscate
+    d1, d2, _ = generate_dataset(seed=0, size=60)
+    kind, _, profile = spec.partition(":")
+    cfg = PipelineConfig(backend=kind, profile=profile or "generic", strategy=strategy)
+    backend = make_backend(kind, cfg.profile)
+    with pytest.raises(CapabilityError) as excinfo:
+        run_pper(d1, d2, cfg, backend=backend)
+    assert str(excinfo.value) == \
+        f"strategy {strategy} unsupported on {backend.kind}/{backend.profile}"
+    assert backend.ledger.total() == 0 and not backend.transcript
+    if kind == "mpc":
+        assert backend.round_stats().messages == 0
+    backend.close()
+
+
+def _mutate_line(name, k, change):
+    """A mutation of one party directory that rewrites entry k of the JSON
+    lines file ``name`` with ``change``."""
+    def mutate(path):
+        lines = (path / name).read_text().splitlines(keepends=True)
+        lines[k] = change(lines[k])
+        (path / name).write_text("".join(lines))
+    return mutate
+
+
+def _mutate_record(k, change):
+    def rewrite(line):
+        item = json.loads(line)
+        change(item)
+        return json.dumps(item) + "\n"
+    return _mutate_line("records.enc", k, rewrite)
+
+
+def _mutate_blocks(change):
+    def mutate(path):
+        index = json.loads((path / "blocks.enc").read_text())
+        change(index)
+        (path / "blocks.enc").write_text(json.dumps(index))
+    return mutate
+
+
+def _first_block(value):
+    def change(index):
+        key = sorted(index)[0]
+        index[key] = [value] + index[key][1:]
+    return change
+
+
+MALFORMED_PARTY_FILES = {
+    "record not json": (_mutate_line("records.enc", 2, lambda line: line[:-3] + "\n"),
+                        "records.enc entry 2 is not a JSON object"),
+    "record not an object": (_mutate_line("records.enc", 2, lambda line: "[1, 2]\n"),
+                             "records.enc entry 2 is not a JSON object"),
+    "record without containers": (_mutate_record(2, lambda item: item.pop("containers")),
+                                  "records.enc entry 2 lacks containers"),
+    "record without pack": (_mutate_record(2, lambda item: item.pop("pack")),
+                            "records.enc entry 2 lacks pack"),
+    "container off its integer": (
+        _mutate_record(2, lambda item: item.update(containers=[item["containers"][0] + 0.5])),
+        "records.enc entry 2 holds a container that is not an integer"),
+    "container a bool": (_mutate_record(2, lambda item: item.update(containers=[True])),
+                         "records.enc entry 2 holds a container that is not an integer"),
+    "containers not a list": (_mutate_record(2, lambda item: item.update(containers=7)),
+                              "records.enc entry 2 holds a container that is not an integer"),
+    "pack other than the manifest's": (_mutate_record(2, lambda item: item.update(pack=4)),
+                                       "records.enc entry 2 has pack 4, not 1"),
+    "pack a bool": (_mutate_record(2, lambda item: item.update(pack=True)),
+                    "records.enc entry 2 has pack True, not 1"),
+    "block id not an integer": (_mutate_blocks(_first_block(1.5)),
+                                "holds an id that is not an integer"),
+    "block id a bool": (_mutate_blocks(_first_block(False)),
+                        "holds an id that is not an integer"),
+    "block id a string": (_mutate_blocks(_first_block("3")),
+                          "holds an id that is not an integer"),
+    "blocks not json": (lambda path: (path / "blocks.enc").write_text("{"),
+                        "blocks.enc is not a JSON object"),
+    "manifest not json": (lambda path: (path / "manifest").write_text("pack=1"),
+                          "manifest is not a JSON object"),
+    "id map row without id": (_mutate_line("idmap.csv", 3, lambda line: "2\n"),
+                              "idmap.csv entry 2 holds no record id"),
+}
+
+
+@pytest.fixture(scope="module")
+def party_blocks(tmp_path_factory):
+    """generate --size 60 --seed 0, then block: the directory of p1 and p2."""
+    from oblivlink.cli import main
+    root = tmp_path_factory.mktemp("corpus")
+    assert main(["generate", "--out", str(root / "data"), "--size", "60", "--seed", "0"]) == 0
+    assert main(["block", "--data", str(root / "data"), "--out", str(root / "blocks"),
+                 "--seed", "0"]) == 0
+    return root / "blocks"
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PARTY_FILES))
+def test_malformed_party_files_are_refused_at_upload(case, party_blocks, tmp_path, capsys):
+    from oblivlink.cli import main
+    mutate, message = MALFORMED_PARTY_FILES[case]
+    blocks = tmp_path / "blocks"
+    shutil.copytree(party_blocks, blocks)
+    mutate(blocks / "p1")
+    got = _refused_upload(blocks / "p1", blocks / "p2", PipelineConfig())
+    assert got.startswith("[upload] ") and message in got
+    assert main(["link", "--blocks", str(blocks), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [upload] ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # -- transport ------------------------------------------------------------------------

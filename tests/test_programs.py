@@ -5,8 +5,6 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from oblivlink.machine import PrivateMatrix
-
 from conftest import EXACT_BACKENDS, open_machine
 
 VALUE = 40         # inputs lie in [-VALUE, VALUE]
@@ -18,7 +16,7 @@ def programs(draw):
     """A list of steps ``(name, sources, args)`` over a pool of values, each
     with its public shape and a bound on its magnitude.  ``enc`` makes a
     value from ``args``; every other name is a ``Machine`` method applied to
-    the sources and then the args (``outer`` is the backend's)."""
+    the sources and then the args."""
     pool, steps = [], []
 
     def add(step, shape, bound):
@@ -143,8 +141,6 @@ def _run(spec, program):
         xs = [values[k] for k in srcs]
         if name == "enc":
             values.append(mach.enc(args))
-        elif name == "outer":
-            values.append(PrivateMatrix(b, b.outer(xs[0].payload, xs[1].payload)))
         else:
             values.append(getattr(mach, name)(*xs, *args))
     out = ([mach.dec(v, auth) for v in values], b.ledger.rows(), list(b.trace))
