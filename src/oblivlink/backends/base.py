@@ -256,10 +256,8 @@ class OpCostLedger:
             out[stage] = out.get(stage, 0) + n
         return out
 
-    def total(self, weights: dict[str, float] | None = None) -> float:
-        if not weights:
-            return float(sum(self.counts.values()))
-        return float(sum(n * weights.get(op, 1.0) for (_, op), n in self.counts.items()))
+    def total(self) -> float:
+        return float(sum(self.counts.values()))
 
     def rows(self) -> list[tuple[str, str, int]]:
         return sorted((stage, op, n) for (stage, op), n in self.counts.items())

@@ -229,6 +229,8 @@ def optimal_band_plan(threshold: float, num_perm: int = 128,
     argument tuple; callers share the frozen plan."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("blocking threshold must lie strictly between 0 and 1")
+    if num_perm < 1:
+        raise ValueError("num_perm must be at least 1")
     best = None
     for bands in range(1, num_perm + 1):
         for rows in range(1, num_perm // bands + 1):

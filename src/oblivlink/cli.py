@@ -54,12 +54,15 @@ def _build_config(args) -> PipelineConfig:
                              f"{unknown[0]!r}")
 
     def pick(flag_name, key, cast, current):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return cast(flag)
-        if key in file_values:
-            return cast(file_values[key])
-        return current
+        value = getattr(args, flag_name, None)
+        if value is None:
+            value = file_values.get(key)
+        if value is None:
+            return current
+        try:
+            return cast(value)
+        except (ValueError, ZeroDivisionError):
+            raise OblivLinkError(f"config value {key}={value} is not a {cast.__name__}") from None
 
     types = typing.get_type_hints(PipelineConfig)
     for f in fields(PipelineConfig):

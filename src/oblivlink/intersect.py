@@ -25,13 +25,14 @@ every backend and domain.
 from __future__ import annotations
 
 import enum
-from collections import Counter
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .backends.base import APPROX
+from .backends.local import LocalBackend
 from .errors import CapabilityError, DomainError
 from .machine import EQ_BIT_ERROR, Machine, PrivateScalar, PrivateVector, slot_runs
 
@@ -65,60 +66,37 @@ def supported_strategies(caps) -> list[Strategy]:
     return [s for s in Strategy if strategy_supported(s, caps)]
 
 
-def _eq_ops(caps) -> Counter:
-    """Ledger entries of one element-wise equality (``Machine.eeq``): one
-    native gate, or the arithmetic workaround, which the backend runs in one
-    ``approx_eq`` call that records the chain's entries: sub, enc(xi), add,
-    the masked reciprocal's enc/mul/dec/enc/mul, enc(-1), mul, mul, enc(1),
-    add."""
-    if caps.native_eq:
-        return Counter(eq=1)
-    return Counter(sub=1, enc=5, add=2, mul=4, dec=1)
+@functools.cache
+def _dry_run_ops(strategy: Strategy, m: int, n: int, caps) -> tuple[tuple[str, int], ...]:
+    """The ledger entries, as sorted ``(primitive, count)`` pairs, of one
+    intersection of an m-slot and an n-slot vector: measured by running it
+    on a scratch backend with the capabilities ``caps``.  The entries
+    depend on the public sizes and capabilities alone, so one run per key
+    serves every later call.  The scratch backend is on the approximate
+    domain, which every capability set's program runs on (the division
+    workaround refuses the exact one), and has its own rng, ledger and
+    transcript."""
+    scratch = LocalBackend(caps, APPROX)
+    mach = Machine(scratch)
+    v1, v2 = mach.enc(np.arange(m)), mach.enc(np.arange(m, m + n))
+    scratch.ledger.counts.clear()
+    intersection_size(mach, v1, v2, strategy)
+    return tuple(sorted(scratch.ledger.by_op().items()))
 
 
-def _scaled(ops: Counter, k: int) -> Counter:
-    return Counter({op: k * n for op, n in ops.items()})
+def estimated_cost(strategy: Strategy, m: int, n: int, caps) -> float:
+    """Ledger total of one intersection of an m-slot and an n-slot vector,
+    every primitive costing one unit as ``OpCostLedger.total`` counts it;
+    used by auto strategy selection."""
+    return float(sum(count for _, count in _dry_run_ops(strategy, m, n, caps)))
 
 
-def _ledger_ops(strategy: Strategy, m: int, n: int, caps) -> Counter:
-    """The ledger entries, per primitive, of one intersection of an m-slot
-    and an n-slot private vector: what the implementations below record."""
-    eq = _eq_ops(caps)
-    zero_count = Counter(enc=2, broadcast=1, dot=1) + eq
-    if strategy is Strategy.PJ:
-        scalar_eq = eq if caps.native_eq else eq + Counter(broadcast=2, get=1)
-        return Counter(enc=1, get=m) + _scaled(scalar_eq + Counter(get=1, add=1), m * n)
-    if strategy is Strategy.VR:
-        length = max(m, n)
-        pads = (m < length) + (n < length)
-        steps = _scaled(zero_count + Counter(sub=1, rotate=1, add=1), length)
-        return Counter(enc=1 + pads, concat=pads) + steps
-    if strategy is Strategy.VE:
-        return Counter(take=3, segment_sum=1, get=1) + eq
-    if strategy is Strategy.SO:
-        if m + n <= 1:
-            return Counter(enc=1)
-        return Counter(concat=1, sort=1, slice=2, sub=1) + zero_count
-    if strategy is Strategy.MJ:
-        return Counter(join=1)
-    raise ValueError(strategy)
-
-
-def estimated_cost(strategy: Strategy, m: int, n: int, caps, weights=None) -> float:
-    """Predicted ledger total for one intersection, in primitive-op units:
-    ``_ledger_ops`` with every primitive costing one unit (or its weight),
-    as ``OpCostLedger.total`` prices the ledger; used by auto strategy
-    selection."""
-    w = weights or {}
-    return float(sum(k * w.get(op, 1.0) for op, k in _ledger_ops(strategy, m, n, caps).items()))
-
-
-def pick_strategy(caps, m: int, n: int, weights=None) -> Strategy:
-    """Cheapest supported strategy under the backend's cost model."""
+def pick_strategy(caps, m: int, n: int) -> Strategy:
+    """Cheapest supported strategy by ``estimated_cost``."""
     options = supported_strategies(caps)
     if not options:
         raise CapabilityError("backend supports no intersection strategy")
-    return min(options, key=lambda s: estimated_cost(s, m, n, caps, weights))
+    return min(options, key=lambda s: estimated_cost(s, m, n, caps))
 
 
 def zero_count(mach: Machine, diff: PrivateVector) -> PrivateScalar:

@@ -417,7 +417,7 @@ class Machine:
         ``XI_DEFAULT`` and its reciprocal through ``masked_reciprocal``.
         Its output is exact for equal integer inputs and within
         ``EQ_BIT_ERROR`` of 0 for unequal ones; the ledger and trace hold
-        the workaround's thirteen entries (see ``intersect._eq_ops``).
+        the workaround's thirteen entries (see ``LocalBackend.approx_eq``).
         """
         self._check_ctx(seq, idx)
         self._same_shape(seq, idx)

@@ -18,6 +18,7 @@ against that budget.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -27,9 +28,10 @@ import numpy as np
 
 from .backends import make_backend
 from .backends.base import APPROX, Transcript, tagged_rng
-from .blocking import (TOKEN_BITS, EncodedRecord, MinHasher, bigram_codes, block_index,
-                       encrypt_blocks, flat_column, optimal_band_plan, pack_records)
-from .errors import DomainError, StageError
+from .blocking import (TOKEN_BITS, BandPlan, EncodedRecord, MinHasher, bigram_codes,
+                       block_index, encrypt_blocks, flat_column, optimal_band_plan,
+                       pack_records)
+from .errors import DomainError, OblivLinkError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (JaccardParams, Strategy, jaccard_cells, jaccard_match,  # noqa: F401
                         pick_strategy, require_strategy)
@@ -129,15 +131,15 @@ def prepare_upload(records, config: PipelineConfig) -> PartyUpload:
     return PartyUpload(encoded, index, ids, manifest)
 
 
-def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig):
+def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
+                     plan: BandPlan):
     """Refuse, before any machine work, uploads that would link to a quietly
     wrong answer: owners that hashed, banded or packed differently from each
-    other or from the link config, records whose containers repeat or do
-    not fit the packing's pack·16 bits, and blocks whose ids lie outside
-    their owner's rows or repeat.  A manifest that omits a field is not
-    checked on it, and an id map must hold one row per record."""
-    plan = optimal_band_plan(config.t_block, config.num_perm,
-                             config.fp_weight, config.fn_weight)
+    other or from the link config and its band ``plan``, records whose
+    containers repeat or do not fit the packing's pack·16 bits, and blocks
+    whose ids lie outside their owner's rows or repeat.  A manifest that
+    omits a field is not checked on it, and an id map must hold one row per
+    record."""
     wanted = {"num_perm": config.num_perm, "bands": plan.bands, "rows": plan.rows,
               "seed": config.seed, "pack": config.pack}
     for key, want in wanted.items():
@@ -294,22 +296,29 @@ def _run_stage(backend, name, body):
 
 def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
                           backend=None) -> RunResult:
-    validate_uploads(u1, u2, config)
-    own_backend = backend is None
-    if backend is None:
-        backend = make_backend(config.backend, config.profile, seed=config.seed)
+    # every object the run needs from the config is built first, so a bad
+    # value is refused before the uploads are checked or a backend is used
+    try:
+        params = config.jaccard_params()
+        policy = ObfuscationPolicy(config.rho, config.noise_source)
+        plan = optimal_band_plan(config.t_block, config.num_perm,
+                                 config.fp_weight, config.fn_weight)
+        strategy = None if config.strategy == "auto" else Strategy(config.strategy)
+        own_backend = backend is None
+        if own_backend:
+            backend = make_backend(config.backend, config.profile, seed=config.seed)
+    except ValueError as exc:
+        raise OblivLinkError(f"bad config: {exc}") from exc
+    validate_uploads(u1, u2, config, plan)
     mach = Machine(backend)
     shape = (len(u1.encoded), len(u2.encoded))
-    params = config.jaccard_params()
 
     sizes1 = [len(r.containers) for r in u1.encoded]
     sizes2 = [len(r.containers) for r in u2.encoded]
-    if config.strategy == "auto":
+    if strategy is None:
         mean1 = int(np.mean(sizes1)) if sizes1 else 1
         mean2 = int(np.mean(sizes2)) if sizes2 else 1
         strategy = pick_strategy(backend.caps, mean1, mean2)
-    else:
-        strategy = Strategy(config.strategy)
     # before any machine work: filter_er would refuse it only after merge
     require_strategy(mach, strategy)
 
@@ -337,7 +346,6 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
                       lambda: merge_and_dedup(mach, b1, b2, shape))
 
     def reveal_obfuscated():
-        policy = ObfuscationPolicy(config.rho, config.noise_source)
         noise_tag = "noise" if policy.source == "host" else "noise-owner"
         noise_rng = tagged_rng(noise_tag, config.seed)
         reveal_auth = backend.issue_authority("obfuscation-reveal", ROLE_HOST)
@@ -391,15 +399,15 @@ def write_party_dir(path: str, upload: PartyUpload):
     """Serialize one owner's upload: records.enc, blocks.enc, manifest, and
     the owner-side id map."""
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "records.enc"), "w") as fh:
+    with open(os.path.join(path, "records.enc"), "w", encoding="utf-8") as fh:
         for row, rec in enumerate(upload.encoded):
             fh.write(json.dumps({"row": row, "containers": list(rec.containers),
                                  "pack": rec.pack}) + "\n")
-    with open(os.path.join(path, "blocks.enc"), "w") as fh:
+    with open(os.path.join(path, "blocks.enc"), "w", encoding="utf-8") as fh:
         json.dump({k: v for k, v in sorted(upload.index.items())}, fh, indent=0)
-    with open(os.path.join(path, "manifest"), "w") as fh:
+    with open(os.path.join(path, "manifest"), "w", encoding="utf-8") as fh:
         json.dump(upload.manifest, fh, indent=2, sort_keys=True)
-    with open(os.path.join(path, "idmap.csv"), "w") as fh:
+    with open(os.path.join(path, "idmap.csv"), "w", encoding="utf-8") as fh:
         fh.write("row,record_id\n")
         for row, rid in enumerate(upload.id_map):
             fh.write(f"{row},{rid}\n")
@@ -407,6 +415,18 @@ def write_party_dir(path: str, upload: PartyUpload):
 
 def _upload_error(path: str, name: str, what: str) -> StageError:
     return StageError("upload", f"{os.path.join(path, name)} {what}")
+
+
+def _read_text(path: str, name: str) -> str:
+    """The UTF-8 text of file ``name``; a file that cannot be read or
+    decoded is refused."""
+    try:
+        with open(os.path.join(path, name), encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _upload_error(path, name, f"cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise _upload_error(path, name, "is not UTF-8 text") from None
 
 
 def _parse_object(path: str, name: str, text: str, where: str = "") -> dict:
@@ -436,11 +456,9 @@ def read_party_dir(path: str) -> PartyUpload:
     container, pack or block id that is not an integer (JSON's true and
     false included), and a record whose pack is not the manifest's (or,
     when the manifest has none, the first record's)."""
-    with open(os.path.join(path, "manifest")) as fh:
-        manifest = _parse_object(path, "manifest", fh.read())
-    with open(os.path.join(path, "records.enc")) as fh:
-        items = [_parse_object(path, "records.enc", line, f"entry {k} ")
-                 for k, line in enumerate(fh)]
+    manifest = _parse_object(path, "manifest", _read_text(path, "manifest"))
+    items = [_parse_object(path, "records.enc", line, f"entry {k} ")
+             for k, line in enumerate(io.StringIO(_read_text(path, "records.enc")))]
     _check_rows(path, "records.enc", [item.get("row") for item in items])
     pack = manifest.get("pack")
     encoded = []
@@ -457,20 +475,19 @@ def read_party_dir(path: str) -> PartyUpload:
             raise _upload_error(path, "records.enc",
                                 f"entry {k} has pack {item['pack']!r}, not {pack!r}")
         encoded.append(EncodedRecord(str(k), tuple(containers), pack))
-    with open(os.path.join(path, "blocks.enc")) as fh:
-        index = _parse_object(path, "blocks.enc", fh.read())
+    index = _parse_object(path, "blocks.enc", _read_text(path, "blocks.enc"))
     for key, ids in index.items():
         if type(ids) is not list or not all(type(i) is int for i in ids):
             raise _upload_error(path, "blocks.enc",
                                 f"block {key} holds an id that is not an integer")
     id_map, rows = [], []
-    with open(os.path.join(path, "idmap.csv")) as fh:
-        next(fh, None)
-        for k, line in enumerate(fh):
-            row, comma, rid = line.rstrip("\n").partition(",")
-            if not comma:
-                raise _upload_error(path, "idmap.csv", f"entry {k} holds no record id")
-            rows.append(row)
-            id_map.append(rid)
+    lines = io.StringIO(_read_text(path, "idmap.csv"))
+    next(lines, None)
+    for k, line in enumerate(lines):
+        row, comma, rid = line.rstrip("\n").partition(",")
+        if not comma:
+            raise _upload_error(path, "idmap.csv", f"entry {k} holds no record id")
+        rows.append(row)
+        id_map.append(rid)
     _check_rows(path, "idmap.csv", rows)
     return PartyUpload(encoded, index, id_map, manifest)

@@ -206,14 +206,6 @@ def test_sharemind_profile_supports_join_rejects_rotation():
     b.close()
 
 
-def test_cost_weights_influence_auto_choice():
-    from oblivlink import pick_strategy
-    _, _, b = open_machine("sim:generic")
-    assert pick_strategy(b.caps, 8, 8) == Strategy.MJ
-    assert pick_strategy(b.caps, 8, 8, weights={"join": 10_000.0}) != Strategy.MJ
-    b.close()
-
-
 def test_transcript_batches_read_as_the_single_observations():
     single, batched = make_backend("clear"), make_backend("clear")
     keys, sizes = ["000-aa", "001-bb", "002-cc"], np.array([3, 1, 2])

@@ -159,6 +159,45 @@ def test_config_with_an_unknown_key_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def blocks_60(tmp_path_factory):
+    """generate --size 60 --seed 0, then block: the blocks directory."""
+    root = tmp_path_factory.mktemp("corpus")
+    assert main(["generate", "--out", str(root / "data"), "--size", "60", "--seed", "0"]) == 0
+    assert main(["block", "--data", str(root / "data"), "--out", str(root / "blocks"),
+                 "--seed", "0"]) == 0
+    return root / "blocks"
+
+
+# (link flags, config file lines, what the error line says); each once
+# printed a traceback, or failed only after upload and merge had run
+BAD_CONFIG_VALUES = [
+    (["--t-jaccard", "3/2"], "", "bad config: jaccard threshold must lie strictly between"),
+    (["--t-jaccard", "abc"], "", "config value t_jaccard=abc is not a Fraction"),
+    (["--t-block", "1.5"], "", "bad config: blocking threshold must lie strictly between"),
+    (["--rho", "2"], "", "bad config: noise rate must lie in [0, 1]"),
+    (["--num-perm", "0"], "", "bad config: num_perm must be at least 1"),
+    ([], "rho=abc", "config value rho=abc is not a float"),
+    ([], "backend=foo", "bad config: unknown backend kind 'foo'"),
+    ([], "backend=sim\nprofile=x", "bad config: unknown profile 'x'"),
+    ([], "noise_source=x", "bad config: noise source must be 'host' or 'owner'"),
+    ([], "strategy=foo", "bad config: 'foo' is not a valid Strategy"),
+]
+
+
+@pytest.mark.parametrize("flags, lines, message", BAD_CONFIG_VALUES)
+def test_bad_config_values_are_refused_before_any_work(flags, lines, message, blocks_60,
+                                                       tmp_path, capsys):
+    cfg = tmp_path / "bad.config"
+    cfg.write_text(lines + "\n")
+    out = tmp_path / "link"
+    assert main(["link", "--blocks", str(blocks_60), "--out", str(out), "--config", str(cfg)]
+                + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not out.exists()
+
+
 def test_bench_candidates_decrease_with_threshold(tmp_path):
     data = str(tmp_path / "data")
     out = str(tmp_path / "bench")

@@ -1,6 +1,7 @@
 """Set-intersection-size strategies and the Jaccard match decision."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, strategies as st
 from oblivlink import (CapabilityError, ContextMismatchError, JaccardParams, Machine, Strategy,
                        intersection_size, jaccard_match,
                        pick_strategy, supported_strategies, zero_count)
-from oblivlink.intersect import (_ve_counts, estimated_cost, isect_so, isect_vr,
+from oblivlink.backends import CAPS_ALL, CAPS_SIMD
+from oblivlink.intersect import (_dry_run_ops, _ve_counts, estimated_cost, isect_so, isect_vr,
                                  so_adjacent_diff, ve_extend, vr_diff_sequence)
 from oblivlink.machine import slot_runs
 
@@ -251,17 +253,10 @@ def test_estimated_cost_ordering():
     b.close()
 
 
-# a distinct weight per primitive, so a miscounted primitive shows in the total
-_PRIME_WEIGHTS = dict(zip(
-    ("enc", "get", "add", "eq", "sub", "mul", "dec", "broadcast", "dot", "rotate",
-     "concat", "take", "segment_sum", "sort", "slice", "join"),
-    (3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0, 29.0, 31.0, 37.0, 41.0, 43.0, 47.0,
-     53.0, 59.0)))
-
-
 def test_ve_estimate_equals_its_ledger():
-    # auto selection reads the estimate; it must price, primitive by
-    # primitive, the ops one intersection of every strategy records
+    # auto selection reads the dry run's counts; they must equal, primitive
+    # by primitive, the ops one intersection of every strategy records on
+    # every backend and domain
     for spec in ALL_BACKENDS:
         mach, _, b = open_machine(spec)
         for strategy in supported_strategies(b.caps):
@@ -269,11 +264,53 @@ def test_ve_estimate_equals_its_ledger():
                 v1, v2 = mach.enc(list(range(m))), mach.enc(list(range(2, 2 + n)))
                 b.ledger.counts.clear()
                 intersection_size(mach, v1, v2, strategy)
-                for weights in (None, _PRIME_WEIGHTS):
-                    assert b.ledger.total(weights) == \
-                        estimated_cost(strategy, m, n, b.caps, weights), \
-                        (spec, strategy, m, n, weights)
+                assert b.ledger.by_op() == dict(_dry_run_ops(strategy, m, n, b.caps)), \
+                    (spec, strategy, m, n)
         b.close()
+
+
+# The estimates that the hand-counted formula gave before the dry run
+# replaced it: a change in what a strategy records moves them, and auto's
+# choice with them.
+_ESTIMATE_PINS = [
+    (CAPS_ALL, 8, 8, {Strategy.PJ: 201, Strategy.VR: 65, Strategy.VE: 6, Strategy.SO: 10,
+                      Strategy.MJ: 1}),
+    (CAPS_SIMD, 8, 8, {Strategy.PJ: 1161, Strategy.VR: 161, Strategy.VE: 18}),
+    (CAPS_ALL, 30, 35, {Strategy.PJ: 3181}),
+    (CAPS_SIMD, 30, 35, {Strategy.PJ: 18931}),
+]
+
+
+def test_estimated_cost_pins():
+    for caps, m, n, costs in _ESTIMATE_PINS:
+        assert {s: estimated_cost(s, m, n, caps) for s in costs} == costs, (caps, m, n)
+
+
+def _readme_strategy_table() -> dict[str, list[str]]:
+    """README's strategy table: backend spec -> the strategies it marks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("| ")]
+    header = [cell.strip() for cell in lines[0].strip("|").split("|")]
+    table = {}
+    for line in lines[1:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        table[cells[0].replace(" ", ":")] = [h for h, c in zip(header[1:], cells[1:]) if c]
+    return table
+
+
+_AUTO_AT_42 = {"clear": Strategy.MJ, "sim:generic": Strategy.MJ, "sim:simd": Strategy.VE,
+               "sim:sharemind": Strategy.MJ, "mpc": Strategy.VE}
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+def test_strategy_table_and_auto_choice(spec):
+    # the table is README's; 42 containers is the workloads' mean record size
+    _, _, b = open_machine(spec)
+    assert [s.value for s in supported_strategies(b.caps)] == _readme_strategy_table()[spec]
+    assert pick_strategy(b.caps, 42, 42) is _AUTO_AT_42[spec]
+    if spec == "mpc":
+        assert pick_strategy(b.caps, 1, 1) is Strategy.PJ
+    b.close()
 
 
 # -- jaccard -------------------------------------------------------------------

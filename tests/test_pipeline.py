@@ -2,16 +2,18 @@
 
 import json
 import os
+import re
 import shutil
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, MinHasher, ObfuscationPolicy,
                        PartyUpload, PipelineConfig, StageError, Strategy, assert_oblivious,
-                       generate_dataset, make_backend, optimal_band_plan,
+                       generate_dataset, make_backend, OblivLinkError, optimal_band_plan,
                        plain_blocked_pairs, plain_matches, run_pper,
                        run_pper_from_uploads, read_party_dir, write_party_dir,
                        prepare_upload)
@@ -774,6 +776,21 @@ def test_upload_id_map_of_another_length_is_refused(tmp_path):
     assert _refused_upload(u1, u2, cfg) == "[upload] D2 id map holds 49 rows for 48 records"
 
 
+@pytest.mark.parametrize("change", [
+    {"t_jaccard": Fraction(3, 2)}, {"t_block": 1.5}, {"num_perm": 0}, {"rho": 2.0},
+    {"noise_source": "x"}, {"strategy": "foo"}])
+def test_bad_config_is_refused_before_a_passed_backend_is_used(change):
+    # rho and noise_source were refused only in obfuscate, after upload and merge
+    d1, d2, _ = generate_dataset(seed=0, size=60)
+    cfg = PipelineConfig()
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    backend = make_backend("clear")
+    with pytest.raises(OblivLinkError) as excinfo:
+        run_pper_from_uploads(u1, u2, PipelineConfig(**change), backend=backend)
+    assert str(excinfo.value).startswith("bad config: ")
+    assert backend.ledger.total() == 0 and not backend.transcript
+
+
 @pytest.mark.parametrize("spec, strategy", [
     ("mpc", "so"), ("mpc", "mj"), ("sim:simd", "so"), ("sim:simd", "mj"),
     ("sim:sharemind", "vr")])
@@ -858,6 +875,19 @@ MALFORMED_PARTY_FILES = {
                           "manifest is not a JSON object"),
     "id map row without id": (_mutate_line("idmap.csv", 3, lambda line: "2\n"),
                               "idmap.csv entry 2 holds no record id"),
+    "manifest missing": (lambda path: (path / "manifest").unlink(),
+                         "p1/manifest cannot be read: No such file or directory"),
+    "records missing": (lambda path: (path / "records.enc").unlink(),
+                        "p1/records.enc cannot be read: No such file or directory"),
+    "blocks missing": (lambda path: (path / "blocks.enc").unlink(),
+                       "p1/blocks.enc cannot be read: No such file or directory"),
+    "id map missing": (lambda path: (path / "idmap.csv").unlink(),
+                       "p1/idmap.csv cannot be read: No such file or directory"),
+    "other party missing": (lambda path: shutil.rmtree(path.parent / "p2"),
+                            "p2/manifest cannot be read: No such file or directory"),
+    "record not utf-8": (lambda path: (path / "records.enc").write_bytes(
+        (path / "records.enc").read_bytes() + b"\xff"),
+                         "p1/records.enc is not UTF-8 text"),
 }
 
 
@@ -885,6 +915,132 @@ def test_malformed_party_files_are_refused_at_upload(case, party_blocks, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: [upload] ") and message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+_PARTY_FILES = ("manifest", "records.enc", "blocks.enc", "idmap.csv")
+
+
+def _placed(rows: list, values: list) -> list | None:
+    """``values`` placed by their rows, which must name 0..n-1 once each."""
+    place = {str(row): value for row, value in zip(rows, values)}
+    if len(place) != len(rows) or set(place) != {str(k) for k in range(len(rows))}:
+        return None
+    return [place[str(k)] for k in range(len(rows))]
+
+
+def _read_side(files: dict) -> tuple | None:
+    """(containers, blocks, ids) of one party's files, with records and
+    id-map rows placed by their ``row`` fields, not by their lines; None
+    when the files do not say one thing."""
+    def lines(name):
+        out = files[name].decode("utf-8").split("\n")
+        return out[:-1] if out[-1] == "" else out
+    try:
+        items = [json.loads(line) for line in lines("records.enc")]
+        rows = [item["row"] for item in items]
+        containers = _placed(rows, [item["containers"] for item in items])
+        blocks = json.loads(files["blocks.enc"])
+        id_rows = [line.split(",", 1) for line in lines("idmap.csv")[1:]]
+        ids = _placed([r[0] for r in id_rows], [r[1] for r in id_rows])
+        valid = (containers is not None and ids is not None and len(ids) == len(containers)
+                 and all(type(c) is int and 0 <= c < 1 << 16 for rec in containers for c in rec)
+                 and all(len(set(rec)) == len(rec) for rec in containers)
+                 and all(type(i) is int and 0 <= i < len(ids)
+                         for v in blocks.values() for i in v)
+                 and all(len(set(v)) == len(v) for v in blocks.values()))
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, IndexError,
+            AttributeError):
+        return None
+    return (containers, blocks, ids) if valid else None
+
+
+def _links_as_read(files: dict) -> list | None:
+    """The matches that the default config links from the parties' files,
+    computed in the clear over what ``_read_side`` reads."""
+    sides = [_read_side(files[party]) for party in ("p1", "p2")]
+    if None in sides:
+        return None
+    (c1, b1, id1), (c2, b2, id2) = sides
+    t = PipelineConfig().jaccard_params().threshold
+    matches = set()
+    for key in b1.keys() & b2.keys():
+        for i in b1[key]:
+            for j in b2[key]:
+                inter = len(set(c1[i]) & set(c2[j]))
+                if (t.denominator + t.numerator) * inter > t.numerator * (len(c1[i]) + len(c2[j])):
+                    matches.add((id1[i], id2[j]))
+    return sorted(matches)
+
+
+def _mutated(text: str, kind: str, a: int, b: int) -> str:
+    """``text`` with one mutation, at positions a and b taken modulo what
+    the text holds: two lines swapped, a line dropped or repeated, an
+    integer perturbed or given another type, or a JSON key renamed."""
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return text
+    i, j = a % len(lines), b % len(lines)
+    if kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        pattern = r'"\w+"(?=\s*:)' if kind == "key" else r"-?\d+"
+        found = list(re.finditer(pattern, text))
+        if not found:
+            return text
+        hit = found[a % len(found)]
+        v = hit.group()
+        if kind == "key":
+            options = [v[:-1] + '_x"', '"row"', '"pack"', '"containers"']
+        elif kind == "number":
+            v = int(v)
+            options = [v + 1, v - 1, v + 7, v + (1 << 16), -v - 1]
+        else:
+            options = [f"{v}.5", f"{v}.0", f'"{v}"', "true", "null", f"[{v}]"]
+        return text[:hit.start()] + str(options[b % len(options)]) + text[hit.end():]
+    return "".join(lines)
+
+
+_MUTATION = st.tuples(st.sampled_from(["p1", "p2"]), st.sampled_from(_PARTY_FILES),
+                      st.sampled_from(["swap", "drop", "repeat", "number", "type", "key"]),
+                      st.integers(0, 1 << 16), st.integers(0, 1 << 16))
+
+
+@pytest.fixture(scope="module")
+def party_files(party_blocks):
+    return {party: {name: (party_blocks / party / name).read_bytes() for name in _PARTY_FILES}
+            for party in ("p1", "p2")}
+
+
+@settings(max_examples=150)
+@given(st.lists(_MUTATION, min_size=1, max_size=2))
+@example([("p1", "records.enc", "swap", 0, 1)])
+@example([("p1", "idmap.csv", "swap", 1, 2)])
+def test_mutated_party_files_are_refused_or_link_as_they_read(party_files, mutations):
+    # a reader that placed records by their lines would link a swap
+    # quietly wrong; the oracle places them by their row fields
+    files = {party: dict(named) for party, named in party_files.items()}
+    for party, name, kind, a, b in mutations:
+        files[party][name] = _mutated(files[party][name].decode("utf-8"), kind, a,
+                                      b).encode("utf-8")
+    backend = make_backend("clear")
+    with tempfile.TemporaryDirectory() as root:
+        for party, named in files.items():
+            os.mkdir(os.path.join(root, party))
+            for name, data in named.items():
+                with open(os.path.join(root, party, name), "wb") as fh:
+                    fh.write(data)
+        try:
+            uploads = [read_party_dir(os.path.join(root, party)) for party in ("p1", "p2")]
+            result = run_pper_from_uploads(*uploads, PipelineConfig(), backend=backend)
+        except StageError as exc:
+            assert exc.stage == "upload", exc
+            assert backend.ledger.total() == 0 and not backend.transcript
+            return
+    assert result.matches == _links_as_read(files)
 
 
 # -- transport ------------------------------------------------------------------------
