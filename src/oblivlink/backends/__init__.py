@@ -7,7 +7,7 @@ from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT,
                    OpCostLedger, assert_oblivious, tagged_rng)
 from .local import SimBackend
 
-_KINDS = ("clear", "sim", "mpc")
+KINDS = ("clear", "sim", "mpc")
 
 
 def make_backend(kind: str, profile: str = "generic", seed: int = 0) -> Backend:
@@ -22,12 +22,12 @@ def make_backend(kind: str, profile: str = "generic", seed: int = 0) -> Backend:
     if kind == "mpc":
         from ..mpc.backend import MpcBackend
         return MpcBackend(seed=seed)
-    raise ValueError(f"unknown backend kind {kind!r}; pick one of {_KINDS}")
+    raise ValueError(f"unknown backend kind {kind!r}; pick one of {KINDS}")
 
 
 __all__ = [
     "APPROX", "EXACT", "Backend", "Capabilities", "DecryptionAuthority",
     "Observation", "OpCostLedger", "SimBackend",
-    "CAPS_ALL", "CAPS_SIMD", "CAPS_SHAREMIND", "make_backend",
+    "CAPS_ALL", "CAPS_SIMD", "CAPS_SHAREMIND", "KINDS", "make_backend",
     "assert_oblivious", "tagged_rng",
 ]

@@ -9,7 +9,7 @@ the optional ones.  Every backend carries:
   * an operation-cost ledger (counts per pipeline stage and primitive),
   * an optional execution trace used to assert data-oblivious behaviour,
   * a transcript of role-visible observations used for leakage audits,
-  * a registry of decryption authorities.
+  * the decryption authorities it issues and checks.
 
 Two numeric domains exist: ``exact-integer-64`` (wrapping 64-bit integers)
 and ``approximate-fixed-point`` (floating point with small tolerances).
@@ -31,6 +31,11 @@ MASK64 = (1 << 64) - 1
 
 EXACT = "exact-integer-64"
 APPROX = "approximate-fixed-point"
+
+# The linkage's roles: the two data owners and the computation host.
+ROLE_OWNER_1 = "P1"
+ROLE_OWNER_2 = "P2"
+ROLE_HOST = "P3"
 
 # Offset of every approximate equality (the arithmetic workaround that
 # ``LocalBackend.approx_eq`` runs).  On integer inputs a slot whose
@@ -399,7 +404,6 @@ class Backend:
         self.trace_enabled = False
         self.transcript = Transcript()
         self._stage = "main"
-        self._authorities: list[DecryptionAuthority] = []
 
     # -- accounting ------------------------------------------------------
 
@@ -444,9 +448,7 @@ class Backend:
     # -- authorities -----------------------------------------------------
 
     def issue_authority(self, name: str, holder: str) -> DecryptionAuthority:
-        auth = DecryptionAuthority(self.context_id, name, holder)
-        self._authorities.append(auth)
-        return auth
+        return DecryptionAuthority(self.context_id, name, holder)
 
     def check_authority(self, authority):
         if not isinstance(authority, DecryptionAuthority):
@@ -467,15 +469,3 @@ class Backend:
     def require_domain(self, domain: str, why: str):
         if self.domain != domain:
             raise DomainError(f"{why} requires {domain} domain, backend is {self.domain}")
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS,
+from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS, ROLE_HOST,
                    XI_DEFAULT, Backend, lift_signed, to_u64)
 
 
@@ -99,13 +99,13 @@ class LocalBackend(Backend):
 
     # -- masked reciprocal protocol ---------------------------------------------
 
-    def masked_reciprocal(self, x: np.ndarray, helper_role: str = "P3") -> np.ndarray:
+    def masked_reciprocal(self, x: np.ndarray) -> np.ndarray:
         """Reciprocal of a private value without a division gate.
 
-        A data owner contributes fresh randomness r; the helper decrypts only
-        the product r*x, inverts it in clear, and the re-encrypted inverse is
-        multiplied by enc(r) again.  The helper's transcript therefore holds
-        r*x, never x.
+        A data owner contributes fresh randomness r; the host (P3) decrypts
+        only the product r*x, inverts it in clear, and the re-encrypted
+        inverse is multiplied by enc(r) again.  The host's transcript
+        therefore holds r*x, never x.
         """
         self.require_domain(APPROX, "masked reciprocal")
         r = self.rng.uniform(0.5, 2.0, size=x.shape)
@@ -114,9 +114,9 @@ class LocalBackend(Backend):
         self._record("mul", x.shape)
         with np.errstate(over="ignore"):
             masked = x * r
-        # the helper decrypts r*x; the transcript keeps the array it reads
+        # the host decrypts r*x; the transcript keeps the array it reads
         self._record("dec", masked.shape)
-        self.observe(helper_role, "masked_value", masked)
+        self.observe(ROLE_HOST, "masked_value", masked)
         if not masked.all():
             raise ZeroDivisionError("masked reciprocal of zero")
         self._record("enc", masked.shape)
@@ -149,22 +149,21 @@ class LocalBackend(Backend):
             return np.subtract(1.0, bits, out=bits)
 
 
-_PROFILES = {
-    "generic": (CAPS_ALL, EXACT),
-    "simd": (CAPS_SIMD, APPROX),
-    "sharemind": (CAPS_SHAREMIND, EXACT),
-}
-
-
 class SimBackend(LocalBackend):
     """Oblivious simulator: profile-restricted capabilities plus cost,
     trace, and transcript accounting."""
 
     kind = "sim"
+    # each profile's capabilities and numeric domain
+    PROFILES = {
+        "generic": (CAPS_ALL, EXACT),
+        "simd": (CAPS_SIMD, APPROX),
+        "sharemind": (CAPS_SHAREMIND, EXACT),
+    }
 
     def __init__(self, profile: str = "generic", seed: int = 0):
-        if profile not in _PROFILES:
-            raise ValueError(f"unknown profile {profile!r}; pick one of {sorted(_PROFILES)}")
-        caps, domain = _PROFILES[profile]
+        if profile not in self.PROFILES:
+            raise ValueError(f"unknown profile {profile!r}; pick one of {sorted(self.PROFILES)}")
+        caps, domain = self.PROFILES[profile]
         super().__init__(caps, domain, seed)
         self.profile = profile

@@ -22,7 +22,6 @@ from .backends.base import tagged_rng
 from .machine import Machine, PrivateVector
 
 TOKEN_BITS = 16
-TOKEN_RANGE = (0, 1 << TOKEN_BITS)
 PAD_CHAR = " "
 
 # universal-hash modulus: prime above 2^32, keeps a*x+b inside uint64
@@ -55,9 +54,9 @@ class EncodedRecord:
     pack: int
 
 
-def normalize_text(fields: dict[str, str], order: list[str], sep: str = " ") -> str:
-    """Lowercased concatenation of the configured fields."""
-    return sep.join(str(fields.get(name, "")).lower() for name in order)
+def normalize_text(fields: dict[str, str], order: list[str]) -> str:
+    """Lowercased concatenation of the configured fields, space separated."""
+    return " ".join(str(fields.get(name, "")).lower() for name in order)
 
 
 def bigram_codes(texts: list[str], record_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -208,15 +207,18 @@ def collision_probability(similarity: float, plan: BandPlan) -> float:
     return 1.0 - (1.0 - similarity ** plan.rows) ** plan.bands
 
 
+# midpoint rule over the LSH S-curve, matching the step the band plan
+# figures were produced with
+_CURVE_STEP = 0.001
+
+
 def _weighted_error(threshold: float, bands: int, rows: int,
-                    fp_weight: float, fn_weight: float, step: float = 0.001) -> float:
-    # midpoint rule over the LSH S-curve, matching the step the band plan
-    # figures were produced with
-    s = np.arange(step / 2, 1.0, step)
+                    fp_weight: float, fn_weight: float) -> float:
+    s = np.arange(_CURVE_STEP / 2, 1.0, _CURVE_STEP)
     p = 1.0 - (1.0 - s ** float(rows)) ** float(bands)
     below = s < threshold
-    fp = p[below].sum() * step
-    fn = (1.0 - p[~below]).sum() * step
+    fp = p[below].sum() * _CURVE_STEP
+    fn = (1.0 - p[~below]).sum() * _CURVE_STEP
     return fp_weight * fp + fn_weight * fn
 
 

@@ -15,22 +15,23 @@ import sys
 import typing
 from dataclasses import fields
 
-from .blocking import MinHasher, optimal_band_plan
-from .errors import OblivLinkError, StageError
+from .backends import KINDS, SimBackend
+from .blocking import MinHasher
+from .errors import OblivLinkError
 from .evalkit import (GoldStandard, Record, compute_metrics, generate_dataset,
                       performance_sweep, plain_blocked_pairs)
-from .pipeline import (PipelineConfig, prepare_upload, read_party_dir,
+from .intersect import Strategy
+from .pipeline import (PipelineConfig, checked_config, prepare_upload, read_party_dir,
                        run_pper_from_uploads, write_party_dir)
 
-_BACKENDS = ["clear", "sim", "mpc"]
-_PROFILES = ["generic", "simd", "sharemind"]
-_STRATEGIES = ["pj", "vr", "ve", "so", "mj", "auto"]
 # Keys a config file may hold besides the PipelineConfig fields: the extras
 # that generate, link and bench write into run.config, and the keys of
-# retired flags (jobs, epsilon, latency_us).  None of them sets anything.
+# retired flags (jobs, epsilon, latency_us, noise_source).  None of them
+# sets anything.
 _EXTRA_KEYS = frozenset({
     "size", "split", "strategy_resolved", "obfu_count", "evaluated_cells",
-    "grid_backends", "grid_strategies", "grid_t_blocks", "jobs", "epsilon", "latency_us"})
+    "grid_backends", "grid_strategies", "grid_t_blocks", "jobs", "epsilon", "latency_us",
+    "noise_source"})
 
 
 def _read_config_file(path: str) -> dict:
@@ -128,14 +129,13 @@ def cmd_generate(args) -> int:
 
 def cmd_block(args) -> int:
     config = _build_config(args)
+    _, _, plan, _, _ = checked_config(config)
     d1 = _load_records(os.path.join(args.data, "d1.jsonl"))
     d2 = _load_records(os.path.join(args.data, "d2.jsonl"))
     for party, records in (("p1", d1), ("p2", d2)):
         upload = prepare_upload(records, config)
         write_party_dir(os.path.join(args.out, party), upload)
     _write_run_config(args.out, config)
-    plan = optimal_band_plan(config.t_block, config.num_perm,
-                             config.fp_weight, config.fn_weight)
     print(f"blocked with {plan.bands} bands x {plan.rows} rows -> {args.out}")
     return 0
 
@@ -213,6 +213,7 @@ def cmd_bench(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _build_config(args)
+    _, _, plan, _, _ = checked_config(config)
     d1 = _load_records(os.path.join(args.data, "d1.jsonl"))
     d2 = _load_records(os.path.join(args.data, "d2.jsonl"))
     gold = GoldStandard(frozenset(_load_pairs(os.path.join(args.data, "gold.csv"))))
@@ -230,8 +231,6 @@ def cmd_eval(args) -> int:
 
     matched = _load_pairs(args.matches) if args.matches else set()
     hasher = MinHasher(config.num_perm, config.seed)
-    plan = optimal_band_plan(config.t_block, config.num_perm,
-                             config.fp_weight, config.fn_weight)
     blocked = plain_blocked_pairs(d1, d2, plan, hasher)
     report = compute_metrics(gold, blocked, matched, len(d1) * len(d2))
     with open(os.path.join(args.out, "metrics.csv"), "w") as fh:
@@ -248,9 +247,9 @@ def cmd_eval(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--backend", choices=_BACKENDS)
-    parser.add_argument("--profile", choices=_PROFILES)
-    parser.add_argument("--isect", choices=_STRATEGIES)
+    parser.add_argument("--backend", choices=KINDS)
+    parser.add_argument("--profile", choices=list(SimBackend.PROFILES))
+    parser.add_argument("--isect", choices=[s.value for s in Strategy] + ["auto"])
     parser.add_argument("--t-jaccard", dest="t_jaccard", metavar="P/Q",
                         help="jaccard threshold as an exact rational, e.g. 1/2")
     parser.add_argument("--t-block", dest="t_block", type=float)
@@ -259,7 +258,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--fn-weight", dest="fn_weight", type=float)
     parser.add_argument("--pack", type=int, choices=(1, 4))
     parser.add_argument("--rho", type=float)
-    parser.add_argument("--noise-source", dest="noise_source", choices=("host", "owner"))
     parser.add_argument("--seed", type=int)
 
 
@@ -312,9 +310,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OblivLinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

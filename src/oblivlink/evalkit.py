@@ -99,11 +99,11 @@ class Record:
     fields: dict
     entity: int  # generation lineage, not visible to the linkage pipeline
 
-    def text(self, order=None, sep: str = " ") -> str:
-        return normalize_text(self.fields, order or DEFAULT_FIELDS, sep)
+    def text(self) -> str:
+        return normalize_text(self.fields, DEFAULT_FIELDS)
 
-    def token_set(self, order=None) -> TokenSet:
-        return tokenize_bigrams(self.text(order), self.record_id)
+    def token_set(self) -> TokenSet:
+        return tokenize_bigrams(self.text(), self.record_id)
 
     def to_json(self) -> str:
         return json.dumps({"id": self.record_id, "fields": self.fields}, sort_keys=True)

@@ -34,7 +34,7 @@ import numpy as np
 from .backends.base import APPROX
 from .backends.local import LocalBackend
 from .errors import CapabilityError, DomainError
-from .machine import EQ_BIT_ERROR, Machine, PrivateScalar, PrivateVector, slot_runs
+from .machine import EQ_BIT_ERROR, Machine, PrivateScalar, PrivateVector, run_slots, slot_runs
 
 # Public padding value for VR, outside the 16-bit-token / packed-container
 # encoding by construction.
@@ -178,9 +178,9 @@ def _ve_counts(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVecto
     gather then lays out every cell's tiled and repeated operands (the
     layout of ``ve_extend``), one equality gate compares them and a width-1
     segment sum counts each cell's equal slots.  Cells go in runs of at
-    most ``max_slots`` slots (a cell above it is a run of its own); the
-    pipeline passes ``run_slots`` of the matrix's shape, and the one-cell
-    case its own slot count."""
+    most ``max_slots`` slots (a cell above it is a run of its own);
+    ``jaccard_cells`` passes ``run_slots`` of the matrix's shape, and the
+    one-cell case its own slot count."""
     len1, len2 = _lengths(enc1), _lengths(enc2)
     off1, off2 = np.cumsum(len1) - len1, np.cumsum(len2) - len2
     all1, all2 = _joined(mach, enc1), _joined(mach, enc2)
@@ -289,20 +289,19 @@ def _over_threshold(mach: Machine, inter: PrivateVector, sums: np.ndarray,
 
 
 def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVector],
-                  cells, params: JaccardParams, strategy: Strategy,
-                  max_slots: int) -> PrivateVector:
+                  cells, params: JaccardParams, strategy: Strategy) -> PrivateVector:
     """Private match bits of the public cells ``(i, j)``: bit k is 1 iff the
     similarity of enc1[i] and enc2[j] lies above the threshold.
 
-    VE runs batched over all cells (see ``_ve_counts``), MJ joins every
+    VE runs batched over all cells (see ``_ve_counts``), in runs of at most
+    ``run_slots`` of the len(enc1) x len(enc2) matrix's shape; MJ joins every
     cell in one backend call; the other strategies count each pair and
     join the counts with one ``stack``.
     One threshold gate then decides every cell.  ``cells`` must not be
     empty.  On the approximate domain a count sums at most n² equality
     bits, n the longest record's container count, each off by up to
     ``EQ_BIT_ERROR``; cells for which that sum reaches 1/2 are refused
-    before any machine work.  ``max_slots`` bounds each VE run's slots and
-    is unused by the other strategies.
+    before any machine work.
     """
     require_strategy(mach, strategy)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
@@ -315,7 +314,7 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
                 f"a count over records of {longest} containers may err by {worst:.3g}, "
                 "not under the 1/2 the threshold gate tolerates")
     if strategy is Strategy.VE:
-        inter = _ve_counts(mach, enc1, enc2, cells, max_slots)
+        inter = _ve_counts(mach, enc1, enc2, cells, run_slots((len(enc1), len(enc2))))
     elif strategy is Strategy.MJ:
         inter = mach.join_counts(enc1, enc2, cells)
     else:
@@ -328,6 +327,5 @@ def jaccard_match(mach: Machine, r1: PrivateVector, r2: PrivateVector,
                   params: JaccardParams, strategy: Strategy) -> PrivateScalar:
     """Private bit: similarity inter/(|r1|+|r2|-inter) above the threshold;
     the one-cell case of ``jaccard_cells``."""
-    bits = jaccard_cells(mach, [r1], [r2], [(0, 0)], params, strategy,
-                         r1.length * r2.length)
+    bits = jaccard_cells(mach, [r1], [r2], [(0, 0)], params, strategy)
     return mach.vget(bits, 0)

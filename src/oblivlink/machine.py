@@ -47,12 +47,20 @@ TAU_NUM = 1e-6
 MIN_RUN_SLOTS = 1 << 14
 
 
+def run_slots(shape: tuple[int, int]) -> int:
+    """The slot budget of one run of a batched stage over a rows x cols
+    candidate matrix: the matrix's own size, but never under
+    ``MIN_RUN_SLOTS``.  It depends on the public shape alone."""
+    rows, cols = shape
+    return max(rows * cols, MIN_RUN_SLOTS)
+
+
 def slot_runs(sizes, bound: int) -> list[range]:
     """Consecutive runs of items whose slot counts, summed coordinate by
     coordinate, stay within ``bound``; an item above the bound alone is a
     run of its own.  Batched stages use it to keep each batch's temporaries
-    within a public budget, max(rows·cols, ``MIN_RUN_SLOTS``) in merge and
-    filter; sizes are public, so the runs are too."""
+    within a public budget, ``run_slots`` of the matrix's shape in merge
+    and filter; sizes are public, so the runs are too."""
     runs: list[range] = []
     start, totals = 0, None
     for k, size in enumerate(sizes):
@@ -452,12 +460,12 @@ class Machine:
 
     # -- optional primitives: the backend runs its own protocol ------------------
 
-    def masked_reciprocal(self, x, helper_role: str = "P3"):
-        """1/x via the owner-randomness masking protocol; the helper party
-        observes only r*x."""
+    def masked_reciprocal(self, x):
+        """1/x via the owner-randomness masking protocol; the host (P3),
+        which inverts the masked value, observes only r*x."""
         self._check_ctx(x)
         self.b.require("division")
-        return self._wrap(self.b.masked_reciprocal(x.payload, helper_role))
+        return self._wrap(self.b.masked_reciprocal(x.payload))
 
     def sort_vec(self, v: PrivateVector) -> PrivateVector:
         """Obliviously sorted copy (backend sort capability)."""

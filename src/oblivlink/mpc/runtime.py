@@ -54,9 +54,9 @@ class RoundStats:
         self.bytes = 0
         self.rows: defaultdict[tuple, list[int]] = defaultdict(_zero_row)
 
-    def add_round(self, tag, n: int = 1):
-        self.rounds += n
-        self.rows[tag][0] += n
+    def add_round(self, tag):
+        self.rounds += 1
+        self.rows[tag][0] += 1
 
     def add_message(self, tag, nbytes: int):
         self.messages += 1

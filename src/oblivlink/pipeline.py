@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import make_backend
-from .backends.base import APPROX, Transcript, tagged_rng
+from .backends.base import (APPROX, ROLE_HOST, ROLE_OWNER_1, ROLE_OWNER_2, Transcript,
+                            tagged_rng)
 from .blocking import (TOKEN_BITS, BandPlan, EncodedRecord, MinHasher, bigram_codes,
                        block_index, encrypt_blocks, flat_column, optimal_band_plan,
                        pack_records)
@@ -35,30 +36,23 @@ from .errors import DomainError, OblivLinkError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (JaccardParams, Strategy, jaccard_cells, jaccard_match,  # noqa: F401
                         pick_strategy, require_strategy)
-from .machine import (EQ_BIT_ERROR, MIN_RUN_SLOTS, Machine, PrivateMatrix, PrivateVector,
+from .machine import (EQ_BIT_ERROR, Machine, PrivateMatrix, PrivateVector, run_slots,
                       slot_runs)
-
-ROLE_OWNER_1 = "P1"
-ROLE_OWNER_2 = "P2"
-ROLE_HOST = "P3"
 
 
 @dataclass
 class ObfuscationPolicy:
     """Noise unioned into the candidate matrix before it is revealed; noise
-    only ever adds cells.  Either source, "host" or "owner", draws the noise
-    from ``tagged_rng`` over the public link ``seed``, under its own tag, so
-    the host (P3) can recompute it and the noise hides only the candidates
-    it happens to cover; a noise secret that P3 does not hold is ROADMAP
-    item 2."""
+    only ever adds cells, each with probability ``rate``.  A linkage draws
+    the noise from ``tagged_rng("noise", seed)`` over the public link
+    ``seed``, so the host (P3) can recompute it and the noise hides only the
+    candidates it happens to cover; a noise secret that P3 does not hold is
+    ROADMAP item 2."""
     rate: float = 0.05
-    source: str = "host"
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("noise rate must lie in [0, 1]")
-        if self.source not in ("host", "owner"):
-            raise ValueError("noise source must be 'host' or 'owner'")
 
 
 @dataclass
@@ -73,11 +67,13 @@ class PipelineConfig:
     fn_weight: float = 0.5
     pack: int = 1
     rho: float = 0.05
-    noise_source: str = "host"
     seed: int = 0
 
     def jaccard_params(self) -> JaccardParams:
         return JaccardParams(Fraction(self.t_jaccard))
+
+    def band_plan(self) -> BandPlan:
+        return optimal_band_plan(self.t_block, self.num_perm, self.fp_weight, self.fn_weight)
 
     def flat_items(self) -> list[tuple[str, str]]:
         items = []
@@ -119,8 +115,7 @@ def prepare_upload(records, config: PipelineConfig) -> PartyUpload:
     ids = [r.record_id for r in records]
     codes, lengths = bigram_codes([r.text() for r in records], ids)
     encoded = pack_records(ids, codes, lengths, config.pack)
-    plan = optimal_band_plan(config.t_block, config.num_perm,
-                             config.fp_weight, config.fn_weight)
+    plan = config.band_plan()
     hasher = MinHasher(config.num_perm, config.seed)
     index = block_index(hasher.signatures(codes, lengths), plan)
     manifest = {
@@ -188,14 +183,6 @@ def _first_fault(runs: list, limit: int) -> tuple[int, bool] | None:
 
 
 # -- machine-level stages ----------------------------------------------------
-
-
-def run_slots(shape: tuple[int, int]) -> int:
-    """The slot budget of one run of a batched stage over a rows x cols
-    candidate matrix: the matrix's own size, but never under
-    ``MIN_RUN_SLOTS``.  It depends on the public shape alone."""
-    rows, cols = shape
-    return max(rows * cols, MIN_RUN_SLOTS)
 
 
 def _indicator(mach: Machine, blocks: list[PrivateVector], width: int) -> PrivateMatrix:
@@ -268,7 +255,7 @@ def filter_and_resolve(mach: Machine, enc1: list[PrivateVector], enc2: list[Priv
     cells = np.argwhere(obfu)
     if not len(cells):
         return mach.enc(np.zeros(obfu.shape, dtype=np.int64)), 0
-    bits = jaccard_cells(mach, enc1, enc2, cells, params, strategy, run_slots(obfu.shape))
+    bits = jaccard_cells(mach, enc1, enc2, cells, params, strategy)
     place = np.full(obfu.shape, len(cells), dtype=np.int64)
     place[cells[:, 0], cells[:, 1]] = np.arange(len(cells))
     return mach.take(mach.concat(bits, mach.enc([0])), place), len(cells)
@@ -294,21 +281,30 @@ def _run_stage(backend, name, body):
         raise StageError(name, str(exc)) from exc
 
 
-def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
-                          backend=None) -> RunResult:
-    # every object the run needs from the config is built first, so a bad
-    # value is refused before the uploads are checked or a backend is used
+def checked_config(config: PipelineConfig, backend=None):
+    """Every object a linkage builds from its config: the Jaccard
+    parameters, the obfuscation policy, the band plan, the strategy (None
+    for ``auto``) and the backend (``backend`` when one is passed).  A
+    value that one of them refuses is refused with one ``OblivLinkError``
+    before any work; ``block`` and ``eval`` call this too, so every command
+    refuses a bad config alike."""
     try:
         params = config.jaccard_params()
-        policy = ObfuscationPolicy(config.rho, config.noise_source)
-        plan = optimal_band_plan(config.t_block, config.num_perm,
-                                 config.fp_weight, config.fn_weight)
+        policy = ObfuscationPolicy(config.rho)
+        plan = config.band_plan()
         strategy = None if config.strategy == "auto" else Strategy(config.strategy)
-        own_backend = backend is None
-        if own_backend:
+        if backend is None:
             backend = make_backend(config.backend, config.profile, seed=config.seed)
     except ValueError as exc:
         raise OblivLinkError(f"bad config: {exc}") from exc
+    return params, policy, plan, strategy, backend
+
+
+def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
+                          backend=None) -> RunResult:
+    # a bad config value is refused before the uploads are checked or a
+    # backend is used
+    params, policy, plan, strategy, backend = checked_config(config, backend)
     validate_uploads(u1, u2, config, plan)
     mach = Machine(backend)
     shape = (len(u1.encoded), len(u2.encoded))
@@ -346,8 +342,7 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
                       lambda: merge_and_dedup(mach, b1, b2, shape))
 
     def reveal_obfuscated():
-        noise_tag = "noise" if policy.source == "host" else "noise-owner"
-        noise_rng = tagged_rng(noise_tag, config.seed)
+        noise_rng = tagged_rng("noise", config.seed)
         reveal_auth = backend.issue_authority("obfuscation-reveal", ROLE_HOST)
         backend.observe(ROLE_HOST, "authority_grant", "obfuscation-reveal")
         revealed = obfuscate(mach, cand, policy, noise_rng, reveal_auth)
@@ -371,16 +366,13 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
     matches = _run_stage(backend, "finalize", finish)
 
     stats = backend.round_stats() if hasattr(backend, "round_stats") else None
-    result = RunResult(
+    return RunResult(
         matches=matches, strategy=strategy,
         obfu_count=int(obfu.sum()), evaluated_cells=evaluated, shape=shape,
         ledger=backend.ledger, round_stats=stats,
         transcript=backend.transcript.copy(),
         trace=list(backend.trace) if backend.trace_enabled else [],
     )
-    if own_backend:
-        backend.close()
-    return result
 
 
 def run_pper(d1_records, d2_records, config: PipelineConfig, backend=None) -> RunResult:
@@ -440,26 +432,29 @@ def _parse_object(path: str, name: str, text: str, where: str = "") -> dict:
     return value
 
 
-def _check_rows(path: str, name: str, rows: list):
-    """Refuse a file whose ``row`` fields are not 0..n-1 in order: blocks
+def _check_rows(path: str, name: str, rows: list, kind: type):
+    """Refuse a file whose ``row`` fields are not 0..n-1 in order, each of
+    type ``kind``: JSON integers in records.enc, text in idmap.csv.  Blocks
     name the owner's rows by number, and records and id map hold them by
     position."""
     for k, row in enumerate(rows):
         if str(row) != str(k):
             raise _upload_error(path, name, f"entry {k} holds row {row}, not {k}")
+        if type(row) is not kind:
+            raise _upload_error(path, name, f"entry {k} holds row {row!r}, not {k}")
 
 
 def read_party_dir(path: str) -> PartyUpload:
     """Load what ``write_party_dir`` wrote.  Anything else is refused with
     ``StageError("upload", …)``: a file that does not parse, records or
     id-map rows out of order, a record without its containers or pack, a
-    container, pack or block id that is not an integer (JSON's true and
-    false included), and a record whose pack is not the manifest's (or,
+    record row, container, pack or block id that is not an integer (JSON's
+    true and false included), and a record whose pack is not the manifest's (or,
     when the manifest has none, the first record's)."""
     manifest = _parse_object(path, "manifest", _read_text(path, "manifest"))
     items = [_parse_object(path, "records.enc", line, f"entry {k} ")
              for k, line in enumerate(io.StringIO(_read_text(path, "records.enc")))]
-    _check_rows(path, "records.enc", [item.get("row") for item in items])
+    _check_rows(path, "records.enc", [item.get("row") for item in items], int)
     pack = manifest.get("pack")
     encoded = []
     for k, item in enumerate(items):
@@ -489,5 +484,5 @@ def read_party_dir(path: str) -> PartyUpload:
             raise _upload_error(path, "idmap.csv", f"entry {k} holds no record id")
         rows.append(row)
         id_map.append(rid)
-    _check_rows(path, "idmap.csv", rows)
+    _check_rows(path, "idmap.csv", rows, str)
     return PartyUpload(encoded, index, id_map, manifest)

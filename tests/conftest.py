@@ -27,9 +27,8 @@ def open_machine(spec: str, seed: int = 0, **kwargs):
 
 @pytest.fixture
 def clear_machine():
-    mach, auth, backend = open_machine("clear")
-    yield mach, auth
-    backend.close()
+    mach, auth, _ = open_machine("clear")
+    return mach, auth
 
 
 def dec_round(mach, auth, value):

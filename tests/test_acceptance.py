@@ -35,7 +35,7 @@ def _report(criterion, status, detail):
 
 def test_criterion_1_worked_example_fixtures():
     start = time.perf_counter()
-    mach, auth, b = open_machine("clear")
+    mach, auth, _ = open_machine("clear")
 
     v1e, v2e = ve_extend(mach, mach.enc([1, 2, 4]), mach.enc([2, 3]))
     assert mach.dec(v1e, auth) == [1, 2, 4, 1, 2, 4]
@@ -53,7 +53,6 @@ def test_criterion_1_worked_example_fixtures():
     vr_first = vr_diff_sequence(mach, mach.enc([1, 2]), mach.enc([2, 2, 3]), pad=0)[0]
     assert mach.dec(vr_first, auth) == [-1, 0, -3]
 
-    b.close()
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, "PASS", f"VE/SO/VR intermediates exact, {elapsed:.3f}s")
@@ -83,7 +82,6 @@ def test_criterion_2_strategy_oracle_equivalence():
                 got = dec_round(mach, auth, intersection_size(mach, e1, e2, strat))
                 assert got == expected, (spec, strat, v1, v2, got, expected)
                 checked += 1
-        b.close()
     elapsed = time.perf_counter() - start
     _report(2, "PASS", f"{checked} strategy evaluations across {len(BACKENDS)} "
                        f"backends agree with brute force, {elapsed:.1f}s")
@@ -219,7 +217,6 @@ def _machine_op_trace(seed_tokens):
         intersection_size(mach, v1, v2, strat)
     jaccard_match(mach, v1, v2, JaccardParams(Fraction(1, 2)), Strategy.VE)
     trace = list(b.trace)
-    b.close()
     return trace
 
 
@@ -240,17 +237,15 @@ def test_criterion_6_obliviousness():
         cfg = PipelineConfig(backend="sim", strategy="ve",
                              t_jaccard=Fraction(1, 2), rho=0.0, seed=SEED)
         result = run_pper_from_uploads(u1, u2, cfg, backend=backend)
-        backend.close()
         return result.trace
 
     assert_oblivious(pipeline_trace(0), pipeline_trace(13))
 
-    mach, _, b = open_machine("sim:generic")
+    mach, _, _ = open_machine("sim:generic")
     secret = mach.enc(1)
     with pytest.raises(TaintViolation):
         if secret:
             pass
-    b.close()
     _report(6, "PASS", "machine-op and full-pipeline twin traces identical; "
                        "leaky gadget raises TaintViolation")
 
@@ -274,7 +269,6 @@ def test_criterion_7_mpc_backend():
     before = b.round_stats().rounds
     mach.mul(mach.enc(6), mach.enc(7))
     assert b.round_stats().rounds - before == 1
-    b.close()
 
     secret = np.full(10_000, 0xDEADBEEF, dtype=np.uint64)
     parts = share3(secret, np.random.default_rng(SEED + 1))
@@ -300,7 +294,6 @@ def test_criterion_8_cost_model_ordering():
         b.ledger.counts.clear()
         jaccard_match(mach, v1, v2, JaccardParams(Fraction(1, 2)), strategy)
         total = b.ledger.total()
-        b.close()
         return total
 
     pj, vr, ve = (pair_total(s) for s in (Strategy.PJ, Strategy.VR, Strategy.VE))

@@ -33,7 +33,6 @@ def test_unknown_kind_and_profile_rejected():
 def test_clear_is_the_generic_simulator():
     b = make_backend("clear", profile="simd")
     assert (b.caps, b.domain) == (CAPS_ALL, EXACT)
-    b.close()
     d1, d2, _ = generate_dataset(seed=0, size=100)
     runs = []
     for kind in ("clear", "sim"):
@@ -44,13 +43,12 @@ def test_clear_is_the_generic_simulator():
                       for o in result.transcript]
         runs.append((result.matches, result.ledger.to_csv(), result.trace, transcript,
                      result.strategy))
-        backend.close()
     assert runs[0][0]  # the corpus links some pairs
     assert runs[0] == runs[1]
 
 
 def test_clear_backend_equals_plain_arithmetic():
-    mach, auth, b = open_machine("clear", seed=1)
+    mach, auth, _ = open_machine("clear", seed=1)
     rng = np.random.default_rng(8)
     for _ in range(200):
         x = rng.integers(-10**6, 10**6, size=6).tolist()
@@ -60,7 +58,6 @@ def test_clear_backend_equals_plain_arithmetic():
         assert mach.dec(mach.esub(ex, ey), auth) == [a - c for a, c in zip(x, y)]
         assert mach.dec(mach.emul(ex, ey), auth) == [a * c for a, c in zip(x, y)]
         assert mach.dec(mach.dot(ex, ey), auth) == sum(a * c for a, c in zip(x, y))
-    b.close()
 
 
 # -- ledger -------------------------------------------------------------------
@@ -74,7 +71,6 @@ def test_pj_ledger_counts_mn_equality_gates():
         b.ledger.counts.clear()
         intersection_size(mach, v1, v2, Strategy.PJ)
         assert b.ledger.by_op()["eq"] == m * n
-        b.close()
 
 
 def test_vr_ledger_counts_rotations_and_subtractions():
@@ -88,7 +84,6 @@ def test_vr_ledger_counts_rotations_and_subtractions():
         ops = b.ledger.by_op()
         assert ops["rotate"] == big
         assert ops["sub"] == big
-        b.close()
 
 
 def test_ledger_depends_only_on_public_shapes():
@@ -98,7 +93,6 @@ def test_ledger_depends_only_on_public_shapes():
         jaccard_match(mach, mach.enc(values1), mach.enc(values2),
                       JaccardParams(Fraction(1, 2)), Strategy.VR)
         rows = b.ledger.rows()
-        b.close()
         return rows
 
     first = run([1, 2, 3], [9, 8])
@@ -113,7 +107,6 @@ def test_ledger_csv_export():
     csv = b.ledger.to_csv()
     assert csv.splitlines()[0] == "stage,primitive,count"
     assert "demo,add,1" in csv
-    b.close()
 
 
 def test_per_pair_cost_ordering_pj_dominates():
@@ -125,7 +118,6 @@ def test_per_pair_cost_ordering_pj_dominates():
         b.ledger.counts.clear()
         jaccard_match(mach, v1, v2, JaccardParams(Fraction(1, 2)), strategy)
         total = b.ledger.total()
-        b.close()
         return total
 
     assert total_for(Strategy.PJ) > total_for(Strategy.VR)
@@ -140,7 +132,6 @@ def _trace_of(callable_, spec="sim:generic"):
     b.enable_trace()
     callable_(mach, auth)
     trace = list(b.trace)
-    b.close()
     return trace
 
 
@@ -171,12 +162,11 @@ def test_machine_ops_twin_traces_identical():
 
 
 def test_leaky_gadget_triggers_taint_violation():
-    mach, _, b = open_machine("sim:generic")
+    mach, _, _ = open_machine("sim:generic")
     secret = mach.enc(1)
     with pytest.raises(TaintViolation):
         if secret:  # content-dependent branch: the negative control
             pass
-    b.close()
 
 
 def test_diverging_traces_detected():
@@ -191,19 +181,17 @@ def test_diverging_traces_detected():
 
 
 def test_simd_profile_rejects_sort_supports_rotation():
-    mach, _, b = open_machine("sim:simd")
+    mach, _, _ = open_machine("sim:simd")
     with pytest.raises(CapabilityError):
         mach.sort_vec(mach.enc([3.0, 1.0]))
     mach.rshift(mach.enc([1.0, 2.0]), 1)
-    b.close()
 
 
 def test_sharemind_profile_supports_join_rejects_rotation():
-    mach, _, b = open_machine("sim:sharemind")
+    mach, _, _ = open_machine("sim:sharemind")
     mach.join_count(mach.enc([1, 2]), mach.enc([2, 3]))
     with pytest.raises(CapabilityError):
         mach.rshift(mach.enc([1, 2]), 1)
-    b.close()
 
 
 def test_transcript_batches_read_as_the_single_observations():
@@ -281,7 +269,6 @@ def test_a_capability_refusal_records_nothing(spec, call):
     with pytest.raises(CapabilityError):
         call(mach, v)
     assert b.ledger.rows() == before and b.trace == []
-    b.close()
 
 
 def _public_arguments(i, lo, hi, times, n):

@@ -295,7 +295,6 @@ def test_build_blocks_encrypts_id_vectors():
     for key, vec in blocks.items():
         ids = mach.dec(vec, auth)
         assert all(i in (0, 1) for i in ids)
-    backend.close()
 
 
 # -- the batched owner path against loop references ---------------------------------

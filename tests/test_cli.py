@@ -3,10 +3,12 @@
 import argparse
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from oblivlink import PipelineConfig
 from oblivlink.cli import build_parser, main
 
 
@@ -108,17 +110,19 @@ def test_config_file_supplies_defaults_flags_override(tmp_path):
 
 
 def test_config_with_the_retired_jobs_key_still_loads(tmp_path):
-    # run.config files written while bench had a --jobs flag hold jobs=N
+    # run.config files written while bench had a --jobs flag hold jobs=N,
+    # and those written while link had a --noise-source flag
+    # noise_source=host or owner
     data, blocks, out = (str(tmp_path / d) for d in ("data", "blocks", "link"))
     main(["generate", "--out", data, "--size", "40", "--seed", "0"])
     main(["block", "--data", data, "--out", blocks, "--seed", "0"])
     cfg = tmp_path / "old.config"
-    cfg.write_text("backend=sim\nstrategy=ve\nseed=0\njobs=4\n")
+    cfg.write_text("backend=sim\nstrategy=ve\nseed=0\njobs=4\nnoise_source=owner\n")
     assert main(["link", "--blocks", blocks, "--out", out, "--config", str(cfg)]) == 0
     with open(os.path.join(out, "run.config")) as fh:
         values = dict(line.strip().split("=", 1) for line in fh)
     assert values["backend"] == "sim" and values["strategy"] == "ve"
-    assert "jobs" not in values
+    assert "jobs" not in values and "noise_source" not in values
 
 
 def test_every_commands_run_config_loads_back(tmp_path):
@@ -169,8 +173,8 @@ def blocks_60(tmp_path_factory):
     return root / "blocks"
 
 
-# (link flags, config file lines, what the error line says); each once
-# printed a traceback, or failed only after upload and merge had run
+# (flags, config file lines, what the error line says); each once printed a
+# traceback, or failed only after upload and merge had run
 BAD_CONFIG_VALUES = [
     (["--t-jaccard", "3/2"], "", "bad config: jaccard threshold must lie strictly between"),
     (["--t-jaccard", "abc"], "", "config value t_jaccard=abc is not a Fraction"),
@@ -180,19 +184,20 @@ BAD_CONFIG_VALUES = [
     ([], "rho=abc", "config value rho=abc is not a float"),
     ([], "backend=foo", "bad config: unknown backend kind 'foo'"),
     ([], "backend=sim\nprofile=x", "bad config: unknown profile 'x'"),
-    ([], "noise_source=x", "bad config: noise source must be 'host' or 'owner'"),
     ([], "strategy=foo", "bad config: 'foo' is not a valid Strategy"),
 ]
 
 
+@pytest.mark.parametrize("command", ["link", "block", "eval"])
 @pytest.mark.parametrize("flags, lines, message", BAD_CONFIG_VALUES)
-def test_bad_config_values_are_refused_before_any_work(flags, lines, message, blocks_60,
-                                                       tmp_path, capsys):
+def test_bad_config_values_are_refused_before_any_work(command, flags, lines, message,
+                                                       blocks_60, tmp_path, capsys):
     cfg = tmp_path / "bad.config"
     cfg.write_text(lines + "\n")
-    out = tmp_path / "link"
-    assert main(["link", "--blocks", str(blocks_60), "--out", str(out), "--config", str(cfg)]
-                + flags) == 1
+    out = tmp_path / command
+    source = (["--blocks", str(blocks_60)] if command == "link"
+              else ["--data", str(blocks_60.parent / "data")])
+    assert main([command, *source, "--out", str(out), "--config", str(cfg)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
     assert not out.exists()
@@ -224,3 +229,16 @@ def test_readme_flags_are_the_common_flags():
     common = set.intersection(*({o for a in p._actions for o in a.option_strings}
                                 for p in commands)) - {"-h", "--help"}
     assert documented == common
+
+
+def test_each_config_field_is_set_by_one_common_flag():
+    # the flags that every command shares, bar --config and --out, are the
+    # config surface: each sets one field (the strategy's flag keeps its
+    # historical name), and one flag sets each field
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    common = set.intersection(*({a.dest for a in p._actions} for p in commands.values()))
+    flags = [a.dest for a in commands["link"]._actions
+             if a.dest in common - {"config", "out", "help"}]
+    set_fields = ["strategy" if dest == "isect" else dest for dest in flags]
+    assert sorted(set_fields) == sorted(f.name for f in fields(PipelineConfig))

@@ -25,7 +25,6 @@ OFFSET = Fraction(1, 200)
 
 def _strategies(spec):
     _, _, b = open_machine(spec)
-    b.close()
     return supported_strategies(b.caps)
 
 
@@ -70,13 +69,12 @@ def _threshold(recs1, recs2, pick) -> Fraction:
 @given(inputs=filter_inputs())
 def test_filter_equals_exact_jaccard_oracle(spec, strategy, inputs):
     recs1, recs2, obfu, pick = inputs
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     t = _threshold(recs1, recs2, pick)
     results, evaluated = filter_and_resolve(
         mach, [mach.enc(r) for r in recs1], [mach.enc(r) for r in recs2], obfu,
         JaccardParams(t), strategy)
     got = dec_round(mach, auth, results)
-    b.close()
     want = [[int(bool(obfu[i, j]) and _jaccard(r1, r2) > t) for j, r2 in enumerate(recs2)]
             for i, r1 in enumerate(recs1)]
     assert evaluated == int(obfu.sum())
@@ -107,7 +105,6 @@ def test_filter_twin_traces_identical(spec, strategy):
                            [mach.enc(list(r)) for r in recs[1]], obfu,
                            JaccardParams(Fraction(1, 2)), strategy)
         out = list(b.trace)
-        b.close()
         return out
 
     assert_oblivious(trace(shared), trace(disjoint))
@@ -127,7 +124,6 @@ def test_gt_refuses_a_bound_at_the_gate_limit(spec):
     else:  # exact local gates compare the whole domain
         assert mach.dec(mach.gt(a, c, bound=1 << 62), auth) == [1, 0]
     assert b.ledger.by_op()["gt"] == (1 if spec == "mpc" else 2)  # the refused gate never ran
-    b.close()
 
 
 def test_fine_threshold_denominator_links_the_oracle_on_every_backend():
@@ -155,9 +151,8 @@ def test_simd_cell_past_the_count_error_bound_raises_before_any_work():
         params = JaccardParams(Fraction(1, 2))
         if refused:
             with pytest.raises(DomainError):
-                jaccard_cells(mach, [r1], [r2], [(0, 0)], params, Strategy.VE, size * size)
+                jaccard_cells(mach, [r1], [r2], [(0, 0)], params, Strategy.VE)
             assert b.ledger.total() == 0
         else:
-            bits = jaccard_cells(mach, [r1], [r2], [(0, 0)], params, Strategy.VE, size * size)
+            bits = jaccard_cells(mach, [r1], [r2], [(0, 0)], params, Strategy.VE)
             assert dec_round(mach, auth, bits) == [1]  # 699/701 > 1/2
-        b.close()

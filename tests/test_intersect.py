@@ -27,10 +27,9 @@ def _oracle(v1, v2):
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
 def test_zero_count_examples(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     assert dec_round(mach, auth, zero_count(mach, mach.enc([-1, 0, -3]))) == 1
     assert dec_round(mach, auth, zero_count(mach, mach.enc([0, 0, 0]))) == 3
-    b.close()
 
 
 def test_zero_count_random_oracle(clear_machine):
@@ -127,21 +126,18 @@ def test_join_counts_equal_set_intersections(spec, rows, cols, data):
     assert b.trace == [("join", (len(rows[i]),), (len(cols[j]),)) for i, j in cells]
     assert b.ledger.counts.get(("main", "join")) == (len(cells) or None)
     assert dec_round(mach, auth, counts) == [len(rows[i] & cols[j]) for i, j in cells]
-    b.close()
 
 
 def test_join_counts_refuses_a_foreign_handle_in_either_list():
     # each list is checked whole, whether a cell names the handle or not
     mach, _, b = open_machine("clear")
-    other, _, other_b = open_machine("clear")
+    other, _, _ = open_machine("clear")
     v, foreign = mach.enc([1, 2]), other.enc([2])
     b.enable_trace()
     for enc1, enc2 in (([v, foreign], [v]), ([v], [v, foreign])):
         with pytest.raises(ContextMismatchError):
             mach.join_counts(enc1, enc2, [(0, 0)])
     assert b.trace == []
-    b.close()
-    other_b.close()
 
 
 @pytest.mark.parametrize("spec", ["sim:generic", "sim:simd", "mpc"])
@@ -155,7 +151,7 @@ def test_ve_gathers_the_slot_formula_layout(spec, rows, cols, data):
     slots = [len1[i] * len2[j] for i, j in cells]
     # a run bound below one cell's slots splits runs down to single cells
     max_slots = data.draw(st.integers(1, 2 * max(slots) + 1))
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     enc1, enc2 = [mach.enc(sorted(s)) for s in rows], [mach.enc(sorted(s)) for s in cols]
     taken, take = [], Machine.take
 
@@ -173,7 +169,6 @@ def test_ve_gathers_the_slot_formula_layout(spec, rows, cols, data):
         want1, want2 = reference_ve_indices(len1, len2, cells[run.start:run.stop])
         assert idx1.tolist() == want1.tolist() and idx2.tolist() == want2.tolist()
     assert dec_round(mach, auth, counts) == [len(rows[i] & cols[j]) for i, j in cells]
-    b.close()
 
 
 @pytest.mark.parametrize("spec", ["mpc", "sim:simd"])
@@ -184,7 +179,6 @@ def test_join_counts_refused_without_the_join_capability(spec):
         with pytest.raises(CapabilityError):
             mach.join_counts([v1], [v2], [(0, 0)])
     assert not b.ledger.by_stage().get("filter_er")
-    b.close()
 
 
 # -- agreement / symmetry / capability ------------------------------------------
@@ -202,7 +196,6 @@ def test_strategy_agreement_random(spec):
         e1, e2 = mach.enc(v1), mach.enc(v2)
         for strat in strategies:
             assert dec_round(mach, auth, intersection_size(mach, e1, e2, strat)) == expected
-    b.close()
 
 
 def test_symmetry(clear_machine):
@@ -221,27 +214,21 @@ def test_capability_gating():
     mach, _, b = open_machine("sim:simd")
     with pytest.raises(CapabilityError):
         intersection_size(mach, mach.enc([1.0]), mach.enc([2.0]), Strategy.SO)
-    b.close()
     mach, _, b = open_machine("mpc")
     with pytest.raises(CapabilityError):
         intersection_size(mach, mach.enc([1]), mach.enc([2]), Strategy.MJ)
-    b.close()
     _, _, b = open_machine("sim:sharemind")
     assert Strategy.MJ in supported_strategies(b.caps)
     assert Strategy.VR not in supported_strategies(b.caps)
-    b.close()
 
 
 def test_auto_picks_cheapest_supported():
     _, _, generic = open_machine("sim:generic")
     assert pick_strategy(generic.caps, 8, 8) == Strategy.MJ  # one idealized gate
-    generic.close()
     _, _, simd = open_machine("sim:simd")
     assert pick_strategy(simd.caps, 8, 8) == Strategy.VE
-    simd.close()
     _, _, mpc = open_machine("mpc")
     assert pick_strategy(mpc.caps, 8, 8) == Strategy.VE
-    mpc.close()
 
 
 def test_estimated_cost_ordering():
@@ -250,7 +237,6 @@ def test_estimated_cost_ordering():
         pj = estimated_cost(Strategy.PJ, n, n, b.caps)
         assert pj > estimated_cost(Strategy.VR, n, n, b.caps)
         assert pj > estimated_cost(Strategy.VE, n, n, b.caps)
-    b.close()
 
 
 def test_ve_estimate_equals_its_ledger():
@@ -266,7 +252,6 @@ def test_ve_estimate_equals_its_ledger():
                 intersection_size(mach, v1, v2, strategy)
                 assert b.ledger.by_op() == dict(_dry_run_ops(strategy, m, n, b.caps)), \
                     (spec, strategy, m, n)
-        b.close()
 
 
 # The estimates that the hand-counted formula gave before the dry run
@@ -310,7 +295,6 @@ def test_strategy_table_and_auto_choice(spec):
     assert pick_strategy(b.caps, 42, 42) is _AUTO_AT_42[spec]
     if spec == "mpc":
         assert pick_strategy(b.caps, 1, 1) is Strategy.PJ
-    b.close()
 
 
 # -- jaccard -------------------------------------------------------------------
@@ -327,7 +311,6 @@ def test_jaccard_examples(spec):
     assert dec_round(mach, auth, jaccard_match(mach, v1, v2, JaccardParams(Fraction(1, 5)), strat)) == 1
     same = mach.enc([10, 20, 30])
     assert dec_round(mach, auth, jaccard_match(mach, same, same, JaccardParams(Fraction(99, 100)), strat)) == 1
-    b.close()
 
 
 def test_jaccard_params_validation():

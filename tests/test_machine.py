@@ -15,22 +15,20 @@ from conftest import (ALL_BACKENDS, EXACT_BACKENDS, LOCAL_EXACT, dec_round, open
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
 def test_enc_dec_round_trip(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     assert dec_round(mach, auth, mach.enc(42)) == 42
     assert dec_round(mach, auth, mach.enc([0, 1, 7])) == [0, 1, 7]
     assert dec_round(mach, auth, mach.enc([[1, 2], [3, 4]])) == [[1, 2], [3, 4]]
-    b.close()
 
 
 def test_enc_dec_approx_tolerance():
-    mach, auth, b = open_machine("sim:simd")
+    mach, auth, _ = open_machine("sim:simd")
     assert abs(mach.dec(mach.enc(0.25), auth) - 0.25) <= TAU_NUM
-    b.close()
 
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
 def test_dec_requires_valid_authority(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     value = mach.enc([0, 1])
     with pytest.raises(AuthorityError):
         mach.dec(value, None)
@@ -40,37 +38,33 @@ def test_dec_requires_valid_authority(spec):
     auth.revoke()
     with pytest.raises(AuthorityError):
         mach.dec(value, auth)
-    b.close()
 
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
 def test_primitive_arithmetic_examples(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     assert dec_round(mach, auth, mach.eadd(mach.enc([1, 2, 3]), mach.enc([10, 20, 30]))) == [11, 22, 33]
     assert dec_round(mach, auth, mach.dot(mach.enc([1, 0, 1]), mach.enc([5, 7, 9]))) == 14
     assert dec_round(mach, auth, mach.esub(mach.enc([1, 2]), mach.enc([5, 1]))) == [-4, 1]
-    b.close()
 
 
 @pytest.mark.parametrize("spec", ["clear", "sim:generic", "sim:simd", "mpc"])
 def test_rshift_is_cyclic_rotation(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     v = mach.enc([2, 2, 3])
     assert dec_round(mach, auth, mach.rshift(v, 1)) == [3, 2, 2]
     assert dec_round(mach, auth, mach.lshift(mach.rshift(v, 1), 1)) == [2, 2, 3]
-    b.close()
 
 
 @pytest.mark.parametrize("spec", ["clear", "mpc"])
 def test_shift_noncyclic_fill_mode(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     v = mach.enc([4, 5, 6])
     assert dec_round(mach, auth, mach.rshift(v, 1, cyclic=False, fill=0)) == [0, 4, 5]
     assert dec_round(mach, auth, mach.lshift(v, 1, cyclic=False, fill=9)) == [5, 6, 9]
     assert dec_round(mach, auth, mach.rshift(v, 0, cyclic=False, fill=7)) == [4, 5, 6]
     assert dec_round(mach, auth, mach.rshift(v, 3, cyclic=False, fill=7)) == [7, 7, 7]
     assert dec_round(mach, auth, mach.rshift(v, 5, cyclic=False, fill=7)) == [7, 7, 7]
-    b.close()
 
 
 def test_mul_is_matrix_product_emul_elementwise(clear_machine):
@@ -93,7 +87,6 @@ def test_slice_refuses_bounds_outside_the_vector(spec, lo, hi):
         mach.slice(v, lo, hi)
     assert b.trace == []
     assert dec_round(mach, auth, mach.slice(v, 1, 3)) == [2, 3]
-    b.close()
 
 
 def test_size_is_public(clear_machine):
@@ -104,12 +97,10 @@ def test_size_is_public(clear_machine):
 
 
 def test_cross_context_rejected():
-    mach1, _, b1 = open_machine("clear")
-    mach2, _, b2 = open_machine("clear")
+    mach1, _, _ = open_machine("clear")
+    mach2, _, _ = open_machine("clear")
     with pytest.raises(ContextMismatchError):
         mach1.add(mach1.enc(1), mach2.enc(2))
-    b1.close()
-    b2.close()
 
 
 def test_shape_mismatch_rejected(clear_machine):
@@ -133,11 +124,10 @@ def test_wrapping_64bit_semantics(clear_machine):
 
 @pytest.mark.parametrize("spec", EXACT_BACKENDS)
 def test_eeq_definition(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     seq = mach.enc([0, 1, 2])
     idx = mach.broadcast(mach.enc(1), 3)
     assert dec_round(mach, auth, mach.eeq(seq, idx)) == [0, 1, 0]
-    b.close()
 
 
 def test_eeq_empty(clear_machine):
@@ -152,18 +142,17 @@ def _eeq_workaround_oracle(seq, idx, xi):
 
 
 def test_eeq_workaround_accuracy():
-    mach, auth, b = open_machine("sim:simd")
+    mach, auth, _ = open_machine("sim:simd")
     seq = [0, 1, 2]
     expected = _eeq_workaround_oracle(seq, 1, XI_DEFAULT)
     out = mach.dec(mach.eeq(mach.enc(seq), mach.broadcast(mach.enc(1), 3)), auth)
     for got, want, bit in zip(out, expected, [0, 1, 0]):
         assert abs(got - bit) <= TAU_BOOL
         assert abs(got - want) <= 1e-9
-    b.close()
 
 
 def test_eeq_workaround_random_integer_inputs():
-    mach, auth, b = open_machine("sim:simd")
+    mach, auth, _ = open_machine("sim:simd")
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(1, 24))
@@ -172,7 +161,6 @@ def test_eeq_workaround_random_integer_inputs():
         out = mach.dec(mach.eeq(mach.enc(seq), mach.broadcast(mach.enc(pivot), n)), auth)
         for got, s in zip(out, seq):
             assert abs(got - (1 if s == pivot else 0)) <= TAU_BOOL
-    b.close()
 
 
 def _equality_run(eeq, seq, idx):
@@ -186,7 +174,6 @@ def _equality_run(eeq, seq, idx):
         bits = repr(exc)
     opened = [(o.role, o.kind, np.asarray(o.value).tobytes()) for o in b.transcript]
     out = (bits, b.ledger.rows(), b.trace, opened, b.rng.bit_generator.state)
-    b.close()
     return out
 
 
@@ -213,29 +200,26 @@ def test_approx_eq_refuses_an_offset_cancelling_difference_as_the_chain_did():
 
 
 def test_masked_reciprocal_values():
-    mach, auth, b = open_machine("sim:simd")
+    mach, auth, _ = open_machine("sim:simd")
     assert abs(mach.dec(mach.masked_reciprocal(mach.enc(4.0)), auth) - 0.25) <= TAU_NUM
     assert abs(mach.dec(mach.masked_reciprocal(mach.enc(1.0)), auth) - 1.0) <= TAU_NUM
-    b.close()
 
 
 def test_masked_reciprocal_zero_rejected():
-    mach, _, b = open_machine("sim:simd")
+    mach, _, _ = open_machine("sim:simd")
     with pytest.raises(ZeroDivisionError):
         mach.masked_reciprocal(mach.enc(0.0))
-    b.close()
 
 
 def test_masked_reciprocal_helper_sees_only_masked_value():
     mach, auth, b = open_machine("sim:simd", seed=11)
     n = 4.0
-    mach.masked_reciprocal(mach.enc(n), helper_role="P3")
+    mach.masked_reciprocal(mach.enc(n))
     observed = [o.value for o in b.observations("P3") if o.kind == "masked_value"]
     assert len(observed) == 1
     masked = float(np.asarray(observed[0]))
     assert masked != n  # the mask hides the operand
     assert abs(masked / n) != 1.0
-    b.close()
 
 
 # -- ternary operators -------------------------------------------------------------
@@ -243,12 +227,11 @@ def test_masked_reciprocal_helper_sees_only_masked_value():
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
 def test_choose_examples(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     assert dec_round(mach, auth, mach.choose(mach.enc(1), mach.enc(5), mach.enc(9))) == 5
     assert dec_round(mach, auth, mach.choose(mach.enc(0), mach.enc(5), mach.enc(9))) == 9
     x = 1234
     assert dec_round(mach, auth, mach.choose(mach.enc(1), mach.enc(x), mach.enc(x))) == x
-    b.close()
 
 
 def test_choose_vec_mask_selection(clear_machine):
@@ -276,7 +259,7 @@ def test_choose_mat_ext_broadcast(clear_machine):
 @pytest.mark.parametrize("spec", LOCAL_EXACT)
 def test_choose_selection_law_randomized(spec):
     # dec(choose*(c,a,b)) = a if c else b, 1000 random instances per shape
-    mach, auth, b = open_machine(spec, seed=2)
+    mach, auth, _ = open_machine(spec, seed=2)
     rng = np.random.default_rng(17)
     for _ in range(1000):
         c = int(rng.integers(0, 2))
@@ -295,7 +278,6 @@ def test_choose_selection_law_randomized(spec):
         y = rng.integers(-500, 500, size=(2, 3)).tolist()
         got = mach.dec(mach.choose_mat_ext(mach.enc(c), mach.enc(x), mach.enc(y)), auth)
         assert got == (x if c else y)
-    b.close()
 
 
 # -- private matrix manipulation ---------------------------------------------------
@@ -303,11 +285,10 @@ def test_choose_selection_law_randomized(spec):
 
 @pytest.mark.parametrize("spec", EXACT_BACKENDS)
 def test_mask_gen_examples(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     assert dec_round(mach, auth, mach.mask_gen(5, mach.enc(2))) == [0, 0, 1, 0, 0]
     assert dec_round(mach, auth, mach.mask_gen(1, mach.enc(0))) == [1]
     assert mach.mask_gen(0, mach.enc(0)).length == 0
-    b.close()
 
 
 def test_mask_gen_one_hot_exhaustive(clear_machine):
@@ -329,10 +310,9 @@ def test_mask_gen_one_hot_law_to_32(clear_machine):
 
 @pytest.mark.parametrize("spec", EXACT_BACKENDS)
 def test_vector_lookup_examples(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     assert dec_round(mach, auth, mach.vector_lookup(mach.enc([4, 8, 15]), mach.enc(2))) == 15
     assert dec_round(mach, auth, mach.vector_lookup(mach.enc([7]), mach.enc(0))) == 7
-    b.close()
 
 
 def test_vector_lookup_exhaustive_oracle(clear_machine):
@@ -357,12 +337,11 @@ def test_vector_lookup_randomized_large(clear_machine):
 
 @pytest.mark.parametrize("spec", EXACT_BACKENDS)
 def test_vector_update_examples(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     out = mach.vector_update(mach.enc([4, 8, 15]), mach.enc(1), mach.enc(99))
     assert dec_round(mach, auth, out) == [4, 99, 15]
     again = mach.vector_lookup(out, mach.enc(1))
     assert dec_round(mach, auth, again) == 99
-    b.close()
 
 
 def test_vector_update_random_oracle(clear_machine):
@@ -381,11 +360,10 @@ def test_vector_update_random_oracle(clear_machine):
 
 @pytest.mark.parametrize("spec", EXACT_BACKENDS)
 def test_matrix_lookup_examples(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     m = mach.enc([[1, 2], [3, 4]])
     assert dec_round(mach, auth, mach.matrix_lookup(m, mach.enc(1), mach.enc(0))) == 3
     assert dec_round(mach, auth, mach.matrix_lookup(mach.enc([[7]]), mach.enc(0), mach.enc(0))) == 7
-    b.close()
 
 
 def test_matrix_lookup_exhaustive_3x3(clear_machine):
@@ -400,13 +378,12 @@ def test_matrix_lookup_exhaustive_3x3(clear_machine):
 
 @pytest.mark.parametrize("spec", EXACT_BACKENDS)
 def test_matrix_update_examples(spec):
-    mach, auth, b = open_machine(spec)
+    mach, auth, _ = open_machine(spec)
     z = mach.enc([[0, 0], [0, 0]])
     out = mach.matrix_update(z, mach.enc(0), mach.enc(1), mach.enc(1))
     assert dec_round(mach, auth, out) == [[0, 1], [0, 0]]
     twice = mach.matrix_update(out, mach.enc(0), mach.enc(1), mach.enc(5))
     assert dec_round(mach, auth, twice) == [[0, 5], [0, 0]]
-    b.close()
 
 
 def test_matrix_update_random_sequences_4x4(clear_machine):

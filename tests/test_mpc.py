@@ -165,10 +165,9 @@ def test_matmul_kernel_keeps_float64_products():
 
 
 def test_beaver_mul_through_actors():
-    mach, auth, b = open_machine("mpc", seed=6)
+    mach, auth, _ = open_machine("mpc", seed=6)
     assert mach.dec(mach.mul(mach.enc(6), mach.enc(7)), auth) == 42
     assert mach.dec(mach.mul(mach.enc(0), mach.enc(12345)), auth) == 0
-    b.close()
 
 
 def test_beaver_mul_is_one_round():
@@ -180,7 +179,7 @@ def test_beaver_mul_is_one_round():
 
 
 def test_beaver_mul_10k_round_trips_exact():
-    mach, auth, b = open_machine("mpc", seed=8)
+    mach, auth, _ = open_machine("mpc", seed=8)
     rng = np.random.default_rng(8)
     xs = rng.integers(0, 1 << 62, size=10_000, dtype=np.uint64)
     ys = rng.integers(0, 1 << 62, size=10_000, dtype=np.uint64)
@@ -191,7 +190,6 @@ def test_beaver_mul_10k_round_trips_exact():
     for _ in range(50):  # scalar gates too, not just the batched path
         x, y = int(rng.integers(0, 1 << 31)), int(rng.integers(0, 1 << 31))
         assert mach.dec(mach.mul(mach.enc(x), mach.enc(y)), auth) == x * y
-    b.close()
 
 
 def test_opened_beaver_maskings_look_uniform():
@@ -205,7 +203,6 @@ def test_opened_beaver_maskings_look_uniform():
     opened = [int(np.asarray(env.payload["d"])) for env in b.net.log if env.kind == "open"]
     buckets = np.bincount([v >> 61 for v in opened], minlength=8)
     assert stats.chisquare(buckets).pvalue > 0.01
-    b.close()
 
 
 @pytest.mark.parametrize("op", ["enc", "enc_runs", "mul", "eeq", "gt", "take"])
@@ -225,7 +222,6 @@ def test_primitive_has_finished_when_it_returns(op):
     want = {"enc": [[7, 8]], "enc_runs": [[7, 8], [], [6]], "mul": [[9, 9, 20]],
             "eeq": [[1, 0, 0]], "gt": [[0, 1, 0]], "take": [[4, 3]]}[op]
     assert [mach.dec(v, auth) for v in out] == want
-    b.close()
 
 
 def _enc_each_run(mach, flat, lengths):
@@ -251,7 +247,6 @@ def test_enc_runs_equals_enc_one_run_at_a_time(spec, lengths, data):
         shares = ([[p.store[v.payload.hid].tolist() for p in b.parties] for v in vectors]
                   if spec == "mpc" else None)
         seen.append((ledger, trace, stats, shares, [dec_round(mach, auth, v) for v in vectors]))
-        b.close()
     assert seen[0] == seen[1]
     starts = np.cumsum([0] + lengths).tolist()
     assert seen[1][-1] == [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
@@ -261,11 +256,10 @@ def test_enc_runs_equals_enc_one_run_at_a_time(spec, lengths, data):
 def test_enc_runs_keeps_64_bit_values_exact(spec):
     # a list mixing small values and values of 2^63 or more once became
     # float64 on its way to the backend, and the large ones lost their low bits
-    mach, auth, b = open_machine(spec, seed=33)
+    mach, auth, _ = open_machine(spec, seed=33)
     flat = [1, (1 << 63) + 5, (1 << 64) - 1]
     vectors = mach.enc_runs(flat, [1, 2])
     assert [[v % (1 << 64) for v in mach.dec(vec, auth)] for vec in vectors] == [flat[:1], flat[1:]]
-    b.close()
 
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
@@ -286,7 +280,6 @@ def test_enc_runs_refuses_malformed_runs_before_the_backend_acts(spec, flat, len
         st = b.round_stats()
         assert (st.rounds, st.messages, st.bytes) == (0, 0, 0)
         assert all(not p.store for p in b.parties)
-    b.close()
 
 
 def test_enc_refuses_three_dimensions_before_the_backend_acts():
@@ -298,7 +291,6 @@ def test_enc_refuses_three_dimensions_before_the_backend_acts():
     assert b.ledger.rows() == [] and b.trace == []
     assert (st.rounds, st.messages, st.bytes) == (0, 0, 0)
     assert all(not p.store for p in b.parties)
-    b.close()
 
 
 # -- share lifetime ----------------------------------------------------------------
@@ -312,7 +304,6 @@ def test_dropped_intermediate_leaves_every_store():
     assert all(set(p.store) == kept for p in b.parties)
     del x
     assert all(set(p.store) == {y.payload.hid} for p in b.parties)
-    b.close()
 
 
 class _KeepEveryShare(MpcBackend):
@@ -341,7 +332,6 @@ def test_linkage_frees_every_share_and_changes_no_count():
         outputs[name] = (result.matches, result.trace, backend.ledger.to_csv(),
                          backend.round_stats().to_csv())
         stored[name] = [len(p.store) for p in backend.parties]
-        backend.close()
     assert stored["freed"] == [0, 0, 0]
     # every handle the keeping backend made is still in every party's store
     assert keeper.kept and stored["kept"] == [len(keeper.kept)] * 3
@@ -350,35 +340,31 @@ def test_linkage_frees_every_share_and_changes_no_count():
 
 
 def test_dealer_equality_gate_exhaustive():
-    mach, auth, b = open_machine("mpc", seed=10)
+    mach, auth, _ = open_machine("mpc", seed=10)
     for x in range(8):
         for y in range(8):
             bit = mach.dec(mach.eeq_scalar(mach.enc(x), mach.enc(y)), auth)
             assert bit == (1 if x == y else 0)
-    b.close()
 
 
 def test_dealer_compare_gate_signed():
-    mach, auth, b = open_machine("mpc", seed=11)
+    mach, auth, _ = open_machine("mpc", seed=11)
     cases = [(5, 3, 1), (3, 5, 0), (4, 4, 0), (-2, -7, 1), (-7, -2, 0), (0, -1, 1)]
     for x, y, want in cases:
         assert mach.dec(mach.gt(mach.enc(x), mach.enc(y), bound=5), auth) == want
-    b.close()
 
 
 def test_compare_gate_refuses_a_true_bound_past_its_reach():
     # the masked comparison keeps the sign only under 2^32: these gaps of up
     # to 2^63 would come back [0, 1, 0, 1] where clear gives [1, 0, 1, 0]
     x, y = [1 << 40, -(1 << 40), 1 << 62, 5], [0, 0, -(1 << 62), 1 << 35]
-    clr, clr_auth, clr_b = open_machine("clear")
+    clr, clr_auth, _ = open_machine("clear")
     assert clr.dec(clr.gt(clr.enc(x), clr.enc(y), bound=1 << 63), clr_auth) == [1, 0, 1, 0]
-    clr_b.close()
     mach, _, b = open_machine("mpc", seed=11)
     a, c = mach.enc(x), mach.enc(y)
     with pytest.raises(DomainError):
         mach.gt(a, c, bound=1 << 63)
     assert "gt" not in b.ledger.by_op()
-    b.close()
 
 
 def test_two_component_marginals_uniform_chi_squared():
@@ -398,7 +384,6 @@ def test_communication_depends_only_on_shapes():
         mach.dec(mach.dot(v, v), auth)
         st = b.round_stats()
         out = (st.rounds, st.messages, st.bytes)
-        b.close()
         return out
 
     assert run([1, 2, 3, 4]) == run([900, 17, 0, 55])
@@ -410,10 +395,9 @@ def test_jaccard_on_shares_equals_clear_backend():
     v2 = [28773, 25972, 29797, 30000]
     results = {}
     for spec in ("clear", "mpc"):
-        mach, auth, b = open_machine(spec, seed=15)
+        mach, auth, _ = open_machine(spec, seed=15)
         bit = jaccard_match(mach, mach.enc(v1), mach.enc(v2), params, Strategy.VR)
         results[spec] = dec_round(mach, auth, bit)
-        b.close()
     assert results["clear"] == results["mpc"] == 1
 
 
@@ -437,13 +421,12 @@ def test_no_party_message_carries_raw_secrets():
             if isinstance(value, np.ndarray):
                 leaked = secrets & set(np.asarray(value, dtype=np.uint64).ravel().tolist())
                 assert not leaked, (env.src, env.dst, env.kind, leaked)
-    b.close()
 
 
 def test_every_machine_primitive_matches_clear_backend():
     rng = np.random.default_rng(20)
-    mpc_m, mpc_auth, mpc_b = open_machine("mpc", seed=20)
-    clr_m, clr_auth, clr_b = open_machine("clear", seed=20)
+    mpc_m, mpc_auth, _ = open_machine("mpc", seed=20)
+    clr_m, clr_auth, _ = open_machine("clear", seed=20)
 
     def both(op):
         got = dec_round(mpc_m, mpc_auth, op(mpc_m))
@@ -474,14 +457,12 @@ def test_every_machine_primitive_matches_clear_backend():
         both(lambda m: m.gt(m.enc(x[0]), m.enc(y[0]), bound=1 << 20))
         both(lambda m: m.vector_lookup(m.enc(x), m.enc(i)))
         both(lambda m: m.matrix_update(m.enc(grid), m.enc(0), m.enc(2), m.enc(7)))
-    mpc_b.close()
-    clr_b.close()
 
 
 @pytest.mark.parametrize("spec", ["sim:simd", "mpc"])
 def test_segment_sum_and_concat_match_clear_backend(spec):
-    mach, auth, b = open_machine(spec, seed=21)
-    clr_m, clr_auth, clr_b = open_machine("clear", seed=21)
+    mach, auth, _ = open_machine(spec, seed=21)
+    clr_m, clr_auth, _ = open_machine("clear", seed=21)
 
     def both(op):
         got = dec_round(mach, auth, op(mach))
@@ -514,14 +495,12 @@ def test_segment_sum_and_concat_match_clear_backend(spec):
             assert m.dec(m.segment_sum(m.enc(big), 2, [2, 0]), a) == [[12, 12], [0, 0]]
             assert m.dec(m.concat(m.enc(big[:1]), m.enc(big[1:])), a) == \
                 [-1, 5 - (1 << 63), 13, 7 - (1 << 63)]
-    b.close()
-    clr_b.close()
 
 
 @pytest.mark.parametrize("spec", ["sim:generic", "sim:simd", "sim:sharemind", "mpc"])
 def test_take_and_stack_match_clear_backend(spec):
-    mach, auth, b = open_machine(spec, seed=22)
-    clr_m, clr_auth, clr_b = open_machine("clear", seed=22)
+    mach, auth, _ = open_machine(spec, seed=22)
+    clr_m, clr_auth, _ = open_machine("clear", seed=22)
 
     def both(op):
         got = dec_round(mach, auth, op(mach))
@@ -544,8 +523,6 @@ def test_take_and_stack_match_clear_backend(spec):
     for bad in ([5], [-1], [[[0]]]):
         with pytest.raises(ShapeError):
             mach.take(mach.enc(x), bad)
-    b.close()
-    clr_b.close()
 
 
 def test_take_trace_holds_shapes_not_indices():
@@ -554,7 +531,6 @@ def test_take_trace_holds_shapes_not_indices():
         b.enable_trace()
         mach.take(mach.enc([1, 2, 3]), idx)
         out = list(b.trace)
-        b.close()
         return out
 
     assert trace([2, 0]) == trace([1, 1]) == [("enc", (3,)), ("take", (3,), (2,))]
@@ -607,7 +583,6 @@ def test_senders_count_each_message_and_the_tags_give_rounds_csv():
     for scope, part in (("stage", 0), ("op", 1)):
         lines += [f"{scope},{key},{r},{m},{n}" for key, (r, m, n) in sums(part)]
     assert b.round_stats().to_csv() == "\n".join(lines) + "\n"
-    b.close()
 
 
 def test_rounds_csv_export():
@@ -618,16 +593,14 @@ def test_rounds_csv_export():
     assert csv.splitlines()[0] == "scope,key,rounds,messages,bytes"
     assert any(line.startswith("stage,demo,") for line in csv.splitlines())
     assert any(line.startswith("op,mul,") for line in csv.splitlines())
-    b.close()
 
 
 def test_mpc_rejects_sort_join_division():
     from oblivlink import CapabilityError
-    mach, _, b = open_machine("mpc", seed=18)
+    mach, _, _ = open_machine("mpc", seed=18)
     with pytest.raises(CapabilityError):
         mach.sort_vec(mach.enc([2, 1]))
     with pytest.raises(CapabilityError):
         mach.join_count(mach.enc([1]), mach.enc([1]))
     with pytest.raises(CapabilityError):
         mach.masked_reciprocal(mach.enc(4))
-    b.close()

@@ -17,7 +17,7 @@ from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, Min
                        plain_blocked_pairs, plain_matches, run_pper,
                        run_pper_from_uploads, read_party_dir, write_party_dir,
                        prepare_upload)
-from oblivlink import intersect, pipeline
+from oblivlink import intersect, machine
 from oblivlink.blocking import EncodedRecord
 from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, slot_runs
 from oblivlink.pipeline import finalize, filter_and_resolve, merge_and_dedup, obfuscate
@@ -33,36 +33,32 @@ def _enc_blocks(mach, plain):
 
 
 def test_merge_hand_trace_single_pair_under_two_keys():
-    mach, auth, b = open_machine("clear")
+    mach, auth, _ = open_machine("clear")
     b1 = _enc_blocks(mach, {"k1": [0], "k2": [0]})
     b2 = _enc_blocks(mach, {"k1": [3], "k2": [3]})
     cand = merge_and_dedup(mach, b1, b2, (1, 4))
     assert mach.dec(cand, auth) == [[0, 0, 0, 1]]
-    b.close()
 
 
 def test_merge_no_shared_keys_all_false():
-    mach, auth, b = open_machine("clear")
+    mach, auth, _ = open_machine("clear")
     cand = merge_and_dedup(mach, _enc_blocks(mach, {"ka": [0]}),
                            _enc_blocks(mach, {"kb": [1]}), (2, 2))
     assert mach.dec(cand, auth) == [[0, 0], [0, 0]]
-    b.close()
 
 
 def test_merge_hand_trace_one_to_many():
-    mach, auth, b = open_machine("clear")
+    mach, auth, _ = open_machine("clear")
     cand = merge_and_dedup(mach, _enc_blocks(mach, {"k": [0, 1]}),
                            _enc_blocks(mach, {"k": [2]}), (2, 3))
     assert mach.dec(cand, auth) == [[0, 0, 1], [0, 0, 1]]
-    b.close()
 
 
 def test_merge_ignores_empty_vectors():
-    mach, auth, b = open_machine("clear")
+    mach, auth, _ = open_machine("clear")
     cand = merge_and_dedup(mach, _enc_blocks(mach, {"k": []}),
                            _enc_blocks(mach, {"k": [0]}), (1, 1))
     assert mach.dec(cand, auth) == [[0]]
-    b.close()
 
 
 @pytest.mark.parametrize("spec", ["sim:generic", "sim:simd", "mpc"])
@@ -71,11 +67,10 @@ def test_merge_matches_clear_backend(spec):
     plain2 = {"k1": [3], "k2": [0, 1]}
 
     def run(backend_spec):
-        mach, auth, b = open_machine(backend_spec)
+        mach, auth, _ = open_machine(backend_spec)
         cand = merge_and_dedup(mach, _enc_blocks(mach, plain1),
                                _enc_blocks(mach, plain2), (3, 4))
         got = np.rint(np.asarray(mach.dec(cand, auth), dtype=np.float64)).astype(int)
-        b.close()
         return got.tolist()
 
     assert run(spec) == run("clear")
@@ -90,7 +85,6 @@ def test_merge_past_the_approximate_error_bound_raises_domain_error():
         merge_and_dedup(mach, _enc_blocks(mach, {"k": ids}), _enc_blocks(mach, {"k": ids}),
                         (600, 600))
     assert not {"mul", "gt", "dec"} & set(b.ledger.by_op())
-    b.close()
 
 
 @pytest.mark.parametrize("t_block,t_jaccard", [(0.8, Fraction(4, 5)), (0.5, Fraction(1, 2))])
@@ -116,11 +110,10 @@ def test_simd_merge_equals_clear_at_n400(seed):
     index1, index2 = prepare_upload(d1, cfg).index, prepare_upload(d2, cfg).index
 
     def run(spec):
-        mach, auth, b = open_machine(spec)
+        mach, auth, _ = open_machine(spec)
         cand = merge_and_dedup(mach, _enc_blocks(mach, index1), _enc_blocks(mach, index2),
                                (len(d1), len(d2)))
         got = np.rint(np.asarray(mach.dec(cand, auth), dtype=np.float64)).astype(int)
-        b.close()
         return got.tolist()
 
     assert run("sim:simd") == run("clear")
@@ -136,7 +129,6 @@ def test_obfuscate_rate_zero_reveals_candidates_exactly():
     reveal = b.issue_authority("reveal", "P3")
     obfu = obfuscate(mach, cand, ObfuscationPolicy(0.0), np.random.default_rng(1), reveal)
     assert obfu.tolist() == [[False, True], [False, False]]
-    b.close()
 
 
 def test_obfuscate_rate_one_floods_matrix():
@@ -145,7 +137,6 @@ def test_obfuscate_rate_one_floods_matrix():
     reveal = b.issue_authority("reveal", "P3")
     obfu = obfuscate(mach, cand, ObfuscationPolicy(1.0), np.random.default_rng(1), reveal)
     assert obfu.all()
-    b.close()
 
 
 def test_obfuscate_noise_counts_binomial():
@@ -161,7 +152,6 @@ def test_obfuscate_noise_counts_binomial():
         obfu = obfuscate(mach, cand, ObfuscationPolicy(0.05),
                          np.random.default_rng(seed), reveal)
         total_added += int(obfu.sum())
-        b.close()
     expectation = n_seeds * cells * 0.05
     sigma = (n_seeds * cells * 0.05 * 0.95) ** 0.5
     assert abs(total_added - expectation) <= 3 * sigma
@@ -175,24 +165,11 @@ def test_obfuscation_never_removes_candidates():
     reveal = b.issue_authority("reveal", "P3")
     obfu = obfuscate(mach, cand, ObfuscationPolicy(0.3), np.random.default_rng(3), reveal)
     assert (obfu | ~truth).all() and (obfu >= truth).all()
-    b.close()
-
-
-def test_owner_sourced_noise_supported():
-    mach, _, b = open_machine("clear")
-    cand = mach.enc(np.zeros((2, 2), dtype=np.int64))
-    reveal = b.issue_authority("reveal", "P3")
-    obfu = obfuscate(mach, cand, ObfuscationPolicy(0.5, source="owner"),
-                     np.random.default_rng(4), reveal)
-    assert obfu.shape == (2, 2)
-    b.close()
 
 
 def test_obfuscation_policy_validation():
     with pytest.raises(ValueError):
         ObfuscationPolicy(rate=1.5)
-    with pytest.raises(ValueError):
-        ObfuscationPolicy(source="cloud")
 
 
 # -- filtering and finalize -----------------------------------------------------------
@@ -205,29 +182,27 @@ def _tiny_records(mach):
 
 
 def test_filter_all_false_runs_zero_evaluations():
-    mach, auth, b = open_machine("clear")
+    mach, auth, _ = open_machine("clear")
     enc1, enc2 = _tiny_records(mach)
     results, evaluated = filter_and_resolve(mach, enc1, enc2,
                                             np.zeros((2, 2), dtype=bool),
                                             JaccardParams(Fraction(1, 2)), Strategy.VE)
     assert evaluated == 0
     assert mach.dec(results, auth) == [[0, 0], [0, 0]]
-    b.close()
 
 
 def test_filter_all_true_runs_full_cartesian():
-    mach, auth, b = open_machine("clear")
+    mach, auth, _ = open_machine("clear")
     enc1, enc2 = _tiny_records(mach)
     results, evaluated = filter_and_resolve(mach, enc1, enc2,
                                             np.ones((2, 2), dtype=bool),
                                             JaccardParams(Fraction(1, 2)), Strategy.VE)
     assert evaluated == 4
     assert mach.dec(results, auth) == [[1, 0], [0, 0]]
-    b.close()
 
 
 def test_noise_only_cell_with_dissimilar_records_stays_false():
-    mach, auth, b = open_machine("clear")
+    mach, auth, _ = open_machine("clear")
     enc1, enc2 = _tiny_records(mach)
     obfu = np.zeros((2, 2), dtype=bool)
     obfu[1, 1] = True  # noise cell: records dissimilar
@@ -235,18 +210,16 @@ def test_noise_only_cell_with_dissimilar_records_stays_false():
                                             JaccardParams(Fraction(1, 2)), Strategy.VE)
     assert evaluated == 1
     assert mach.dec(results, auth)[1][1] == 0
-    b.close()
 
 
 def test_finalize_masks_noise_induced_results():
-    mach, auth, b = open_machine("clear")
+    mach, auth, _ = open_machine("clear")
     cand = mach.enc([[0, 0], [0, 0]])
     results = mach.enc([[1, 1], [1, 1]])  # everything noise-born
     dummies = mach.enc([[0, 0], [0, 0]])
     assert mach.dec(finalize(mach, results, dummies, cand), auth) == [[0, 0], [0, 0]]
     cand2 = mach.enc([[1, 0], [0, 1]])
     assert mach.dec(finalize(mach, cand2, dummies, cand2), auth) == [[1, 0], [0, 1]]
-    b.close()
 
 
 # -- full runs ---------------------------------------------------------------------
@@ -365,7 +338,6 @@ def test_full_run_twin_traces_identical():
                              rho=0.0, seed=0)
         result = run_pper_from_uploads(u1, u2, cfg, backend=backend)
         trace = result.trace
-        backend.close()
         return trace
 
     assert_oblivious(run(0), run(7))
@@ -382,7 +354,6 @@ def test_full_run_twin_traces_independent_of_block_ids(spec):
         cfg = PipelineConfig(backend=kind, strategy="ve", t_jaccard=Fraction(1, 2),
                              rho=1.0, seed=0)
         result = run_pper_from_uploads(u1, u2, cfg, backend=backend)
-        backend.close()
         return result.trace
 
     assert_oblivious(run({"aa": [0, 1], "bb": [0]}), run({"aa": [1, 0], "bb": [1]}))
@@ -426,7 +397,6 @@ def test_twin_traces_of_random_uploads_identical(shapes, data):
             backend = make_backend(kind, profile or "generic", seed=0)
             backend.enable_trace()
             traces.append(run_pper_from_uploads(u1, u2, cfg, backend=backend).trace)
-            backend.close()
         assert_oblivious(*traces)
 
 
@@ -471,7 +441,6 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
             rounds = backend.round_stats().to_csv() if kind == "mpc" else None
             outputs.append((result.matches, transcript, result.trace, rounds,
                             backend.ledger.rows()))
-            backend.close()
     assert encrypted == per_value
     (matches, transcript, trace, rounds, ledger), batched = outputs
     assert matches  # the corpus links some pairs
@@ -527,7 +496,6 @@ def test_fused_equality_and_ve_layout_link_as_the_machine_chain_did(
                 ("filter_er", "eq" if backend.caps.native_eq else "dec")]
             outputs.append((result.strategy, result.matches, backend.ledger.to_csv(),
                             result.trace, transcript, rounds))
-            backend.close()
     assert outputs[0][0] is Strategy.VE and outputs[0][1]  # VE links some pairs
     assert ve_runs > 1  # the layouts are compared across run boundaries
     assert outputs[1] == outputs[0]
@@ -551,7 +519,7 @@ def test_run_slot_floor_changes_no_result_and_sets_the_runs(spec, strategy, monk
     key_slots = [(len(u1.index[k]) * rows, len(u2.index[k]) * cols) for k in keys]
     outputs, runs = [], {}
     for floor in (0, MIN_RUN_SLOTS):
-        monkeypatch.setattr(pipeline, "MIN_RUN_SLOTS", floor)
+        monkeypatch.setattr(machine, "MIN_RUN_SLOTS", floor)
         backend = make_backend(kind, profile or "generic", seed=0)
         result = run_pper_from_uploads(u1, u2, cfg, backend=backend)
         seen = list(result.transcript)
@@ -572,7 +540,6 @@ def test_run_slot_floor_changes_no_result_and_sets_the_runs(spec, strategy, monk
             runs[floor].append(len(slot_runs(
                 [(int(n),) for n in len1[cells[:, 0]] * len2[cells[:, 1]]], budget)))
             assert counts[("filter_er", made)] == runs[floor][1]
-        backend.close()
     assert outputs[0][1] and outputs[1] == outputs[0]
     if spec == "sim:simd":
         assert outputs[0][4]  # the filter's openings are compared
@@ -617,7 +584,6 @@ def _refused_upload(u1, u2, cfg):
         run_pper_from_uploads(u1, u2, cfg, backend=backend)
     assert excinfo.value.stage == "upload"
     assert backend.ledger.total() == 0 and not backend.transcript
-    backend.close()
     return str(excinfo.value)
 
 
@@ -636,7 +602,6 @@ def test_run_result_transcript_is_a_snapshot_of_python_values():
     for value in counts + sizes:
         assert type(value[0]) is str and type(value[-1]) is int
     assert all(type(row) is int for _, row, _ in counts)
-    backend.close()
 
 
 def test_upload_refusal_names_the_first_fault_in_order():
@@ -778,9 +743,9 @@ def test_upload_id_map_of_another_length_is_refused(tmp_path):
 
 @pytest.mark.parametrize("change", [
     {"t_jaccard": Fraction(3, 2)}, {"t_block": 1.5}, {"num_perm": 0}, {"rho": 2.0},
-    {"noise_source": "x"}, {"strategy": "foo"}])
+    {"strategy": "foo"}])
 def test_bad_config_is_refused_before_a_passed_backend_is_used(change):
-    # rho and noise_source were refused only in obfuscate, after upload and merge
+    # rho was refused only in obfuscate, after upload and merge
     d1, d2, _ = generate_dataset(seed=0, size=60)
     cfg = PipelineConfig()
     u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
@@ -807,7 +772,6 @@ def test_unsupported_strategy_is_refused_before_any_work(spec, strategy):
     assert backend.ledger.total() == 0 and not backend.transcript
     if kind == "mpc":
         assert backend.round_stats().messages == 0
-    backend.close()
 
 
 def _mutate_line(name, k, change):
@@ -863,6 +827,8 @@ MALFORMED_PARTY_FILES = {
                                        "records.enc entry 2 has pack 4, not 1"),
     "pack a bool": (_mutate_record(2, lambda item: item.update(pack=True)),
                     "records.enc entry 2 has pack True, not 1"),
+    "row a string": (_mutate_record(0, lambda item: item.update(row="0")),
+                     "records.enc entry 0 holds row '0', not 0"),
     "block id not an integer": (_mutate_blocks(_first_block(1.5)),
                                 "holds an id that is not an integer"),
     "block id a bool": (_mutate_blocks(_first_block(False)),

@@ -144,7 +144,6 @@ def _run(spec, program):
         else:
             values.append(getattr(mach, name)(*xs, *args))
     out = ([mach.dec(v, auth) for v in values], b.ledger.rows(), list(b.trace))
-    b.close()
     return out
 
 
