@@ -2,8 +2,9 @@
 
 A backend runs the primitives that ``Machine`` defines over opaque
 payloads: it supplies encrypt/decrypt, the kernels of the shared primitives
-(linear, bilinear, comparison gates, rotation) and its own protocols for
-the optional ones.  Every backend carries:
+(linear, rotation among them, bilinear, comparison gates) and its own
+protocols for the optional ones.  It only computes; ``Machine`` records
+every entry.  Every backend carries:
 
   * a capability table that strategy selection consults,
   * an operation-cost ledger (counts per pipeline stage and primitive),
@@ -31,6 +32,7 @@ MASK64 = (1 << 64) - 1
 
 EXACT = "exact-integer-64"
 APPROX = "approximate-fixed-point"
+APPROX_EXACT_BITS = 53  # float64 holds every integer of up to 53 bits exactly
 
 # The linkage's roles: the two data owners and the computation host.
 ROLE_OWNER_1 = "P1"
@@ -90,21 +92,6 @@ def segment_sum(v: np.ndarray, width: int, lengths) -> np.ndarray:
     if full.any():
         with np.errstate(over="ignore"):
             out[full] = np.add.reduceat(rows, starts[full], axis=0)
-    return out
-
-
-def _rotate(v: np.ndarray, k: int, cyclic: bool, fill) -> np.ndarray:
-    """Shift right by ``k`` (left for negative k): cyclic, or with the
-    vacated slots set to ``fill``."""
-    if cyclic:
-        return np.roll(v, k)
-    if k == 0 or len(v) == 0:
-        return v.copy()
-    out = np.full_like(v, fill)
-    if 0 < k < len(v):
-        out[k:] = v[:-k]
-    elif -len(v) < k < 0:
-        out[:k] = v[-k:]
     return out
 
 
@@ -171,10 +158,9 @@ def _matmul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # The numpy kernel of every primitive that is linear in each operand (the
 # structural ones included) or bilinear in two (mul, dot, outer, vecmat,
 # matmul).  Applied to additive shares, a linear kernel computes shares of
-# its result (a rotation's public fill is party 0's share), so the local
-# backends run the kernels on values, the mpc parties on their share
-# components and Beaver multiplication on its openings.  On uint64 payloads
-# the kernels wrap without overflow warnings.
+# its result, so the local backends run the kernels on values, the mpc
+# parties on their share components and Beaver multiplication on its
+# openings.  On uint64 payloads the kernels wrap without overflow warnings.
 KERNELS = {
     "add": np.add,
     "sub": np.subtract,
@@ -184,7 +170,7 @@ KERNELS = {
     "vecmat": lambda u, v: (u[:, None] * v).sum(axis=0),
     "matmul": _matmul,
     "transpose": lambda m: m.T.copy(),
-    "rotate": _rotate,
+    "rotate": np.roll,
     "tile": np.tile,
     "repeat_each": np.repeat,
     "take": lambda v, idx: v.reshape(-1)[idx],
@@ -370,20 +356,20 @@ class Backend:
     """Common machinery (identity, ledger, trace, transcript, authorities)
     of a backend context.
 
-    ``Machine`` defines each primitive once: it checks the handles and the
-    capability, records the op and its public metadata here, and then calls
-    one of four kernel hooks that a concrete backend supplies:
-    ``_linear(op, srcs, *args)`` for linear and structural kernels,
-    ``_bilinear(op, a, b)`` for products, ``_compare(op, a, b)`` for the
-    ``eq``/``gt`` gates, and ``_rotate(v, k, cyclic, fill)``.  A hook reads
-    its result's shape off its payloads.  So every backend records the same
-    ledger and trace.  Public arguments (indices, counts, widths, shapes)
-    arrive as Python ints and bools, which ``Machine`` makes them.
+    ``Machine`` defines each primitive once: it checks the handles, the
+    capability and the domain, records the op and its public metadata here,
+    and then calls one of three kernel hooks that a concrete backend
+    supplies: ``_linear(op, srcs, *args)`` for linear and structural
+    kernels, rotation among them, ``_bilinear(op, a, b)`` for products and
+    ``_compare(op, a, b)`` for the ``eq``/``gt`` gates.  A hook reads its
+    result's shape off its payloads.  Public arguments (indices, counts,
+    widths, shapes) arrive as Python ints, which ``Machine`` makes them.
 
     Besides the hooks, a backend supplies ``enc``, ``enc_runs`` and ``dec``
     and its own protocols for the optional primitives it has the capability
-    for (sort, join, masked reciprocal, approximate equality); each of these
-    records its own entries.  No backend can read a payload outside ``dec``:
+    for (sort, join, masked reciprocal, approximate equality).  It only
+    computes: ``Machine`` records every entry, so every backend records the
+    same ledger and trace.  No backend can read a payload outside ``dec``:
     the cleartext reference is the ``generic`` profile, an ordinary backend
     with every capability.
     """

@@ -5,10 +5,11 @@ set by a platform profile.  Its ``generic`` profile has every capability and
 exact results; it is the cleartext reference (the ``clear`` kind) that every
 other backend and profile must match.  It performs no real encryption;
 opacity is enforced at the machine layer and audited via trace/transcript.
-``Machine`` defines each shared primitive; this backend supplies enc/dec,
-the four kernel hooks, which apply the numpy kernels to the values
-themselves, and its own protocols for sort, join, the masked reciprocal and
-approximate equality.
+``Machine`` defines each shared primitive and records every ledger and
+trace entry; this backend only computes.  It supplies enc/dec, the three
+kernel hooks, which apply the numpy kernels to the values themselves, and
+its own protocols for sort, join, the masked reciprocal and approximate
+equality.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS, 
 class LocalBackend(Backend):
     """The kernel hooks over numpy values, and the optional primitives
     (sort, join, masked reciprocal, approximate equality); ``Machine`` has
-    checked the capability of each before it calls.
+    checked the capability and domain of each, and records its entries.
 
     Exact domain payloads are wrapping ``uint64`` arrays (two's complement
     view for signed semantics); approximate domain payloads are ``float64``.
@@ -49,19 +50,15 @@ class LocalBackend(Backend):
     # -- enc / dec -----------------------------------------------------------
 
     def enc(self, value) -> np.ndarray:
-        payload = self._coerce(value)
-        self._record("enc", payload.shape)
-        return payload
+        return self._coerce(value)
 
     def enc_runs(self, flat, lengths: list[int]) -> list[np.ndarray]:
         # one coercion; each run's payload is a slice of it
         payload = self._coerce(flat)
-        self._record_each("enc", len(lengths), (((n,),) for n in lengths))
         ends = list(itertools.accumulate(lengths))
         return [payload[hi - n:hi] for n, hi in zip(lengths, ends)]
 
     def dec(self, payload: np.ndarray):
-        self._record("dec", payload.shape)
         if self.domain == EXACT:
             return lift_signed(payload)
         return payload.tolist()
@@ -82,19 +79,14 @@ class LocalBackend(Backend):
             return self._bits(a == b)
         return self._bits(self._signed(a) > self._signed(b))
 
-    def _rotate(self, v: np.ndarray, k: int, cyclic: bool, fill) -> np.ndarray:
-        return KERNELS["rotate"](v, k, cyclic, None if cyclic else self._coerce(fill))
-
     # -- optional primitives ---------------------------------------------------
 
     def sort(self, v: np.ndarray) -> np.ndarray:
-        self._record("sort", v.shape)
         if self.domain == EXACT:
             return np.sort(self._signed(v)).view(np.uint64)
         return np.sort(v)
 
     def join_counts(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        self._record_each("join", len(pairs), ((a.shape, b.shape) for a, b in pairs))
         return self._coerce([len(np.intersect1d(a, b, assume_unique=True)) for a, b in pairs])
 
     # -- masked reciprocal protocol ---------------------------------------------
@@ -105,22 +97,15 @@ class LocalBackend(Backend):
         A data owner contributes fresh randomness r; the host (P3) decrypts
         only the product r*x, inverts it in clear, and the re-encrypted
         inverse is multiplied by enc(r) again.  The host's transcript
-        therefore holds r*x, never x.
+        therefore holds r*x, never x.  Approximate domain only.
         """
-        self.require_domain(APPROX, "masked reciprocal")
         r = self.rng.uniform(0.5, 2.0, size=x.shape)
-        # the ledger and trace hold enc(r), mul, dec, enc(1/(r*x)), mul
-        self._record("enc", r.shape)
-        self._record("mul", x.shape)
         with np.errstate(over="ignore"):
             masked = x * r
         # the host decrypts r*x; the transcript keeps the array it reads
-        self._record("dec", masked.shape)
         self.observe(ROLE_HOST, "masked_value", masked)
         if not masked.all():
             raise ZeroDivisionError("masked reciprocal of zero")
-        self._record("enc", masked.shape)
-        self._record("mul", masked.shape)
         recip = np.divide(1.0, masked)
         with np.errstate(over="ignore"):
             recip *= r
@@ -129,21 +114,14 @@ class LocalBackend(Backend):
     def approx_eq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Element-wise equality without a native gate, by the arithmetic
         workaround ``1 - d·(1/(d+xi))``, d = a - b, with the reciprocal
-        taken by ``masked_reciprocal``.  One call in a few numpy passes; the
-        ledger and trace hold the machine-level chain it stands for, in its
-        order: sub, enc(xi), add, the reciprocal's enc, mul, dec, enc, mul,
-        then enc(-1), mul, mul, enc(1), add.  ``d·(-q) + 1`` and ``1 - d·q``
-        are the same float64 value, so the bits equal the chain's."""
-        shape = a.shape
-        self._record("sub", shape)
-        self._record("enc", shape)
-        self._record("add", shape)
+        taken by ``masked_reciprocal``.  One call in a few numpy passes,
+        standing for the machine-level chain whose entries ``Machine.eeq``
+        records.  ``d·(-q) + 1`` and ``1 - d·q`` are the same float64
+        value, so the bits equal the chain's."""
         with np.errstate(over="ignore"):
             d = a - b
             shifted = d + XI_DEFAULT
         bits = self.masked_reciprocal(shifted)
-        for op in ("enc", "mul", "mul", "enc", "add"):
-            self._record(op, shape)
         with np.errstate(over="ignore"):
             bits *= d
             return np.subtract(1.0, bits, out=bits)

@@ -22,6 +22,7 @@ from .backends.base import tagged_rng
 from .machine import Machine, PrivateVector
 
 TOKEN_BITS = 16
+PACKS = (1, 4)  # the packing factors: codes per container
 PAD_CHAR = " "
 
 # universal-hash modulus: prime above 2^32, keeps a*x+b inside uint64
@@ -105,8 +106,8 @@ def pack_records(record_ids, codes: np.ndarray, lengths, pack: int = 1) -> list[
     after record (as ``bigram_codes`` gives them): record k gets
     ceil(lengths[k]/pack) containers.  pack=4 packs four codes big-endian per
     container (zero padded); pack=1 keeps exact set semantics."""
-    if pack not in (1, 4):
-        raise ValueError("packing factor must be 1 or 4")
+    if pack not in PACKS:
+        raise ValueError(f"packing factor must be one of {PACKS}, not {pack}")
     codes = np.asarray(codes, dtype=np.uint64)
     lengths = np.asarray(lengths, dtype=np.int64)
     counts = -(-lengths // pack)
@@ -315,8 +316,3 @@ def encrypt_blocks(index: dict[str, list[int]], mach: Machine) -> dict[str, Priv
     keys = sorted(index)
     runs = [index[key] for key in keys]
     return dict(zip(keys, mach.enc_runs(flat_column(runs), [len(r) for r in runs])))
-
-
-def build_blocks(token_sets: list[TokenSet], plan: BandPlan, hasher: MinHasher,
-                 mach: Machine) -> dict[str, PrivateVector]:
-    return encrypt_blocks(build_block_index(token_sets, plan, hasher), mach)

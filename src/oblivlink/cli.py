@@ -16,7 +16,7 @@ import typing
 from dataclasses import fields
 
 from .backends import KINDS, SimBackend
-from .blocking import MinHasher
+from .blocking import PACKS, MinHasher
 from .errors import OblivLinkError
 from .evalkit import (GoldStandard, Record, compute_metrics, generate_dataset,
                       performance_sweep, plain_blocked_pairs)
@@ -161,17 +161,13 @@ def cmd_link(args) -> int:
     return 0
 
 
-def _bench_cell(u1, u2, base: PipelineConfig, backend: str, profile: str,
-                strategy: str, t_block: float):
-    config = PipelineConfig(**{**base.__dict__, "backend": backend,
-                               "profile": profile, "strategy": strategy,
-                               "t_block": t_block, "rho": 0.0})
+def _bench_cell(u1, u2, config: PipelineConfig):
     result = run_pper_from_uploads(u1, u2, config)
     row = {
-        "backend": backend, "profile": profile, "strategy": result.strategy.value,
-        "t_block": t_block, "candidates": result.obfu_count,
-        "evaluated": result.evaluated_cells, "matches": len(result.matches),
-        "ops_total": int(result.ledger.total()),
+        "backend": config.backend, "profile": config.profile,
+        "strategy": result.strategy.value, "t_block": config.t_block,
+        "candidates": result.obfu_count, "evaluated": result.evaluated_cells,
+        "matches": len(result.matches), "ops_total": int(result.ledger.total()),
         "rounds": result.round_stats.rounds if result.round_stats else 0,
     }
     return row
@@ -182,19 +178,20 @@ def cmd_bench(args) -> int:
     d1 = _load_records(os.path.join(args.data, "d1.jsonl"))
     d2 = _load_records(os.path.join(args.data, "d2.jsonl"))
     thresholds = [float(t) for t in args.t_blocks.split(",")]
-    backends = args.backends.split(",")
-    strategies = args.strategies.split(",")
+    grid = [PipelineConfig(**{**config.__dict__, "backend": backend,
+                              "profile": config.profile if backend != "clear" else "generic",
+                              "strategy": strategy, "t_block": t, "rho": 0.0})
+            for backend in args.backends.split(",")
+            for strategy in args.strategies.split(",") for t in thresholds]
+    # every cell's config is refused or accepted before any owner encodes
+    for cell in grid:
+        checked_config(cell)
 
     uploads: dict[float, tuple] = {}
     for t in thresholds:
         cfg_t = PipelineConfig(**{**config.__dict__, "t_block": t})
         uploads[t] = (prepare_upload(d1, cfg_t), prepare_upload(d2, cfg_t))
-    rows = []
-    for backend in backends:
-        profile = config.profile if backend != "clear" else "generic"
-        for strategy in strategies:
-            for t in thresholds:
-                rows.append(_bench_cell(*uploads[t], config, backend, profile, strategy, t))
+    rows = [_bench_cell(*uploads[cell.t_block], cell) for cell in grid]
 
     os.makedirs(args.out, exist_ok=True)
     header = ["backend", "profile", "strategy", "t_block", "candidates",
@@ -256,7 +253,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--num-perm", dest="num_perm", type=int)
     parser.add_argument("--fp-weight", dest="fp_weight", type=float)
     parser.add_argument("--fn-weight", dest="fn_weight", type=float)
-    parser.add_argument("--pack", type=int, choices=(1, 4))
+    parser.add_argument("--pack", type=int, choices=PACKS)
     parser.add_argument("--rho", type=float)
     parser.add_argument("--seed", type=int)
 

@@ -36,8 +36,9 @@ from .backends.local import LocalBackend
 from .errors import CapabilityError, DomainError
 from .machine import EQ_BIT_ERROR, Machine, PrivateScalar, PrivateVector, run_slots, slot_runs
 
-# Public padding value for VR, outside the 16-bit-token / packed-container
-# encoding by construction.
+# Public padding value for VR.  No owner's container equals it: it lies
+# outside pack 1's 16 bits, and as a pack-4 container it would repeat the
+# code 0xFFFF, so ``validate_uploads`` refuses an upload that holds it.
 PAD_SENTINEL = (1 << 63) - 1
 
 
@@ -145,15 +146,12 @@ def vr_diff_sequence(mach: Machine, v1: PrivateVector, v2: PrivateVector,
     return diffs
 
 
-def isect_vr(mach: Machine, v1: PrivateVector, v2: PrivateVector,
-             pad=PAD_SENTINEL, token_range=None) -> PrivateScalar:
+def isect_vr(mach: Machine, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
     """Vector rotation: rotate max(|v1|,|v2|) times, accumulating the zero
     count of each difference; the rotation count intentionally covers the
     padded length so every slot pairing is visited exactly once."""
-    if token_range is not None and token_range[0] <= pad < token_range[1]:
-        raise ValueError(f"padding value {pad} collides with the token encoding range")
     total = mach.enc(0)
-    for diff in vr_diff_sequence(mach, v1, v2, pad):
+    for diff in vr_diff_sequence(mach, v1, v2):
         total = mach.add(total, zero_count(mach, diff))
     return total
 

@@ -16,9 +16,10 @@ reciprocal workaround), and ordering tests.  Every operator executes a
 primitive sequence that depends only on public shapes.
 
 Each primitive is defined here, once for every backend: it checks its
-handles and the backend's capability, records its ledger and trace entry,
-and runs one of the backend's four kernel hooks.  A backend supplies
-enc/dec, those hooks and its own protocols for the optional primitives.
+handles, the backend's capability and domain, records its ledger and trace
+entries, and runs one of the backend's three kernel hooks.  A backend
+supplies enc/dec, those hooks and its own protocols for the optional
+primitives; it only computes, and this module records every entry.
 """
 
 from __future__ import annotations
@@ -29,12 +30,21 @@ import numpy as np
 
 # XI_DEFAULT and EQ_BIT_ERROR, the approximate equality's offset and bit
 # error, are defined with the backend that runs it and re-exported here.
-from .backends.base import EQ_BIT_ERROR, XI_DEFAULT, Backend  # noqa: F401
+from .backends.base import APPROX, EQ_BIT_ERROR, XI_DEFAULT, Backend  # noqa: F401
 from .errors import (CapabilityError, ContextMismatchError, DomainError, ShapeError,
                      TaintViolation)
 
 TAU_BOOL = 2 * XI_DEFAULT
 TAU_NUM = 1e-6
+
+# The machine-level chains that the backend's one-call masked reciprocal
+# and approximate equality stand for, each entry over the operand's shape.
+# The entries up to the host's dec of r·x are recorded before the backend
+# runs, the rest after it returns, as a refused zero leaves the chain.
+RECIPROCAL_OPEN = ("enc", "mul", "dec")
+RECIPROCAL_CLOSE = ("enc", "mul")
+APPROX_EQ_OPEN = ("sub", "enc", "add") + RECIPROCAL_OPEN
+APPROX_EQ_CLOSE = RECIPROCAL_CLOSE + ("enc", "mul", "mul", "enc", "add")
 
 
 # The least slot budget a batched stage's run gets, whatever the matrix's
@@ -169,7 +179,7 @@ PrivateBool = PrivateScalar
 
 class Machine:
     """Operator set over one backend context, and the one definition of
-    each primitive."""
+    each primitive: the only place that records ledger and trace entries."""
 
     def __init__(self, backend: Backend):
         self.b = backend
@@ -201,7 +211,9 @@ class Machine:
         refused before the backend records, sends or stores anything."""
         if np.ndim(value) > 2:
             raise ShapeError("only scalars, vectors, and matrices are supported")
-        return self._wrap(self.b.enc(value))
+        payload = self.b.enc(value)
+        self.b._record("enc", payload.shape)
+        return self._wrap(payload)
 
     def enc_runs(self, flat, lengths) -> list[PrivateVector]:
         """Encrypt consecutive runs of a flat public vector in one backend
@@ -215,13 +227,16 @@ class Machine:
         if len(shape) != 1 or min(lengths, default=0) < 0 or shape[0] != sum(lengths):
             raise ShapeError(f"runs of lengths {lengths} over a flat value of shape "
                              f"{shape}")
-        return [PrivateVector(self.b, p) for p in self.b.enc_runs(flat, lengths)]
+        payloads = self.b.enc_runs(flat, lengths)
+        self.b._record_each("enc", len(lengths), (((n,),) for n in lengths))
+        return [PrivateVector(self.b, p) for p in payloads]
 
     def dec(self, value, authority):
         """Decrypt under a valid authority; exact backends round-trip
         exactly, approximate ones within TAU_NUM."""
         self._check_ctx(value)
         self.b.check_authority(authority)
+        self.b._record("dec", value.payload.shape)
         return self.b.dec(value.payload)
 
     # -- primitive arithmetic ----------------------------------------------
@@ -287,19 +302,18 @@ class Machine:
         return PrivateMatrix(self.b, self._product("outer", col, row, col.payload.shape,
                                                    row.payload.shape))
 
-    def rshift(self, v: PrivateVector, k: int = 1, cyclic: bool = True, fill=0):
-        """Shift right by a public amount; cyclic rotation by default, or
-        fill vacated slots with a public sentinel when ``cyclic=False``."""
-        return self._shift(v, int(k), bool(cyclic), fill)
+    def rshift(self, v: PrivateVector, k: int = 1):
+        """Cyclic rotation right by a public amount (left for negative k)."""
+        return self._shift(v, int(k))
 
-    def lshift(self, v: PrivateVector, k: int = 1, cyclic: bool = True, fill=0):
-        return self._shift(v, -int(k), bool(cyclic), fill)
+    def lshift(self, v: PrivateVector, k: int = 1):
+        return self._shift(v, -int(k))
 
-    def _shift(self, v: PrivateVector, k: int, cyclic: bool, fill) -> PrivateVector:
+    def _shift(self, v: PrivateVector, k: int) -> PrivateVector:
         self._check_ctx(v)
         self.b.require("rotation")
-        self.b._record("rotate", v.payload.shape, k, cyclic)
-        return PrivateVector(self.b, self.b._rotate(v.payload, k, cyclic, fill))
+        self.b._record("rotate", v.payload.shape, k)
+        return PrivateVector(self.b, self.b._linear("rotate", (v.payload,), k))
 
     def size(self, value):
         """Public size: length of a vector, (rows, cols) of a matrix."""
@@ -425,7 +439,8 @@ class Machine:
         ``XI_DEFAULT`` and its reciprocal through ``masked_reciprocal``.
         Its output is exact for equal integer inputs and within
         ``EQ_BIT_ERROR`` of 0 for unequal ones; the ledger and trace hold
-        the workaround's thirteen entries (see ``LocalBackend.approx_eq``).
+        the workaround's thirteen entries, ``APPROX_EQ_OPEN`` and
+        ``APPROX_EQ_CLOSE``.
         """
         self._check_ctx(seq, idx)
         self._same_shape(seq, idx)
@@ -434,7 +449,14 @@ class Machine:
         if not self.b.caps.division:
             raise CapabilityError(
                 "equality needs a native gate or division for the workaround")
-        return PrivateVector(self.b, self.b.approx_eq(seq.payload, idx.payload))
+        self.b.require_domain(APPROX, "masked reciprocal")
+        shape, record = seq.payload.shape, self.b._record
+        for op in APPROX_EQ_OPEN:
+            record(op, shape)
+        bits = self.b.approx_eq(seq.payload, idx.payload)
+        for op in APPROX_EQ_CLOSE:
+            record(op, shape)
+        return PrivateVector(self.b, bits)
 
     def eeq_scalar(self, a: PrivateScalar, b: PrivateScalar) -> PrivateScalar:
         self._check_ctx(a, b)
@@ -462,15 +484,24 @@ class Machine:
 
     def masked_reciprocal(self, x):
         """1/x via the owner-randomness masking protocol; the host (P3),
-        which inverts the masked value, observes only r*x."""
+        which inverts the masked value, observes only r*x.  The ledger and
+        trace hold ``RECIPROCAL_OPEN`` and ``RECIPROCAL_CLOSE``."""
         self._check_ctx(x)
         self.b.require("division")
-        return self._wrap(self.b.masked_reciprocal(x.payload))
+        self.b.require_domain(APPROX, "masked reciprocal")
+        shape, record = x.payload.shape, self.b._record
+        for op in RECIPROCAL_OPEN:
+            record(op, shape)
+        recip = self.b.masked_reciprocal(x.payload)
+        for op in RECIPROCAL_CLOSE:
+            record(op, shape)
+        return self._wrap(recip)
 
     def sort_vec(self, v: PrivateVector) -> PrivateVector:
         """Obliviously sorted copy (backend sort capability)."""
         self._check_ctx(v)
         self.b.require("sort")
+        self.b._record("sort", v.payload.shape)
         return PrivateVector(self.b, self.b.sort(v.payload))
 
     def join_counts(self, enc1: list[PrivateVector], enc2: list[PrivateVector],
@@ -485,6 +516,7 @@ class Machine:
         p1, p2 = [v.payload for v in enc1], [v.payload for v in enc2]
         pairs = [(p1[i], p2[j])
                  for i, j in np.asarray(cells, dtype=np.int64).reshape(-1, 2).tolist()]
+        self.b._record_each("join", len(pairs), ((a.shape, b.shape) for a, b in pairs))
         return PrivateVector(self.b, self.b.join_counts(pairs))
 
     def join_count(self, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:

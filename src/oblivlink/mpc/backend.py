@@ -1,13 +1,14 @@
 """Backend that executes machine primitives over the three-party runtime.
 
 Values are handles into the parties' share stores.  ``Machine`` defines
-each primitive and records its ledger and trace entries; this backend
-supplies enc/dec and the four kernel hooks that run them: linear and
-structural operations party-locally, products on dealer Beaver triples (one
-exchange round), and equality/ordering on the dealer gates over masked
-differences.  Every primitive runs to completion: it sends its messages hop
-by hop, pumping the network after each, so its result is in every party's
-store and no message is in flight when it returns.  Sorting, joins, and
+each primitive and records every ledger and trace entry; this backend only
+computes.  It supplies enc/dec and the three kernel hooks that run the
+primitives: linear and structural operations (rotation included)
+party-locally, products on dealer Beaver triples (one exchange round), and
+equality/ordering on the dealer gates over masked differences.  Every
+primitive runs to completion: it sends its messages hop by hop, pumping
+the network after each, so its result is in every party's store and no
+message is in flight when it returns.  Sorting, joins, and
 division are not provided, so the SO and MJ intersection strategies are
 unavailable here.
 """
@@ -58,7 +59,7 @@ class ShareRef:
 
 class MpcBackend(Backend):
     """Shares in three party stores; ``enc``, ``enc_runs`` and ``dec`` move
-    them, and the four hooks compute on them."""
+    them, and the three hooks compute on them."""
 
     kind = "mpc"
     profile = "3party-dealer"
@@ -131,19 +132,10 @@ class MpcBackend(Backend):
         net.stats.add_round(tag)
         return out
 
-    def _rotate(self, v: ShareRef, k: int, cyclic: bool, fill) -> ShareRef:
-        out = self._new_ref(v.shape)
-        # a public fill is party 0's component of it; the others fill zeros
-        fills = (to_u64(0 if fill is None else int(fill)), np.uint64(0), np.uint64(0))
-        for p, part in zip(self.parties, fills):
-            p.store[out.hid] = KERNELS["rotate"](p.store[v.hid], k, cyclic, part)
-        return out
-
     # -- enc / dec ------------------------------------------------------------
 
     def _store(self, shape, parts, tag) -> ShareRef:
-        """Upload one value: each party receives its share component.  The
-        caller records the ``enc``."""
+        """Upload one value: each party receives its share component."""
         out = self._new_ref(shape)
         send = self.net.send
         for name, part in zip(PARTIES, parts):
@@ -153,7 +145,6 @@ class MpcBackend(Backend):
 
     def enc(self, value) -> ShareRef:
         arr = to_u64(value)
-        self._record("enc", arr.shape)
         return self._store(arr.shape, share3(arr, self.share_rng), (self._stage, "enc"))
 
     def enc_runs(self, flat, lengths: list[int]) -> list[ShareRef]:
@@ -162,7 +153,6 @@ class MpcBackend(Backend):
         # words per value, run k's two random components are the words
         # share3 would draw for that run alone, after the runs before it.
         words = rand_u64(self.share_rng, 2 * len(arr))
-        self._record_each("enc", len(lengths), (((n,),) for n in lengths))
         # flat value j, in a run of n values from lo, has its random
         # components at words lo + j and lo + n + j: one subtraction gives
         # every run's third component
@@ -179,7 +169,6 @@ class MpcBackend(Backend):
         return refs
 
     def dec(self, payload: ShareRef):
-        self._record("dec", payload.shape)
         tag = (self._stage, "dec")
         for p in self.parties:
             part = p.store[payload.hid]

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..backends.base import KERNELS, PRODUCT_SHAPES
 
-U64 = np.uint64
 FULL_RANGE = 1 << 64
 
 

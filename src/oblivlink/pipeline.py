@@ -27,15 +27,15 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import make_backend
-from .backends.base import (APPROX, ROLE_HOST, ROLE_OWNER_1, ROLE_OWNER_2, Transcript,
-                            tagged_rng)
-from .blocking import (TOKEN_BITS, BandPlan, EncodedRecord, MinHasher, bigram_codes,
+from .backends.base import (APPROX, APPROX_EXACT_BITS, ROLE_HOST, ROLE_OWNER_1, ROLE_OWNER_2,
+                            Transcript, tagged_rng)
+from .blocking import (PACKS, TOKEN_BITS, BandPlan, EncodedRecord, MinHasher, bigram_codes,
                        block_index, encrypt_blocks, flat_column, optimal_band_plan,
                        pack_records)
 from .errors import DomainError, OblivLinkError, StageError
 # jaccard_match stays importable from here for callers that wrap it
-from .intersect import (JaccardParams, Strategy, jaccard_cells, jaccard_match,  # noqa: F401
-                        pick_strategy, require_strategy)
+from .intersect import (PAD_SENTINEL, JaccardParams, Strategy, jaccard_cells,  # noqa: F401
+                        jaccard_match, pick_strategy, require_strategy)
 from .machine import (EQ_BIT_ERROR, Machine, PrivateMatrix, PrivateVector, run_slots,
                       slot_runs)
 
@@ -132,9 +132,9 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
     wrong answer: owners that hashed, banded or packed differently from each
     other or from the link config and its band ``plan``, records whose
     containers repeat or do not fit the packing's pack·16 bits, and blocks
-    whose ids lie outside their owner's rows or repeat.  A manifest that
-    omits a field is not checked on it, and an id map must hold one row per
-    record."""
+    whose ids lie outside their owner's rows or repeat, or equal VR's
+    padding ``PAD_SENTINEL``.  A manifest that omits a field is not checked
+    on it, and an id map must hold one row per record."""
     wanted = {"num_perm": config.num_perm, "bands": plan.bands, "rows": plan.rows,
               "seed": config.seed, "pack": config.pack}
     for key, want in wanted.items():
@@ -155,6 +155,10 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
             row, repeats = fault
             raise StageError("upload", f"{role} record {row} repeats a container" if repeats
                              else f"{role} record {row} holds a container outside [0, 2^{bits})")
+        if PAD_SENTINEL < 1 << bits:  # pack 4 only; pack 1's range check excludes it
+            for row, rec in enumerate(up.encoded):
+                if PAD_SENTINEL in rec.containers:
+                    raise StageError("upload", f"{role} record {row} holds VR's padding 2^63-1")
         size = len(up.encoded)
         fault = _first_fault(list(up.index.values()), size)
         if fault:
@@ -285,10 +289,13 @@ def checked_config(config: PipelineConfig, backend=None):
     """Every object a linkage builds from its config: the Jaccard
     parameters, the obfuscation policy, the band plan, the strategy (None
     for ``auto``) and the backend (``backend`` when one is passed).  A
-    value that one of them refuses is refused with one ``OblivLinkError``
-    before any work; ``block`` and ``eval`` call this too, so every command
+    value that one of them refuses, or a packing wider than the backend's
+    domain holds exactly, is refused with one ``OblivLinkError`` before any
+    work; ``block``, ``eval`` and ``bench`` call this too, so every command
     refuses a bad config alike."""
     try:
+        if config.pack not in PACKS:
+            raise ValueError(f"packing factor must be one of {PACKS}, not {config.pack}")
         params = config.jaccard_params()
         policy = ObfuscationPolicy(config.rho)
         plan = config.band_plan()
@@ -297,6 +304,10 @@ def checked_config(config: PipelineConfig, backend=None):
             backend = make_backend(config.backend, config.profile, seed=config.seed)
     except ValueError as exc:
         raise OblivLinkError(f"bad config: {exc}") from exc
+    if backend.domain == APPROX and TOKEN_BITS * config.pack > APPROX_EXACT_BITS:
+        raise DomainError(f"pack {config.pack} containers of {TOKEN_BITS * config.pack} bits "
+                          f"do not fit the {APPROX_EXACT_BITS} bits that "
+                          f"{backend.kind}/{backend.profile} holds exactly")
     return params, policy, plan, strategy, backend
 
 

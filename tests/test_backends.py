@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oblivlink import (CapabilityError, JaccardParams, PipelineConfig, Strategy,
-                       TaintViolation, assert_oblivious, generate_dataset, jaccard_match,
-                       intersection_size, make_backend, run_pper)
+from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, PipelineConfig,
+                       Strategy, TaintViolation, assert_oblivious, generate_dataset,
+                       jaccard_match, intersection_size, make_backend, run_pper)
 from oblivlink.backends import (CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, Backend,
                                 SimBackend)
+from oblivlink.backends.base import KERNELS, lift_signed, to_u64
 from oblivlink.backends.local import LocalBackend
 from oblivlink.mpc import MpcBackend
 
@@ -250,25 +251,80 @@ SHARED_PRIMITIVES = ("add", "sub", "mul", "dot", "matmul", "vecmat", "outer", "t
 
 def test_shared_primitives_are_defined_once_on_machine():
     for cls in (Backend, LocalBackend, SimBackend, MpcBackend):
-        assert not set(SHARED_PRIMITIVES + ("_product",)) & set(vars(cls)), cls
+        assert not set(SHARED_PRIMITIVES + ("_product", "_rotate")) & set(vars(cls)), cls
     # mpc lacks these capabilities; Machine refuses them before any call
     assert not {"sort", "join_counts", "masked_reciprocal", "approx_eq"} & set(vars(MpcBackend))
 
 
-@pytest.mark.parametrize("spec, call", [
-    ("sim:sharemind", lambda mach, v: mach.rshift(v, 1)),
-    ("mpc", lambda mach, v: mach.sort_vec(v)),
-    ("mpc", lambda mach, v: mach.join_counts([v], [v], [(0, 0)])),
-    ("mpc", lambda mach, v: mach.masked_reciprocal(v)),
+@pytest.mark.parametrize("spec, call, error", [
+    ("sim:sharemind", lambda mach, v: mach.rshift(v, 1), CapabilityError),
+    ("mpc", lambda mach, v: mach.sort_vec(v), CapabilityError),
+    ("mpc", lambda mach, v: mach.join_counts([v], [v], [(0, 0)]), CapabilityError),
+    ("mpc", lambda mach, v: mach.masked_reciprocal(v), CapabilityError),
+    ("clear", lambda mach, v: mach.masked_reciprocal(v), DomainError),
 ])
-def test_a_capability_refusal_records_nothing(spec, call):
+def test_a_capability_refusal_records_nothing(spec, call, error):
     mach, _, b = open_machine(spec, seed=3)
     v = mach.enc([2, 1])
     b.enable_trace()
     before = b.ledger.rows()
-    with pytest.raises(CapabilityError):
+    with pytest.raises(error):
         call(mach, v)
     assert b.ledger.rows() == before and b.trace == []
+
+
+class _BareBackend(Backend):
+    """Only what a backend must supply, over numpy values: enc, enc_runs,
+    dec, the three kernel hooks, sort and join_counts.  It records
+    nothing."""
+
+    kind = "bare"
+
+    def __init__(self):
+        super().__init__(CAPS_ALL, EXACT)
+
+    def enc(self, value):
+        return to_u64(value)
+
+    def enc_runs(self, flat, lengths):
+        values, ends = to_u64(flat), np.cumsum(lengths, dtype=np.int64)
+        return [values[hi - n:hi] for n, hi in zip(lengths, ends)]
+
+    def dec(self, payload):
+        return lift_signed(payload)
+
+    def _linear(self, op, srcs, *args):
+        return KERNELS[op](*srcs, *args)
+
+    def _bilinear(self, op, a, b):
+        return KERNELS[op](a, b)
+
+    def _compare(self, op, a, b):
+        bit = a == b if op == "eq" else a.view(np.int64) > b.view(np.int64)
+        return bit.astype(np.uint64)
+
+    def sort(self, v):
+        return np.sort(v.view(np.int64)).view(np.uint64)
+
+    def join_counts(self, pairs):
+        return to_u64([len(np.intersect1d(a, b, assume_unique=True)) for a, b in pairs])
+
+
+def test_a_backend_that_only_computes_records_what_clear_records():
+    def run(backend):
+        mach = Machine(backend)
+        auth = backend.issue_authority("owners", "P1")
+        backend.enable_trace()
+        v = mach.enc([5, -3, 9, 1])
+        runs = mach.enc_runs([4, 9, 7, 1, 5], [2, 3])
+        out = [mach.rshift(v, 1), mach.lshift(v, 3), mach.sort_vec(v),
+               mach.join_counts(runs, [v], [(0, 0), (1, 0)]), mach.eeq(v, mach.sort_vec(v))]
+        values = [mach.dec(x, auth) for x in out]
+        return values, backend.ledger.rows(), list(backend.trace)
+
+    want = run(make_backend("clear"))
+    assert want[0] == [[1, 5, -3, 9], [1, 5, -3, 9], [-3, 1, 5, 9], [1, 2], [0, 0, 0, 0]]
+    assert run(_BareBackend()) == want
 
 
 def _public_arguments(i, lo, hi, times, n):

@@ -10,8 +10,8 @@ import oblivlink.blocking as blocking
 from oblivlink import (Machine, MinHasher, band_keys, build_block_index,
                        make_backend, optimal_band_plan, pack_tokens,
                        tokenize_bigrams)
-from oblivlink.blocking import (BandPlan, TokenSet, bigram_codes, block_index, build_blocks,
-                                collision_probability, pack_records)
+from oblivlink.blocking import (BandPlan, TokenSet, bigram_codes, block_index,
+                                collision_probability, encrypt_blocks, pack_records)
 
 
 # -- tokenization -----------------------------------------------------------
@@ -290,8 +290,9 @@ def test_build_blocks_encrypts_id_vectors():
     auth = backend.issue_authority("owners", "P1")
     hasher = MinHasher(128, seed=5)
     plan = optimal_band_plan(0.5)
-    blocks = build_blocks([tokenize_bigrams("peter jones", "a"),
-                           tokenize_bigrams("peter jomes", "b")], plan, hasher, mach)
+    index = build_block_index([tokenize_bigrams("peter jones", "a"),
+                               tokenize_bigrams("peter jomes", "b")], plan, hasher)
+    blocks = encrypt_blocks(index, mach)
     for key, vec in blocks.items():
         ids = mach.dec(vec, auth)
         assert all(i in (0, 1) for i in ids)

@@ -185,6 +185,11 @@ BAD_CONFIG_VALUES = [
     ([], "backend=foo", "bad config: unknown backend kind 'foo'"),
     ([], "backend=sim\nprofile=x", "bad config: unknown profile 'x'"),
     ([], "strategy=foo", "bad config: 'foo' is not a valid Strategy"),
+    ([], "pack=2", "bad config: packing factor must be one of (1, 4), not 2"),
+    # float64 slots compared pack-4 containers that differ in their low bits
+    # equal, and linked extra pairs
+    (["--pack", "4"], "backend=sim\nprofile=simd",
+     "pack 4 containers of 64 bits do not fit the 53 bits that sim/simd holds exactly"),
 ]
 
 
@@ -198,6 +203,22 @@ def test_bad_config_values_are_refused_before_any_work(command, flags, lines, me
     source = (["--blocks", str(blocks_60)] if command == "link"
               else ["--data", str(blocks_60.parent / "data")])
     assert main([command, *source, "--out", str(out), "--config", str(cfg)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--t-blocks", "0.5,1.5"], "bad config: blocking threshold must lie strictly between"),
+    (["--backends", "clear,sim", "--profile", "simd", "--pack", "4"],
+     "pack 4 containers of 64 bits do not fit"),
+])
+def test_bench_refuses_a_bad_grid_config_before_any_work(flags, message, blocks_60,
+                                                         tmp_path, capsys):
+    # a bad grid threshold once printed a traceback from the owners' encoding
+    out = tmp_path / "bench"
+    assert main(["bench", "--data", str(blocks_60.parent / "data"), "--out", str(out)]
+                + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
     assert not out.exists()

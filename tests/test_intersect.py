@@ -69,12 +69,6 @@ def test_vr_disjoint_and_oracle(clear_machine):
         assert got == _oracle(v1, v2)
 
 
-def test_vr_sentinel_collision_checked(clear_machine):
-    mach, _ = clear_machine
-    with pytest.raises(ValueError):
-        isect_vr(mach, mach.enc([1]), mach.enc([2]), pad=5, token_range=(0, 1 << 16))
-
-
 def test_ve_intermediates_match_worked_example(clear_machine):
     mach, auth = clear_machine
     v1e, v2e = ve_extend(mach, mach.enc([1, 2, 4]), mach.enc([2, 3]))

@@ -56,17 +56,6 @@ def test_rshift_is_cyclic_rotation(spec):
     assert dec_round(mach, auth, mach.lshift(mach.rshift(v, 1), 1)) == [2, 2, 3]
 
 
-@pytest.mark.parametrize("spec", ["clear", "mpc"])
-def test_shift_noncyclic_fill_mode(spec):
-    mach, auth, _ = open_machine(spec)
-    v = mach.enc([4, 5, 6])
-    assert dec_round(mach, auth, mach.rshift(v, 1, cyclic=False, fill=0)) == [0, 4, 5]
-    assert dec_round(mach, auth, mach.lshift(v, 1, cyclic=False, fill=9)) == [5, 6, 9]
-    assert dec_round(mach, auth, mach.rshift(v, 0, cyclic=False, fill=7)) == [4, 5, 6]
-    assert dec_round(mach, auth, mach.rshift(v, 3, cyclic=False, fill=7)) == [7, 7, 7]
-    assert dec_round(mach, auth, mach.rshift(v, 5, cyclic=False, fill=7)) == [7, 7, 7]
-
-
 def test_mul_is_matrix_product_emul_elementwise(clear_machine):
     mach, auth = clear_machine
     a = mach.enc([[1, 2], [3, 4]])

@@ -20,6 +20,7 @@ from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, Min
 from oblivlink import intersect, machine
 from oblivlink.blocking import EncodedRecord
 from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, slot_runs
+from oblivlink.intersect import PAD_SENTINEL
 from oblivlink.pipeline import finalize, filter_and_resolve, merge_and_dedup, obfuscate
 
 from conftest import ALL_BACKENDS, open_machine, reference_eeq, reference_ve_indices
@@ -696,6 +697,10 @@ def test_upload_container_outside_the_packing_is_refused(pack):
     for bad in (1 << (16 * pack), -1):
         u2.encoded[3] = EncodedRecord(rec.record_id, rec.containers + (bad,), rec.pack)
         assert "outside" in _refused_upload(u1, u2, cfg)
+    # VR's padding 2^63-1 lies inside pack 4's 64 bits; VR once counted such
+    # a container equal to the padding, and linked records sharing no container
+    u2.encoded[3] = EncodedRecord(rec.record_id, rec.containers + (PAD_SENTINEL,), rec.pack)
+    assert ("padding" if pack == 4 else "outside") in _refused_upload(u1, u2, cfg)
 
 
 def _party_dirs(tmp_path, cfg, size):

@@ -90,9 +90,7 @@ def programs(draw):
             x = pick(vector, (4,))
             (n,), bx = pool[x]
             if op == "rshift":
-                k, cyclic = draw(st.integers(-n - 1, n + 1)), draw(st.booleans())
-                fill = draw(st.integers(-VALUE, VALUE))
-                add((op, (x,), (k, cyclic, fill)), (n,), max(bx, abs(fill)))
+                add((op, (x,), (draw(st.integers(-n - 1, n + 1)),)), (n,), bx)
             elif op in ("tile", "repeat_each"):
                 times = draw(st.integers(0, 3))
                 add((op, (x,), (times,)), (n * times,), bx)
