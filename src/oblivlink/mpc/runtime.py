@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backends.base import tagged_rng
-from .sharing import beaver_combine, make_triples, share3
+from .sharing import beaver_combine, make_triples, rand_u64, share3
 
 PARTIES = ("party0", "party1", "party2")
 DEALER = "dealer"
@@ -123,8 +123,12 @@ class Network:
 
 class PartyActor:
     """One computation party: a share store, and its side of the Beaver
-    multiplication and of the dealer gates.  Protocol data that arrives
-    during a hop waits in ``inbox`` until the party's next step reads it.
+    multiplication and of the dealer gates.  An upload pass reaches it as
+    one ``store`` envelope: a share component and each run's
+    ``(hid, index)``, a ``slice(lo, hi)`` of a flat component or ``...``
+    for the whole, and it keeps the view ``component[index]`` under the
+    hid.  Protocol data that arrives during a hop waits in ``inbox`` until
+    the party's next step reads it.
     The backend runs each Beaver or gate primitive, all its hops included,
     inside one ``np.errstate(over="ignore")``, so share arithmetic here
     wraps without warnings."""
@@ -143,7 +147,9 @@ class PartyActor:
 
     def handle(self, env: Envelope):
         if env.kind == "store":
-            self.store[env.payload["dst"]] = env.payload["component"]
+            component = env.payload["component"]
+            for hid, index in env.payload["runs"]:
+                self.store[hid] = component[index]
         elif env.kind in ("triple", "open", "gate_result"):
             self.inbox.append(env.payload)
         else:
@@ -178,8 +184,12 @@ class PartyActor:
         """Send the dealer this party's share of the masked difference."""
         diff = self.store[h1] - self.store[h2]
         if op == "eq":
-            # odd multiplicative mask: r*diff == 0 iff diff == 0
-            r = (self.mask_rng.integers(0, 1 << 63, size=diff.shape, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
+            # odd multiplicative mask: r*diff == 0 iff diff == 0.  It equals
+            # integers(0, 2^63) << 1 | 1 word for word, at a quarter of the
+            # cost: Lemire's method over a range of 2^63 never rejects and
+            # returns each raw 64-bit word x as x >> 1, one word per slot, so
+            # (x >> 1) << 1 | 1 == x | 1 and the stream ends in the same state.
+            r = rand_u64(self.mask_rng, diff.shape) | np.uint64(1)
         else:
             # bounded positive mask keeps the sign of small differences
             r = self.mask_rng.integers(1, 1 << 30, size=diff.shape, dtype=np.uint64)

@@ -12,8 +12,9 @@ from scipy import stats
 from oblivlink import (DomainError, JaccardParams, Machine, PipelineConfig, ShapeError, Strategy,
                        generate_dataset, jaccard_match, run_pper)
 from oblivlink.backends import base
-from oblivlink.backends.base import KERNELS
+from oblivlink.backends.base import KERNELS, tagged_rng
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
+from oblivlink.mpc.runtime import PARTIES
 from oblivlink.mpc.sharing import BeaverTriple, beaver_combine, make_triples, rand_u64
 
 from conftest import ALL_BACKENDS, EXACT_BACKENDS, dec_round, open_machine
@@ -237,19 +238,52 @@ def _enc_each_run(mach, flat, lengths):
 def test_enc_runs_equals_enc_one_run_at_a_time(spec, lengths, data):
     total = sum(lengths)
     flat = data.draw(st.lists(st.integers(0, (1 << 40) - 1), min_size=total, max_size=total))
-    seen = []
+    seen, messages = [], []
     for encrypt in (_enc_each_run, Machine.enc_runs):
         mach, auth, b = open_machine(spec, seed=31)
         b.enable_trace()
         vectors = encrypt(mach, flat, lengths)
         ledger, trace = b.ledger.rows(), list(b.trace)
-        stats = b.round_stats().to_csv() if spec == "mpc" else None
+        stats = None
+        if spec == "mpc":
+            # rounds and bytes per line; the messages column apart
+            rows = [line.split(",") for line in b.round_stats().to_csv().splitlines()]
+            stats = [row[:3] + row[4:] for row in rows]
+            messages.append({int(row[3]) for row in rows[1:]})
         shares = ([[p.store[v.payload.hid].tolist() for p in b.parties] for v in vectors]
                   if spec == "mpc" else None)
         seen.append((ledger, trace, stats, shares, [dec_round(mach, auth, v) for v in vectors]))
     assert seen[0] == seen[1]
+    if spec == "mpc":
+        # one store envelope per party per run, against one per enc_runs call
+        assert messages == [{3 * len(lengths)}, {3 if lengths else 0}]
     starts = np.cumsum([0] + lengths).tolist()
     assert seen[1][-1] == [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+
+@given(lengths=st.lists(st.integers(0, 5), min_size=2, max_size=5), data=st.data())
+def test_enc_runs_sends_each_party_one_store_envelope(lengths, data):
+    total = sum(lengths)
+    flat = data.draw(st.lists(st.integers(0, MASK64), min_size=total, max_size=total))
+    shares = []
+    for encrypt in (_enc_each_run, Machine.enc_runs):
+        b = MpcBackend(seed=34, record_messages=True)
+        vectors = encrypt(Machine(b), flat, lengths)
+        shares.append([[p.store[v.payload.hid].tolist() for p in b.parties] for v in vectors])
+    assert [(env.kind, env.dst) for env in b.net.log] == [("store", p) for p in PARTIES]
+    assert all(env.nbytes == env.payload["component"].nbytes == 8 * total
+               for env in b.net.log)
+    assert shares[0] == shares[1]
+
+
+def test_enc_runs_of_no_runs_sends_and_stores_nothing():
+    b = MpcBackend(seed=35, record_messages=True)
+    state = b.share_rng.bit_generator.state
+    assert Machine(b).enc_runs([], []) == []
+    counts = b.round_stats()
+    assert b.net.log == [] and (counts.rounds, counts.messages, counts.bytes) == (0, 0, 0)
+    assert all(not p.store for p in b.parties)
+    assert b.share_rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("spec", EXACT_BACKENDS)
@@ -339,6 +373,35 @@ def test_linkage_frees_every_share_and_changes_no_count():
     assert outputs["freed"] == outputs["kept"]
 
 
+def _bounded_odd_mask(rng, shape):
+    """The eq gate's odd mask by a bounded 63-bit draw, shifted: the
+    reference that the full-range draw must equal."""
+    return (rng.integers(0, 1 << 63, size=shape, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
+
+
+@given(shape=st.lists(st.integers(0, 4), max_size=3).map(tuple), seed=st.integers(0, MASK64))
+def test_full_range_odd_mask_equals_the_bounded_draw(shape, seed):
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, got = _bounded_odd_mask(old, shape), rand_u64(new, shape) | np.uint64(1)
+    assert np.shape(got) == shape and np.array_equal(got, want)
+    # the streams end in the same state
+    assert np.array_equal(rand_u64(old, 3), rand_u64(new, 3))
+
+
+def test_eq_gate_fragments_use_the_bounded_odd_mask():
+    b = MpcBackend(seed=36, record_messages=True)
+    mach = Machine(b)
+    x, y = mach.enc([3, 5, 7, 1 << 40]), mach.enc([3, 6, 7, 0])
+    diffs = [p.store[x.payload.hid] - p.store[y.payload.hid] for p in b.parties]
+    mach.eeq(x, y)
+    # every party draws the same mask from the shared party-mask stream
+    r = _bounded_odd_mask(tagged_rng("party-mask", 36), (4,))
+    fragments = [env.payload["fragment"] for env in b.net.log if env.kind == "masked"]
+    assert len(fragments) == 3
+    for fragment, diff in zip(fragments, diffs):
+        assert np.array_equal(fragment, r * diff)
+
+
 def test_dealer_equality_gate_exhaustive():
     mach, auth, _ = open_machine("mpc", seed=10)
     for x in range(8):
@@ -407,6 +470,8 @@ def test_no_party_message_carries_raw_secrets():
     b = MpcBackend(seed=16, record_messages=True)
     mach = Machine(b)
     auth = b.issue_authority("owners", "P1+P2")
+    # a bulk store component too: both token lists in one upload pass
+    mach.enc_runs(tokens1 + tokens2, [len(tokens1), len(tokens2)])
     bit = jaccard_match(mach, mach.enc(tokens1), mach.enc(tokens2),
                         JaccardParams(Fraction(1, 2)), Strategy.VE)
     mach.dec(bit, auth)

@@ -401,6 +401,10 @@ def test_twin_traces_of_random_uploads_identical(shapes, data):
         assert_oblivious(*traces)
 
 
+def _csv_rows(csv: str) -> list[list[str]]:
+    return [line.split(",") for line in csv.splitlines()]
+
+
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
 def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatch):
     d1, d2, _ = generate_dataset(seed=0, size=60)
@@ -444,6 +448,18 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
                             backend.ledger.rows()))
     assert encrypted == per_value
     (matches, transcript, trace, rounds, ledger), batched = outputs
+    if rounds is not None:
+        # the one difference in rounds.csv: an enc_runs pass sends each party
+        # one store envelope, so upload messages count the four passes (D1's
+        # and D2's records, then their block ids), not the runs
+        rows, got = _csv_rows(rounds), _csv_rows(batched[3])
+        cells = {tuple(row[:2]): row for row in rows}
+        assert cells["stage", "upload"][3] == str(3 * len(per_value))
+        saved = 3 * len(per_value) - 4 * 3
+        for key in (("total", "all"), ("stage", "upload"), ("op", "enc")):
+            cells[key][3] = str(int(cells[key][3]) - saved)
+        assert got == rows
+        rounds = batched[3]
     assert matches  # the corpus links some pairs
     if result.strategy is Strategy.MJ:
         # the one difference: MJ's counts no longer pass through a stack
