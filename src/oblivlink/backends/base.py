@@ -69,87 +69,130 @@ def to_u64(value) -> np.ndarray:
         return np.array(flat, dtype=np.uint64).reshape(np.asarray(value, dtype=object).shape)
 
 
-def lift_signed(arr: np.ndarray):
-    """Reinterpret wrapped uint64 values as signed integers (python ints)."""
-    return np.asarray(arr).view(np.int64).tolist()
-
-
 def segment_sum(v: np.ndarray, width: int, lengths) -> np.ndarray:
     """Read ``v`` as consecutive rows of ``width`` slots and sum each run of
     ``lengths[k]`` rows into row k of a ``(len(lengths), width)`` result; an
     empty run gives a zero row.  Linear, so it applies to additive shares
-    as it does to values (uint64 sums wrap)."""
+    as it does to values (uint64 sums wrap).
+
+    A 2-D ``np.add.reduceat`` pays for every (run, column) pair, about 8 ns
+    each, which dominates when rows are wide and runs short, as merge's
+    one-hot rows are.  Wrapping uint64 sums are exact in any order, so
+    there the run heads are gathered in one pass and each further row depth
+    is added to the runs that reach it, at about 10 us of calls per depth;
+    float64 sums keep reduceat's summation order.  Width 1 is one 1-D
+    reduceat, bit for bit the 2-D one.  The choice reads only the dtype and
+    the shapes, both public."""
     lengths = np.asarray(lengths, dtype=np.int64)
     ends = np.cumsum(lengths)
-    rows = v.reshape(int(ends[-1]) if len(ends) else 0, width)
     starts = ends - lengths
+    total = int(ends[-1]) if len(ends) else 0
+    rows = v.reshape(total) if width == 1 else v.reshape(total, width)
+    if width > 1 and v.dtype == np.uint64:
+        depth = int(lengths.max()) if len(lengths) else 0
+        if len(lengths) * width > 1250 * (depth - 1):
+            return _depth_sums(rows, starts, lengths, depth)
     if len(lengths) and lengths.all():
         # no run is empty: one reduceat gives every row
         with np.errstate(over="ignore"):
-            return np.add.reduceat(rows, starts, axis=0)
-    out = np.zeros((len(lengths), width), dtype=v.dtype)
-    full = lengths > 0
-    if full.any():
-        with np.errstate(over="ignore"):
-            out[full] = np.add.reduceat(rows, starts[full], axis=0)
+            sums = np.add.reduceat(rows, starts, axis=0)
+    else:
+        sums = np.zeros((len(lengths),) + rows.shape[1:], dtype=v.dtype)
+        full = lengths > 0
+        if full.any():
+            with np.errstate(over="ignore"):
+                sums[full] = np.add.reduceat(rows, starts[full], axis=0)
+    return sums.reshape(len(lengths), width)
+
+
+def _depth_sums(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                depth: int) -> np.ndarray:
+    """``segment_sum`` of uint64 rows, the longest run ``depth`` rows long:
+    the run heads in one gather, then row d of every run longer than d
+    added to its sum, for d = 1 .. depth - 1."""
+    live = np.flatnonzero(lengths)
+    if len(live) == len(lengths):
+        out = rows[starts]
+    else:
+        out = np.zeros((len(lengths), rows.shape[1]), dtype=rows.dtype)
+        out[live] = rows[starts[live]]
+    for d in range(1, depth):
+        live = np.flatnonzero(lengths > d)
+        out[live] += rows[starts[live] + d]
     return out
 
 
-# numpy has no integer BLAS, so an exact uint64 product runs on float64 BLAS
+# numpy has no integer BLAS, so an exact uint64 product runs on float BLAS
 # over 16-bit limbs.  One limb product term is below 2^32, so a sum of up to
 # _INNER_CHUNK terms stays below 2^53, where float64 holds every integer
-# exactly; longer inner dimensions are summed chunk by chunk.  The output is
-# made one column block at a time, so that neither that block nor v's limbs
-# for it exceed _BLOCK_ELEMS elements (where the operands' outer dimensions
-# allow).  Below _LIMB_MIN_MACS multiply-adds numpy's own (exact, wrapping)
-# integer loop is faster than the limb path's fixed cost of up to ten BLAS
-# calls and their conversions: on a 2-core VM with one BLAS thread, an mpc
-# Beaver product of 20x11 by 11x80 shares takes 28 us that way and 161 us
-# over limbs.
+# exactly; longer inner dimensions are summed chunk by chunk.  When the
+# operands' largest limbs bound every sum below 2^24, as merge's 0/1
+# indicators do, float32 holds them exactly and its BLAS takes half the
+# time.  Below 2^53 a summed term converts to uint64 exactly through int64,
+# which numpy does far faster than float64 -> uint64.  The output is made
+# one column block at a time, so that neither that block nor v's limbs for
+# it exceed _BLOCK_ELEMS elements (where the operands' outer dimensions
+# allow); a block's first term, the only one of a one-limb product, is
+# written into it, and the others are shifted and added.  Below
+# _LIMB_MIN_MACS multiply-adds numpy's own (exact, wrapping) integer loop is
+# faster than the limb path's fixed cost of up to ten BLAS calls and their
+# conversions: on a 2-core VM with one BLAS thread, an mpc Beaver product of
+# 20x11 by 11x80 shares takes 28 us that way and 161 us over limbs.
 _LIMB_BITS = 16
 _INNER_CHUNK = 1 << 21
 _BLOCK_ELEMS = 1 << 16
 _LIMB_MIN_MACS = 1 << 17
 
 
-def _limb_count(m: np.ndarray) -> int:
-    """16-bit limbs up to the highest nonzero one (at least one)."""
-    top = int(m.max()) if m.size else 0
+def _limb_count(top: int) -> int:
+    """16-bit limbs up to the highest nonzero one of an operand whose
+    largest value is ``top`` (at least one)."""
     return max(1, -(-top.bit_length() // _LIMB_BITS))
 
 
-def _limb(m: np.ndarray, i: int, count: int) -> np.ndarray:
-    """Limb i of an operand of ``count`` limbs, as float64 (a 0/1 operand
-    is converted without a uint64 temporary)."""
+def _limb(m: np.ndarray, i: int, count: int, ftype) -> np.ndarray:
+    """Limb i of an operand of ``count`` limbs, as ``ftype``; a limb is
+    below 2^16, so it converts through int64."""
     if i:
         m = m >> np.uint64(_LIMB_BITS * i)
     if i < count - 1:
         m = m & np.uint64(0xFFFF)
-    return m.astype(np.float64)
+    return m.view(np.int64).astype(ftype)
 
 
 def _matmul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix product of two 2-D operands.  On uint64 operands it is exact
     mod 2^64: the sum over limb pairs i+j < 4 of limb_i(u)·limb_j(v), each a
-    float64 BLAS product, shifted left by 16(i+j) bits; pairs with i+j >= 4
+    float BLAS product, shifted left by 16(i+j) bits; pairs with i+j >= 4
     vanish mod 2^64, and all-zero high limbs are skipped, so a 0/1 operand
     costs one product where uniform ones cost ten.  Small uint64 products
     and other dtypes (the approximate domain's float64) take ``np.matmul``."""
     if (u.dtype != np.uint64 or v.dtype != np.uint64
             or u.size * v.shape[1] < _LIMB_MIN_MACS):
         return np.matmul(np.ascontiguousarray(u), np.ascontiguousarray(v))
-    out = np.zeros((u.shape[0], v.shape[1]), dtype=np.uint64)
-    ulimbs, vlimbs = _limb_count(u), _limb_count(v)
-    for k0 in range(0, u.shape[1], _INNER_CHUNK):
+    out = np.empty((u.shape[0], v.shape[1]), dtype=np.uint64)
+    utop = int(u.max()) if u.size else 0
+    vtop = int(v.max()) if v.size else 0
+    ulimbs, vlimbs = _limb_count(utop), _limb_count(vtop)
+    # every partial sum of limb products is a nonnegative integer of at most
+    # this bound, whatever order BLAS sums in
+    bound = u.shape[1] * min(utop, 0xFFFF) * min(vtop, 0xFFFF)
+    ftype = np.float32 if bound < 1 << 24 else np.float64
+    # one chunk even of an empty inner dimension, whose product writes zeros
+    for k0 in range(0, max(u.shape[1], 1), _INNER_CHUNK):
         uk, vk = u[:, k0:k0 + _INNER_CHUNK], v[k0:k0 + _INNER_CHUNK]
-        a = [_limb(uk, i, ulimbs) for i in range(ulimbs)]
-        width = max(1, _BLOCK_ELEMS // max(len(uk), len(vk)))
+        a = [_limb(uk, i, ulimbs, ftype) for i in range(ulimbs)]
+        width = max(1, _BLOCK_ELEMS // max(1, len(uk), len(vk)))
         for c0 in range(0, v.shape[1], width):
             block = out[:, c0:c0 + width]
             for j in range(vlimbs):
-                b = _limb(vk[:, c0:c0 + width], j, vlimbs)
+                b = _limb(vk[:, c0:c0 + width], j, vlimbs, ftype)
                 for i in range(min(ulimbs, 4 - j)):
-                    term = np.matmul(a[i], b).astype(np.uint64)
+                    term = np.matmul(a[i], b)
+                    if not (k0 or i or j):
+                        block.view(np.int64)[...] = term
+                        continue
+                    term = term.astype(np.int64).view(np.uint64)
                     term <<= np.uint64(_LIMB_BITS * (i + j))
                     block += term
     return out
@@ -366,7 +409,8 @@ class Backend:
     widths, shapes) arrive as Python ints, which ``Machine`` makes them.
 
     Besides the hooks, a backend supplies ``enc``, ``enc_runs`` and ``dec``
-    and its own protocols for the optional primitives it has the capability
+    (which returns a fresh signed int64, or float64, array) and its own
+    protocols for the optional primitives it has the capability
     for (sort, join, masked reciprocal, approximate equality).  It only
     computes: ``Machine`` records every entry, so every backend records the
     same ledger and trace.  No backend can read a payload outside ``dec``:

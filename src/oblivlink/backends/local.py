@@ -19,7 +19,13 @@ import itertools
 import numpy as np
 
 from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS, ROLE_HOST,
-                   XI_DEFAULT, Backend, lift_signed, to_u64)
+                   XI_DEFAULT, Backend, to_u64)
+
+# The join counts its cells in chunks of at most this many second-side
+# elements plus one cell's, which bounds the chunk's index temporaries,
+# about 40 bytes per element, whatever the number of cells; the chunks
+# read the public lengths alone.
+_JOIN_CHUNK = 1 << 15
 
 
 class LocalBackend(Backend):
@@ -58,10 +64,8 @@ class LocalBackend(Backend):
         ends = list(itertools.accumulate(lengths))
         return [payload[hi - n:hi] for n, hi in zip(lengths, ends)]
 
-    def dec(self, payload: np.ndarray):
-        if self.domain == EXACT:
-            return lift_signed(payload)
-        return payload.tolist()
+    def dec(self, payload: np.ndarray) -> np.ndarray:
+        return np.array(self._signed(payload))
 
     # -- the shared primitives' hooks ------------------------------------------
     # uint64 ufuncs wrap without warnings, so a linear kernel runs bare; the
@@ -86,8 +90,49 @@ class LocalBackend(Backend):
             return np.sort(self._signed(v)).view(np.uint64)
         return np.sort(v)
 
-    def join_counts(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        return self._coerce([len(np.intersect1d(a, b, assume_unique=True)) for a, b in pairs])
+    def join_counts(self, p1: list[np.ndarray], p2: list[np.ndarray],
+                    cells: np.ndarray) -> np.ndarray:
+        """|p1[i] ∩ p2[j]| for each row (i, j) of the ``(n, 2)`` cells, in
+        one array pass: side 1's distinct values rank every container, one
+        boolean table marks each side-1 vector's ranks, and each cell's
+        side-2 ranks are looked up in its side-1 row and summed.  Exact for
+        unique-entry vectors in any order; cells may repeat and come in any
+        order."""
+        counts = np.zeros(len(cells), dtype=np.int64)
+        if not len(cells):
+            return self._coerce(counts)
+        len1 = np.fromiter(map(len, p1), dtype=np.int64, count=len(p1))
+        len2 = np.fromiter(map(len, p2), dtype=np.int64, count=len(p2))
+        values, rank1 = np.unique(np.concatenate(p1), return_inverse=True)
+        # a side-2 value that side 1 lacks takes the extra, all-false rank
+        distinct2, inverse2 = np.unique(np.concatenate(p2), return_inverse=True)
+        at = np.searchsorted(values, distinct2)
+        if len(values):
+            at[values.take(at, mode="clip") != distinct2] = len(values)
+        rank2 = at[inverse2]
+        width = len(values) + 1
+        table = np.zeros((len(p1), width), dtype=bool)
+        table[np.repeat(np.arange(len(p1)), len1), rank1] = True
+        table = table.ravel()
+        off2 = np.cumsum(len2) - len2
+        i, j = cells[:, 0], cells[:, 1]
+        n = len2[j]
+        ends = np.cumsum(n)
+        cuts = np.searchsorted(ends, np.arange(_JOIN_CHUNK, int(ends[-1]), _JOIN_CHUNK),
+                               side="right").tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(cells)]):
+            nk, first = n[lo:hi], ends[lo:hi] - n[lo:hi]
+            live = nk > 0
+            if not live.any():
+                continue
+            first -= first[0]
+            # flat table index of each of the chunk's side-2 elements
+            key = np.repeat(off2[j[lo:hi]] - first, nk)
+            key += np.arange(len(key))
+            key = rank2[key]
+            key += np.repeat(i[lo:hi] * width, nk)
+            counts[lo:hi][live] = np.add.reduceat(table[key], first[live], dtype=np.int64)
+        return self._coerce(counts)
 
     # -- masked reciprocal protocol ---------------------------------------------
 

@@ -231,13 +231,19 @@ class Machine:
         self.b._record_each("enc", len(lengths), (((n,),) for n in lengths))
         return [PrivateVector(self.b, p) for p in payloads]
 
-    def dec(self, value, authority):
-        """Decrypt under a valid authority; exact backends round-trip
-        exactly, approximate ones within TAU_NUM."""
+    def reveal(self, value, authority) -> np.ndarray:
+        """Decrypt under a valid authority, as a fresh array of the value's
+        shape: signed int64 on exact backends, which round-trip exactly,
+        float64 on approximate ones, within TAU_NUM.  Records one ``dec``."""
         self._check_ctx(value)
         self.b.check_authority(authority)
         self.b._record("dec", value.payload.shape)
         return self.b.dec(value.payload)
+
+    def dec(self, value, authority):
+        """``reveal`` as Python numbers: a number for a scalar, nested lists
+        for a vector or matrix."""
+        return self.reveal(value, authority).tolist()
 
     # -- primitive arithmetic ----------------------------------------------
     # Each primitive checks its handles, then the backend's capability, then
@@ -508,16 +514,24 @@ class Machine:
                     cells) -> PrivateVector:
         """Equality-join cardinality of enc1[i] and enc2[j], unique-entry
         vectors, for every public cell (i, j), as one vector (backend join
-        capability).  One backend call; the ledger and trace record one
-        ``join`` per cell, in cell order.  Every handle in both lists must
-        belong to this context, whether a cell names it or not."""
+        capability).  One backend call over the payload lists and the
+        ``(n, 2)`` cell array; the ledger and trace record one ``join`` per
+        cell, in cell order.  Every handle in both lists must belong to this
+        context, whether a cell names it or not, and a cell outside the
+        lists is refused before anything is recorded."""
         self._check_ctx(*enc1, *enc2)
         self.b.require("join")
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+        # one pass per side: a negative index viewed as uint64 is at least 2^63
+        if len(cells) and (cells[:, 0].view(np.uint64).max() >= len(enc1)
+                           or cells[:, 1].view(np.uint64).max() >= len(enc2)):
+            raise ShapeError(f"join cells outside {len(enc1)} x {len(enc2)} vectors")
         p1, p2 = [v.payload for v in enc1], [v.payload for v in enc2]
-        pairs = [(p1[i], p2[j])
-                 for i, j in np.asarray(cells, dtype=np.int64).reshape(-1, 2).tolist()]
-        self.b._record_each("join", len(pairs), ((a.shape, b.shape) for a, b in pairs))
-        return PrivateVector(self.b, self.b.join_counts(pairs))
+        # the pairs' shapes enter the trace only while tracing
+        metas = ([(p1[i].shape, p2[j].shape) for i, j in cells.tolist()]
+                 if self.b.trace_enabled else ())
+        self.b._record_each("join", len(cells), metas)
+        return PrivateVector(self.b, self.b.join_counts(p1, p2, cells))
 
     def join_count(self, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
         """The one-pair case of ``join_counts``."""

@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from ..backends.base import (EXACT, KERNELS, PRODUCT_SHAPES, Backend, Capabilities,
-                             lift_signed, tagged_rng, to_u64)
+                             tagged_rng, to_u64)
 from .runtime import COORD, DEALER, PARTIES, Collector, DealerActor, Network, PartyActor
 from .sharing import rand_u64, reconstruct3, share3
 
@@ -180,7 +180,7 @@ class MpcBackend(Backend):
         self._store((s0, s1, s2), runs, (self._stage, "enc"))
         return refs
 
-    def dec(self, payload: ShareRef):
+    def dec(self, payload: ShareRef) -> np.ndarray:
         tag = (self._stage, "dec")
         for p in self.parties:
             part = p.store[payload.hid]
@@ -188,7 +188,8 @@ class MpcBackend(Backend):
         self.net.pump()
         self.net.stats.add_round(tag)
         parts, self.collector.revealed = self.collector.revealed, []
-        return lift_signed(reconstruct3(parts).reshape(payload.shape))
+        # a scalar's parts sum to a numpy scalar, so make it an array
+        return np.asarray(reconstruct3(parts)).reshape(payload.shape).view(np.int64)
 
     # -- stats ----------------------------------------------------------------------
 

@@ -242,8 +242,7 @@ def obfuscate(mach: Machine, cand: PrivateMatrix, policy: ObfuscationPolicy,
     noise = mach.enc(noise_bits)
     ones = mach.enc(np.ones(shape, dtype=np.int64))
     noisy = mach.choose_mat(noise, ones, cand)
-    revealed = np.asarray(mach.dec(noisy, authority), dtype=np.float64).reshape(shape)
-    obfu = revealed > 0.5
+    obfu = mach.reveal(noisy, authority) > 0.5
     mach.b.observe(ROLE_HOST, "obfu_pairs", tuple(map(tuple, obfu.astype(int).tolist())))
     return obfu
 
@@ -369,7 +368,7 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
         dummies = mach.enc(np.zeros(shape, dtype=np.int64))
         final = finalize(mach, results, dummies, cand)
         owner_auth = backend.issue_authority("owners", f"{ROLE_OWNER_1}+{ROLE_OWNER_2}")
-        bits = np.asarray(mach.dec(final, owner_auth), dtype=np.float64).reshape(shape)
+        bits = mach.reveal(final, owner_auth)
         return sorted(
             (u1.id_map[i], u2.id_map[j])
             for i, j in zip(*np.nonzero(bits > 0.5)))

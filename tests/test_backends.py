@@ -10,7 +10,7 @@ from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, Pip
                        jaccard_match, intersection_size, make_backend, run_pper)
 from oblivlink.backends import (CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, Backend,
                                 SimBackend)
-from oblivlink.backends.base import KERNELS, lift_signed, to_u64
+from oblivlink.backends.base import KERNELS, to_u64
 from oblivlink.backends.local import LocalBackend
 from oblivlink.mpc import MpcBackend
 
@@ -291,7 +291,7 @@ class _BareBackend(Backend):
         return [values[hi - n:hi] for n, hi in zip(lengths, ends)]
 
     def dec(self, payload):
-        return lift_signed(payload)
+        return payload.view(np.int64).copy()
 
     def _linear(self, op, srcs, *args):
         return KERNELS[op](*srcs, *args)
@@ -306,8 +306,9 @@ class _BareBackend(Backend):
     def sort(self, v):
         return np.sort(v.view(np.int64)).view(np.uint64)
 
-    def join_counts(self, pairs):
-        return to_u64([len(np.intersect1d(a, b, assume_unique=True)) for a, b in pairs])
+    def join_counts(self, p1, p2, cells):
+        return to_u64([len(np.intersect1d(p1[i], p2[j], assume_unique=True))
+                       for i, j in cells.tolist()])
 
 
 def test_a_backend_that_only_computes_records_what_clear_records():

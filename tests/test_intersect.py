@@ -2,15 +2,16 @@
 
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oblivlink import (CapabilityError, ContextMismatchError, JaccardParams, Machine, Strategy,
-                       intersection_size, jaccard_match,
+from oblivlink import (CapabilityError, ContextMismatchError, JaccardParams, Machine, ShapeError,
+                       Strategy, intersection_size, jaccard_match,
                        pick_strategy, supported_strategies, zero_count)
-from oblivlink.backends import CAPS_ALL, CAPS_SIMD
+from oblivlink.backends import CAPS_ALL, CAPS_SIMD, local
 from oblivlink.intersect import (_dry_run_ops, _ve_counts, estimated_cost, isect_so, isect_vr,
                                  so_adjacent_diff, ve_extend, vr_diff_sequence)
 from oblivlink.machine import slot_runs
@@ -120,6 +121,47 @@ def test_join_counts_equal_set_intersections(spec, rows, cols, data):
     assert b.trace == [("join", (len(rows[i]),), (len(cols[j]),)) for i, j in cells]
     assert b.ledger.counts.get(("main", "join")) == (len(cells) or None)
     assert dec_round(mach, auth, counts) == [len(rows[i] & cols[j]) for i, j in cells]
+
+
+def _per_cell_join(rows, cols, cells):
+    """MJ's join as it was before one array pass: one ``np.intersect1d``
+    per cell."""
+    return [len(np.intersect1d(np.array(rows[i], dtype=np.uint64),
+                               np.array(cols[j], dtype=np.uint64), assume_unique=True))
+            for i, j in cells]
+
+
+# 64-bit containers, pack-4 ones at and above 2^63 among them, drawn from a
+# small pool as well so that vectors share some
+_CONTAINERS = st.one_of(st.sampled_from([0, 1, 7, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]),
+                        st.integers(0, (1 << 64) - 1))
+
+
+@pytest.mark.parametrize("spec", LOCAL_EXACT)
+@given(rows=st.lists(st.lists(_CONTAINERS, max_size=6, unique=True), min_size=1, max_size=4),
+       cols=st.lists(st.lists(_CONTAINERS, max_size=6, unique=True), min_size=1, max_size=4),
+       chunk=st.integers(1, 12), data=st.data())
+def test_join_counts_equal_per_cell_intersect1d(spec, rows, cols, chunk, data):
+    # unsorted, empty and shared vectors; no cells, or cells repeated and in
+    # any order; a chunk budget small enough that most calls run several
+    cells = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                         st.integers(0, len(cols) - 1)), max_size=10))
+    mach, auth, b = open_machine(spec)
+    enc1, enc2 = [mach.enc(r) for r in rows], [mach.enc(c) for c in cols]
+    with mock.patch.object(local, "_JOIN_CHUNK", chunk):
+        counts = mach.join_counts(enc1, enc2, cells)
+    assert b.ledger.counts.get(("main", "join"), 0) == len(cells)
+    assert mach.dec(counts, auth) == _per_cell_join(rows, cols, cells)
+
+
+@pytest.mark.parametrize("cells", [[(2, 0)], [(0, 1)], [(-1, 0)], [(0, 0), (0, -1)]])
+def test_join_counts_refuse_a_cell_outside_the_lists(cells):
+    mach, _, b = open_machine("clear")
+    v = mach.enc([1, 2])
+    b.enable_trace()
+    with pytest.raises(ShapeError):
+        mach.join_counts([v, v], [v], cells)
+    assert b.trace == [] and not b.ledger.by_op().get("join")
 
 
 def test_join_counts_refuses_a_foreign_handle_in_either_list():

@@ -41,6 +41,37 @@ def test_dec_requires_valid_authority(spec):
 
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
+def test_dec_is_reveal_as_python_numbers(spec):
+    mach, auth, b = open_machine(spec)
+    exact = spec != "sim:simd"
+    b.enable_trace()
+    for value, shape in ((-7, ()), ([3, -1, 0], (3,)), ([[1, -2], [3, 4]], (2, 2))):
+        v = mach.enc(value)
+        revealed = mach.reveal(v, auth)
+        assert revealed.dtype == (np.int64 if exact else np.float64)
+        assert revealed.shape == shape
+        assert np.allclose(revealed, value, rtol=0, atol=0 if exact else TAU_NUM)
+        listed = mach.dec(v, auth)
+        assert listed == revealed.tolist()
+        revealed[...] = 99  # the array is the caller's own
+        assert mach.dec(v, auth) == listed
+    # each reveal and each dec records one dec
+    decs = [entry for entry in b.trace if entry[0] == "dec"]
+    assert decs == [("dec", shape) for shape in ((), (3,), (2, 2)) for _ in range(3)]
+    assert b.ledger.by_op()["dec"] == 9
+    # a refused reveal records nothing
+    v = mach.enc([1, 2])
+    foreign = make_backend("clear").issue_authority("other", "P1")
+    auth.revoke()
+    before = (list(b.trace), b.ledger.rows())
+    for bad in (auth, foreign, None):
+        for read in (mach.reveal, mach.dec):
+            with pytest.raises(AuthorityError):
+                read(v, bad)
+    assert (b.trace, b.ledger.rows()) == before
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
 def test_primitive_arithmetic_examples(spec):
     mach, auth, _ = open_machine(spec)
     assert dec_round(mach, auth, mach.eadd(mach.enc([1, 2, 3]), mach.enc([10, 20, 30]))) == [11, 22, 33]
@@ -470,6 +501,26 @@ def _segment_sum_reference(v, width, lengths):
         with np.errstate(over="ignore"):
             out[full] = np.add.reduceat(rows, starts[full], axis=0)
     return out
+
+
+@given(runs=st.integers(0, 40), longest=st.integers(0, 12), empty=st.booleans(),
+       width=st.sampled_from([0, 1, 2, 5, 300]), seed=st.integers(0, 2 ** 32 - 1))
+def test_segment_sum_kernel_equals_reduceat_over_long_and_wide_runs(runs, longest, empty,
+                                                                     width, seed):
+    # uint64 sums that wrap, in runs deep and wide enough for both the
+    # per-depth path and reduceat, with or without empty runs; float64
+    # width 1 in runs long enough for reduceat's pairwise summation, bit
+    # for bit
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0 if empty else min(1, longest), longest + 1, size=runs).tolist()
+    n = sum(lengths) * width
+    words = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    floats = rng.standard_normal(sum(lengths)) * 10.0 ** rng.integers(-8, 9, size=sum(lengths))
+    for v, w in ((words, width), (floats, 1)):
+        got = KERNELS["segment_sum"](v, w, np.array(lengths, dtype=np.int64))
+        want = _segment_sum_reference(v, w, lengths)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @given(lengths=st.lists(st.integers(0, 4), max_size=6), width=st.integers(0, 3),

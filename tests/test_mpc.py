@@ -143,6 +143,23 @@ def test_matmul_kernel_wraps_exactly(shape, kinds, transposed, seed):
         assert np.array_equal(got, want)
 
 
+@given(shape=st.tuples(st.integers(1, 9), st.integers(0, 9), st.integers(1, 9)),
+       top=st.sampled_from([1, 255, 0xFFFF]), chunk=st.integers(1, 4),
+       block=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_matmul_kernel_one_limb_equals_python_ints(shape, top, chunk, block, seed):
+    # one-limb operands, with inner chunks and column blocks small enough
+    # that every loop of the limb path runs
+    rng = np.random.default_rng(seed)
+    m, k, n = shape
+    a = rng.integers(0, top + 1, size=(m, k), dtype=np.uint64)
+    b = rng.integers(0, top + 1, size=(k, n), dtype=np.uint64)
+    want = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(k)) % (1 << 64)
+             for j in range(n)] for i in range(m)]
+    with mock.patch.multiple(base, _LIMB_MIN_MACS=0, _INNER_CHUNK=chunk, _BLOCK_ELEMS=block):
+        got = KERNELS["matmul"](a, b)
+    assert got.dtype == np.uint64 and got.tolist() == want
+
+
 def test_matmul_kernel_sums_past_the_float64_integer_range():
     # (2^16-1)^2 per limb term: one float64 sum of 2^21+129 of them passes
     # 2^53 and rounds, so the inner dimension must be summed in chunks
