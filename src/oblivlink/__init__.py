@@ -24,7 +24,7 @@ from .intersect import (JaccardParams, Strategy, intersection_size, isect_mj,
                         isect_pj, isect_so, isect_ve, isect_vr, jaccard_cells,
                         jaccard_match, pick_strategy, supported_strategies, zero_count)
 from .machine import (EQ_BIT_ERROR, Machine, PrivateBool, PrivateMatrix, PrivateScalar,
-                      PrivateVector, TAU_BOOL, TAU_NUM, XI_DEFAULT)
+                      PrivateVector, Runs, TAU_BOOL, TAU_NUM, XI_DEFAULT)
 from .pipeline import (ObfuscationPolicy, PartyUpload, PipelineConfig,
                        RunResult, finalize, filter_and_resolve, merge_and_dedup,
                        obfuscate, prepare_upload, read_party_dir, run_pper,
@@ -45,7 +45,7 @@ __all__ = [
     "JaccardParams", "Strategy", "intersection_size", "isect_mj", "isect_pj",
     "isect_so", "isect_ve", "isect_vr", "jaccard_cells", "jaccard_match", "pick_strategy",
     "supported_strategies", "zero_count",
-    "Machine", "PrivateBool", "PrivateMatrix", "PrivateScalar", "PrivateVector",
+    "Machine", "PrivateBool", "PrivateMatrix", "PrivateScalar", "PrivateVector", "Runs",
     "EQ_BIT_ERROR", "TAU_BOOL", "TAU_NUM", "XI_DEFAULT",
     "ObfuscationPolicy", "PartyUpload", "PipelineConfig", "RunResult",
     "finalize", "filter_and_resolve", "merge_and_dedup", "obfuscate",

@@ -408,8 +408,8 @@ class Backend:
     result's shape off its payloads.  Public arguments (indices, counts,
     widths, shapes) arrive as Python ints, which ``Machine`` makes them.
 
-    Besides the hooks, a backend supplies ``enc``, ``enc_runs`` and ``dec``
-    (which returns a fresh signed int64, or float64, array) and its own
+    Besides the hooks, a backend supplies ``enc`` and ``dec`` (which
+    returns a fresh signed int64, or float64, array) and its own
     protocols for the optional primitives it has the capability
     for (sort, join, masked reciprocal, approximate equality).  It only
     computes: ``Machine`` records every entry, so every backend records the

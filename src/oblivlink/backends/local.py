@@ -14,8 +14,6 @@ equality.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS, ROLE_HOST,
@@ -58,12 +56,6 @@ class LocalBackend(Backend):
     def enc(self, value) -> np.ndarray:
         return self._coerce(value)
 
-    def enc_runs(self, flat, lengths: list[int]) -> list[np.ndarray]:
-        # one coercion; each run's payload is a slice of it
-        payload = self._coerce(flat)
-        ends = list(itertools.accumulate(lengths))
-        return [payload[hi - n:hi] for n, hi in zip(lengths, ends)]
-
     def dec(self, payload: np.ndarray) -> np.ndarray:
         return np.array(self._signed(payload))
 
@@ -90,29 +82,28 @@ class LocalBackend(Backend):
             return np.sort(self._signed(v)).view(np.uint64)
         return np.sort(v)
 
-    def join_counts(self, p1: list[np.ndarray], p2: list[np.ndarray],
-                    cells: np.ndarray) -> np.ndarray:
-        """|p1[i] ∩ p2[j]| for each row (i, j) of the ``(n, 2)`` cells, in
-        one array pass: side 1's distinct values rank every container, one
-        boolean table marks each side-1 vector's ranks, and each cell's
-        side-2 ranks are looked up in its side-1 row and summed.  Exact for
-        unique-entry vectors in any order; cells may repeat and come in any
-        order."""
+    def join_counts(self, v1: np.ndarray, len1: np.ndarray, v2: np.ndarray,
+                    len2: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """|run i of v1 ∩ run j of v2| for each row (i, j) of the ``(n, 2)``
+        cells, each side a flat payload cut into runs of the public lengths
+        ``len1`` and ``len2``, in one array pass: side 1's distinct values
+        rank every container, one boolean table marks each side-1 run's
+        ranks, and each cell's side-2 ranks are looked up in its side-1 row
+        and summed.  Exact for unique-entry runs in any order; cells may
+        repeat and come in any order."""
         counts = np.zeros(len(cells), dtype=np.int64)
         if not len(cells):
             return self._coerce(counts)
-        len1 = np.fromiter(map(len, p1), dtype=np.int64, count=len(p1))
-        len2 = np.fromiter(map(len, p2), dtype=np.int64, count=len(p2))
-        values, rank1 = np.unique(np.concatenate(p1), return_inverse=True)
+        values, rank1 = np.unique(v1, return_inverse=True)
         # a side-2 value that side 1 lacks takes the extra, all-false rank
-        distinct2, inverse2 = np.unique(np.concatenate(p2), return_inverse=True)
+        distinct2, inverse2 = np.unique(v2, return_inverse=True)
         at = np.searchsorted(values, distinct2)
         if len(values):
             at[values.take(at, mode="clip") != distinct2] = len(values)
         rank2 = at[inverse2]
         width = len(values) + 1
-        table = np.zeros((len(p1), width), dtype=bool)
-        table[np.repeat(np.arange(len(p1)), len1), rank1] = True
+        table = np.zeros((len(len1), width), dtype=bool)
+        table[np.repeat(np.arange(len(len1)), len1), rank1] = True
         table = table.ravel()
         off2 = np.cumsum(len2) - len2
         i, j = cells[:, 0], cells[:, 1]

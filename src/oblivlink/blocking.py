@@ -14,12 +14,12 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backends.base import tagged_rng
-from .machine import Machine, PrivateVector
 
 TOKEN_BITS = 16
 PACKS = (1, 4)  # the packing factors: codes per container
@@ -234,6 +234,12 @@ def optimal_band_plan(threshold: float, num_perm: int = 128,
         raise ValueError("blocking threshold must lie strictly between 0 and 1")
     if num_perm < 1:
         raise ValueError("num_perm must be at least 1")
+    # a NaN, infinite or negative weight, or two zero ones, once picked a
+    # degenerate plan (1 x 1, or 128 x 1) that blocked and linked on it
+    weights = (fp_weight, fn_weight)
+    if not all(math.isfinite(w) and w >= 0 for w in weights) or sum(weights) == 0:
+        raise ValueError(f"band plan weights must be finite, non-negative and not both 0, "
+                         f"not {fp_weight} and {fn_weight}")
     best = None
     for bands in range(1, num_perm + 1):
         for rows in range(1, num_perm // bands + 1):
@@ -309,10 +315,3 @@ def flat_column(runs: list) -> np.ndarray:
     except OverflowError:
         return np.array(list(itertools.chain.from_iterable(runs)), dtype=object)
 
-
-def encrypt_blocks(index: dict[str, list[int]], mach: Machine) -> dict[str, PrivateVector]:
-    """Encrypt each key's record-id vector before it leaves the owner: all
-    keys in one pass, in key order, one ``enc`` per key in the ledger."""
-    keys = sorted(index)
-    runs = [index[key] for key in keys]
-    return dict(zip(keys, mach.enc_runs(flat_column(runs), [len(r) for r in runs])))

@@ -85,8 +85,15 @@ def _write_run_config(out_dir: str, config: PipelineConfig, extra=()):
 def _load_records(path: str) -> list[Record]:
     records = []
     with open(path) as fh:
-        for line in fh:
-            item = json.loads(line)
+        for k, line in enumerate(fh, 1):
+            try:
+                item = json.loads(line)
+            except json.JSONDecodeError:
+                item = None
+            if not (isinstance(item, dict) and isinstance(item.get("id"), str)
+                    and isinstance(item.get("fields"), dict)):
+                raise OblivLinkError(f"{path} line {k} is not a JSON object with a string "
+                                     "id and an object of fields")
             records.append(Record(item["id"], item["fields"], entity=-1))
     return records
 
@@ -97,7 +104,9 @@ def _load_pairs(path: str) -> set:
         for line in fh:
             line = line.strip()
             if line:
-                a, b = line.split(",", 1)
+                a, comma, b = line.partition(",")
+                if not comma:
+                    raise OblivLinkError(f"{path} holds a line that is not an a,b pair: {line!r}")
                 pairs.add((a, b))
     return pairs
 
@@ -113,6 +122,10 @@ def _write_pairs(path: str, pairs):
 
 def cmd_generate(args) -> int:
     config = _build_config(args)
+    if args.size < 0:
+        raise OblivLinkError(f"--size must be at least 0, not {args.size}")
+    if not 0 <= args.split <= 1:
+        raise OblivLinkError(f"--split must lie in [0, 1], not {args.split}")
     d1, d2, gold = generate_dataset(seed=config.seed, size=args.size,
                                     split=args.split)
     os.makedirs(args.out, exist_ok=True)
@@ -175,9 +188,13 @@ def _bench_cell(u1, u2, config: PipelineConfig):
 
 def cmd_bench(args) -> int:
     config = _build_config(args)
+    try:
+        thresholds = [float(t) for t in args.t_blocks.split(",")]
+    except ValueError:
+        raise OblivLinkError(f"--t-blocks {args.t_blocks} is not a comma-separated list "
+                             "of numbers") from None
     d1 = _load_records(os.path.join(args.data, "d1.jsonl"))
     d2 = _load_records(os.path.join(args.data, "d2.jsonl"))
-    thresholds = [float(t) for t in args.t_blocks.split(",")]
     grid = [PipelineConfig(**{**config.__dict__, "backend": backend,
                               "profile": config.profile if backend != "clear" else "generic",
                               "strategy": strategy, "t_block": t, "rho": 0.0})
@@ -214,6 +231,7 @@ def cmd_eval(args) -> int:
     d1 = _load_records(os.path.join(args.data, "d1.jsonl"))
     d2 = _load_records(os.path.join(args.data, "d2.jsonl"))
     gold = GoldStandard(frozenset(_load_pairs(os.path.join(args.data, "gold.csv"))))
+    matched = _load_pairs(args.matches) if args.matches else set()
     os.makedirs(args.out, exist_ok=True)
 
     if args.sweep:
@@ -226,7 +244,6 @@ def cmd_eval(args) -> int:
                          f"{row['report'].csv_row()}\n")
         print(f"sweep over {len(rows)} thresholds -> {args.out}/sweep.csv")
 
-    matched = _load_pairs(args.matches) if args.matches else set()
     hasher = MinHasher(config.num_perm, config.seed)
     blocked = plain_blocked_pairs(d1, d2, plan, hasher)
     report = compute_metrics(gold, blocked, matched, len(d1) * len(d2))
@@ -309,7 +326,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except OblivLinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except OSError as exc:  # a file a command reads or writes
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ import numpy as np
 from .backends.base import APPROX
 from .backends.local import LocalBackend
 from .errors import CapabilityError, DomainError
-from .machine import EQ_BIT_ERROR, Machine, PrivateScalar, PrivateVector, run_slots, slot_runs
+from .machine import (EQ_BIT_ERROR, Machine, PrivateScalar, PrivateVector, Runs, run_slots,
+                      slot_runs)
 
 # Public padding value for VR.  No owner's container equals it: it lies
 # outside pack 1's 16 bits, and as a pack-4 container it would repeat the
@@ -162,26 +163,17 @@ def ve_extend(mach: Machine, v1: PrivateVector, v2: PrivateVector):
     return mach.tile(v1, v2.length), mach.repeat_each(v2, v1.length)
 
 
-def _joined(mach: Machine, vectors: list[PrivateVector]) -> PrivateVector:
-    return vectors[0] if len(vectors) == 1 else mach.concat(*vectors)
-
-
-def _lengths(vectors: list[PrivateVector]) -> np.ndarray:
-    return np.array([v.length for v in vectors], dtype=np.int64)
-
-
-def _ve_counts(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVector],
-               cells: np.ndarray, max_slots: int) -> PrivateVector:
-    """VE over many cells at once.  Both sides are joined once; a public
-    gather then lays out every cell's tiled and repeated operands (the
-    layout of ``ve_extend``), one equality gate compares them and a width-1
-    segment sum counts each cell's equal slots.  Cells go in runs of at
-    most ``max_slots`` slots (a cell above it is a run of its own);
+def _ve_counts(mach: Machine, runs1: Runs, runs2: Runs, cells: np.ndarray,
+               max_slots: int) -> PrivateVector:
+    """VE over many cells at once.  A public gather from each side's flat
+    vector lays out every cell's tiled and repeated operands (the layout of
+    ``ve_extend``), one equality gate compares them and a width-1 segment
+    sum counts each cell's equal slots.  Cells go in runs of at most
+    ``max_slots`` slots (a cell above it is a run of its own);
     ``jaccard_cells`` passes ``run_slots`` of the matrix's shape, and the
     one-cell case its own slot count."""
-    len1, len2 = _lengths(enc1), _lengths(enc2)
-    off1, off2 = np.cumsum(len1) - len1, np.cumsum(len2) - len2
-    all1, all2 = _joined(mach, enc1), _joined(mach, enc2)
+    len1, len2 = runs1.lengths, runs2.lengths
+    off1, off2 = runs1.starts, runs2.starts
     i, j = cells[:, 0], cells[:, 1]
     slots = len1[i] * len2[j]
     parts = []
@@ -200,15 +192,15 @@ def _ve_counts(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVecto
         idx1 = (np.arange(int(n.sum()))
                 + np.repeat(np.repeat(off1[i[r]], blocks) - block_start, block_width))
         idx2 = np.repeat(elem2, block_width)
-        bits = mach.eeq(mach.take(all1, idx1), mach.take(all2, idx2))
+        bits = mach.eeq(mach.take(runs1.values, idx1), mach.take(runs2.values, idx2))
         counts = mach.segment_sum(bits, 1, n.tolist())
         parts.append(mach.take(counts, np.arange(len(n))))
-    return _joined(mach, parts)
+    return parts[0] if len(parts) == 1 else mach.concat(*parts)
 
 
 def isect_ve(mach: Machine, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
     """Vector extension: the one-cell case of the batched count."""
-    counts = _ve_counts(mach, [v1], [v2], np.zeros((1, 2), dtype=np.int64),
+    counts = _ve_counts(mach, Runs(v1), Runs(v2), np.zeros((1, 2), dtype=np.int64),
                         v1.length * v2.length)
     return mach.vget(counts, 0)
 
@@ -286,15 +278,15 @@ def _over_threshold(mach: Machine, inter: PrivateVector, sums: np.ndarray,
     return mach.gt(mach.add(inter, inter), mach.enc(cut), bound=2 * int(sums.max()) + 1)
 
 
-def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVector],
-                  cells, params: JaccardParams, strategy: Strategy) -> PrivateVector:
+def jaccard_cells(mach: Machine, runs1: Runs, runs2: Runs, cells, params: JaccardParams,
+                  strategy: Strategy) -> PrivateVector:
     """Private match bits of the public cells ``(i, j)``: bit k is 1 iff the
-    similarity of enc1[i] and enc2[j] lies above the threshold.
+    similarity of runs1's run i and runs2's run j lies above the threshold.
 
     VE runs batched over all cells (see ``_ve_counts``), in runs of at most
-    ``run_slots`` of the len(enc1) x len(enc2) matrix's shape; MJ joins every
-    cell in one backend call; the other strategies count each pair and
-    join the counts with one ``stack``.
+    ``run_slots`` of the len(runs1) x len(runs2) matrix's shape; MJ joins
+    every cell in one backend call; the other strategies count each pair
+    of ``slice``s and join the counts with one ``stack``.
     One threshold gate then decides every cell.  ``cells`` must not be
     empty.  On the approximate domain a count sums at most n² equality
     bits, n the longest record's container count, each off by up to
@@ -303,7 +295,7 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
     """
     require_strategy(mach, strategy)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-    len1, len2 = _lengths(enc1)[cells[:, 0]], _lengths(enc2)[cells[:, 1]]
+    len1, len2 = runs1.lengths[cells[:, 0]], runs2.lengths[cells[:, 1]]
     if mach.b.domain == APPROX:
         longest = int(max(len1.max(), len2.max()))
         worst = longest * longest * EQ_BIT_ERROR
@@ -312,11 +304,11 @@ def jaccard_cells(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVe
                 f"a count over records of {longest} containers may err by {worst:.3g}, "
                 "not under the 1/2 the threshold gate tolerates")
     if strategy is Strategy.VE:
-        inter = _ve_counts(mach, enc1, enc2, cells, run_slots((len(enc1), len(enc2))))
+        inter = _ve_counts(mach, runs1, runs2, cells, run_slots((len(runs1), len(runs2))))
     elif strategy is Strategy.MJ:
-        inter = mach.join_counts(enc1, enc2, cells)
+        inter = mach.join_counts(runs1, runs2, cells)
     else:
-        inter = mach.stack(*(_DISPATCH[strategy](mach, enc1[i], enc2[j])
+        inter = mach.stack(*(_DISPATCH[strategy](mach, runs1.run(i), runs2.run(j))
                              for i, j in cells.tolist()))
     return _over_threshold(mach, inter, len1 + len2, params)
 
@@ -325,5 +317,5 @@ def jaccard_match(mach: Machine, r1: PrivateVector, r2: PrivateVector,
                   params: JaccardParams, strategy: Strategy) -> PrivateScalar:
     """Private bit: similarity inter/(|r1|+|r2|-inter) above the threshold;
     the one-cell case of ``jaccard_cells``."""
-    bits = jaccard_cells(mach, [r1], [r2], [(0, 0)], params, strategy)
+    bits = jaccard_cells(mach, Runs(r1), Runs(r2), [(0, 0)], params, strategy)
     return mach.vget(bits, 0)

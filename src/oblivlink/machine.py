@@ -177,6 +177,36 @@ class PrivateMatrix(_PrivateValue):
 PrivateBool = PrivateScalar
 
 
+class Runs:
+    """One private vector, an upload pass's, read as consecutive runs of
+    public lengths that sum to its length (by default one run of all of it):
+    run k is the ``lengths[k]`` slots from ``starts[k]``.  Stages batch over
+    the runs at public offsets of ``values``; ``run(k)`` is one run alone."""
+
+    __slots__ = ("values", "lengths", "starts")
+
+    def __init__(self, values: PrivateVector, lengths=None):
+        self.values = values
+        self.lengths = np.asarray([values.length] if lengths is None else lengths,
+                                  dtype=np.int64)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def run(self, k: int) -> PrivateVector:
+        """Run k as one ``slice`` of the vector."""
+        lo = int(self.starts[k])
+        return Machine(self.values.ctx).slice(self.values, lo, lo + int(self.lengths[k]))
+
+    def positions(self, group) -> np.ndarray:
+        """The slots of the runs ``group`` lists, run after run: the public
+        index that gathers those runs as one vector."""
+        lengths = self.lengths[group]
+        return np.arange(int(lengths.sum())) + np.repeat(
+            self.starts[group] - (np.cumsum(lengths) - lengths), lengths)
+
+
 class Machine:
     """Operator set over one backend context, and the one definition of
     each primitive: the only place that records ledger and trace entries."""
@@ -215,9 +245,9 @@ class Machine:
         self.b._record("enc", payload.shape)
         return self._wrap(payload)
 
-    def enc_runs(self, flat, lengths) -> list[PrivateVector]:
-        """Encrypt consecutive runs of a flat public vector in one backend
-        call: vector k holds the next ``lengths[k]`` values.  The ledger and
+    def enc_runs(self, flat, lengths) -> Runs:
+        """Encrypt a flat public vector as consecutive runs, in one backend
+        ``enc``: run k is the next ``lengths[k]`` values.  The ledger and
         trace record one ``enc`` per run, as the same runs passed to ``enc``
         one at a time do.  Malformed runs are refused before the backend
         records, sends or stores anything.  The backend coerces ``flat``
@@ -227,9 +257,9 @@ class Machine:
         if len(shape) != 1 or min(lengths, default=0) < 0 or shape[0] != sum(lengths):
             raise ShapeError(f"runs of lengths {lengths} over a flat value of shape "
                              f"{shape}")
-        payloads = self.b.enc_runs(flat, lengths)
+        values = PrivateVector(self.b, self.b.enc(flat))
         self.b._record_each("enc", len(lengths), (((n,),) for n in lengths))
-        return [PrivateVector(self.b, p) for p in payloads]
+        return Runs(values, lengths)
 
     def reveal(self, value, authority) -> np.ndarray:
         """Decrypt under a valid authority, as a fresh array of the value's
@@ -510,32 +540,32 @@ class Machine:
         self.b._record("sort", v.payload.shape)
         return PrivateVector(self.b, self.b.sort(v.payload))
 
-    def join_counts(self, enc1: list[PrivateVector], enc2: list[PrivateVector],
-                    cells) -> PrivateVector:
-        """Equality-join cardinality of enc1[i] and enc2[j], unique-entry
-        vectors, for every public cell (i, j), as one vector (backend join
-        capability).  One backend call over the payload lists and the
-        ``(n, 2)`` cell array; the ledger and trace record one ``join`` per
-        cell, in cell order.  Every handle in both lists must belong to this
-        context, whether a cell names it or not, and a cell outside the
-        lists is refused before anything is recorded."""
-        self._check_ctx(*enc1, *enc2)
+    def join_counts(self, runs1: Runs, runs2: Runs, cells) -> PrivateVector:
+        """Equality-join cardinality of run i of ``runs1`` and run j of
+        ``runs2``, unique-entry runs, for every public cell (i, j), as one
+        vector (backend join capability).  One backend call over the two
+        flat payloads, their run lengths and the ``(n, 2)`` cell array; the
+        ledger and trace record one ``join`` per cell, in cell order.  A
+        cell outside the runs is refused before anything is recorded."""
+        self._check_ctx(runs1.values, runs2.values)
         self.b.require("join")
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
         # one pass per side: a negative index viewed as uint64 is at least 2^63
-        if len(cells) and (cells[:, 0].view(np.uint64).max() >= len(enc1)
-                           or cells[:, 1].view(np.uint64).max() >= len(enc2)):
-            raise ShapeError(f"join cells outside {len(enc1)} x {len(enc2)} vectors")
-        p1, p2 = [v.payload for v in enc1], [v.payload for v in enc2]
+        if len(cells) and (cells[:, 0].view(np.uint64).max() >= len(runs1)
+                           or cells[:, 1].view(np.uint64).max() >= len(runs2)):
+            raise ShapeError(f"join cells outside {len(runs1)} x {len(runs2)} runs")
         # the pairs' shapes enter the trace only while tracing
-        metas = ([(p1[i].shape, p2[j].shape) for i, j in cells.tolist()]
+        len1, len2 = runs1.lengths.tolist(), runs2.lengths.tolist()
+        metas = ([((len1[i],), (len2[j],)) for i, j in cells.tolist()]
                  if self.b.trace_enabled else ())
         self.b._record_each("join", len(cells), metas)
-        return PrivateVector(self.b, self.b.join_counts(p1, p2, cells))
+        return PrivateVector(self.b, self.b.join_counts(
+            runs1.values.payload, runs1.lengths, runs2.values.payload, runs2.lengths, cells))
 
     def join_count(self, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
         """The one-pair case of ``join_counts``."""
-        return PrivateScalar(self.b, self.join_counts([v1], [v2], [(0, 0)]).payload.reshape(()))
+        counts = self.join_counts(Runs(v1), Runs(v2), [(0, 0)])
+        return PrivateScalar(self.b, counts.payload.reshape(()))
 
     # -- ternary operators ----------------------------------------------------
 

@@ -22,7 +22,7 @@ import numpy as np
 from ..backends.base import (EXACT, KERNELS, PRODUCT_SHAPES, Backend, Capabilities,
                              tagged_rng, to_u64)
 from .runtime import COORD, DEALER, PARTIES, Collector, DealerActor, Network, PartyActor
-from .sharing import rand_u64, reconstruct3, share3
+from .sharing import reconstruct3, share3
 
 CAPS_MPC = Capabilities(native_eq=True, rotation=True, sort=False, join=False,
                         division=False)
@@ -58,8 +58,8 @@ class ShareRef:
 
 
 class MpcBackend(Backend):
-    """Shares in three party stores; ``enc``, ``enc_runs`` and ``dec`` move
-    them, and the three hooks compute on them."""
+    """Shares in three party stores; ``enc`` and ``dec`` move them, and the
+    three hooks compute on them."""
 
     kind = "mpc"
     profile = "3party-dealer"
@@ -134,51 +134,17 @@ class MpcBackend(Backend):
 
     # -- enc / dec ------------------------------------------------------------
 
-    def _store(self, parts, runs: list[tuple], tag):
-        """Upload one pass: each party receives its share component in one
-        ``store`` envelope, with each run's ``(hid, index)``.  The indices
-        are public control data, so the envelope's bytes are the
-        component's alone."""
-        send = self.net.send
-        for name, part in zip(PARTIES, parts):
-            send(COORD, name, "store", {"component": part, "runs": runs}, tag, part.nbytes)
-        self.net.pump()
-
     def enc(self, value) -> ShareRef:
+        """Upload one value, a pass's whole flat vector included: each party
+        gets its share component in one ``store`` envelope under its hid."""
         arr = to_u64(value)
         out = self._new_ref(arr.shape)
-        # the whole component, a scalar's included, is the one run
-        self._store(share3(arr, self.share_rng), [(out.hid, ...)], (self._stage, "enc"))
+        tag = (self._stage, "enc")
+        for name, part in zip(PARTIES, share3(arr, self.share_rng)):
+            self.net.send(COORD, name, "store", {"component": part, "hid": out.hid}, tag,
+                          part.nbytes)
+        self.net.pump()
         return out
-
-    def enc_runs(self, flat, lengths: list[int]) -> list[ShareRef]:
-        """Share every run in one draw and one upload pass: each party gets
-        one ``store`` envelope holding its component of the whole flat value
-        and every run's slice of it, so the messages count passes, not
-        runs.  An empty run list sends nothing."""
-        if not lengths:
-            return []
-        arr = to_u64(flat)
-        # Full-range draws split the stream exactly, so in one draw of two
-        # words per value, run k's two random components are the words
-        # share3 would draw for that run alone, after the runs before it.
-        words = rand_u64(self.share_rng, 2 * len(arr))
-        # flat value j, in a run of n values from lo, has its random
-        # components at words lo + j and lo + n + j: two gathers give every
-        # run's first two components, and one subtraction the third
-        counts = np.asarray(lengths, dtype=np.int64)
-        first = np.arange(len(arr)) + np.repeat(np.cumsum(counts) - counts, counts)
-        s0, s1 = words[first], words[first + np.repeat(counts, counts)]
-        with np.errstate(over="ignore"):
-            s2 = arr - s0 - s1
-        refs, runs, lo = [], [], 0
-        for n in lengths:
-            ref = self._new_ref((n,))
-            refs.append(ref)
-            runs.append((ref.hid, slice(lo, lo + n)))
-            lo += n
-        self._store((s0, s1, s2), runs, (self._stage, "enc"))
-        return refs
 
     def dec(self, payload: ShareRef) -> np.ndarray:
         tag = (self._stage, "dec")

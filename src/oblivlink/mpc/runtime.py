@@ -123,12 +123,10 @@ class Network:
 
 class PartyActor:
     """One computation party: a share store, and its side of the Beaver
-    multiplication and of the dealer gates.  An upload pass reaches it as
-    one ``store`` envelope: a share component and each run's
-    ``(hid, index)``, a ``slice(lo, hi)`` of a flat component or ``...``
-    for the whole, and it keeps the view ``component[index]`` under the
-    hid.  Protocol data that arrives during a hop waits in ``inbox`` until
-    the party's next step reads it.
+    multiplication and of the dealer gates.  An upload reaches it as one
+    ``store`` envelope, a share component and the hid it is kept under.
+    Protocol data that arrives during a hop waits in ``inbox`` until the
+    party's next step reads it.
     The backend runs each Beaver or gate primitive, all its hops included,
     inside one ``np.errstate(over="ignore")``, so share arithmetic here
     wraps without warnings."""
@@ -147,9 +145,7 @@ class PartyActor:
 
     def handle(self, env: Envelope):
         if env.kind == "store":
-            component = env.payload["component"]
-            for hid, index in env.payload["runs"]:
-                self.store[hid] = component[index]
+            self.store[env.payload["hid"]] = env.payload["component"]
         elif env.kind in ("triple", "open", "gate_result"):
             self.inbox.append(env.payload)
         else:

@@ -30,14 +30,12 @@ from .backends import make_backend
 from .backends.base import (APPROX, APPROX_EXACT_BITS, ROLE_HOST, ROLE_OWNER_1, ROLE_OWNER_2,
                             Transcript, tagged_rng)
 from .blocking import (PACKS, TOKEN_BITS, BandPlan, EncodedRecord, MinHasher, bigram_codes,
-                       block_index, encrypt_blocks, flat_column, optimal_band_plan,
-                       pack_records)
+                       block_index, flat_column, optimal_band_plan, pack_records)
 from .errors import DomainError, OblivLinkError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (PAD_SENTINEL, JaccardParams, Strategy, jaccard_cells,  # noqa: F401
                         jaccard_match, pick_strategy, require_strategy)
-from .machine import (EQ_BIT_ERROR, Machine, PrivateMatrix, PrivateVector, run_slots,
-                      slot_runs)
+from .machine import EQ_BIT_ERROR, Machine, PrivateMatrix, Runs, run_slots, slot_runs
 
 
 @dataclass
@@ -189,28 +187,36 @@ def _first_fault(runs: list, limit: int) -> tuple[int, bool] | None:
 # -- machine-level stages ----------------------------------------------------
 
 
-def _indicator(mach: Machine, blocks: list[PrivateVector], width: int) -> PrivateMatrix:
-    """len(blocks) x width matrix whose row k is 1 at the ids in blocks[k]."""
-    ids = mach.concat(*blocks)
-    onehot = mach.eeq(mach.repeat_each(ids, width),
-                      mach.tile(mach.enc(np.arange(width)), ids.length))
-    return mach.segment_sum(onehot, width, [b.length for b in blocks])
+def _indicator(mach: Machine, ids: Runs, group: np.ndarray, width: int) -> PrivateMatrix:
+    """len(group) x width matrix whose row k is 1 at the ids of run
+    group[k]: one public gather reads the group's runs from the flat ids."""
+    flat = mach.take(ids.values, ids.positions(group))
+    onehot = mach.eeq(mach.repeat_each(flat, width),
+                      mach.tile(mach.enc(np.arange(width)), flat.length))
+    return mach.segment_sum(onehot, width, ids.lengths[group].tolist())
 
 
-def merge_and_dedup(mach: Machine, b1: dict[str, PrivateVector],
-                    b2: dict[str, PrivateVector], shape: tuple[int, int]) -> PrivateMatrix:
+def merge_and_dedup(mach: Machine, blocks1: tuple[list[str], Runs],
+                    blocks2: tuple[list[str], Runs], shape: tuple[int, int]) -> PrivateMatrix:
     """Block merge: every cross id pair of a key present on both sides is a
-    candidate.  With the shared keys' id indicators stacked as U (keys x
-    rows) and V (keys x cols), cell (i, j) of Uᵀ·V counts the keys that
-    rows i and j share, so one matrix product per key group plus one
-    comparison gate flags, and deduplicates, the candidate matrix.  Keys
-    are grouped so that each side's one-hots stay within ``run_slots``."""
-    keys = [k for k in sorted(b1) if k in b2 and b1[k].length and b2[k].length]
+    candidate.  Each side's blocks are its keys and one run of ids per key.
+    With the shared keys' id indicators stacked as U (keys x rows) and V
+    (keys x cols), cell (i, j) of Uᵀ·V counts the keys that rows i and j
+    share, so one matrix product per key group plus one comparison gate
+    flags, and deduplicates, the candidate matrix.  Shared keys go in key
+    order, grouped so that each side's one-hots stay within ``run_slots``."""
+    (keys1, ids1), (keys2, ids2) = blocks1, blocks2
+    # each side's run of every shared key, in key order, empty runs dropped
+    _, at1, at2 = np.intersect1d(np.array(keys1, dtype=object), np.array(keys2, dtype=object),
+                                 assume_unique=True, return_indices=True)
+    live = (ids1.lengths[at1] > 0) & (ids2.lengths[at2] > 0)
+    at1, at2 = at1[live], at2[live]
+    len1, len2 = ids1.lengths[at1], ids2.lengths[at2]
     approx = mach.b.domain == APPROX
     if approx:
         # each one-hot slot errs by at most e = EQ_BIT_ERROR, so each cross
         # pair's product term by e(2+e); the sum must stay under 1/2
-        cross_pairs = sum(b1[k].length * b2[k].length for k in keys)
+        cross_pairs = int((len1 * len2).sum())
         worst = cross_pairs * EQ_BIT_ERROR * (2 + EQ_BIT_ERROR)
         if worst >= 0.5:
             raise DomainError(
@@ -219,18 +225,17 @@ def merge_and_dedup(mach: Machine, b1: dict[str, PrivateVector],
     rows, cols = shape
     # side 1's one-hot holds rows slots per id, side 2's cols; a group's
     # one-hots stay within the run budget on each side
-    sizes = [(b1[k].length * rows, b2[k].length * cols) for k in keys]
+    sizes = list(zip((len1 * rows).tolist(), (len2 * cols).tolist()))
     counts = None
     for run in slot_runs(sizes, run_slots(shape)):
-        group = keys[run.start:run.stop]
-        u = _indicator(mach, [b1[k] for k in group], rows)
-        v = _indicator(mach, [b2[k] for k in group], cols)
+        u = _indicator(mach, ids1, at1[run.start:run.stop], rows)
+        v = _indicator(mach, ids2, at2[run.start:run.stop], cols)
         part = mach.mul(mach.transpose(u), v)
         counts = part if counts is None else mach.add(counts, part)
     if counts is None:
         return mach.enc(np.zeros(shape, dtype=np.int64))
     # a cell counts at most every shared key
-    return mach.gt(counts, mach.enc(np.full(shape, 0.5 if approx else 0)), bound=len(keys))
+    return mach.gt(counts, mach.enc(np.full(shape, 0.5 if approx else 0)), bound=len(at1))
 
 
 def obfuscate(mach: Machine, cand: PrivateMatrix, policy: ObfuscationPolicy,
@@ -247,9 +252,8 @@ def obfuscate(mach: Machine, cand: PrivateMatrix, policy: ObfuscationPolicy,
     return obfu
 
 
-def filter_and_resolve(mach: Machine, enc1: list[PrivateVector], enc2: list[PrivateVector],
-                       obfu: np.ndarray, params: JaccardParams,
-                       strategy: Strategy):
+def filter_and_resolve(mach: Machine, records1: Runs, records2: Runs, obfu: np.ndarray,
+                       params: JaccardParams, strategy: Strategy):
     """Evaluate the match bit exactly where the revealed matrix is true;
     every other cell stays encrypted false.  All revealed cells go through
     one batched pass; one public gather then places each bit in the matrix,
@@ -258,7 +262,7 @@ def filter_and_resolve(mach: Machine, enc1: list[PrivateVector], enc2: list[Priv
     cells = np.argwhere(obfu)
     if not len(cells):
         return mach.enc(np.zeros(obfu.shape, dtype=np.int64)), 0
-    bits = jaccard_cells(mach, enc1, enc2, cells, params, strategy)
+    bits = jaccard_cells(mach, records1, records2, cells, params, strategy)
     place = np.full(obfu.shape, len(cells), dtype=np.int64)
     place[cells[:, 0], cells[:, 1]] = np.arange(len(cells))
     return mach.take(mach.concat(bits, mach.enc([0])), place), len(cells)
@@ -340,11 +344,13 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
                                          sizes))
         blocks = []
         for role, up in (("D1", u1), ("D2", u2)):
-            blocks.append(encrypt_blocks(up.index, mach))
-            keys = list(blocks[-1])
+            # every key's record ids in one pass, in key order: one enc per key
+            keys = sorted(up.index)
+            ids = [up.index[k] for k in keys]
+            blocks.append((keys, mach.enc_runs(flat_column(ids), [len(r) for r in ids])))
             backend.observe_batch(ROLE_HOST, ("block_key", (keys,)),
                                   ("block_size", ([role] * len(keys), keys,
-                                                  [len(up.index[k]) for k in keys])))
+                                                  [len(r) for r in ids])))
         return (*records, *blocks)
 
     enc1, enc2, b1, b2 = _run_stage(backend, "upload", upload)

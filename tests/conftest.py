@@ -38,6 +38,13 @@ def dec_round(mach, auth, value):
     return np.rint(np.asarray(out, dtype=np.float64)).astype(np.int64).tolist()
 
 
+def upload_runs(mach, vectors):
+    """The vectors as one upload pass: ``enc_runs`` of their values, run
+    after run."""
+    vectors = [list(v) for v in vectors]
+    return mach.enc_runs([x for v in vectors for x in v], [len(v) for v in vectors])
+
+
 def reference_eeq(mach, seq, idx):
     """``Machine.eeq`` without a native gate, as machine-level calls: the
     arithmetic workaround ``(seq-idx) * (-1/(seq-idx+xi)) + 1``, one call

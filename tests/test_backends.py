@@ -7,7 +7,7 @@ import pytest
 
 from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, PipelineConfig,
                        Strategy, TaintViolation, assert_oblivious, generate_dataset,
-                       jaccard_match, intersection_size, make_backend, run_pper)
+                       jaccard_match, intersection_size, make_backend, run_pper, Runs)
 from oblivlink.backends import (CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, Backend,
                                 SimBackend)
 from oblivlink.backends.base import KERNELS, to_u64
@@ -259,7 +259,7 @@ def test_shared_primitives_are_defined_once_on_machine():
 @pytest.mark.parametrize("spec, call, error", [
     ("sim:sharemind", lambda mach, v: mach.rshift(v, 1), CapabilityError),
     ("mpc", lambda mach, v: mach.sort_vec(v), CapabilityError),
-    ("mpc", lambda mach, v: mach.join_counts([v], [v], [(0, 0)]), CapabilityError),
+    ("mpc", lambda mach, v: mach.join_counts(Runs(v), Runs(v), [(0, 0)]), CapabilityError),
     ("mpc", lambda mach, v: mach.masked_reciprocal(v), CapabilityError),
     ("clear", lambda mach, v: mach.masked_reciprocal(v), DomainError),
 ])
@@ -274,9 +274,8 @@ def test_a_capability_refusal_records_nothing(spec, call, error):
 
 
 class _BareBackend(Backend):
-    """Only what a backend must supply, over numpy values: enc, enc_runs,
-    dec, the three kernel hooks, sort and join_counts.  It records
-    nothing."""
+    """Only what a backend must supply, over numpy values: enc, dec, the
+    three kernel hooks, sort and join_counts.  It records nothing."""
 
     kind = "bare"
 
@@ -285,10 +284,6 @@ class _BareBackend(Backend):
 
     def enc(self, value):
         return to_u64(value)
-
-    def enc_runs(self, flat, lengths):
-        values, ends = to_u64(flat), np.cumsum(lengths, dtype=np.int64)
-        return [values[hi - n:hi] for n, hi in zip(lengths, ends)]
 
     def dec(self, payload):
         return payload.view(np.int64).copy()
@@ -306,7 +301,8 @@ class _BareBackend(Backend):
     def sort(self, v):
         return np.sort(v.view(np.int64)).view(np.uint64)
 
-    def join_counts(self, p1, p2, cells):
+    def join_counts(self, v1, len1, v2, len2, cells):
+        p1, p2 = np.split(v1, np.cumsum(len1)[:-1]), np.split(v2, np.cumsum(len2)[:-1])
         return to_u64([len(np.intersect1d(p1[i], p2[j], assume_unique=True))
                        for i, j in cells.tolist()])
 
@@ -319,7 +315,7 @@ def test_a_backend_that_only_computes_records_what_clear_records():
         v = mach.enc([5, -3, 9, 1])
         runs = mach.enc_runs([4, 9, 7, 1, 5], [2, 3])
         out = [mach.rshift(v, 1), mach.lshift(v, 3), mach.sort_vec(v),
-               mach.join_counts(runs, [v], [(0, 0), (1, 0)]), mach.eeq(v, mach.sort_vec(v))]
+               mach.join_counts(runs, Runs(v), [(0, 0), (1, 0)]), mach.eeq(v, mach.sort_vec(v))]
         values = [mach.dec(x, auth) for x in out]
         return values, backend.ledger.rows(), list(backend.trace)
 

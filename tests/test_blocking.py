@@ -11,7 +11,7 @@ from oblivlink import (Machine, MinHasher, band_keys, build_block_index,
                        make_backend, optimal_band_plan, pack_tokens,
                        tokenize_bigrams)
 from oblivlink.blocking import (BandPlan, TokenSet, bigram_codes, block_index,
-                                collision_probability, encrypt_blocks, pack_records)
+                                collision_probability, flat_column, pack_records)
 
 
 # -- tokenization -----------------------------------------------------------
@@ -284,6 +284,13 @@ def test_identical_records_share_every_key():
     assert all(rows == [0, 1] for rows in index.values())
 
 
+@pytest.mark.parametrize("fp_weight, fn_weight", [
+    (float("nan"), 0.5), (0.5, float("inf")), (-1.0, 0.5), (0.5, -0.25), (0.0, 0.0)])
+def test_band_plan_refuses_degenerate_weights(fp_weight, fn_weight):
+    with pytest.raises(ValueError, match="band plan weights"):
+        optimal_band_plan(0.5, 128, fp_weight, fn_weight)
+
+
 def test_build_blocks_encrypts_id_vectors():
     backend = make_backend("clear")
     mach = Machine(backend)
@@ -292,9 +299,10 @@ def test_build_blocks_encrypts_id_vectors():
     plan = optimal_band_plan(0.5)
     index = build_block_index([tokenize_bigrams("peter jones", "a"),
                                tokenize_bigrams("peter jomes", "b")], plan, hasher)
-    blocks = encrypt_blocks(index, mach)
-    for key, vec in blocks.items():
-        ids = mach.dec(vec, auth)
+    runs = [index[key] for key in sorted(index)]
+    blocks = mach.enc_runs(flat_column(runs), [len(r) for r in runs])
+    for k in range(len(runs)):
+        ids = mach.dec(blocks.run(k), auth)
         assert all(i in (0, 1) for i in ids)
 
 

@@ -173,6 +173,7 @@ def blocks_60(tmp_path_factory):
     return root / "blocks"
 
 
+WEIGHTS = "bad config: band plan weights must be finite, non-negative and not both 0"
 # (flags, config file lines, what the error line says); each once printed a
 # traceback, or failed only after upload and merge had run
 BAD_CONFIG_VALUES = [
@@ -190,6 +191,12 @@ BAD_CONFIG_VALUES = [
     # equal, and linked extra pairs
     (["--pack", "4"], "backend=sim\nprofile=simd",
      "pack 4 containers of 64 bits do not fit the 53 bits that sim/simd holds exactly"),
+    # a NaN, infinite or negative weight, or two zero ones, once gave a 1 x 1
+    # or a 128 x 1 band plan that block wrote and link linked on
+    (["--fp-weight", "nan"], "", WEIGHTS),
+    (["--fp-weight", "inf"], "", WEIGHTS),
+    ([], "fn_weight=-1", WEIGHTS),
+    (["--fp-weight", "0", "--fn-weight", "0"], "", WEIGHTS),
 ]
 
 
@@ -212,6 +219,7 @@ def test_bad_config_values_are_refused_before_any_work(command, flags, lines, me
     (["--t-blocks", "0.5,1.5"], "bad config: blocking threshold must lie strictly between"),
     (["--backends", "clear,sim", "--profile", "simd", "--pack", "4"],
      "pack 4 containers of 64 bits do not fit"),
+    (["--fp-weight", "-1"], WEIGHTS),
 ])
 def test_bench_refuses_a_bad_grid_config_before_any_work(flags, message, blocks_60,
                                                          tmp_path, capsys):
@@ -219,6 +227,59 @@ def test_bench_refuses_a_bad_grid_config_before_any_work(flags, message, blocks_
     out = tmp_path / "bench"
     assert main(["bench", "--data", str(blocks_60.parent / "data"), "--out", str(out)]
                 + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not out.exists()
+
+
+def _corpus_without(blocks_60, tmp_path, missing, d1_line=None):
+    """A copy of the 60-record corpus without the files in ``missing``, its
+    d1.jsonl cut to one line ``d1_line`` when that is given."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("d1.jsonl", "d2.jsonl", "gold.csv"):
+        if name not in missing:
+            (data / name).write_bytes((blocks_60.parent / "data" / name).read_bytes())
+    if d1_line is not None:
+        (data / "d1.jsonl").write_text(d1_line + "\n")
+    return str(data)
+
+
+# (command and flags, files the corpus lacks, its one d1 line, what the
+# error line says); each once printed a traceback, or, for generate, quietly
+# wrote 0+0 or 10+0 records
+BAD_INPUTS = [
+    (["link", "--config", "{tmp}/missing.config"], (), None,
+     "missing.config: No such file or directory"),
+    (["block"], ("d1.jsonl",), None, "d1.jsonl: No such file or directory"),
+    (["eval"], ("d2.jsonl",), None, "d2.jsonl: No such file or directory"),
+    (["bench"], ("d1.jsonl", "d2.jsonl"), None, "d1.jsonl: No such file or directory"),
+    (["eval"], ("gold.csv",), None, "gold.csv: No such file or directory"),
+    (["block"], (), "not json", "d1.jsonl line 1 is not a JSON object with a string id"),
+    (["eval"], (), '["a", {}]', "d1.jsonl line 1 is not a JSON object with a string id"),
+    (["bench"], (), '{"id": "a"}', "d1.jsonl line 1 is not a JSON object with a string id"),
+    (["block"], (), '{"fields": {}}', "d1.jsonl line 1 is not a JSON object with a string id"),
+    (["eval", "--matches", "{tmp}/missing.csv"], (), None,
+     "missing.csv: No such file or directory"),
+    (["eval", "--matches", "{tmp}/one-id.csv"], (), None,
+     "one-id.csv holds a line that is not an a,b pair: 'rec-000-org'"),
+    (["bench", "--t-blocks", "abc"], (), None,
+     "--t-blocks abc is not a comma-separated list of numbers"),
+    (["generate", "--size", "-5"], (), None, "--size must be at least 0, not -5"),
+    (["generate", "--split", "1.5"], (), None, "--split must lie in [0, 1], not 1.5"),
+]
+
+
+@pytest.mark.parametrize("argv, missing, d1_line, message", BAD_INPUTS)
+def test_bad_inputs_are_refused_with_one_line(argv, missing, d1_line, message, blocks_60,
+                                              tmp_path, capsys):
+    (tmp_path / "one-id.csv").write_text("rec-000-org\n")
+    data = _corpus_without(blocks_60, tmp_path, missing, d1_line)
+    command, *flags = [a.format(tmp=tmp_path) for a in argv]
+    source = {"link": ["--blocks", str(blocks_60)], "generate": []}.get(
+        command, ["--data", data])
+    out = tmp_path / "out"
+    assert main([command, *source, "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
     assert not out.exists()

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oblivlink import (DomainError, JaccardParams, MinHasher, PipelineConfig, Strategy,
+from oblivlink import (DomainError, JaccardParams, MinHasher, PipelineConfig, Runs, Strategy,
                        assert_oblivious, generate_dataset, jaccard_cells, optimal_band_plan,
                        plain_blocked_pairs, plain_matches, run_pper, supported_strategies)
 from oblivlink.pipeline import filter_and_resolve
 
-from conftest import ALL_BACKENDS, dec_round, open_machine
+from conftest import ALL_BACKENDS, dec_round, open_machine, upload_runs
 
 MAX_LEN = 5  # tokens per record, so a union holds at most 2 * MAX_LEN
 # Reachable ratios i/u with u <= 10 lie at least 1/90 apart, so a ratio
@@ -72,7 +72,7 @@ def test_filter_equals_exact_jaccard_oracle(spec, strategy, inputs):
     mach, auth, _ = open_machine(spec)
     t = _threshold(recs1, recs2, pick)
     results, evaluated = filter_and_resolve(
-        mach, [mach.enc(r) for r in recs1], [mach.enc(r) for r in recs2], obfu,
+        mach, upload_runs(mach, recs1), upload_runs(mach, recs2), obfu,
         JaccardParams(t), strategy)
     got = dec_round(mach, auth, results)
     want = [[int(bool(obfu[i, j]) and _jaccard(r1, r2) > t) for j, r2 in enumerate(recs2)]
@@ -101,8 +101,7 @@ def test_filter_twin_traces_identical(spec, strategy):
     def trace(recs):
         mach, _, b = open_machine(spec)
         b.enable_trace()
-        filter_and_resolve(mach, [mach.enc(list(r)) for r in recs[0]],
-                           [mach.enc(list(r)) for r in recs[1]], obfu,
+        filter_and_resolve(mach, upload_runs(mach, recs[0]), upload_runs(mach, recs[1]), obfu,
                            JaccardParams(Fraction(1, 2)), strategy)
         out = list(b.trace)
         return out
@@ -151,8 +150,8 @@ def test_simd_cell_past_the_count_error_bound_raises_before_any_work():
         params = JaccardParams(Fraction(1, 2))
         if refused:
             with pytest.raises(DomainError):
-                jaccard_cells(mach, [r1], [r2], [(0, 0)], params, Strategy.VE)
+                jaccard_cells(mach, Runs(r1), Runs(r2), [(0, 0)], params, Strategy.VE)
             assert b.ledger.total() == 0
         else:
-            bits = jaccard_cells(mach, [r1], [r2], [(0, 0)], params, Strategy.VE)
+            bits = jaccard_cells(mach, Runs(r1), Runs(r2), [(0, 0)], params, Strategy.VE)
             assert dec_round(mach, auth, bits) == [1]  # 699/701 > 1/2

@@ -14,9 +14,10 @@ from oblivlink import (CapabilityError, ContextMismatchError, JaccardParams, Mac
 from oblivlink.backends import CAPS_ALL, CAPS_SIMD, local
 from oblivlink.intersect import (_dry_run_ops, _ve_counts, estimated_cost, isect_so, isect_vr,
                                  so_adjacent_diff, ve_extend, vr_diff_sequence)
-from oblivlink.machine import slot_runs
+from oblivlink.machine import Runs, slot_runs
 
-from conftest import ALL_BACKENDS, LOCAL_EXACT, dec_round, open_machine, reference_ve_indices
+from conftest import (ALL_BACKENDS, LOCAL_EXACT, dec_round, open_machine, reference_ve_indices,
+                      upload_runs)
 
 
 def _oracle(v1, v2):
@@ -114,7 +115,7 @@ def test_join_counts_equal_set_intersections(spec, rows, cols, data):
     cells = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
                                          st.integers(0, len(cols) - 1)), max_size=8))
     mach, auth, b = open_machine(spec)
-    enc1, enc2 = [mach.enc(list(s)) for s in rows], [mach.enc(list(s)) for s in cols]
+    enc1, enc2 = upload_runs(mach, rows), upload_runs(mach, cols)
     b.enable_trace()
     counts = mach.join_counts(enc1, enc2, cells)
     # one join per cell, in cell order, as many one-pair joins record
@@ -147,7 +148,7 @@ def test_join_counts_equal_per_cell_intersect1d(spec, rows, cols, chunk, data):
     cells = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
                                          st.integers(0, len(cols) - 1)), max_size=10))
     mach, auth, b = open_machine(spec)
-    enc1, enc2 = [mach.enc(r) for r in rows], [mach.enc(c) for c in cols]
+    enc1, enc2 = upload_runs(mach, rows), upload_runs(mach, cols)
     with mock.patch.object(local, "_JOIN_CHUNK", chunk):
         counts = mach.join_counts(enc1, enc2, cells)
     assert b.ledger.counts.get(("main", "join"), 0) == len(cells)
@@ -157,20 +158,20 @@ def test_join_counts_equal_per_cell_intersect1d(spec, rows, cols, chunk, data):
 @pytest.mark.parametrize("cells", [[(2, 0)], [(0, 1)], [(-1, 0)], [(0, 0), (0, -1)]])
 def test_join_counts_refuse_a_cell_outside_the_lists(cells):
     mach, _, b = open_machine("clear")
-    v = mach.enc([1, 2])
+    runs1, runs2 = upload_runs(mach, [[1, 2], [1, 2]]), upload_runs(mach, [[1, 2]])
     b.enable_trace()
     with pytest.raises(ShapeError):
-        mach.join_counts([v, v], [v], cells)
+        mach.join_counts(runs1, runs2, cells)
     assert b.trace == [] and not b.ledger.by_op().get("join")
 
 
 def test_join_counts_refuses_a_foreign_handle_in_either_list():
-    # each list is checked whole, whether a cell names the handle or not
+    # runs of another context are refused on either side
     mach, _, b = open_machine("clear")
     other, _, _ = open_machine("clear")
-    v, foreign = mach.enc([1, 2]), other.enc([2])
+    v, foreign = upload_runs(mach, [[1, 2]]), upload_runs(other, [[2]])
     b.enable_trace()
-    for enc1, enc2 in (([v, foreign], [v]), ([v], [v, foreign])):
+    for enc1, enc2 in ((foreign, v), (v, foreign)):
         with pytest.raises(ContextMismatchError):
             mach.join_counts(enc1, enc2, [(0, 0)])
     assert b.trace == []
@@ -188,7 +189,8 @@ def test_ve_gathers_the_slot_formula_layout(spec, rows, cols, data):
     # a run bound below one cell's slots splits runs down to single cells
     max_slots = data.draw(st.integers(1, 2 * max(slots) + 1))
     mach, auth, _ = open_machine(spec)
-    enc1, enc2 = [mach.enc(sorted(s)) for s in rows], [mach.enc(sorted(s)) for s in cols]
+    enc1 = upload_runs(mach, [sorted(s) for s in rows])
+    enc2 = upload_runs(mach, [sorted(s) for s in cols])
     taken, take = [], Machine.take
 
     def capture(mach, v, idx):
@@ -213,7 +215,7 @@ def test_join_counts_refused_without_the_join_capability(spec):
     v1, v2 = mach.enc([1, 2]), mach.enc([2, 3])
     with b.stage("filter_er"):
         with pytest.raises(CapabilityError):
-            mach.join_counts([v1], [v2], [(0, 0)])
+            mach.join_counts(Runs(v1), Runs(v2), [(0, 0)])
     assert not b.ledger.by_stage().get("filter_er")
 
 

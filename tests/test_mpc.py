@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from oblivlink import (DomainError, JaccardParams, Machine, PipelineConfig, ShapeError, Strategy,
-                       generate_dataset, jaccard_match, run_pper)
+from oblivlink import (DomainError, JaccardParams, Machine, PipelineConfig, Runs, ShapeError,
+                       Strategy, generate_dataset, jaccard_match, run_pper)
 from oblivlink.backends import base
 from oblivlink.backends.base import KERNELS, tagged_rng
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
@@ -230,7 +230,7 @@ def test_primitive_has_finished_when_it_returns(op):
     mach, auth, b = open_machine("mpc", seed=19)
     x, y = mach.enc([3, 9, 4]), mach.enc([3, 1, 5])
     out = {"enc": lambda: [mach.enc([7, 8])],
-           "enc_runs": lambda: mach.enc_runs([7, 8, 6], [2, 0, 1]),
+           "enc_runs": lambda: _each_run(mach.enc_runs([7, 8, 6], [2, 0, 1])),
            "mul": lambda: [mach.mul(x, y)],
            "eeq": lambda: [mach.eeq(x, y)],
            "gt": lambda: [mach.gt(x, y, bound=8)],
@@ -242,40 +242,34 @@ def test_primitive_has_finished_when_it_returns(op):
     assert [mach.dec(v, auth) for v in out] == want
 
 
-def _enc_each_run(mach, flat, lengths):
-    out, lo = [], 0
-    for n in lengths:
-        out.append(mach.enc(flat[lo:lo + n]))
-        lo += n
-    return out
+def _each_run(runs) -> list:
+    return [runs.run(k) for k in range(len(runs))]
 
 
 @pytest.mark.parametrize("spec", ALL_BACKENDS)
 @given(lengths=st.lists(st.integers(0, 6), max_size=6), data=st.data())
-def test_enc_runs_equals_enc_one_run_at_a_time(spec, lengths, data):
+def test_enc_runs_equals_enc_of_the_flat_value(spec, lengths, data):
     total = sum(lengths)
     flat = data.draw(st.lists(st.integers(0, (1 << 40) - 1), min_size=total, max_size=total))
-    seen, messages = [], []
-    for encrypt in (_enc_each_run, Machine.enc_runs):
+    seen = []
+    for batched in (False, True):
         mach, auth, b = open_machine(spec, seed=31)
         b.enable_trace()
-        vectors = encrypt(mach, flat, lengths)
-        ledger, trace = b.ledger.rows(), list(b.trace)
-        stats = None
-        if spec == "mpc":
-            # rounds and bytes per line; the messages column apart
-            rows = [line.split(",") for line in b.round_stats().to_csv().splitlines()]
-            stats = [row[:3] + row[4:] for row in rows]
-            messages.append({int(row[3]) for row in rows[1:]})
-        shares = ([[p.store[v.payload.hid].tolist() for p in b.parties] for v in vectors]
+        runs = mach.enc_runs(flat, lengths) if batched else Runs(mach.enc(flat))
+        shares = ([p.store[runs.values.payload.hid].tolist() for p in b.parties]
                   if spec == "mpc" else None)
-        seen.append((ledger, trace, stats, shares, [dec_round(mach, auth, v) for v in vectors]))
-    assert seen[0] == seen[1]
-    if spec == "mpc":
-        # one store envelope per party per run, against one per enc_runs call
-        assert messages == [{3 * len(lengths)}, {3 if lengths else 0}]
+        seen.append((b.ledger.rows(), list(b.trace),
+                     b.round_stats().to_csv() if spec == "mpc" else None, shares,
+                     dec_round(mach, auth, runs.values)))
+    # the upload enc(flat) makes, with one ledger and trace entry per run
+    (ledger, trace, *same), (got_ledger, got_trace, *got_same) = seen
+    assert ledger == [("main", "enc", 1)] and trace == [("enc", (total,))]
+    assert got_ledger == ([("main", "enc", len(lengths))] if lengths else [])
+    assert got_trace == [("enc", (n,)) for n in lengths]
+    assert got_same == same and same[-1] == flat
     starts = np.cumsum([0] + lengths).tolist()
-    assert seen[1][-1] == [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    assert ([dec_round(mach, auth, v) for v in _each_run(runs)]
+            == [flat[lo:hi] for lo, hi in zip(starts, starts[1:])])
 
 
 @given(lengths=st.lists(st.integers(0, 5), min_size=2, max_size=5), data=st.data())
@@ -283,23 +277,29 @@ def test_enc_runs_sends_each_party_one_store_envelope(lengths, data):
     total = sum(lengths)
     flat = data.draw(st.lists(st.integers(0, MASK64), min_size=total, max_size=total))
     shares = []
-    for encrypt in (_enc_each_run, Machine.enc_runs):
+    for batched in (False, True):
         b = MpcBackend(seed=34, record_messages=True)
-        vectors = encrypt(Machine(b), flat, lengths)
-        shares.append([[p.store[v.payload.hid].tolist() for p in b.parties] for v in vectors])
+        mach = Machine(b)
+        runs = mach.enc_runs(flat, lengths) if batched else Runs(mach.enc(flat))
+        shares.append([p.store[runs.values.payload.hid].tolist() for p in b.parties])
     assert [(env.kind, env.dst) for env in b.net.log] == [("store", p) for p in PARTIES]
     assert all(env.nbytes == env.payload["component"].nbytes == 8 * total
                for env in b.net.log)
     assert shares[0] == shares[1]
 
 
-def test_enc_runs_of_no_runs_sends_and_stores_nothing():
+def test_enc_runs_of_no_runs_is_enc_of_an_empty_vector():
+    # three empty store envelopes, as enc([]) sends, and no share drawn
     b = MpcBackend(seed=35, record_messages=True)
     state = b.share_rng.bit_generator.state
-    assert Machine(b).enc_runs([], []) == []
+    runs = Machine(b).enc_runs([], [])
+    assert len(runs) == 0 and runs.values.length == 0
     counts = b.round_stats()
-    assert b.net.log == [] and (counts.rounds, counts.messages, counts.bytes) == (0, 0, 0)
-    assert all(not p.store for p in b.parties)
+    assert [(env.kind, env.dst, env.nbytes) for env in b.net.log] == [
+        ("store", p, 0) for p in PARTIES]
+    assert (counts.rounds, counts.messages, counts.bytes) == (0, 3, 0)
+    assert all(list(p.store) == [runs.values.payload.hid] for p in b.parties)
+    assert b.ledger.rows() == []
     assert b.share_rng.bit_generator.state == state
 
 
@@ -309,7 +309,7 @@ def test_enc_runs_keeps_64_bit_values_exact(spec):
     # float64 on its way to the backend, and the large ones lost their low bits
     mach, auth, _ = open_machine(spec, seed=33)
     flat = [1, (1 << 63) + 5, (1 << 64) - 1]
-    vectors = mach.enc_runs(flat, [1, 2])
+    vectors = _each_run(mach.enc_runs(flat, [1, 2]))
     assert [[v % (1 << 64) for v in mach.dec(vec, auth)] for vec in vectors] == [flat[:1], flat[1:]]
 
 

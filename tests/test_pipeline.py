@@ -19,15 +19,16 @@ from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, Min
                        prepare_upload)
 from oblivlink import intersect, machine
 from oblivlink.blocking import EncodedRecord
-from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, slot_runs
+from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, Runs, slot_runs
 from oblivlink.intersect import PAD_SENTINEL
 from oblivlink.pipeline import finalize, filter_and_resolve, merge_and_dedup, obfuscate
 
-from conftest import ALL_BACKENDS, open_machine, reference_eeq, reference_ve_indices
+from conftest import ALL_BACKENDS, open_machine, reference_eeq, reference_ve_indices, upload_runs
 
 
 def _enc_blocks(mach, plain):
-    return {k: mach.enc(v) for k, v in plain.items()}
+    keys = sorted(plain)
+    return keys, upload_runs(mach, [plain[k] for k in keys])
 
 
 # -- merge and dedup -----------------------------------------------------------
@@ -177,8 +178,8 @@ def test_obfuscation_policy_validation():
 
 
 def _tiny_records(mach):
-    enc1 = [mach.enc([1, 2, 3]), mach.enc([7, 8, 9])]
-    enc2 = [mach.enc([1, 2, 3]), mach.enc([50, 60, 70])]
+    enc1 = upload_runs(mach, [[1, 2, 3], [7, 8, 9]])
+    enc2 = upload_runs(mach, [[1, 2, 3], [50, 60, 70]])
     return enc1, enc2
 
 
@@ -417,19 +418,20 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
     encrypted = []
 
     def per_value_upload(mach, flat, lengths):
+        # one enc per run, the runs then joined into the pass's one vector
         out, lo = [], 0
         for n in lengths:
             encrypted.append(list(flat[lo:lo + n]))
             out.append(mach.enc(flat[lo:lo + n]))
             lo += n
-        return out
+        return Runs(mach.concat(*out), lengths)
 
     batched_join = Machine.join_counts
 
-    def per_cell_join(mach, enc1, enc2, cells):
+    def per_cell_join(mach, runs1, runs2, cells):
         # MJ before batching: one one-pair join per cell, then one stack
         return mach.stack(*(PrivateScalar(mach.b, batched_join(
-            mach, [enc1[i]], [enc2[j]], [(0, 0)]).payload.reshape(()))
+            mach, runs1, runs2, [(i, j)]).payload.reshape(()))
             for i, j in np.asarray(cells).tolist()))
 
     outputs = []
@@ -448,6 +450,16 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
                             backend.ledger.rows()))
     assert encrypted == per_value
     (matches, transcript, trace, rounds, ledger), batched = outputs
+    # the reference joins each of the four passes (D1's and D2's records,
+    # then their block ids) with one concat in upload, its first stage
+    cuts = np.cumsum([0, len(u1.encoded), len(u2.encoded), len(u1.index), len(u2.index)])
+    concats = [k for k, e in enumerate(trace) if e[0] == "concat"][:4]
+    assert [trace[k] for k in concats] == [
+        ("concat",) + tuple((len(v),) for v in per_value[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])]
+    assert ("upload", "concat", 4) in ledger
+    trace = [e for k, e in enumerate(trace) if k not in concats]
+    ledger = [row for row in ledger if row[:2] != ("upload", "concat")]
     if rounds is not None:
         # the one difference in rounds.csv: an enc_runs pass sends each party
         # one store envelope, so upload messages count the four passes (D1's
@@ -469,11 +481,10 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
     assert batched == (matches, transcript, trace, rounds, ledger)
 
 
-def _reference_ve_counts(mach, enc1, enc2, cells, max_slots):
+def _reference_ve_counts(mach, runs1, runs2, cells, max_slots):
     """VE's batched count with each run's gather indices by the slot formula."""
-    len1, len2 = [v.length for v in enc1], [v.length for v in enc2]
-    all1 = enc1[0] if len(enc1) == 1 else mach.concat(*enc1)
-    all2 = enc2[0] if len(enc2) == 1 else mach.concat(*enc2)
+    len1, len2 = runs1.lengths.tolist(), runs2.lengths.tolist()
+    all1, all2 = runs1.values, runs2.values
     slots = [len1[i] * len2[j] for i, j in cells.tolist()]
     parts = []
     for run in slot_runs([(n,) for n in slots], max_slots):
