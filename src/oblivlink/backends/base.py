@@ -42,8 +42,8 @@ ROLE_HOST = "P3"
 # Offset of every approximate equality (the arithmetic workaround that
 # ``LocalBackend.approx_eq`` runs).  On integer inputs a slot whose
 # difference d is not 0 yields xi/(d+xi), so its bit errs by at most
-# EQ_BIT_ERROR = xi/(1-xi) (at d = -1); the approximate-domain guards of
-# merge and of the Jaccard count bound their sums of bits with it.
+# EQ_BIT_ERROR = xi/(1-xi) (at d = -1); the Jaccard count's
+# approximate-domain guard bounds its sums of bits with it.
 XI_DEFAULT = 1e-6
 EQ_BIT_ERROR = XI_DEFAULT / (1 - XI_DEFAULT)
 
@@ -75,23 +75,18 @@ def segment_sum(v: np.ndarray, width: int, lengths) -> np.ndarray:
     empty run gives a zero row.  Linear, so it applies to additive shares
     as it does to values (uint64 sums wrap).
 
-    A 2-D ``np.add.reduceat`` pays for every (run, column) pair, about 8 ns
-    each, which dominates when rows are wide and runs short, as merge's
-    one-hot rows are.  Wrapping uint64 sums are exact in any order, so
-    there the run heads are gathered in one pass and each further row depth
-    is added to the runs that reach it, at about 10 us of calls per depth;
-    float64 sums keep reduceat's summation order.  Width 1 is one 1-D
-    reduceat, bit for bit the 2-D one.  The choice reads only the dtype and
-    the shapes, both public."""
+    A 2-D ``np.add.reduceat`` pays for every (run, column) pair, so one run
+    of wide rows, as merge's bands are, is one sum down its rows.  Width 1
+    is one 1-D reduceat, bit for bit the 2-D one.  The choice reads only
+    the shapes, which are public."""
     lengths = np.asarray(lengths, dtype=np.int64)
     ends = np.cumsum(lengths)
     starts = ends - lengths
     total = int(ends[-1]) if len(ends) else 0
     rows = v.reshape(total) if width == 1 else v.reshape(total, width)
-    if width > 1 and v.dtype == np.uint64:
-        depth = int(lengths.max()) if len(lengths) else 0
-        if len(lengths) * width > 1250 * (depth - 1):
-            return _depth_sums(rows, starts, lengths, depth)
+    if width > 1 and len(lengths) == 1:
+        with np.errstate(over="ignore"):
+            return rows.sum(axis=0, dtype=v.dtype).reshape(1, width)
     if len(lengths) and lengths.all():
         # no run is empty: one reduceat gives every row
         with np.errstate(over="ignore"):
@@ -105,105 +100,13 @@ def segment_sum(v: np.ndarray, width: int, lengths) -> np.ndarray:
     return sums.reshape(len(lengths), width)
 
 
-def _depth_sums(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                depth: int) -> np.ndarray:
-    """``segment_sum`` of uint64 rows, the longest run ``depth`` rows long:
-    the run heads in one gather, then row d of every run longer than d
-    added to its sum, for d = 1 .. depth - 1."""
-    live = np.flatnonzero(lengths)
-    if len(live) == len(lengths):
-        out = rows[starts]
-    else:
-        out = np.zeros((len(lengths), rows.shape[1]), dtype=rows.dtype)
-        out[live] = rows[starts[live]]
-    for d in range(1, depth):
-        live = np.flatnonzero(lengths > d)
-        out[live] += rows[starts[live] + d]
-    return out
-
-
-# numpy has no integer BLAS, so an exact uint64 product runs on float BLAS
-# over 16-bit limbs.  One limb product term is below 2^32, so a sum of up to
-# _INNER_CHUNK terms stays below 2^53, where float64 holds every integer
-# exactly; longer inner dimensions are summed chunk by chunk.  When the
-# operands' largest limbs bound every sum below 2^24, as merge's 0/1
-# indicators do, float32 holds them exactly and its BLAS takes half the
-# time.  Below 2^53 a summed term converts to uint64 exactly through int64,
-# which numpy does far faster than float64 -> uint64.  The output is made
-# one column block at a time, so that neither that block nor v's limbs for
-# it exceed _BLOCK_ELEMS elements (where the operands' outer dimensions
-# allow); a block's first term, the only one of a one-limb product, is
-# written into it, and the others are shifted and added.  Below
-# _LIMB_MIN_MACS multiply-adds numpy's own (exact, wrapping) integer loop is
-# faster than the limb path's fixed cost of up to ten BLAS calls and their
-# conversions: on a 2-core VM with one BLAS thread, an mpc Beaver product of
-# 20x11 by 11x80 shares takes 28 us that way and 161 us over limbs.
-_LIMB_BITS = 16
-_INNER_CHUNK = 1 << 21
-_BLOCK_ELEMS = 1 << 16
-_LIMB_MIN_MACS = 1 << 17
-
-
-def _limb_count(top: int) -> int:
-    """16-bit limbs up to the highest nonzero one of an operand whose
-    largest value is ``top`` (at least one)."""
-    return max(1, -(-top.bit_length() // _LIMB_BITS))
-
-
-def _limb(m: np.ndarray, i: int, count: int, ftype) -> np.ndarray:
-    """Limb i of an operand of ``count`` limbs, as ``ftype``; a limb is
-    below 2^16, so it converts through int64."""
-    if i:
-        m = m >> np.uint64(_LIMB_BITS * i)
-    if i < count - 1:
-        m = m & np.uint64(0xFFFF)
-    return m.view(np.int64).astype(ftype)
-
-
-def _matmul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D operands.  On uint64 operands it is exact
-    mod 2^64: the sum over limb pairs i+j < 4 of limb_i(u)·limb_j(v), each a
-    float BLAS product, shifted left by 16(i+j) bits; pairs with i+j >= 4
-    vanish mod 2^64, and all-zero high limbs are skipped, so a 0/1 operand
-    costs one product where uniform ones cost ten.  Small uint64 products
-    and other dtypes (the approximate domain's float64) take ``np.matmul``."""
-    if (u.dtype != np.uint64 or v.dtype != np.uint64
-            or u.size * v.shape[1] < _LIMB_MIN_MACS):
-        return np.matmul(np.ascontiguousarray(u), np.ascontiguousarray(v))
-    out = np.empty((u.shape[0], v.shape[1]), dtype=np.uint64)
-    utop = int(u.max()) if u.size else 0
-    vtop = int(v.max()) if v.size else 0
-    ulimbs, vlimbs = _limb_count(utop), _limb_count(vtop)
-    # every partial sum of limb products is a nonnegative integer of at most
-    # this bound, whatever order BLAS sums in
-    bound = u.shape[1] * min(utop, 0xFFFF) * min(vtop, 0xFFFF)
-    ftype = np.float32 if bound < 1 << 24 else np.float64
-    # one chunk even of an empty inner dimension, whose product writes zeros
-    for k0 in range(0, max(u.shape[1], 1), _INNER_CHUNK):
-        uk, vk = u[:, k0:k0 + _INNER_CHUNK], v[k0:k0 + _INNER_CHUNK]
-        a = [_limb(uk, i, ulimbs, ftype) for i in range(ulimbs)]
-        width = max(1, _BLOCK_ELEMS // max(1, len(uk), len(vk)))
-        for c0 in range(0, v.shape[1], width):
-            block = out[:, c0:c0 + width]
-            for j in range(vlimbs):
-                b = _limb(vk[:, c0:c0 + width], j, vlimbs, ftype)
-                for i in range(min(ulimbs, 4 - j)):
-                    term = np.matmul(a[i], b)
-                    if not (k0 or i or j):
-                        block.view(np.int64)[...] = term
-                        continue
-                    term = term.astype(np.int64).view(np.uint64)
-                    term <<= np.uint64(_LIMB_BITS * (i + j))
-                    block += term
-    return out
-
-
 # The numpy kernel of every primitive that is linear in each operand (the
 # structural ones included) or bilinear in two (mul, dot, outer, vecmat,
 # matmul).  Applied to additive shares, a linear kernel computes shares of
 # its result, so the local backends run the kernels on values, the mpc
 # parties on their share components and Beaver multiplication on its
-# openings.  On uint64 payloads the kernels wrap without overflow warnings.
+# openings.  On uint64 payloads the kernels wrap without overflow warnings;
+# numpy's integer matmul is exact mod 2^64.
 KERNELS = {
     "add": np.add,
     "sub": np.subtract,
@@ -211,7 +114,7 @@ KERNELS = {
     "dot": lambda u, v: np.asarray((u * v).sum()),
     "outer": lambda u, v: u[:, None] * v[None, :],
     "vecmat": lambda u, v: (u[:, None] * v).sum(axis=0),
-    "matmul": _matmul,
+    "matmul": np.matmul,
     "transpose": lambda m: m.T.copy(),
     "rotate": np.roll,
     "tile": np.tile,
@@ -313,32 +216,30 @@ class Observation:
 class Transcript(Sequence):
     """The role-visible observations of one context, in the order made.
 
-    Besides single observations it holds batches: for each index k, one
-    observation per ``(kind, columns)`` group, in group order, whose value
-    is the k-th item of the group's one column, or the tuple of the k-th
-    items of its columns.  Reading yields the same ``Observation`` sequence
-    that the equivalent ``append`` calls give, so a stage that observes one
-    fact per record or per key records them in one call."""
+    Besides single observations it holds batches of one kind: for each
+    index k, one observation whose value is the k-th item of the batch's one
+    column, or the tuple of the k-th items of its columns.  Reading yields
+    the same ``Observation`` sequence that the equivalent ``append`` calls
+    give, so a stage that observes one fact per record records them in one
+    call."""
 
     def __init__(self):
-        self._parts: list = []  # Observation, or (role, groups, items per group)
+        self._parts: list = []  # Observation, or (role, kind, columns)
         self._len = 0
 
     def append(self, obs: Observation):
         self._parts.append(obs)
         self._len += 1
 
-    def append_batch(self, role: str, groups):
+    def append_batch(self, role: str, kind: str, columns):
         """Columns are sequences of one length holding the values as they
         are to be read (Python numbers, not numpy scalars); they are copied."""
-        groups = tuple((kind, tuple(tuple(col) for col in columns))
-                       for kind, columns in groups)
-        sizes = {len(col) for _, columns in groups for col in columns}
-        if len(sizes) > 1 or not all(columns for _, columns in groups):
+        columns = tuple(tuple(col) for col in columns)
+        sizes = {len(col) for col in columns}
+        if len(sizes) != 1:
             raise ValueError("a transcript batch needs one or more columns of one length")
-        n = sizes.pop() if sizes else 0
-        self._parts.append((role, groups, n))
-        self._len += n * len(groups)
+        self._parts.append((role, kind, columns))
+        self._len += sizes.pop()
 
     def copy(self) -> Transcript:
         """A snapshot: observations made later are not in it."""
@@ -354,12 +255,9 @@ class Transcript(Sequence):
             if isinstance(part, Observation):
                 yield part
                 continue
-            role, groups, _ = part
-            kinds = [kind for kind, _ in groups]
-            streams = [cols[0] if len(cols) == 1 else zip(*cols) for _, cols in groups]
-            for values in zip(*streams):
-                for kind, value in zip(kinds, values):
-                    yield Observation(role, kind, value)
+            role, kind, columns = part
+            for value in columns[0] if len(columns) == 1 else zip(*columns):
+                yield Observation(role, kind, value)
 
     def __getitem__(self, i):
         return list(self)[i]
@@ -467,10 +365,10 @@ class Backend:
     def observe(self, role: str, kind: str, value):
         self.transcript.append(Observation(role, kind, value))
 
-    def observe_batch(self, role: str, *groups):
-        """Observe, for each index k and each ``(kind, columns)`` group in
-        turn, the k-th value of the group (see ``Transcript``)."""
-        self.transcript.append_batch(role, groups)
+    def observe_batch(self, role: str, kind: str, *columns):
+        """Observe ``kind`` once for each index k of the columns, with the
+        k-th value (see ``Transcript``)."""
+        self.transcript.append_batch(role, kind, columns)
 
     def observations(self, role: str) -> list[Observation]:
         return [o for o in self.transcript if o.role == role]

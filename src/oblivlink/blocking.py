@@ -3,9 +3,11 @@
 Records are normalized, tokenized into distinct overlapping character
 bigrams (8-bit characters, so each token is a 16-bit code), optionally
 packed four-to-a-container, MinHash-signed with 128 seeded universal
-hashes, and indexed under per-band blocking keys.  Blocking keys are public
-by design; the record-id vectors they map to are encrypted before leaving
-the owner.  An owner's records go through each step together, as
+hashes, and reduced to one FNV-1a-64 digest per band: the records x bands
+digest matrix that an owner uploads encrypted.  Two records share a
+blocking key exactly when they agree on some band's digest; the key ->
+rows index (``block_index``) is the same relation in the clear, for the
+non-private oracle.  An owner's records go through each step together, as
 whole-array passes; the one-record functions are their one-item cases.
 """
 
@@ -250,7 +252,7 @@ def optimal_band_plan(threshold: float, num_perm: int = 128,
     return BandPlan(bands, rows, num_perm, fp_weight, fn_weight, objective=err)
 
 
-def _band_digests(signatures: np.ndarray, plan: BandPlan) -> np.ndarray:
+def band_digests(signatures: np.ndarray, plan: BandPlan) -> np.ndarray:
     """FNV-1a-64 of each band's signature slots, read as their native bytes,
     for a C-contiguous (records, slots) signature stack: a (records, bands)
     uint64 array.  The hash steps through the byte columns of all records
@@ -266,30 +268,36 @@ def _band_digests(signatures: np.ndarray, plan: BandPlan) -> np.ndarray:
     return digest
 
 
-def block_index(signatures: np.ndarray, plan: BandPlan) -> dict[str, list[int]]:
-    """Owner-side inverted index from a (records, slots) signature stack:
-    blocking key -> 0-based record rows (the row order is the upload
-    order), keys in the order they first occur, record by record and band
-    by band.  A key is the band index plus a stable 64-bit hash of the
-    band's signature slots, hex encoded.  A stable sort of each band's
-    digests groups the rows of equal keys, in ascending row order, and
-    orders the keys as their strings sort."""
-    digests = _band_digests(np.ascontiguousarray(signatures), plan).T
+def digest_index(digests: np.ndarray) -> dict[str, list[int]]:
+    """Inverted index of a (records, bands) digest matrix: blocking key ->
+    0-based record rows (the row order is the upload order), keys in the
+    order they first occur, record by record and band by band.  A key is
+    the band index plus the band's digest, hex encoded.  A stable sort of
+    each band's digests groups the rows of equal keys, in ascending row
+    order, and orders the keys as their strings sort."""
+    digests = np.asarray(digests, dtype=np.uint64).T
+    bands = len(digests)
     rows = np.argsort(digests, axis=1, kind="stable")
     digest = np.take_along_axis(digests, rows, axis=1).reshape(-1)
-    band = np.repeat(np.arange(plan.bands), digests.shape[1])
+    band = np.repeat(np.arange(bands), digests.shape[1])
     rows = rows.reshape(-1)
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (band[1:] != band[:-1]) | (digest[1:] != digest[:-1])
     starts = np.flatnonzero(new)
     hexes = digest[starts].astype(">u8").tobytes().hex()
-    prefixes = [f"{b:03d}-" for b in range(plan.bands)]
+    prefixes = [f"{b:03d}-" for b in range(bands)]
     keys = [prefixes[b] + hexes[16 * k:16 * k + 16]
             for k, b in enumerate(band[starts].tolist())]
-    first = rows[starts] * plan.bands + band[starts]
+    first = rows[starts] * bands + band[starts]
     groups, bounds = rows.tolist(), starts.tolist() + [len(rows)]
     return {keys[k]: groups[bounds[k]:bounds[k + 1]]
             for k in np.argsort(first, kind="stable").tolist()}
+
+
+def block_index(signatures: np.ndarray, plan: BandPlan) -> dict[str, list[int]]:
+    """Owner-side inverted index from a (records, slots) signature stack
+    (see ``digest_index``)."""
+    return digest_index(band_digests(np.ascontiguousarray(signatures), plan))
 
 
 def band_keys(signature: np.ndarray, plan: BandPlan) -> list[str]:

@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("block", help="encode records and build per-party blocks")
+    p = sub.add_parser("block", help="encode records and their band digests per party")
     p.add_argument("--data", required=True, help="corpus directory from generate")
     p.add_argument("--out", required=True)
     _add_common(p)

@@ -273,10 +273,15 @@ def plain_blocked_pairs(d1: list[Record], d2: list[Record], plan: BandPlan,
         rows = build_block_index([r.token_set() for r in records], plan, hasher)
         return {key: [records[row].record_id for row in ids] for key, ids in rows.items()}
 
-    i1, i2 = index(d1), index(d2)
+    return shared_key_pairs(index(d1), index(d2))
+
+
+def shared_key_pairs(index1: dict, index2: dict) -> set:
+    """Every cross pair (a, b) of two inverted indexes that lists a and b
+    under one key."""
     pairs = set()
-    for key, ids1 in i1.items():
-        ids2 = i2.get(key)
+    for key, ids1 in index1.items():
+        ids2 = index2.get(key)
         if not ids2:
             continue
         for a in ids1:

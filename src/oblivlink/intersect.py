@@ -177,7 +177,7 @@ def _ve_counts(mach: Machine, runs1: Runs, runs2: Runs, cells: np.ndarray,
     i, j = cells[:, 0], cells[:, 1]
     slots = len1[i] * len2[j]
     parts = []
-    for run in slot_runs([(int(n),) for n in slots], max_slots):
+    for run in slot_runs(slots.tolist(), max_slots):
         r = slice(run.start, run.stop)
         n = slots[r]
         # A cell's slots are one block per v2 element, |v1| slots wide, that

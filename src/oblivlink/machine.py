@@ -66,22 +66,21 @@ def run_slots(shape: tuple[int, int]) -> int:
 
 
 def slot_runs(sizes, bound: int) -> list[range]:
-    """Consecutive runs of items whose slot counts, summed coordinate by
-    coordinate, stay within ``bound``; an item above the bound alone is a
-    run of its own.  Batched stages use it to keep each batch's temporaries
-    within a public budget, ``run_slots`` of the matrix's shape in merge
-    and filter; sizes are public, so the runs are too."""
+    """Consecutive runs of items whose slot counts sum to at most ``bound``;
+    an item above the bound alone is a run of its own.  Batched stages use
+    it to keep each batch's temporaries within a public budget, ``run_slots``
+    of the matrix's shape in merge and filter; sizes are public, so the runs
+    are too."""
     runs: list[range] = []
-    start, totals = 0, None
+    start, total = 0, None
     for k, size in enumerate(sizes):
-        grown = None if totals is None else [t + s for t, s in zip(totals, size)]
-        if grown is not None and max(grown) <= bound:
-            totals = grown
+        if total is not None and total + size <= bound:
+            total += size
             continue
-        if totals is not None:
+        if total is not None:
             runs.append(range(start, k))
-        start, totals = k, list(size)
-    if totals is not None:
+        start, total = k, size
+    if total is not None:
         runs.append(range(start, len(sizes)))
     return runs
 
@@ -198,13 +197,6 @@ class Runs:
         """Run k as one ``slice`` of the vector."""
         lo = int(self.starts[k])
         return Machine(self.values.ctx).slice(self.values, lo, lo + int(self.lengths[k]))
-
-    def positions(self, group) -> np.ndarray:
-        """The slots of the runs ``group`` lists, run after run: the public
-        index that gathers those runs as one vector."""
-        lengths = self.lengths[group]
-        return np.arange(int(lengths.sum())) + np.repeat(
-            self.starts[group] - (np.cumsum(lengths) - lengths), lengths)
 
 
 class Machine:

@@ -2,18 +2,20 @@
 
 Stages (each accounted separately in the cost ledger):
 
-  encode_block  owners tokenize, encode, and index their records
-  upload        encoded records and block-id vectors enter the backend
-  merge_dedup   shared-key id pairs privately flag the candidate matrix
+  encode_block  owners tokenize, encode, and MinHash their records into
+                one FNV-1a digest per LSH band
+  upload        encoded records and each owner's rows x bands digest matrix
+                enter the backend
+  merge_dedup   per-band digest equality privately flags the candidate matrix
   obfuscate     noise is unioned in, then the matrix is revealed to the host
                 under an explicitly granted, logged authority
   filter_er     Jaccard matching runs on revealed candidate cells only
   finalize      the candidate mask arithmetically erases noise-born results
 
 The computation host (P3) observes dataset sizes, per-record container
-counts, blocking keys, per-block sizes, and the obfuscated candidate
-matrix; all of it is logged to the transcript so leakage audits can diff
-against that budget.
+counts and the obfuscated candidate matrix; all of it is logged to the
+transcript so leakage audits can diff against that budget.  Blocking keys
+never reach it: merge's work depends on the public shapes alone.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import numpy as np
 from .backends import make_backend
 from .backends.base import (APPROX, APPROX_EXACT_BITS, ROLE_HOST, ROLE_OWNER_1, ROLE_OWNER_2,
                             Transcript, tagged_rng)
-from .blocking import (PACKS, TOKEN_BITS, BandPlan, EncodedRecord, MinHasher, bigram_codes,
-                       block_index, flat_column, optimal_band_plan, pack_records)
+from .blocking import (PACKS, TOKEN_BITS, BandPlan, EncodedRecord, MinHasher, band_digests,
+                       bigram_codes, digest_index, flat_column, optimal_band_plan,
+                       pack_records)
 from .errors import DomainError, OblivLinkError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (PAD_SENTINEL, JaccardParams, Strategy, jaccard_cells,  # noqa: F401
                         jaccard_match, pick_strategy, require_strategy)
-from .machine import EQ_BIT_ERROR, Machine, PrivateMatrix, Runs, run_slots, slot_runs
+from .machine import Machine, PrivateMatrix, Runs, run_slots, slot_runs
 
 
 @dataclass
@@ -86,12 +89,20 @@ class PipelineConfig:
 
 @dataclass
 class PartyUpload:
-    """What one data owner ships: encoded records, the blocking index over
-    0-based upload rows, and the owner-side row-to-external-id map."""
+    """What one data owner ships: encoded records, the records x bands
+    matrix of band digests (uint64), and the owner-side row-to-external-id
+    map."""
     encoded: list[EncodedRecord]
-    index: dict[str, list[int]]
+    digests: np.ndarray
     id_map: list[str]
     manifest: dict = field(default_factory=dict)
+
+    @property
+    def index(self) -> dict[str, list[int]]:
+        """The digests as a blocking key -> rows index (``digest_index``),
+        derived on each read for clear-text checks; a linkage never
+        builds it."""
+        return digest_index(self.digests)
 
 
 @dataclass
@@ -115,13 +126,13 @@ def prepare_upload(records, config: PipelineConfig) -> PartyUpload:
     encoded = pack_records(ids, codes, lengths, config.pack)
     plan = config.band_plan()
     hasher = MinHasher(config.num_perm, config.seed)
-    index = block_index(hasher.signatures(codes, lengths), plan)
+    digests = band_digests(hasher.signatures(codes, lengths), plan)
     manifest = {
         "size": len(records), "pack": config.pack, "t_block": config.t_block,
         "num_perm": config.num_perm, "bands": plan.bands, "rows": plan.rows,
         "seed": config.seed,
     }
-    return PartyUpload(encoded, index, ids, manifest)
+    return PartyUpload(encoded, digests, ids, manifest)
 
 
 def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
@@ -129,10 +140,11 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
     """Refuse, before any machine work, uploads that would link to a quietly
     wrong answer: owners that hashed, banded or packed differently from each
     other or from the link config and its band ``plan``, records whose
-    containers repeat or do not fit the packing's pack·16 bits, and blocks
-    whose ids lie outside their owner's rows or repeat, or equal VR's
-    padding ``PAD_SENTINEL``.  A manifest that omits a field is not checked
-    on it, and an id map must hold one row per record."""
+    containers repeat, do not fit the packing's pack·16 bits or equal VR's
+    padding ``PAD_SENTINEL``, and digests that are not a records x
+    ``plan.bands`` matrix of integers in [0, 2^64).  A manifest that omits a
+    field is not checked on it, and an id map must hold one row per
+    record."""
     wanted = {"num_perm": config.num_perm, "bands": plan.bands, "rows": plan.rows,
               "seed": config.seed, "pack": config.pack}
     for key, want in wanted.items():
@@ -157,12 +169,30 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
             for row, rec in enumerate(up.encoded):
                 if PAD_SENTINEL in rec.containers:
                     raise StageError("upload", f"{role} record {row} holds VR's padding 2^63-1")
-        size = len(up.encoded)
-        fault = _first_fault(list(up.index.values()), size)
+        fault = _digest_fault(up.digests, len(up.encoded), plan.bands)
         if fault:
-            key, repeats = list(up.index)[fault[0]], fault[1]
-            raise StageError("upload", f"{role} block {key} repeats an id" if repeats
-                             else f"{role} block {key} holds an id outside [0, {size})")
+            raise StageError("upload", f"{role} digests {fault}")
+
+
+def _digest_fault(digests, rows: int, bands: int) -> str | None:
+    """Why ``digests`` is not a rows x bands matrix of integers in
+    [0, 2^64), or None when it is one.  A boolean, float or object array is
+    not one of integers."""
+    try:
+        digests = np.asarray(digests)
+    except ValueError:  # rows of different widths
+        return "are not a matrix"
+    if digests.ndim != 2:
+        return "are not a matrix"
+    if len(digests) != rows:
+        return f"hold {len(digests)} rows for {rows} records"
+    if digests.shape[1] != bands:
+        return f"hold {digests.shape[1]} bands, not {bands}"
+    if digests.dtype.kind not in "iu":
+        return "hold a value that is not an integer"
+    if digests.dtype.kind == "i" and digests.size and digests.min() < 0:
+        return "hold a value outside [0, 2^64)"
+    return None
 
 
 def _first_fault(runs: list, limit: int) -> tuple[int, bool] | None:
@@ -187,55 +217,52 @@ def _first_fault(runs: list, limit: int) -> tuple[int, bool] | None:
 # -- machine-level stages ----------------------------------------------------
 
 
-def _indicator(mach: Machine, ids: Runs, group: np.ndarray, width: int) -> PrivateMatrix:
-    """len(group) x width matrix whose row k is 1 at the ids of run
-    group[k]: one public gather reads the group's runs from the flat ids."""
-    flat = mach.take(ids.values, ids.positions(group))
-    onehot = mach.eeq(mach.repeat_each(flat, width),
-                      mach.tile(mach.enc(np.arange(width)), flat.length))
-    return mach.segment_sum(onehot, width, ids.lengths[group].tolist())
+def digest_limbs(digests: np.ndarray, domain: str) -> np.ndarray:
+    """A records x bands digest matrix in the form a backend of ``domain``
+    compares exactly: whole on the exact domain; on the approximate one,
+    whose float64 holds 53 bits exactly, as every band's high 32-bit limb,
+    then every band's low one (records x 2·bands).  A digest is never
+    truncated: a collision would add a candidate that blocking lacks."""
+    if domain != APPROX:
+        return digests
+    return np.hstack([digests >> np.uint64(32), digests & np.uint64(0xFFFFFFFF)])
 
 
-def merge_and_dedup(mach: Machine, blocks1: tuple[list[str], Runs],
-                    blocks2: tuple[list[str], Runs], shape: tuple[int, int]) -> PrivateMatrix:
-    """Block merge: every cross id pair of a key present on both sides is a
-    candidate.  Each side's blocks are its keys and one run of ids per key.
-    With the shared keys' id indicators stacked as U (keys x rows) and V
-    (keys x cols), cell (i, j) of Uᵀ·V counts the keys that rows i and j
-    share, so one matrix product per key group plus one comparison gate
-    flags, and deduplicates, the candidate matrix.  Shared keys go in key
-    order, grouped so that each side's one-hots stay within ``run_slots``."""
-    (keys1, ids1), (keys2, ids2) = blocks1, blocks2
-    # each side's run of every shared key, in key order, empty runs dropped
-    _, at1, at2 = np.intersect1d(np.array(keys1, dtype=object), np.array(keys2, dtype=object),
-                                 assume_unique=True, return_indices=True)
-    live = (ids1.lengths[at1] > 0) & (ids2.lengths[at2] > 0)
-    at1, at2 = at1[live], at2[live]
-    len1, len2 = ids1.lengths[at1], ids2.lengths[at2]
-    approx = mach.b.domain == APPROX
-    if approx:
-        # each one-hot slot errs by at most e = EQ_BIT_ERROR, so each cross
-        # pair's product term by e(2+e); the sum must stay under 1/2
-        cross_pairs = int((len1 * len2).sum())
-        worst = cross_pairs * EQ_BIT_ERROR * (2 + EQ_BIT_ERROR)
-        if worst >= 0.5:
-            raise DomainError(
-                f"merge of {cross_pairs} cross pairs may err by {worst:.3g} per cell, "
-                "not under the 1/2 the candidate threshold tolerates")
-    rows, cols = shape
-    # side 1's one-hot holds rows slots per id, side 2's cols; a group's
-    # one-hots stay within the run budget on each side
-    sizes = list(zip((len1 * rows).tolist(), (len2 * cols).tolist()))
+def merge_and_dedup(mach: Machine, digests1: PrivateMatrix,
+                    digests2: PrivateMatrix) -> PrivateMatrix:
+    """LSH blocking as private equality: cell (i, j) is a candidate exactly
+    when records i and j agree on some band's digest, that is when
+    Σ_b eq(K1[i, b], K2[j, b]) > 0 over the owners' digest matrices as
+    ``digest_limbs`` uploads them.  Bands go in runs of at most
+    ``run_slots`` slots.  Per run, one band-major gather per side and limb
+    lays out every (band, i, j) slot, one equality gate per limb compares
+    them (the limbs' bits multiplied), and one segment sum adds the run's
+    bands into the counts.  The work depends on the public shapes alone."""
+    rows, cols = digests1.rows, digests2.rows
+    limbs = 2 if mach.b.domain == APPROX else 1
+    bands = digests1.cols // limbs
+    cells = rows * cols
+    if not cells:
+        return mach.enc(np.zeros((rows, cols), dtype=np.int64))
+    # slot (i, j) of a band reads row i of side 1 and row j of side 2
+    base1 = np.repeat(np.arange(rows) * digests1.cols, cols)
+    base2 = np.tile(np.arange(cols) * digests2.cols, rows)
     counts = None
-    for run in slot_runs(sizes, run_slots(shape)):
-        u = _indicator(mach, ids1, at1[run.start:run.stop], rows)
-        v = _indicator(mach, ids2, at2[run.start:run.stop], cols)
-        part = mach.mul(mach.transpose(u), v)
+    for run in slot_runs([cells] * bands, run_slots((rows, cols))):
+        bits = None
+        for limb in range(limbs):
+            column = np.arange(run.start, run.stop)[:, None] + limb * bands
+            eq = mach.eeq(mach.take(digests1, (base1 + column).ravel()),
+                          mach.take(digests2, (base2 + column).ravel()))
+            bits = eq if bits is None else mach.emul(bits, eq)
+        part = mach.segment_sum(bits, cells, [len(run)])
         counts = part if counts is None else mach.add(counts, part)
-    if counts is None:
-        return mach.enc(np.zeros(shape, dtype=np.int64))
-    # a cell counts at most every shared key
-    return mach.gt(counts, mach.enc(np.full(shape, 0.5 if approx else 0)), bound=len(at1))
+    counts = mach.take(counts, np.arange(cells).reshape(rows, cols))
+    # a cell sums at most `bands` bits, each off by at most e(2+e) on the
+    # approximate domain (e = EQ_BIT_ERROR), so by far under the 1/2 that
+    # its threshold tolerates
+    cut = 0.5 if limbs == 2 else 0
+    return mach.gt(counts, mach.enc(np.full((rows, cols), cut)), bound=bands)
 
 
 def obfuscate(mach: Machine, cand: PrivateMatrix, policy: ObfuscationPolicy,
@@ -333,29 +360,21 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
     require_strategy(mach, strategy)
 
     def upload():
-        # records before blocks, D1 before D2: the order mpc draws the shares in
+        # records before digests, D1 before D2: the order mpc draws the shares in
         backend.observe(ROLE_HOST, "dataset_size", ("D1", shape[0]))
         backend.observe(ROLE_HOST, "dataset_size", ("D2", shape[1]))
         records = []
         for role, up, sizes in (("D1", u1, sizes1), ("D2", u2, sizes2)):
-            backend.observe_batch(ROLE_HOST, ("record_container_count",
-                                              ([role] * len(sizes), range(len(sizes)), sizes)))
+            backend.observe_batch(ROLE_HOST, "record_container_count",
+                                  [role] * len(sizes), range(len(sizes)), sizes)
             records.append(mach.enc_runs(flat_column([rec.containers for rec in up.encoded]),
                                          sizes))
-        blocks = []
-        for role, up in (("D1", u1), ("D2", u2)):
-            # every key's record ids in one pass, in key order: one enc per key
-            keys = sorted(up.index)
-            ids = [up.index[k] for k in keys]
-            blocks.append((keys, mach.enc_runs(flat_column(ids), [len(r) for r in ids])))
-            backend.observe_batch(ROLE_HOST, ("block_key", (keys,)),
-                                  ("block_size", ([role] * len(keys), keys,
-                                                  [len(r) for r in ids])))
-        return (*records, *blocks)
+        digests = [mach.enc(digest_limbs(np.asarray(up.digests, dtype=np.uint64),
+                                         backend.domain)) for up in (u1, u2)]
+        return (*records, *digests)
 
-    enc1, enc2, b1, b2 = _run_stage(backend, "upload", upload)
-    cand = _run_stage(backend, "merge_dedup",
-                      lambda: merge_and_dedup(mach, b1, b2, shape))
+    enc1, enc2, k1, k2 = _run_stage(backend, "upload", upload)
+    cand = _run_stage(backend, "merge_dedup", lambda: merge_and_dedup(mach, k1, k2))
 
     def reveal_obfuscated():
         noise_rng = tagged_rng("noise", config.seed)
@@ -404,15 +423,16 @@ def run_pper(d1_records, d2_records, config: PipelineConfig, backend=None) -> Ru
 
 
 def write_party_dir(path: str, upload: PartyUpload):
-    """Serialize one owner's upload: records.enc, blocks.enc, manifest, and
-    the owner-side id map."""
+    """Serialize one owner's upload: records.enc, digests.enc (record k's
+    band digests as one JSON array on line k), manifest, and the owner-side
+    id map."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "records.enc"), "w", encoding="utf-8") as fh:
         for row, rec in enumerate(upload.encoded):
             fh.write(json.dumps({"row": row, "containers": list(rec.containers),
                                  "pack": rec.pack}) + "\n")
-    with open(os.path.join(path, "blocks.enc"), "w", encoding="utf-8") as fh:
-        json.dump({k: v for k, v in sorted(upload.index.items())}, fh, indent=0)
+    with open(os.path.join(path, "digests.enc"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in upload.digests.tolist())
     with open(os.path.join(path, "manifest"), "w", encoding="utf-8") as fh:
         json.dump(upload.manifest, fh, indent=2, sort_keys=True)
     with open(os.path.join(path, "idmap.csv"), "w", encoding="utf-8") as fh:
@@ -450,9 +470,8 @@ def _parse_object(path: str, name: str, text: str, where: str = "") -> dict:
 
 def _check_rows(path: str, name: str, rows: list, kind: type):
     """Refuse a file whose ``row`` fields are not 0..n-1 in order, each of
-    type ``kind``: JSON integers in records.enc, text in idmap.csv.  Blocks
-    name the owner's rows by number, and records and id map hold them by
-    position."""
+    type ``kind``: JSON integers in records.enc, text in idmap.csv.  Records,
+    digests and id map hold the owner's rows by position."""
     for k, row in enumerate(rows):
         if str(row) != str(k):
             raise _upload_error(path, name, f"entry {k} holds row {row}, not {k}")
@@ -464,9 +483,12 @@ def read_party_dir(path: str) -> PartyUpload:
     """Load what ``write_party_dir`` wrote.  Anything else is refused with
     ``StageError("upload", …)``: a file that does not parse, records or
     id-map rows out of order, a record without its containers or pack, a
-    record row, container, pack or block id that is not an integer (JSON's
-    true and false included), and a record whose pack is not the manifest's (or,
-    when the manifest has none, the first record's)."""
+    record row, container, pack or digest that is not an integer (JSON's
+    true and false included), a digest outside [0, 2^64), digests for
+    another number of records or of another width than the manifest's
+    ``bands`` (or, when the manifest has none, the first row's), and a
+    record whose pack is not the manifest's (or, when the manifest has
+    none, the first record's)."""
     manifest = _parse_object(path, "manifest", _read_text(path, "manifest"))
     items = [_parse_object(path, "records.enc", line, f"entry {k} ")
              for k, line in enumerate(io.StringIO(_read_text(path, "records.enc")))]
@@ -486,11 +508,7 @@ def read_party_dir(path: str) -> PartyUpload:
             raise _upload_error(path, "records.enc",
                                 f"entry {k} has pack {item['pack']!r}, not {pack!r}")
         encoded.append(EncodedRecord(str(k), tuple(containers), pack))
-    index = _parse_object(path, "blocks.enc", _read_text(path, "blocks.enc"))
-    for key, ids in index.items():
-        if type(ids) is not list or not all(type(i) is int for i in ids):
-            raise _upload_error(path, "blocks.enc",
-                                f"block {key} holds an id that is not an integer")
+    digests = _read_digests(path, len(encoded), manifest.get("bands"))
     id_map, rows = [], []
     lines = io.StringIO(_read_text(path, "idmap.csv"))
     next(lines, None)
@@ -501,4 +519,35 @@ def read_party_dir(path: str) -> PartyUpload:
         rows.append(row)
         id_map.append(rid)
     _check_rows(path, "idmap.csv", rows, str)
-    return PartyUpload(encoded, index, id_map, manifest)
+    return PartyUpload(encoded, digests, id_map, manifest)
+
+
+def _read_digests(path: str, records: int, bands) -> np.ndarray:
+    """digests.enc as a records x bands uint64 matrix: ``bands`` wide, the
+    manifest's, or when that is not an integer as wide as the first line;
+    anything else is refused."""
+    width = bands if type(bands) is int else None
+    lines = list(io.StringIO(_read_text(path, "digests.enc")))
+    if len(lines) != records:
+        raise _upload_error(path, "digests.enc",
+                            f"holds {len(lines)} rows for {records} records")
+    rows = []
+    for k, line in enumerate(lines):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            row = None
+        if type(row) is not list:
+            raise _upload_error(path, "digests.enc", f"entry {k} is not a JSON array")
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise _upload_error(path, "digests.enc",
+                                f"entry {k} holds {len(row)} bands, not {width}")
+        if not all(type(d) is int for d in row):
+            raise _upload_error(path, "digests.enc",
+                                f"entry {k} holds a digest that is not an integer")
+        if not all(0 <= d < 1 << 64 for d in row):
+            raise _upload_error(path, "digests.enc",
+                                f"entry {k} holds a digest outside [0, 2^64)")
+        rows.append(row)
+    return np.array(rows, dtype=np.uint64).reshape(records, width or 0)

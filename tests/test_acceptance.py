@@ -226,7 +226,7 @@ def test_criterion_6_obliviousness():
     tokens_b = (rng.choice(5000, size=14, replace=False) + 5000).tolist()
     assert_oblivious(_machine_op_trace(tokens_a), _machine_op_trace(tokens_b))
 
-    # full pipeline twins: same shapes and block structure, different contents
+    # full pipeline twins: same shapes and digests, different contents
     from test_pipeline import _twin_uploads
     from oblivlink import run_pper_from_uploads
 
@@ -320,8 +320,8 @@ def test_criterion_9_leakage_budget_scan():
         tokens |= r.token_set().tokens
         containers |= set(r.token_set().sorted_tokens())
 
-    allowed = {"dataset_size", "record_container_count", "block_key",
-               "block_size", "obfu_pairs", "authority_grant", "masked_value"}
+    allowed = {"dataset_size", "record_container_count", "obfu_pairs", "authority_grant",
+               "masked_value"}
     scanned = 0
     for profile in ("generic", "simd"):
         cfg = PipelineConfig(backend="sim", profile=profile, strategy="auto",
@@ -331,14 +331,13 @@ def test_criterion_9_leakage_budget_scan():
         p3 = [o for o in result.transcript if o.role == "P3"]
         kinds = {o.kind for o in p3}
         assert kinds <= allowed, kinds - allowed
-        for need in ("dataset_size", "record_container_count", "block_key",
-                     "block_size", "obfu_pairs"):
+        for need in ("dataset_size", "record_container_count", "obfu_pairs"):
             assert need in kinds
         for obs in p3:
             values = []
             if obs.kind == "obfu_pairs":
                 values = list(np.asarray(obs.value).ravel())
-            elif obs.kind in ("record_container_count", "block_size"):
+            elif obs.kind == "record_container_count":
                 values = [obs.value[-1]]
             elif obs.kind == "masked_value":
                 values = list(np.atleast_1d(np.asarray(obs.value, dtype=np.float64)))

@@ -32,7 +32,7 @@ def test_generate_block_link_eval_round_trip(tmp_path):
     for f in ("d1.jsonl", "d2.jsonl", "gold.csv", "run.config"):
         assert os.path.exists(os.path.join(data, f))
     for party in ("p1", "p2"):
-        for f in ("records.enc", "blocks.enc", "manifest", "idmap.csv"):
+        for f in ("records.enc", "digests.enc", "manifest", "idmap.csv"):
             assert os.path.exists(os.path.join(blocks, party, f))
     assert os.path.exists(os.path.join(out, "matches.csv"))
     assert os.path.exists(os.path.join(out, "ledger.csv"))

@@ -200,7 +200,7 @@ def test_ve_gathers_the_slot_formula_layout(spec, rows, cols, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Machine, "take", capture)
         counts = _ve_counts(mach, enc1, enc2, np.array(cells), max_slots)
-    runs = slot_runs([(n,) for n in slots], max_slots)
+    runs = slot_runs(slots, max_slots)
     # per run: the two operand gathers, then the counts' flattening
     assert len(taken) == 3 * len(runs)
     for run, idx1, idx2 in zip(runs, taken[0::3], taken[1::3]):

@@ -444,12 +444,11 @@ def test_handle_repr_hides_contents(clear_machine):
 
 
 def test_slot_runs_greedy_within_bound():
-    assert slot_runs([(2,), (3,), (4,), (9,), (1,)], 6) == [range(0, 2), range(2, 3),
-                                                           range(3, 4), range(4, 5)]
-    # every coordinate stays within the bound; an item above it runs alone
-    assert slot_runs([(1, 5), (1, 2), (7, 0), (0, 2)], 6) == [range(0, 1), range(1, 2),
-                                                             range(2, 3), range(3, 4)]
-    assert slot_runs([(1, 2), (2, 1), (4, 3)], 6) == [range(0, 2), range(2, 3)]
+    assert slot_runs([2, 3, 4, 9, 1], 6) == [range(0, 2), range(2, 3), range(3, 4),
+                                             range(4, 5)]
+    # an item above the bound runs alone; empty items join a run
+    assert slot_runs([1, 5, 7, 0, 2], 6) == [range(0, 2), range(2, 3), range(3, 5)]
+    assert slot_runs([3, 3, 3], 6) == [range(0, 2), range(2, 3)]
     assert slot_runs([], 6) == []
 
 
@@ -507,10 +506,9 @@ def _segment_sum_reference(v, width, lengths):
        width=st.sampled_from([0, 1, 2, 5, 300]), seed=st.integers(0, 2 ** 32 - 1))
 def test_segment_sum_kernel_equals_reduceat_over_long_and_wide_runs(runs, longest, empty,
                                                                      width, seed):
-    # uint64 sums that wrap, in runs deep and wide enough for both the
-    # per-depth path and reduceat, with or without empty runs; float64
-    # width 1 in runs long enough for reduceat's pairwise summation, bit
-    # for bit
+    # uint64 sums that wrap, in one run or many, deep and wide, with or
+    # without empty runs; float64 width 1 in runs long enough for
+    # reduceat's pairwise summation, bit for bit
     rng = np.random.default_rng(seed)
     lengths = rng.integers(0 if empty else min(1, longest), longest + 1, size=runs).tolist()
     n = sum(lengths) * width

@@ -2,7 +2,6 @@
 dealer gates, round accounting, and transcript hygiene."""
 
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from scipy import stats
 
 from oblivlink import (DomainError, JaccardParams, Machine, PipelineConfig, Runs, ShapeError,
                        Strategy, generate_dataset, jaccard_match, run_pper)
-from oblivlink.backends import base
 from oblivlink.backends.base import KERNELS, tagged_rng
 from oblivlink.mpc import MpcBackend, reconstruct3, share3
 from oblivlink.mpc.runtime import PARTIES
@@ -113,13 +111,13 @@ def test_bilinear_forms_match_numpy():
 
 
 def _operand(rng, shape, kind):
-    if kind == "uniform":  # all four 16-bit limbs live
+    if kind == "uniform":
         return rand_u64(rng, shape)
     if kind == "max":
         return np.full(shape, MASK64, dtype=np.uint64)
     if kind == "bits":
         return rng.integers(0, 2, size=shape, dtype=np.uint64)
-    return rng.integers(0, 1 << 20, size=shape, dtype=np.uint64)  # small: two limbs
+    return rng.integers(0, 1 << 20, size=shape, dtype=np.uint64)
 
 
 OPERAND_KINDS = ("uniform", "max", "bits", "small")
@@ -133,36 +131,16 @@ def test_matmul_kernel_wraps_exactly(shape, kinds, transposed, seed):
     m, k, n = shape
     a = _operand(rng, (k, m), kinds[0]).T if transposed[0] else _operand(rng, (m, k), kinds[0])
     b = _operand(rng, (n, k), kinds[1]).T if transposed[1] else _operand(rng, (k, n), kinds[1])
-    with np.errstate(over="ignore"):
-        want = (a[:, :, None] * b[None, :, :]).sum(axis=1)
-    # products this small take numpy's integer loop; force the limb path too
-    for floor in (base._LIMB_MIN_MACS, 0):
-        with mock.patch.object(base, "_LIMB_MIN_MACS", floor):
-            got = KERNELS["matmul"](a, b)
-        assert got.dtype == np.uint64 and got.shape == (m, n)
-        assert np.array_equal(got, want)
-
-
-@given(shape=st.tuples(st.integers(1, 9), st.integers(0, 9), st.integers(1, 9)),
-       top=st.sampled_from([1, 255, 0xFFFF]), chunk=st.integers(1, 4),
-       block=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
-def test_matmul_kernel_one_limb_equals_python_ints(shape, top, chunk, block, seed):
-    # one-limb operands, with inner chunks and column blocks small enough
-    # that every loop of the limb path runs
-    rng = np.random.default_rng(seed)
-    m, k, n = shape
-    a = rng.integers(0, top + 1, size=(m, k), dtype=np.uint64)
-    b = rng.integers(0, top + 1, size=(k, n), dtype=np.uint64)
     want = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(k)) % (1 << 64)
              for j in range(n)] for i in range(m)]
-    with mock.patch.multiple(base, _LIMB_MIN_MACS=0, _INNER_CHUNK=chunk, _BLOCK_ELEMS=block):
-        got = KERNELS["matmul"](a, b)
-    assert got.dtype == np.uint64 and got.tolist() == want
+    got = KERNELS["matmul"](a, b)
+    assert got.dtype == np.uint64 and got.shape == (m, n)
+    assert got.tolist() == want
 
 
 def test_matmul_kernel_sums_past_the_float64_integer_range():
-    # (2^16-1)^2 per limb term: one float64 sum of 2^21+129 of them passes
-    # 2^53 and rounds, so the inner dimension must be summed in chunks
+    # a float64 sum of 2^21+129 terms of (2^16-1)^2 passes 2^53 and rounds;
+    # the uint64 product must not
     k = (1 << 21) + 129
     a = np.full((1, k), MASK64, dtype=np.uint64)
     b = np.full((k, 1), MASK64, dtype=np.uint64)

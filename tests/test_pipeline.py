@@ -1,5 +1,6 @@
 """Stage-level pipeline behaviour and full-run properties."""
 
+import itertools
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, MinHasher, ObfuscationPolicy,
+from oblivlink import (CapabilityError, JaccardParams, Machine, MinHasher, ObfuscationPolicy,
                        PartyUpload, PipelineConfig, StageError, Strategy, assert_oblivious,
                        generate_dataset, make_backend, OblivLinkError, optimal_band_plan,
                        plain_blocked_pairs, plain_matches, run_pper,
@@ -21,14 +22,38 @@ from oblivlink import intersect, machine
 from oblivlink.blocking import EncodedRecord
 from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, Runs, slot_runs
 from oblivlink.intersect import PAD_SENTINEL
-from oblivlink.pipeline import finalize, filter_and_resolve, merge_and_dedup, obfuscate
+from oblivlink.blocking import digest_index
+from oblivlink.evalkit import shared_key_pairs
+from oblivlink.pipeline import (digest_limbs, finalize, filter_and_resolve, merge_and_dedup,
+                                obfuscate)
 
 from conftest import ALL_BACKENDS, open_machine, reference_eeq, reference_ve_indices, upload_runs
 
 
-def _enc_blocks(mach, plain):
-    keys = sorted(plain)
-    return keys, upload_runs(mach, [plain[k] for k in keys])
+def _enc_digests(mach, digests):
+    """One owner's digest matrix as upload encrypts it for the backend."""
+    return mach.enc(digest_limbs(np.asarray(digests, dtype=np.uint64), mach.b.domain))
+
+
+def _block_digests(mach, plain1, plain2, shape):
+    """Both sides' encrypted digests for the block dicts ``plain1`` and
+    ``plain2``: band b stands for the b-th key of either side, in key
+    order; a row of the key's block holds the key's digest in that band,
+    and every other row a digest of its own side and row, so two rows
+    agree on a band exactly when both lie in its key's block."""
+    keys = sorted(set(plain1) | set(plain2))
+    out = []
+    for side, (plain, rows) in enumerate(zip((plain1, plain2), shape)):
+        digests = np.array([[(side + 1) << 62 | r << 16 | b for b in range(len(keys))]
+                            for r in range(rows)], dtype=np.uint64).reshape(rows, len(keys))
+        for b, key in enumerate(keys):
+            digests[plain.get(key, []), b] = (1 << 64) - 1 - b
+        out.append(_enc_digests(mach, digests))
+    return out
+
+
+def _merge_blocks(mach, plain1, plain2, shape):
+    return merge_and_dedup(mach, *_block_digests(mach, plain1, plain2, shape))
 
 
 # -- merge and dedup -----------------------------------------------------------
@@ -36,30 +61,25 @@ def _enc_blocks(mach, plain):
 
 def test_merge_hand_trace_single_pair_under_two_keys():
     mach, auth, _ = open_machine("clear")
-    b1 = _enc_blocks(mach, {"k1": [0], "k2": [0]})
-    b2 = _enc_blocks(mach, {"k1": [3], "k2": [3]})
-    cand = merge_and_dedup(mach, b1, b2, (1, 4))
+    cand = _merge_blocks(mach, {"k1": [0], "k2": [0]}, {"k1": [3], "k2": [3]}, (1, 4))
     assert mach.dec(cand, auth) == [[0, 0, 0, 1]]
 
 
 def test_merge_no_shared_keys_all_false():
     mach, auth, _ = open_machine("clear")
-    cand = merge_and_dedup(mach, _enc_blocks(mach, {"ka": [0]}),
-                           _enc_blocks(mach, {"kb": [1]}), (2, 2))
+    cand = _merge_blocks(mach, {"ka": [0]}, {"kb": [1]}, (2, 2))
     assert mach.dec(cand, auth) == [[0, 0], [0, 0]]
 
 
 def test_merge_hand_trace_one_to_many():
     mach, auth, _ = open_machine("clear")
-    cand = merge_and_dedup(mach, _enc_blocks(mach, {"k": [0, 1]}),
-                           _enc_blocks(mach, {"k": [2]}), (2, 3))
+    cand = _merge_blocks(mach, {"k": [0, 1]}, {"k": [2]}, (2, 3))
     assert mach.dec(cand, auth) == [[0, 0, 1], [0, 0, 1]]
 
 
 def test_merge_ignores_empty_vectors():
     mach, auth, _ = open_machine("clear")
-    cand = merge_and_dedup(mach, _enc_blocks(mach, {"k": []}),
-                           _enc_blocks(mach, {"k": [0]}), (1, 1))
+    cand = _merge_blocks(mach, {"k": []}, {"k": [0]}, (1, 1))
     assert mach.dec(cand, auth) == [[0]]
 
 
@@ -70,23 +90,61 @@ def test_merge_matches_clear_backend(spec):
 
     def run(backend_spec):
         mach, auth, _ = open_machine(backend_spec)
-        cand = merge_and_dedup(mach, _enc_blocks(mach, plain1),
-                               _enc_blocks(mach, plain2), (3, 4))
+        cand = _merge_blocks(mach, plain1, plain2, (3, 4))
         got = np.rint(np.asarray(mach.dec(cand, auth), dtype=np.float64)).astype(int)
         return got.tolist()
 
     assert run(spec) == run("clear")
 
 
-def test_merge_past_the_approximate_error_bound_raises_domain_error():
-    # 600 x 600 cross pairs of one key: the worst-case error of the summed
-    # indicator products reaches 1/2, so merge refuses before any gate
-    mach, _, b = open_machine("sim:simd")
+def test_simd_merge_of_a_block_past_the_old_error_bound_is_exact():
+    # 600 x 600 cross pairs of one key: a merge that summed one-hot
+    # products erred by up to 1/2 per cell here and refused it; a cell now
+    # sums one limb product per band
+    mach, auth, _ = open_machine("sim:simd")
     ids = list(range(600))
-    with pytest.raises(DomainError):
-        merge_and_dedup(mach, _enc_blocks(mach, {"k": ids}), _enc_blocks(mach, {"k": ids}),
-                        (600, 600))
-    assert not {"mul", "gt", "dec"} & set(b.ledger.by_op())
+    cand = _merge_blocks(mach, {"k": ids}, {"k": ids}, (600, 600))
+    assert (np.rint(mach.reveal(cand, auth)) == 1).all()
+
+
+# the 32-bit limbs that the drawn digests combine: 0 and 2^64-1 among the
+# digests, and pairs that share only the high limb or only the low one
+_LIMBS = (0, 1, 0x9E3779B9, (1 << 32) - 1)
+_DIGEST = st.one_of(st.sampled_from([h << 32 | lo for h in _LIMBS for lo in _LIMBS]),
+                    st.integers(0, (1 << 64) - 1))
+_DIGESTS = st.integers(1, 4).flatmap(lambda bands: st.tuples(st.just(bands), *(
+    st.lists(st.lists(_DIGEST, min_size=bands, max_size=bands), max_size=4)
+    for _ in range(2))))
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+@given(digests=_DIGESTS)
+@example(digests=(2, [], [[0, (1 << 64) - 1]]))
+@example(digests=(1, [[5 << 32 | 7]], [[5 << 32 | 8], [6 << 32 | 7], [5 << 32 | 7]]))
+def test_digest_merge_equals_the_plain_blocking_oracle(spec, digests):
+    # a cell is a candidate exactly when the oracle's dict index pairs its
+    # rows under one key; sides of zero rows included
+    bands, side1, side2 = digests
+    d1, d2 = (np.array(side, dtype=np.uint64).reshape(len(side), bands)
+              for side in (side1, side2))
+    mach, auth, _ = open_machine(spec)
+    cand = np.rint(mach.reveal(merge_and_dedup(mach, _enc_digests(mach, d1),
+                                               _enc_digests(mach, d2)), auth))
+    assert cand.shape == (len(d1), len(d2)) and ((cand == 0) | (cand == 1)).all()
+    want = shared_key_pairs(digest_index(d1), digest_index(d2))
+    assert {(int(i), int(j)) for i, j in np.argwhere(cand == 1)} == want
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+def test_digest_merge_of_a_corpus_equals_plain_blocked_pairs(spec):
+    d1, d2, _ = generate_dataset(seed=3, size=100)
+    cfg = PipelineConfig()
+    mach, auth, _ = open_machine(spec)
+    cand = merge_and_dedup(mach, _enc_digests(mach, prepare_upload(d1, cfg).digests),
+                           _enc_digests(mach, prepare_upload(d2, cfg).digests))
+    got = {(d1[i].record_id, d2[j].record_id)
+           for i, j in np.argwhere(np.rint(mach.reveal(cand, auth)) == 1)}
+    assert got == plain_blocked_pairs(d1, d2, cfg.band_plan(), MinHasher(128, 0))
 
 
 @pytest.mark.parametrize("t_block,t_jaccard", [(0.8, Fraction(4, 5)), (0.5, Fraction(1, 2))])
@@ -109,12 +167,11 @@ def test_simd_merge_equals_clear_at_n400(seed):
     # corpora on which per-pair private id lookups once marked wrong cells
     d1, d2, _ = generate_dataset(seed=seed, size=400)
     cfg = PipelineConfig()
-    index1, index2 = prepare_upload(d1, cfg).index, prepare_upload(d2, cfg).index
+    k1, k2 = prepare_upload(d1, cfg).digests, prepare_upload(d2, cfg).digests
 
     def run(spec):
         mach, auth, _ = open_machine(spec)
-        cand = merge_and_dedup(mach, _enc_blocks(mach, index1), _enc_blocks(mach, index2),
-                               (len(d1), len(d2)))
+        cand = merge_and_dedup(mach, _enc_digests(mach, k1), _enc_digests(mach, k2))
         got = np.rint(np.asarray(mach.dec(cand, auth), dtype=np.float64)).astype(int)
         return got.tolist()
 
@@ -126,8 +183,7 @@ def test_simd_merge_equals_clear_at_n400(seed):
 
 def test_obfuscate_rate_zero_reveals_candidates_exactly():
     mach, auth, b = open_machine("clear")
-    cand = merge_and_dedup(mach, _enc_blocks(mach, {"k": [0]}),
-                           _enc_blocks(mach, {"k": [1]}), (2, 2))
+    cand = _merge_blocks(mach, {"k": [0]}, {"k": [1]}, (2, 2))
     reveal = b.issue_authority("reveal", "P3")
     obfu = obfuscate(mach, cand, ObfuscationPolicy(0.0), np.random.default_rng(1), reveal)
     assert obfu.tolist() == [[False, True], [False, False]]
@@ -161,8 +217,7 @@ def test_obfuscate_noise_counts_binomial():
 
 def test_obfuscation_never_removes_candidates():
     mach, auth, b = open_machine("clear")
-    cand = merge_and_dedup(mach, _enc_blocks(mach, {"k": [0, 1]}),
-                           _enc_blocks(mach, {"k": [0, 1]}), (2, 2))
+    cand = _merge_blocks(mach, {"k": [0, 1]}, {"k": [0, 1]}, (2, 2))
     truth = np.asarray(mach.dec(cand, auth), dtype=bool)
     reveal = b.issue_authority("reveal", "P3")
     obfu = obfuscate(mach, cand, ObfuscationPolicy(0.3), np.random.default_rng(3), reveal)
@@ -299,10 +354,11 @@ def test_stage_errors_carry_the_failing_stage():
     # one candidate cell of two 710-container records: on simd its count
     # may err past 1/2, and jaccard_cells refuses it inside filter_er, whose
     # name the diagnostic carries
+    cfg = PipelineConfig(backend="sim", profile="simd", strategy="ve", seed=0)
+
     def upload(first):
         return PartyUpload([EncodedRecord("0", tuple(range(first, first + 710)), 1)],
-                           {"k": [0]}, ["r"])
-    cfg = PipelineConfig(backend="sim", profile="simd", strategy="ve", seed=0)
+                           np.zeros((1, cfg.band_plan().bands), dtype=np.uint64), ["r"])
     with pytest.raises(StageError) as excinfo:
         run_pper_from_uploads(upload(0), upload(1), cfg)
     assert excinfo.value.stage == "filter_er"
@@ -317,17 +373,24 @@ def test_stage_ledger_covers_pipeline_stages():
     assert {"upload", "merge_dedup", "obfuscate", "filter_er", "finalize"} <= stages
 
 
-def _twin_uploads(token_shift, index1=None):
-    # identical shapes and block keys and sizes; token contents differ, and
-    # so do the block ids when index1 is given
+_TWIN_BANDS = PipelineConfig().band_plan().bands
+
+
+def _twin_digests(*rows):
+    """A digest matrix whose row r holds ``rows[r]`` in every band."""
+    return np.repeat(np.array(rows, dtype=np.uint64)[:, None], _TWIN_BANDS, axis=1)
+
+
+def _twin_uploads(token_shift, digests1=None):
+    # identical shapes; token contents differ, and so do the digests when
+    # digests1 is given
     enc1 = [EncodedRecord("0", (1000 + token_shift, 2000, 3000), 1),
             EncodedRecord("1", (1500, 2500 + token_shift, 3500), 1)]
     enc2 = [EncodedRecord("0", (1000, 2000, 3000 + token_shift), 1),
             EncodedRecord("1", (9000, 9100, 9200), 1)]
-    index1 = index1 or {"aa": [0], "bb": [1]}
-    index2 = {"aa": [0], "bb": [1]}
-    u1 = PartyUpload(enc1, index1, ["a0", "a1"], {})
-    u2 = PartyUpload(enc2, index2, ["b0", "b1"], {})
+    digests1 = _twin_digests(7, 8) if digests1 is None else digests1
+    u1 = PartyUpload(enc1, digests1, ["a0", "a1"], {})
+    u2 = PartyUpload(enc2, _twin_digests(7, 8), ["b0", "b1"], {})
     return u1, u2
 
 
@@ -346,10 +409,10 @@ def test_full_run_twin_traces_identical():
 
 
 @pytest.mark.parametrize("spec", ["sim:generic", "sim:simd", "mpc"])
-def test_full_run_twin_traces_independent_of_block_ids(spec):
+def test_full_run_twin_traces_independent_of_digests(spec):
     # rho=1 reveals every cell, so only merge could make the traces differ
-    def run(index1):
-        u1, u2 = _twin_uploads(0, index1)
+    def run(digests1):
+        u1, u2 = _twin_uploads(0, digests1)
         kind, _, profile = spec.partition(":")
         backend = make_backend(kind, profile or "generic", seed=0)
         backend.enable_trace()
@@ -358,38 +421,36 @@ def test_full_run_twin_traces_independent_of_block_ids(spec):
         result = run_pper_from_uploads(u1, u2, cfg, backend=backend)
         return result.trace
 
-    assert_oblivious(run({"aa": [0, 1], "bb": [0]}), run({"aa": [1, 0], "bb": [1]}))
+    assert_oblivious(run(_twin_digests(7, 7)), run(_twin_digests(1 << 63, (1 << 64) - 1)))
 
 
-# container counts of each side's records, and both sides' sizes of each
-# block; two or more keys, so that which cells they flag depends on the ids
-_SHAPES = st.integers(2, 4).flatmap(lambda n1: st.integers(2, 4).flatmap(lambda n2: st.tuples(
-    st.lists(st.integers(0, 4), min_size=n1, max_size=n1),
-    st.lists(st.integers(0, 4), min_size=n2, max_size=n2),
-    st.lists(st.tuples(st.integers(1, n1), st.integers(1, n2)), min_size=2, max_size=4))))
+# container counts of each side's records
+_SHAPES = st.tuples(*(st.lists(st.integers(0, 4), min_size=2, max_size=4) for _ in range(2)))
 
 
-def _random_upload(data, counts, block_sizes, side):
-    """An upload of the given public shape with drawn contents and ids."""
+def _random_upload(data, counts, side):
+    """An upload of the given public shape with drawn contents and digests;
+    digests from a pool of three, so that which cells they flag varies."""
     rows = len(counts)
     encoded = [EncodedRecord(str(r), tuple(data.draw(st.lists(
         st.integers(0, (1 << 16) - 1), min_size=n, max_size=n, unique=True))), 1)
         for r, n in enumerate(counts)]
-    index = {f"k{k}": data.draw(st.permutations(range(rows)))[:sizes[side]]
-             for k, sizes in enumerate(block_sizes)}
-    return PartyUpload(encoded, index, [f"{side}{r}" for r in range(rows)], {})
+    digests = data.draw(st.lists(st.sampled_from([0, 1 << 40, (1 << 64) - 1]),
+                                 min_size=rows * _TWIN_BANDS, max_size=rows * _TWIN_BANDS))
+    return PartyUpload(encoded, np.array(digests, dtype=np.uint64).reshape(rows, _TWIN_BANDS),
+                       [f"{side}{r}" for r in range(rows)], {})
 
 
 # Each example links two twins on three backends, about 50 ms in all.
 @settings(max_examples=12)
 @given(shapes=_SHAPES, data=st.data())
 def test_twin_traces_of_random_uploads_identical(shapes, data):
-    # the generalized _twin_uploads: same container counts, block keys and
-    # block sizes, drawn contents and ids; rho=1 reveals every cell, so the
-    # candidates the contents make cannot steer the work
-    counts1, counts2, block_sizes = shapes
-    twins = [(_random_upload(data, counts1, block_sizes, 0),
-              _random_upload(data, counts2, block_sizes, 1)) for _ in range(2)]
+    # the generalized _twin_uploads: same container counts, drawn contents
+    # and digests; rho=1 reveals every cell, so the candidates the contents
+    # make cannot steer the work
+    counts1, counts2 = shapes
+    twins = [(_random_upload(data, counts1, 0), _random_upload(data, counts2, 1))
+             for _ in range(2)]
     for spec in ("sim:generic", "sim:simd", "mpc"):
         kind, _, profile = spec.partition(":")
         cfg = PipelineConfig(backend=kind, profile=profile or "generic",
@@ -413,8 +474,7 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
     cfg = PipelineConfig(backend=kind, profile=profile or "generic", seed=0)
     u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
     # what the upload before batching encrypted, one enc each, in its order
-    per_value = ([list(rec.containers) for up in (u1, u2) for rec in up.encoded]
-                 + [up.index[key] for up in (u1, u2) for key in sorted(up.index)])
+    per_value = [list(rec.containers) for up in (u1, u2) for rec in up.encoded]
     encrypted = []
 
     def per_value_upload(mach, flat, lengths):
@@ -450,24 +510,24 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
                             backend.ledger.rows()))
     assert encrypted == per_value
     (matches, transcript, trace, rounds, ledger), batched = outputs
-    # the reference joins each of the four passes (D1's and D2's records,
-    # then their block ids) with one concat in upload, its first stage
-    cuts = np.cumsum([0, len(u1.encoded), len(u2.encoded), len(u1.index), len(u2.index)])
-    concats = [k for k, e in enumerate(trace) if e[0] == "concat"][:4]
+    # the reference joins each of the two passes (D1's and D2's records)
+    # with one concat in upload, its first stage
+    cuts = np.cumsum([0, len(u1.encoded), len(u2.encoded)])
+    concats = [k for k, e in enumerate(trace) if e[0] == "concat"][:2]
     assert [trace[k] for k in concats] == [
         ("concat",) + tuple((len(v),) for v in per_value[lo:hi])
         for lo, hi in zip(cuts, cuts[1:])]
-    assert ("upload", "concat", 4) in ledger
+    assert ("upload", "concat", 2) in ledger
     trace = [e for k, e in enumerate(trace) if k not in concats]
     ledger = [row for row in ledger if row[:2] != ("upload", "concat")]
     if rounds is not None:
         # the one difference in rounds.csv: an enc_runs pass sends each party
-        # one store envelope, so upload messages count the four passes (D1's
-        # and D2's records, then their block ids), not the runs
+        # one store envelope, so upload messages count the two passes (D1's
+        # and D2's records), not the runs; the digests are one enc per side
         rows, got = _csv_rows(rounds), _csv_rows(batched[3])
         cells = {tuple(row[:2]): row for row in rows}
-        assert cells["stage", "upload"][3] == str(3 * len(per_value))
-        saved = 3 * len(per_value) - 4 * 3
+        assert cells["stage", "upload"][3] == str(3 * (len(per_value) + 2))
+        saved = 3 * len(per_value) - 2 * 3
         for key in (("total", "all"), ("stage", "upload"), ("op", "enc")):
             cells[key][3] = str(int(cells[key][3]) - saved)
         assert got == rows
@@ -487,7 +547,7 @@ def _reference_ve_counts(mach, runs1, runs2, cells, max_slots):
     all1, all2 = runs1.values, runs2.values
     slots = [len1[i] * len2[j] for i, j in cells.tolist()]
     parts = []
-    for run in slot_runs([(n,) for n in slots], max_slots):
+    for run in slot_runs(slots, max_slots):
         idx1, idx2 = reference_ve_indices(len1, len2, cells[run.start:run.stop])
         bits = mach.eeq(mach.take(all1, idx1), mach.take(all2, idx2))
         counts = mach.segment_sum(bits, 1, slots[run.start:run.stop])
@@ -543,8 +603,7 @@ def test_run_slot_floor_changes_no_result_and_sets_the_runs(spec, strategy, monk
     assert rows * cols < MIN_RUN_SLOTS
     len1 = np.array([len(r.containers) for r in u1.encoded])
     len2 = np.array([len(r.containers) for r in u2.encoded])
-    keys = [k for k in sorted(u1.index) if u1.index[k] and u2.index.get(k)]
-    key_slots = [(len(u1.index[k]) * rows, len(u2.index[k]) * cols) for k in keys]
+    band_slots = [rows * cols] * cfg.band_plan().bands
     outputs, runs = [], {}
     for floor in (0, MIN_RUN_SLOTS):
         monkeypatch.setattr(machine, "MIN_RUN_SLOTS", floor)
@@ -556,17 +615,17 @@ def test_run_slot_floor_changes_no_result_and_sets_the_runs(spec, strategy, monk
                                  if o.kind == "masked_value")
         outputs.append((result.strategy, result.matches, result.obfu_count,
                         result.evaluated_cells, filter_masked))
-        # each group or run makes one equality per indicator or cell batch:
-        # a gate, or on simd one masked reciprocal
+        # each run makes one equality per digest limb (two on simd) or per
+        # cell batch: a gate, or on simd one masked reciprocal
         counts = backend.ledger.counts
-        made = "eq" if backend.caps.native_eq else "dec"
+        made, limbs = ("eq", 1) if backend.caps.native_eq else ("dec", 2)
         budget = max(rows * cols, MIN_RUN_SLOTS if floor else 0)
-        runs[floor] = [len(slot_runs(key_slots, budget))]
-        assert counts[("merge_dedup", made)] == 2 * runs[floor][0]
+        runs[floor] = [len(slot_runs(band_slots, budget))]
+        assert counts[("merge_dedup", made)] == limbs * runs[floor][0]
         if result.strategy is Strategy.VE:
             cells = np.argwhere(np.array(seen[reveal].value, dtype=bool))
             runs[floor].append(len(slot_runs(
-                [(int(n),) for n in len1[cells[:, 0]] * len2[cells[:, 1]]], budget)))
+                (len1[cells[:, 0]] * len2[cells[:, 1]]).tolist(), budget)))
             assert counts[("filter_er", made)] == runs[floor][1]
     assert outputs[0][1] and outputs[1] == outputs[0]
     if spec == "sim:simd":
@@ -580,11 +639,11 @@ def test_leakage_budget_p3_transcript():
     cfg = PipelineConfig(backend="sim", strategy="ve", t_jaccard=Fraction(1, 2),
                          t_block=0.5, rho=0.05, seed=0)
     result = run_pper(d1, d2, cfg)
-    allowed = {"dataset_size", "record_container_count", "block_key",
-               "block_size", "obfu_pairs", "authority_grant", "masked_value"}
+    allowed = {"dataset_size", "record_container_count", "obfu_pairs", "authority_grant",
+               "masked_value"}
     kinds = {o.kind for o in result.transcript if o.role == "P3"}
     assert kinds <= allowed
-    assert "dataset_size" in kinds and "block_key" in kinds and "obfu_pairs" in kinds
+    assert "dataset_size" in kinds and "obfu_pairs" in kinds
     # nothing content-bearing: no P3 value contains a raw token container
     tokens = set()
     for r in d1 + d2:
@@ -596,6 +655,24 @@ def test_leakage_budget_p3_transcript():
         for v in flat:
             if isinstance(v, (int, np.integer)):
                 assert int(v) not in tokens
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+def test_p3_observes_no_blocking_key_or_block_size(spec):
+    # P3 holds the MinHash seed and the band plan, so it can compute the
+    # band keys of any text it guesses; with D1's keys in view it once
+    # confirmed 20 of 20 guessed D1 records.  Merge now compares the
+    # digests privately, so no key, block size or digest reaches P3.
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    kind, _, profile = spec.partition(":")
+    cfg = PipelineConfig(backend=kind, profile=profile or "generic")
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    p3 = [o for o in run_pper_from_uploads(u1, u2, cfg).transcript if o.role == "P3"]
+    assert p3 and not {"block_key", "block_size"} & {o.kind for o in p3}
+    secret = set(u1.index) | set(u2.index) | set(u1.digests.ravel().tolist()) \
+        | set(u2.digests.ravel().tolist())
+    for obs in p3:
+        assert not secret & set(np.asarray(obs.value, dtype=object).ravel().tolist())
 
 
 # -- upload validation ---------------------------------------------------------------
@@ -624,10 +701,8 @@ def test_run_result_transcript_is_a_snapshot_of_python_values():
     backend.observe("P3", "late", 1)
     assert list(result.transcript) == seen and len(result.transcript) == len(seen)
     counts = [o.value for o in seen if o.kind == "record_container_count"]
-    sizes = [o.value for o in seen if o.kind == "block_size"]
     assert [row for _, row, _ in counts] == list(range(10)) + list(range(30))
-    assert len(sizes) == len([o for o in seen if o.kind == "block_key"]) > 0
-    for value in counts + sizes:
+    for value in counts:
         assert type(value[0]) is str and type(value[-1]) is int
     assert all(type(row) is int for _, row, _ in counts)
 
@@ -655,17 +730,14 @@ def test_upload_refusal_names_the_first_fault_in_order():
     # a record that repeats a container and holds one outside is said to repeat
     u2.encoded[3] = doubled(u2.encoded[3], (1 << 16,))
     assert _refused_upload(u1, u2, cfg) == "[upload] D2 record 3 repeats a container"
-    # records before blocks; blocks in the index's key order
-    keys = list(u2.index)
-    u2.index[keys[5]] = u2.index[keys[5]] + [999]
-    u2.index[keys[2]] = u2.index[keys[2]] * 2
+    # records before digests
+    u2.digests = u2.digests[:, :-1]
     assert _refused_upload(u1, u2, cfg) == "[upload] D2 record 3 repeats a container"
     u2.encoded = uploads()[1].encoded
-    assert _refused_upload(u1, u2, cfg) == f"[upload] D2 block {keys[2]} repeats an id"
+    assert _refused_upload(u1, u2, cfg) == "[upload] D2 digests hold 24 bands, not 25"
     # D1 before D2
-    u1.index[sorted(u1.index)[-1]] = [-1]
-    assert _refused_upload(u1, u2, cfg) == \
-        f"[upload] D1 block {sorted(u1.index)[-1]} holds an id outside [0, 20)"
+    u1.digests = u1.digests[:-1]
+    assert _refused_upload(u1, u2, cfg) == "[upload] D1 digests hold 19 rows for 20 records"
     # the manifests first
     u1.manifest["seed"] = 1
     assert "manifests disagree on seed" in _refused_upload(u1, u2, cfg)
@@ -684,24 +756,30 @@ def test_upload_manifests_must_agree_with_each_other_and_the_config():
     assert "pack" in _refused_upload(u1, u2, PipelineConfig(pack=4))
 
 
-def test_upload_block_id_outside_the_rows_is_refused():
+MALFORMED_DIGESTS = {
+    "a row short": (lambda d: d[:-1], "D1 digests hold 19 rows for 20 records"),
+    "a row too many": (lambda d: np.vstack([d, d[:1]]), "D1 digests hold 21 rows for 20 records"),
+    "a band short": (lambda d: d[:, :-1], "D1 digests hold 24 bands, not 25"),
+    "a band too many": (lambda d: np.hstack([d, d[:, :1]]), "D1 digests hold 26 bands, not 25"),
+    "not a matrix": (lambda d: d[0], "D1 digests are not a matrix"),
+    "ragged rows": (lambda d: [[1, 2], [3]], "D1 digests are not a matrix"),
+    "float digests": (lambda d: d.astype(np.float64),
+                      "D1 digests hold a value that is not an integer"),
+    "bool digests": (lambda d: d > 0, "D1 digests hold a value that is not an integer"),
+    "a negative digest": (lambda d: np.where(np.arange(d.size).reshape(d.shape) == 7, -1,
+                                             d.astype(np.int64)),
+                          "D1 digests hold a value outside [0, 2^64)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DIGESTS))
+def test_malformed_digests_are_refused_at_upload(case):
+    change, message = MALFORMED_DIGESTS[case]
     d1, d2, _ = generate_dataset(seed=0, size=100)
     cfg = PipelineConfig()
     u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
-    key = sorted(u1.index)[0]
-    u1.index[key] = u1.index[key] + [999]
-    assert "outside" in _refused_upload(u1, u2, cfg)
-    u1.index[key] = [-1]
-    assert "outside" in _refused_upload(u1, u2, cfg)
-
-
-def test_upload_block_repeating_an_id_is_refused():
-    d1, d2, _ = generate_dataset(seed=0, size=100)
-    cfg = PipelineConfig()
-    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
-    key = sorted(u2.index)[0]
-    u2.index[key] = u2.index[key] + u2.index[key][:1]
-    assert "repeats" in _refused_upload(u1, u2, cfg)
+    u1.digests = change(u1.digests)
+    assert _refused_upload(u1, u2, cfg) == f"[upload] {message}"
 
 
 def test_upload_record_repeating_a_container_is_refused():
@@ -749,11 +827,14 @@ def test_upload_records_out_of_row_order_are_refused(tmp_path):
     assert _refused_upload(p1, p2, cfg).endswith("records.enc entry 0 holds row 1, not 0")
     (p1 / "records.enc").write_text("".join([lines[0], '{"containers": [1]}\n'] + lines[2:]))
     assert _refused_upload(p1, p2, cfg).endswith("records.enc entry 1 holds row None, not 1")
-    # a record dropped from the end leaves the rows in order; the id map
-    # then holds a row too many
+    # a record and its digests dropped from the end leave the rows in
+    # order; the id map then holds a row too many
+    digests = (p1 / "digests.enc").read_text().splitlines(keepends=True)
     (p1 / "records.enc").write_text("".join(lines[:-1]))
+    (p1 / "digests.enc").write_text("".join(digests[:-1]))
     assert _refused_upload(p1, p2, cfg) == "[upload] D1 id map holds 12 rows for 11 records"
     (p1 / "records.enc").write_text("".join(lines))
+    (p1 / "digests.enc").write_text("".join(digests))
     rows = (p2 / "idmap.csv").read_text().splitlines(keepends=True)
     (p2 / "idmap.csv").write_text("".join(rows[:3] + [rows[4], rows[3]] + rows[5:]))
     assert _refused_upload(p1, p2, cfg).endswith("idmap.csv entry 2 holds row 3, not 2")
@@ -824,19 +905,12 @@ def _mutate_record(k, change):
     return _mutate_line("records.enc", k, rewrite)
 
 
-def _mutate_blocks(change):
-    def mutate(path):
-        index = json.loads((path / "blocks.enc").read_text())
-        change(index)
-        (path / "blocks.enc").write_text(json.dumps(index))
-    return mutate
-
-
-def _first_block(value):
-    def change(index):
-        key = sorted(index)[0]
-        index[key] = [value] + index[key][1:]
-    return change
+def _mutate_digest(k, value):
+    """Entry k of digests.enc with its first digest made ``value``."""
+    def rewrite(line):
+        row = json.loads(line)
+        return json.dumps([value] + row[1:]) + "\n"
+    return _mutate_line("digests.enc", k, rewrite)
 
 
 MALFORMED_PARTY_FILES = {
@@ -861,14 +935,27 @@ MALFORMED_PARTY_FILES = {
                     "records.enc entry 2 has pack True, not 1"),
     "row a string": (_mutate_record(0, lambda item: item.update(row="0")),
                      "records.enc entry 0 holds row '0', not 0"),
-    "block id not an integer": (_mutate_blocks(_first_block(1.5)),
-                                "holds an id that is not an integer"),
-    "block id a bool": (_mutate_blocks(_first_block(False)),
-                        "holds an id that is not an integer"),
-    "block id a string": (_mutate_blocks(_first_block("3")),
-                          "holds an id that is not an integer"),
-    "blocks not json": (lambda path: (path / "blocks.enc").write_text("{"),
-                        "blocks.enc is not a JSON object"),
+    "digest not an integer": (_mutate_digest(3, 1.5),
+                              "digests.enc entry 3 holds a digest that is not an integer"),
+    "digest a bool": (_mutate_digest(3, False),
+                      "digests.enc entry 3 holds a digest that is not an integer"),
+    "digest true": (_mutate_digest(3, True),
+                    "digests.enc entry 3 holds a digest that is not an integer"),
+    "digest a string": (_mutate_digest(3, "3"),
+                        "digests.enc entry 3 holds a digest that is not an integer"),
+    "digest negative": (_mutate_digest(3, -1),
+                        "digests.enc entry 3 holds a digest outside [0, 2^64)"),
+    "digest past 64 bits": (_mutate_digest(3, 1 << 64),
+                            "digests.enc entry 3 holds a digest outside [0, 2^64)"),
+    "digests a band short": (_mutate_line("digests.enc", 3,
+                                          lambda line: json.dumps(json.loads(line)[1:]) + "\n"),
+                             "digests.enc entry 3 holds 24 bands, not 25"),
+    "digests a row short": (_mutate_line("digests.enc", 3, lambda line: ""),
+                            "digests.enc holds 11 rows for 12 records"),
+    "digests a row too many": (_mutate_line("digests.enc", 3, lambda line: line * 2),
+                               "digests.enc holds 13 rows for 12 records"),
+    "digests not json": (_mutate_line("digests.enc", 3, lambda line: line[:-3] + "\n"),
+                         "digests.enc entry 3 is not a JSON array"),
     "manifest not json": (lambda path: (path / "manifest").write_text("pack=1"),
                           "manifest is not a JSON object"),
     "id map row without id": (_mutate_line("idmap.csv", 3, lambda line: "2\n"),
@@ -877,8 +964,8 @@ MALFORMED_PARTY_FILES = {
                          "p1/manifest cannot be read: No such file or directory"),
     "records missing": (lambda path: (path / "records.enc").unlink(),
                         "p1/records.enc cannot be read: No such file or directory"),
-    "blocks missing": (lambda path: (path / "blocks.enc").unlink(),
-                       "p1/blocks.enc cannot be read: No such file or directory"),
+    "digests missing": (lambda path: (path / "digests.enc").unlink(),
+                        "p1/digests.enc cannot be read: No such file or directory"),
     "id map missing": (lambda path: (path / "idmap.csv").unlink(),
                        "p1/idmap.csv cannot be read: No such file or directory"),
     "other party missing": (lambda path: shutil.rmtree(path.parent / "p2"),
@@ -915,7 +1002,7 @@ def test_malformed_party_files_are_refused_at_upload(case, party_blocks, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
-_PARTY_FILES = ("manifest", "records.enc", "blocks.enc", "idmap.csv")
+_PARTY_FILES = ("manifest", "records.enc", "digests.enc", "idmap.csv")
 
 
 def _placed(rows: list, values: list) -> list | None:
@@ -927,9 +1014,9 @@ def _placed(rows: list, values: list) -> list | None:
 
 
 def _read_side(files: dict) -> tuple | None:
-    """(containers, blocks, ids) of one party's files, with records and
-    id-map rows placed by their ``row`` fields, not by their lines; None
-    when the files do not say one thing."""
+    """(containers, digests, ids) of one party's files, with records and
+    id-map rows placed by their ``row`` fields, not by their lines, and
+    digests by their lines; None when the files do not say one thing."""
     def lines(name):
         out = files[name].decode("utf-8").split("\n")
         return out[:-1] if out[-1] == "" else out
@@ -937,19 +1024,20 @@ def _read_side(files: dict) -> tuple | None:
         items = [json.loads(line) for line in lines("records.enc")]
         rows = [item["row"] for item in items]
         containers = _placed(rows, [item["containers"] for item in items])
-        blocks = json.loads(files["blocks.enc"])
+        digests = [json.loads(line) for line in lines("digests.enc")]
         id_rows = [line.split(",", 1) for line in lines("idmap.csv")[1:]]
         ids = _placed([r[0] for r in id_rows], [r[1] for r in id_rows])
+        bands = PipelineConfig().band_plan().bands
         valid = (containers is not None and ids is not None and len(ids) == len(containers)
                  and all(type(c) is int and 0 <= c < 1 << 16 for rec in containers for c in rec)
                  and all(len(set(rec)) == len(rec) for rec in containers)
-                 and all(type(i) is int and 0 <= i < len(ids)
-                         for v in blocks.values() for i in v)
-                 and all(len(set(v)) == len(v) for v in blocks.values()))
+                 and len(digests) == len(containers)
+                 and all(type(row) is list and len(row) == bands for row in digests)
+                 and all(type(d) is int and 0 <= d < 1 << 64 for row in digests for d in row))
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, IndexError,
             AttributeError):
         return None
-    return (containers, blocks, ids) if valid else None
+    return (containers, digests, ids) if valid else None
 
 
 def _links_as_read(files: dict) -> list | None:
@@ -958,15 +1046,14 @@ def _links_as_read(files: dict) -> list | None:
     sides = [_read_side(files[party]) for party in ("p1", "p2")]
     if None in sides:
         return None
-    (c1, b1, id1), (c2, b2, id2) = sides
+    (c1, k1, id1), (c2, k2, id2) = sides
     t = PipelineConfig().jaccard_params().threshold
     matches = set()
-    for key in b1.keys() & b2.keys():
-        for i in b1[key]:
-            for j in b2[key]:
-                inter = len(set(c1[i]) & set(c2[j]))
-                if (t.denominator + t.numerator) * inter > t.numerator * (len(c1[i]) + len(c2[j])):
-                    matches.add((id1[i], id2[j]))
+    for i, j in itertools.product(range(len(c1)), range(len(c2))):
+        if any(a == b for a, b in zip(k1[i], k2[j])):
+            inter = len(set(c1[i]) & set(c2[j]))
+            if (t.denominator + t.numerator) * inter > t.numerator * (len(c1[i]) + len(c2[j])):
+                matches.add((id1[i], id2[j]))
     return sorted(matches)
 
 
@@ -1052,6 +1139,8 @@ def test_party_dir_round_trip(tmp_path):
     loaded = read_party_dir(str(tmp_path / "p1"))
     assert [tuple(r.containers) for r in loaded.encoded] == \
         [tuple(r.containers) for r in upload.encoded]
+    assert loaded.digests.dtype == np.uint64
+    assert loaded.digests.tolist() == upload.digests.tolist()
     assert loaded.index == upload.index
     assert loaded.id_map == upload.id_map
     assert loaded.manifest["pack"] == 1

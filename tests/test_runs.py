@@ -28,10 +28,12 @@ def test_runs_equal_one_vector_per_run(spec, side1, side2, data):
         assert dec_round(mach, auth, runs.values) == [x for run in side for x in run]
         assert [dec_round(mach, auth, runs.run(k)) for k in range(len(side))] == side
 
-    # merge's one gather of a group of runs is the concat of their vectors
+    # one gather of a group of runs at their public offsets is the concat
+    # of their vectors
     if side1:
         group = data.draw(st.lists(st.integers(0, len(side1) - 1), unique=True, min_size=1))
-        gathered = mach.take(runs1.values, runs1.positions(group))
+        gathered = mach.take(runs1.values, [int(runs1.starts[k]) + t for k in group
+                                            for t in range(int(runs1.lengths[k]))])
         joined = mach.concat(*(mach.enc(side1[k]) for k in group))
         assert dec_round(mach, auth, gathered) == dec_round(mach, auth, joined)
 
