@@ -11,7 +11,7 @@ additive-secret-sharing runtime.
 
 from .backends import (Capabilities, DecryptionAuthority, OpCostLedger, SimBackend,
                        assert_oblivious, make_backend)
-from .blocking import (BandPlan, EncodedRecord, MinHasher, TokenSet, band_keys,
+from .blocking import (BandPlan, MinHasher, TokenSet, band_keys,
                        build_block_index, optimal_band_plan, pack_tokens,
                        tokenize_bigrams)
 from .errors import (AuthorityError, CapabilityError, ContextMismatchError,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Capabilities", "DecryptionAuthority", "OpCostLedger",
     "SimBackend", "assert_oblivious", "make_backend",
-    "BandPlan", "EncodedRecord", "MinHasher", "TokenSet", "band_keys",
+    "BandPlan", "MinHasher", "TokenSet", "band_keys",
     "build_block_index", "optimal_band_plan", "pack_tokens", "tokenize_bigrams",
     "AuthorityError", "CapabilityError", "ContextMismatchError", "DomainError",
     "OblivLinkError", "ShapeError", "StageError", "TaintViolation",

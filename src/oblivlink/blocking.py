@@ -49,14 +49,6 @@ class TokenSet:
         return sorted(self.tokens)
 
 
-@dataclass(frozen=True)
-class EncodedRecord:
-    """Token codes packed into 64-bit containers (k tokens per container)."""
-    record_id: str
-    containers: tuple[int, ...]
-    pack: int
-
-
 def normalize_text(fields: dict[str, str], order: list[str]) -> str:
     """Lowercased concatenation of the configured fields, space separated."""
     return " ".join(str(fields.get(name, "")).lower() for name in order)
@@ -103,10 +95,11 @@ def tokenize_bigrams(text: str, record_id: str = "") -> TokenSet:
     return TokenSet(record_id, frozenset(codes.tolist()))
 
 
-def pack_records(record_ids, codes: np.ndarray, lengths, pack: int = 1) -> list[EncodedRecord]:
+def pack_records(codes: np.ndarray, lengths, pack: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Encode many records at once from their ascending token codes, record
-    after record (as ``bigram_codes`` gives them): record k gets
-    ceil(lengths[k]/pack) containers.  pack=4 packs four codes big-endian per
+    after record (as ``bigram_codes`` gives them): every record's
+    containers, record after record (uint64), and each record's count
+    ceil(lengths[k]/pack) (int64).  pack=4 packs four codes big-endian per
     container (zero padded); pack=1 keeps exact set semantics."""
     if pack not in PACKS:
         raise ValueError(f"packing factor must be one of {PACKS}, not {pack}")
@@ -114,25 +107,22 @@ def pack_records(record_ids, codes: np.ndarray, lengths, pack: int = 1) -> list[
     lengths = np.asarray(lengths, dtype=np.int64)
     counts = -(-lengths // pack)
     if pack == 1:
-        containers = codes
-    else:
-        # code j of a record lands in slot j of its record's first container
-        shift = np.cumsum(lengths - pack * counts) - (lengths - pack * counts)
-        slots = np.zeros((int(counts.sum()), pack), dtype=np.uint64)
-        slots.reshape(-1)[np.arange(len(codes)) - np.repeat(shift, lengths)] = codes
-        containers = slots[:, 0]
-        for j in range(1, pack):
-            containers = (containers << np.uint64(TOKEN_BITS)) | slots[:, j]
-    values, ends = containers.tolist(), np.cumsum(counts).tolist()
-    return [EncodedRecord(rid, tuple(values[hi - n:hi]), pack)
-            for rid, n, hi in zip(record_ids, counts.tolist(), ends)]
+        return codes, counts
+    # code j of a record lands in slot j of its record's first container
+    shift = np.cumsum(lengths - pack * counts) - (lengths - pack * counts)
+    slots = np.zeros((int(counts.sum()), pack), dtype=np.uint64)
+    slots.reshape(-1)[np.arange(len(codes)) - np.repeat(shift, lengths)] = codes
+    containers = slots[:, 0]
+    for j in range(1, pack):
+        containers = (containers << np.uint64(TOKEN_BITS)) | slots[:, j]
+    return containers, counts
 
 
-def pack_tokens(tokens: TokenSet, pack: int = 1) -> EncodedRecord:
-    """ceil(|tokens|/k) containers from the ascending token codes (see
-    ``pack_records``)."""
+def pack_tokens(tokens: TokenSet, pack: int = 1) -> tuple[int, ...]:
+    """The ceil(|tokens|/k) containers of one record's ascending token codes
+    (see ``pack_records``)."""
     codes = tokens.sorted_tokens()
-    return pack_records([tokens.record_id], codes, [len(codes)], pack)[0]
+    return tuple(pack_records(codes, [len(codes)], pack)[0].tolist())
 
 
 class MinHasher:
@@ -311,15 +301,3 @@ def build_block_index(token_sets: list[TokenSet], plan: BandPlan,
     codes = np.fromiter(itertools.chain.from_iterable(t.tokens for t in token_sets),
                         dtype=np.uint64)
     return block_index(hasher.signatures(codes, [len(t.tokens) for t in token_sets]), plan)
-
-
-def flat_column(runs: list) -> np.ndarray:
-    """The integers of ``runs``, run after run, as one uint64 array; as
-    Python ints when some value does not fit, so that range checks on the
-    column stay exact."""
-    flat = itertools.chain.from_iterable(runs)
-    try:
-        return np.fromiter(flat, dtype=np.uint64, count=sum(map(len, runs)))
-    except OverflowError:
-        return np.array(list(itertools.chain.from_iterable(runs)), dtype=object)
-

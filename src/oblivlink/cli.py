@@ -122,6 +122,8 @@ def _write_pairs(path: str, pairs):
 
 def cmd_generate(args) -> int:
     config = _build_config(args)
+    if config.seed < 0:
+        raise OblivLinkError(f"bad config: seed must be at least 0, not {config.seed}")
     if args.size < 0:
         raise OblivLinkError(f"--size must be at least 0, not {args.size}")
     if not 0 <= args.split <= 1:
@@ -155,9 +157,10 @@ def cmd_block(args) -> int:
 
 def cmd_link(args) -> int:
     config = _build_config(args)
+    backend = checked_config(config)[-1]
     u1 = read_party_dir(os.path.join(args.blocks, "p1"))
     u2 = read_party_dir(os.path.join(args.blocks, "p2"))
-    result = run_pper_from_uploads(u1, u2, config)
+    result = run_pper_from_uploads(u1, u2, config, backend=backend)
     os.makedirs(args.out, exist_ok=True)
     _write_pairs(os.path.join(args.out, "matches.csv"), result.matches)
     with open(os.path.join(args.out, "ledger.csv"), "w") as fh:

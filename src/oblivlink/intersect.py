@@ -236,16 +236,16 @@ _DISPATCH = {
 }
 
 
-def require_strategy(mach: Machine, strategy: Strategy):
+def require_strategy(backend, strategy: Strategy):
     """Refuse, with ``CapabilityError``, a strategy the backend cannot run."""
-    if not strategy_supported(strategy, mach.b.caps):
+    if not strategy_supported(strategy, backend.caps):
         raise CapabilityError(
-            f"strategy {strategy.value} unsupported on {mach.b.kind}/{mach.b.profile}")
+            f"strategy {strategy.value} unsupported on {backend.kind}/{backend.profile}")
 
 
 def intersection_size(mach: Machine, v1: PrivateVector, v2: PrivateVector,
                       strategy: Strategy) -> PrivateScalar:
-    require_strategy(mach, strategy)
+    require_strategy(mach.b, strategy)
     return _DISPATCH[strategy](mach, v1, v2)
 
 
@@ -293,7 +293,7 @@ def jaccard_cells(mach: Machine, runs1: Runs, runs2: Runs, cells, params: Jaccar
     ``EQ_BIT_ERROR``; cells for which that sum reaches 1/2 are refused
     before any machine work.
     """
-    require_strategy(mach, strategy)
+    require_strategy(mach.b, strategy)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
     len1, len2 = runs1.lengths[cells[:, 0]], runs2.lengths[cells[:, 1]]
     if mach.b.domain == APPROX:

@@ -21,6 +21,7 @@ never reach it: merge's work depends on the public shapes alone.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -31,9 +32,8 @@ import numpy as np
 from .backends import make_backend
 from .backends.base import (APPROX, APPROX_EXACT_BITS, ROLE_HOST, ROLE_OWNER_1, ROLE_OWNER_2,
                             Transcript, tagged_rng)
-from .blocking import (PACKS, TOKEN_BITS, BandPlan, EncodedRecord, MinHasher, band_digests,
-                       bigram_codes, digest_index, flat_column, optimal_band_plan,
-                       pack_records)
+from .blocking import (PACKS, TOKEN_BITS, BandPlan, MinHasher, band_digests, bigram_codes,
+                       digest_index, optimal_band_plan, pack_records)
 from .errors import DomainError, OblivLinkError, StageError
 # jaccard_match stays importable from here for callers that wrap it
 from .intersect import (PAD_SENTINEL, JaccardParams, Strategy, jaccard_cells,  # noqa: F401
@@ -89,10 +89,13 @@ class PipelineConfig:
 
 @dataclass
 class PartyUpload:
-    """What one data owner ships: encoded records, the records x bands
-    matrix of band digests (uint64), and the owner-side row-to-external-id
-    map."""
-    encoded: list[EncodedRecord]
+    """What one data owner ships: its encoded records as one flat column,
+    every record's containers record after record (uint64), with each
+    record's public container count (``lengths``, int64); the records x
+    bands matrix of band digests (uint64); and the owner-side
+    row-to-external-id map."""
+    containers: np.ndarray
+    lengths: np.ndarray
     digests: np.ndarray
     id_map: list[str]
     manifest: dict = field(default_factory=dict)
@@ -123,7 +126,7 @@ def prepare_upload(records, config: PipelineConfig) -> PartyUpload:
     records at once."""
     ids = [r.record_id for r in records]
     codes, lengths = bigram_codes([r.text() for r in records], ids)
-    encoded = pack_records(ids, codes, lengths, config.pack)
+    containers, counts = pack_records(codes, lengths, config.pack)
     plan = config.band_plan()
     hasher = MinHasher(config.num_perm, config.seed)
     digests = band_digests(hasher.signatures(codes, lengths), plan)
@@ -132,16 +135,17 @@ def prepare_upload(records, config: PipelineConfig) -> PartyUpload:
         "num_perm": config.num_perm, "bands": plan.bands, "rows": plan.rows,
         "seed": config.seed,
     }
-    return PartyUpload(encoded, digests, ids, manifest)
+    return PartyUpload(containers, counts, digests, ids, manifest)
 
 
 def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
                      plan: BandPlan):
     """Refuse, before any machine work, uploads that would link to a quietly
     wrong answer: owners that hashed, banded or packed differently from each
-    other or from the link config and its band ``plan``, records whose
-    containers repeat, do not fit the packing's pack·16 bits or equal VR's
-    padding ``PAD_SENTINEL``, and digests that are not a records x
+    other or from the link config and its band ``plan``, containers and
+    lengths that do not split into records (see ``_record_fault``), records
+    whose containers repeat, do not fit the packing's pack·16 bits or equal
+    VR's padding ``PAD_SENTINEL``, and digests that are not a records x
     ``plan.bands`` matrix of integers in [0, 2^64).  A manifest that omits a
     field is not checked on it, and an id map must hold one row per
     record."""
@@ -157,19 +161,14 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
                                        f"the link config's {want}")
     bits = TOKEN_BITS * config.pack
     for role, up in (("D1", u1), ("D2", u2)):
-        if len(up.id_map) != len(up.encoded):
-            raise StageError("upload", f"{role} id map holds {len(up.id_map)} rows "
-                                       f"for {len(up.encoded)} records")
-        fault = _first_fault([rec.containers for rec in up.encoded], 1 << bits)
+        fault = _record_fault(up.containers, up.lengths, bits)
         if fault:
-            row, repeats = fault
-            raise StageError("upload", f"{role} record {row} repeats a container" if repeats
-                             else f"{role} record {row} holds a container outside [0, 2^{bits})")
-        if PAD_SENTINEL < 1 << bits:  # pack 4 only; pack 1's range check excludes it
-            for row, rec in enumerate(up.encoded):
-                if PAD_SENTINEL in rec.containers:
-                    raise StageError("upload", f"{role} record {row} holds VR's padding 2^63-1")
-        fault = _digest_fault(up.digests, len(up.encoded), plan.bands)
+            raise StageError("upload", f"{role} {fault}")
+        records = len(up.lengths)
+        if len(up.id_map) != records:
+            raise StageError("upload", f"{role} id map holds {len(up.id_map)} rows "
+                                       f"for {records} records")
+        fault = _digest_fault(up.digests, records, plan.bands)
         if fault:
             raise StageError("upload", f"{role} digests {fault}")
 
@@ -177,7 +176,7 @@ def validate_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConfig,
 def _digest_fault(digests, rows: int, bands: int) -> str | None:
     """Why ``digests`` is not a rows x bands matrix of integers in
     [0, 2^64), or None when it is one.  A boolean, float or object array is
-    not one of integers."""
+    not one of integers; a matrix without rows may have any width."""
     try:
         digests = np.asarray(digests)
     except ValueError:  # rows of different widths
@@ -186,7 +185,7 @@ def _digest_fault(digests, rows: int, bands: int) -> str | None:
         return "are not a matrix"
     if len(digests) != rows:
         return f"hold {len(digests)} rows for {rows} records"
-    if digests.shape[1] != bands:
+    if rows and digests.shape[1] != bands:
         return f"hold {digests.shape[1]} bands, not {bands}"
     if digests.dtype.kind not in "iu":
         return "hold a value that is not an integer"
@@ -195,23 +194,41 @@ def _digest_fault(digests, rows: int, bands: int) -> str | None:
     return None
 
 
-def _first_fault(runs: list, limit: int) -> tuple[int, bool] | None:
-    """The first run that repeats a value or holds one outside [0, limit),
-    and whether it repeats one (a run that does both repeats); None when
-    every run is sound.  A run in ascending order, as owners upload
-    them, repeats a value exactly where two neighbours are equal; when some
-    run is out of order, one stable sort by (run, value) makes that so."""
-    values = flat_column(runs)
-    run = np.repeat(np.arange(len(runs)), [len(r) for r in runs])
-    if not np.all((values[1:] > values[:-1]) | (run[1:] != run[:-1])):
-        order = np.lexsort((values, run))
-        values, run = values[order], run[order]
-    repeats = run[1:][(values[1:] == values[:-1]) & (run[1:] == run[:-1])]
-    outside = run[(values < 0) | (values >= limit)]
-    first = min(repeats.min(initial=len(runs)), outside.min(initial=len(runs)))
-    if first == len(runs):
+def _record_fault(containers, lengths, bits: int) -> str | None:
+    """Why ``containers`` split by ``lengths`` are not records of distinct
+    containers in [0, 2^bits) other than VR's padding ``PAD_SENTINEL``, or
+    None when they are.  Both must be 1-D integer arrays, the lengths
+    non-negative and summing to the containers.  One pass over the column
+    names the first faulty record, whatever its fault, and a record that
+    repeats a container is said to repeat it.  Records in ascending order,
+    as owners upload them, repeat a value exactly where two neighbours in
+    one record are equal; when some record is out of order, one stable sort
+    by (record, value) makes that so."""
+    values, lengths = np.asarray(containers), np.asarray(lengths)
+    if values.ndim != 1 or values.dtype.kind not in "iu":
+        return "containers are not a 1-D array of integers"
+    if lengths.ndim != 1 or lengths.dtype.kind not in "iu":
+        return "record lengths are not a 1-D array of integers"
+    if lengths.size and lengths.min() < 0:
+        return "record lengths hold a negative length"
+    if lengths.sum() != len(values):
+        return f"record lengths sum to {lengths.sum()}, not its {len(values)} containers"
+    record = np.repeat(np.arange(len(lengths)), lengths)
+    if not np.all((values[1:] > values[:-1]) | (record[1:] != record[:-1])):
+        order = np.lexsort((values, record))
+        values, record = values[order], record[order]
+    repeats = record[1:][(values[1:] == values[:-1]) & (record[1:] == record[:-1])]
+    outside = record[(values < 0) | (values >= 1 << bits)]
+    # pack 4 only; pack 1's range check excludes the padding
+    padding = record[values == PAD_SENTINEL] if PAD_SENTINEL < 1 << bits else record[:0]
+    first = min(rows.min(initial=len(lengths)) for rows in (repeats, outside, padding))
+    if first == len(lengths):
         return None
-    return int(first), bool(first in repeats)
+    if first in repeats:
+        return f"record {first} repeats a container"
+    if first in outside:
+        return f"record {first} holds a container outside [0, 2^{bits})"
+    return f"record {first} holds VR's padding 2^63-1"
 
 
 # -- machine-level stages ----------------------------------------------------
@@ -319,11 +336,14 @@ def checked_config(config: PipelineConfig, backend=None):
     """Every object a linkage builds from its config: the Jaccard
     parameters, the obfuscation policy, the band plan, the strategy (None
     for ``auto``) and the backend (``backend`` when one is passed).  A
-    value that one of them refuses, or a packing wider than the backend's
-    domain holds exactly, is refused with one ``OblivLinkError`` before any
-    work; ``block``, ``eval`` and ``bench`` call this too, so every command
-    refuses a bad config alike."""
+    value that one of them refuses, a negative seed, a packing wider than
+    the backend's domain holds exactly, or a strategy the backend cannot
+    run, is refused with one ``OblivLinkError`` before any work; ``link``,
+    ``block``, ``eval`` and ``bench`` call this first, so every command
+    refuses a bad config alike, before it reads or encodes anything."""
     try:
+        if config.seed < 0:
+            raise ValueError(f"seed must be at least 0, not {config.seed}")
         if config.pack not in PACKS:
             raise ValueError(f"packing factor must be one of {PACKS}, not {config.pack}")
         params = config.jaccard_params()
@@ -338,6 +358,8 @@ def checked_config(config: PipelineConfig, backend=None):
         raise DomainError(f"pack {config.pack} containers of {TOKEN_BITS * config.pack} bits "
                           f"do not fit the {APPROX_EXACT_BITS} bits that "
                           f"{backend.kind}/{backend.profile} holds exactly")
+    if strategy is not None:
+        require_strategy(backend, strategy)
     return params, policy, plan, strategy, backend
 
 
@@ -348,27 +370,21 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
     params, policy, plan, strategy, backend = checked_config(config, backend)
     validate_uploads(u1, u2, config, plan)
     mach = Machine(backend)
-    shape = (len(u1.encoded), len(u2.encoded))
-
-    sizes1 = [len(r.containers) for r in u1.encoded]
-    sizes2 = [len(r.containers) for r in u2.encoded]
+    shape = (len(u1.lengths), len(u2.lengths))
     if strategy is None:
-        mean1 = int(np.mean(sizes1)) if sizes1 else 1
-        mean2 = int(np.mean(sizes2)) if sizes2 else 1
-        strategy = pick_strategy(backend.caps, mean1, mean2)
-    # before any machine work: filter_er would refuse it only after merge
-    require_strategy(mach, strategy)
+        means = [int(np.mean(up.lengths)) if len(up.lengths) else 1 for up in (u1, u2)]
+        strategy = pick_strategy(backend.caps, *means)
 
     def upload():
         # records before digests, D1 before D2: the order mpc draws the shares in
         backend.observe(ROLE_HOST, "dataset_size", ("D1", shape[0]))
         backend.observe(ROLE_HOST, "dataset_size", ("D2", shape[1]))
         records = []
-        for role, up, sizes in (("D1", u1, sizes1), ("D2", u2, sizes2)):
+        for role, up in (("D1", u1), ("D2", u2)):
+            lengths = np.asarray(up.lengths).tolist()
             backend.observe_batch(ROLE_HOST, "record_container_count",
-                                  [role] * len(sizes), range(len(sizes)), sizes)
-            records.append(mach.enc_runs(flat_column([rec.containers for rec in up.encoded]),
-                                         sizes))
+                                  [role] * len(lengths), range(len(lengths)), lengths)
+            records.append(mach.enc_runs(up.containers, lengths))
         digests = [mach.enc(digest_limbs(np.asarray(up.digests, dtype=np.uint64),
                                          backend.domain)) for up in (u1, u2)]
         return (*records, *digests)
@@ -423,14 +439,15 @@ def run_pper(d1_records, d2_records, config: PipelineConfig, backend=None) -> Ru
 
 
 def write_party_dir(path: str, upload: PartyUpload):
-    """Serialize one owner's upload: records.enc, digests.enc (record k's
-    band digests as one JSON array on line k), manifest, and the owner-side
-    id map."""
+    """Serialize one owner's upload: records.enc (record k's containers as
+    one JSON array on line k), digests.enc (record k's band digests, the
+    same way), manifest, and the owner-side id map."""
     os.makedirs(path, exist_ok=True)
+    values, lengths = np.asarray(upload.containers).tolist(), np.asarray(upload.lengths)
+    ends = np.cumsum(lengths).tolist()
     with open(os.path.join(path, "records.enc"), "w", encoding="utf-8") as fh:
-        for row, rec in enumerate(upload.encoded):
-            fh.write(json.dumps({"row": row, "containers": list(rec.containers),
-                                 "pack": rec.pack}) + "\n")
+        fh.writelines(json.dumps(values[hi - n:hi]) + "\n"
+                      for n, hi in zip(lengths.tolist(), ends))
     with open(os.path.join(path, "digests.enc"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(row) + "\n" for row in upload.digests.tolist())
     with open(os.path.join(path, "manifest"), "w", encoding="utf-8") as fh:
@@ -457,97 +474,59 @@ def _read_text(path: str, name: str) -> str:
         raise _upload_error(path, name, "is not UTF-8 text") from None
 
 
-def _parse_object(path: str, name: str, text: str, where: str = "") -> dict:
-    """The JSON object that ``text`` holds; anything else is refused."""
-    try:
-        value = json.loads(text)
-    except json.JSONDecodeError:
-        value = None
-    if not isinstance(value, dict):
-        raise _upload_error(path, name, f"{where}is not a JSON object")
-    return value
-
-
-def _check_rows(path: str, name: str, rows: list, kind: type):
-    """Refuse a file whose ``row`` fields are not 0..n-1 in order, each of
-    type ``kind``: JSON integers in records.enc, text in idmap.csv.  Records,
-    digests and id map hold the owner's rows by position."""
-    for k, row in enumerate(rows):
-        if str(row) != str(k):
-            raise _upload_error(path, name, f"entry {k} holds row {row}, not {k}")
-        if type(row) is not kind:
-            raise _upload_error(path, name, f"entry {k} holds row {row!r}, not {k}")
+def _read_rows(path: str, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The JSON arrays of file ``name``, one per line, as one uint64 column,
+    line after line, and each line's count (int64).  A line that is not an
+    array of integers in [0, 2^64) (JSON's true and false are not integers)
+    is refused."""
+    rows = []
+    for k, line in enumerate(io.StringIO(_read_text(path, name))):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            row = None
+        if type(row) is not list:
+            raise _upload_error(path, name, f"entry {k} is not a JSON array")
+        if not all(type(v) is int for v in row):
+            raise _upload_error(path, name, f"entry {k} holds a value that is not an integer")
+        if not all(0 <= v < 1 << 64 for v in row):
+            raise _upload_error(path, name, f"entry {k} holds a value outside [0, 2^64)")
+        rows.append(row)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    values = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.uint64,
+                         count=int(lengths.sum()))
+    return values, lengths
 
 
 def read_party_dir(path: str) -> PartyUpload:
-    """Load what ``write_party_dir`` wrote.  Anything else is refused with
-    ``StageError("upload", …)``: a file that does not parse, records or
-    id-map rows out of order, a record without its containers or pack, a
-    record row, container, pack or digest that is not an integer (JSON's
-    true and false included), a digest outside [0, 2^64), digests for
-    another number of records or of another width than the manifest's
-    ``bands`` (or, when the manifest has none, the first row's), and a
-    record whose pack is not the manifest's (or, when the manifest has
-    none, the first record's)."""
-    manifest = _parse_object(path, "manifest", _read_text(path, "manifest"))
-    items = [_parse_object(path, "records.enc", line, f"entry {k} ")
-             for k, line in enumerate(io.StringIO(_read_text(path, "records.enc")))]
-    _check_rows(path, "records.enc", [item.get("row") for item in items], int)
-    pack = manifest.get("pack")
-    encoded = []
-    for k, item in enumerate(items):
-        missing = [key for key in ("containers", "pack") if key not in item]
-        if missing:
-            raise _upload_error(path, "records.enc", f"entry {k} lacks {' and '.join(missing)}")
-        containers = item["containers"]
-        if type(containers) is not list or not all(type(c) is int for c in containers):
-            raise _upload_error(path, "records.enc",
-                                f"entry {k} holds a container that is not an integer")
-        pack = item["pack"] if pack is None else pack
-        if type(item["pack"]) is not int or item["pack"] != pack:
-            raise _upload_error(path, "records.enc",
-                                f"entry {k} has pack {item['pack']!r}, not {pack!r}")
-        encoded.append(EncodedRecord(str(k), tuple(containers), pack))
-    digests = _read_digests(path, len(encoded), manifest.get("bands"))
-    id_map, rows = [], []
+    """Load what ``write_party_dir`` wrote.  What cannot become the upload's
+    arrays is refused with ``StageError("upload", …)``: a file that cannot
+    be read or parsed, a records.enc or digests.enc line that is not a JSON
+    array of integers in [0, 2^64) (JSON's true and false included),
+    digest lines of different widths, and id-map rows out of order or
+    without a record id.  ``validate_uploads`` judges the rest: the record
+    and digest counts, the band width, and the containers."""
+    try:
+        manifest = json.loads(_read_text(path, "manifest"))
+    except json.JSONDecodeError:
+        manifest = None
+    if not isinstance(manifest, dict):
+        raise _upload_error(path, "manifest", "is not a JSON object")
+    containers, lengths = _read_rows(path, "records.enc")
+    values, widths = _read_rows(path, "digests.enc")
+    ragged = np.flatnonzero(widths != widths[:1])
+    if len(ragged):
+        raise _upload_error(path, "digests.enc", f"entry {ragged[0]} holds {widths[ragged[0]]} "
+                                                 f"bands, not {widths[0]}")
+    digests = values.reshape(len(widths), int(widths[0]) if len(widths) else 0)
+    id_map = []
     lines = io.StringIO(_read_text(path, "idmap.csv"))
     next(lines, None)
     for k, line in enumerate(lines):
         row, comma, rid = line.rstrip("\n").partition(",")
         if not comma:
             raise _upload_error(path, "idmap.csv", f"entry {k} holds no record id")
-        rows.append(row)
+        if row != str(k):
+            raise _upload_error(path, "idmap.csv", f"entry {k} holds row {row}, not {k}")
         id_map.append(rid)
-    _check_rows(path, "idmap.csv", rows, str)
-    return PartyUpload(encoded, digests, id_map, manifest)
-
-
-def _read_digests(path: str, records: int, bands) -> np.ndarray:
-    """digests.enc as a records x bands uint64 matrix: ``bands`` wide, the
-    manifest's, or when that is not an integer as wide as the first line;
-    anything else is refused."""
-    width = bands if type(bands) is int else None
-    lines = list(io.StringIO(_read_text(path, "digests.enc")))
-    if len(lines) != records:
-        raise _upload_error(path, "digests.enc",
-                            f"holds {len(lines)} rows for {records} records")
-    rows = []
-    for k, line in enumerate(lines):
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError:
-            row = None
-        if type(row) is not list:
-            raise _upload_error(path, "digests.enc", f"entry {k} is not a JSON array")
-        width = len(row) if width is None else width
-        if len(row) != width:
-            raise _upload_error(path, "digests.enc",
-                                f"entry {k} holds {len(row)} bands, not {width}")
-        if not all(type(d) is int for d in row):
-            raise _upload_error(path, "digests.enc",
-                                f"entry {k} holds a digest that is not an integer")
-        if not all(0 <= d < 1 << 64 for d in row):
-            raise _upload_error(path, "digests.enc",
-                                f"entry {k} holds a digest outside [0, 2^64)")
-        rows.append(row)
-    return np.array(rows, dtype=np.uint64).reshape(records, width or 0)
+    return PartyUpload(containers, lengths, digests, id_map, manifest)

@@ -25,9 +25,9 @@ from unittest import mock
 
 import numpy as np
 
+from oblivlink import cli
 from oblivlink.backends import make_backend
 from oblivlink.backends.base import ROLE_HOST, ROLE_OWNER_1, ROLE_OWNER_2
-from oblivlink import cli
 from oblivlink.intersect import supported_strategies
 from oblivlink.pipeline import run_pper_from_uploads
 
@@ -68,8 +68,7 @@ def traced_link(argv: list[str]):
     ``RunResult``."""
     results = []
 
-    def traced(u1, u2, config):
-        backend = make_backend(config.backend, config.profile, seed=config.seed)
+    def traced(u1, u2, config, backend):
         backend.enable_trace()
         results.append(run_pper_from_uploads(u1, u2, config, backend=backend))
         return results[-1]

@@ -11,7 +11,9 @@ from oblivlink import (Machine, MinHasher, band_keys, build_block_index,
                        make_backend, optimal_band_plan, pack_tokens,
                        tokenize_bigrams)
 from oblivlink.blocking import (BandPlan, TokenSet, bigram_codes, block_index,
-                                collision_probability, flat_column, pack_records)
+                                collision_probability, pack_records)
+
+from conftest import upload_runs
 
 
 # -- tokenization -----------------------------------------------------------
@@ -49,26 +51,25 @@ def test_bigram_rejects_wide_characters():
 def test_packing_counts_and_padding():
     four = tokenize_bigrams("abcde")  # ab bc cd de -> 4 distinct tokens
     assert len(four.tokens) == 4
-    assert len(pack_tokens(four, 4).containers) == 1
+    assert len(pack_tokens(four, 4)) == 1
     five = tokenize_bigrams("abcdef")
     assert len(five.tokens) == 5
     packed = pack_tokens(five, 4)
-    assert len(packed.containers) == 2
+    assert len(packed) == 2
     # second container holds one token in the top 16 bits, zero padded
     codes = sorted(five.tokens)
-    assert packed.containers[1] == codes[4] << 48
+    assert packed[1] == codes[4] << 48
 
 
 def test_pack_k1_round_trip():
     tokens = tokenize_bigrams("peter jones")
-    rec = pack_tokens(tokens, 1)
-    assert list(rec.containers) == sorted(tokens.tokens)
+    assert list(pack_tokens(tokens, 1)) == sorted(tokens.tokens)
 
 
 def test_pack_big_endian_layout():
     tokens = tokenize_bigrams("abcde")
     codes = sorted(tokens.tokens)
-    packed = pack_tokens(tokens, 4).containers[0]
+    packed = pack_tokens(tokens, 4)[0]
     assert packed == (codes[0] << 48) | (codes[1] << 32) | (codes[2] << 16) | codes[3]
 
 
@@ -300,7 +301,7 @@ def test_build_blocks_encrypts_id_vectors():
     index = build_block_index([tokenize_bigrams("peter jones", "a"),
                                tokenize_bigrams("peter jomes", "b")], plan, hasher)
     runs = [index[key] for key in sorted(index)]
-    blocks = mach.enc_runs(flat_column(runs), [len(r) for r in runs])
+    blocks = upload_runs(mach, runs)
     for k in range(len(runs)):
         ids = mach.dec(blocks.run(k), auth)
         assert all(i in (0, 1) for i in ids)
@@ -358,9 +359,11 @@ def test_batched_owner_path_equals_the_one_item_functions(texts, pack, num_perm,
     assert [codes[hi - n:hi].tolist() for n, hi in zip(lengths.tolist(), ends)] == \
         [t.sorted_tokens() for t in token_sets]
 
-    encoded = pack_records(ids, codes, lengths, pack)
-    assert encoded == [pack_tokens(t, pack) for t in token_sets]
-    assert [rec.containers for rec in encoded] == \
+    containers, counts = pack_records(codes, lengths, pack)
+    assert containers.dtype == np.uint64 and counts.dtype == np.int64
+    ends = np.cumsum(counts).tolist()
+    records = [tuple(containers[hi - n:hi].tolist()) for n, hi in zip(counts.tolist(), ends)]
+    assert records == [pack_tokens(t, pack) for t in token_sets] == \
         [loop_pack(t.sorted_tokens(), pack) for t in token_sets]
 
     signatures = hasher.signatures(codes, lengths)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from oblivlink import PipelineConfig
+from oblivlink import cli
 from oblivlink.cli import build_parser, main
 
 
@@ -197,6 +198,12 @@ BAD_CONFIG_VALUES = [
     (["--fp-weight", "inf"], "", WEIGHTS),
     ([], "fn_weight=-1", WEIGHTS),
     (["--fp-weight", "0", "--fn-weight", "0"], "", WEIGHTS),
+    # a negative seed once failed with numpy's "expected non-negative integer"
+    (["--seed", "-1"], "", "bad config: seed must be at least 0, not -1"),
+    ([], "seed=-3", "bad config: seed must be at least 0, not -3"),
+    # an unsupported strategy once failed only after the owners had encoded
+    (["--backend", "mpc", "--isect", "so"], "", "strategy so unsupported on mpc/3party-dealer"),
+    (["--isect", "mj"], "backend=sim\nprofile=simd", "strategy mj unsupported on sim/simd"),
 ]
 
 
@@ -220,15 +227,31 @@ def test_bad_config_values_are_refused_before_any_work(command, flags, lines, me
     (["--backends", "clear,sim", "--profile", "simd", "--pack", "4"],
      "pack 4 containers of 64 bits do not fit"),
     (["--fp-weight", "-1"], WEIGHTS),
+    (["--seed", "-1"], "bad config: seed must be at least 0, not -1"),
+    # the clear cells once linked, after six owner encodings, before the
+    # mpc cell was refused
+    (["--backends", "clear,mpc", "--strategies", "so"],
+     "strategy so unsupported on mpc/3party-dealer"),
+    (["--profile", "simd", "--strategies", "mj"], "strategy mj unsupported on sim/simd"),
 ])
 def test_bench_refuses_a_bad_grid_config_before_any_work(flags, message, blocks_60,
-                                                         tmp_path, capsys):
+                                                         tmp_path, capsys, monkeypatch):
     # a bad grid threshold once printed a traceback from the owners' encoding
+    encoded = []
+    monkeypatch.setattr(cli, "prepare_upload", lambda *args: encoded.append(args))
     out = tmp_path / "bench"
     assert main(["bench", "--data", str(blocks_60.parent / "data"), "--out", str(out)]
                 + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not out.exists() and not encoded
+
+
+def test_link_refuses_a_bad_config_before_reading_the_party_dirs(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["link", "--blocks", str(tmp_path / "missing"), "--out", str(out),
+                 "--backend", "mpc", "--isect", "mj"]) == 1
+    assert capsys.readouterr().err == "error: strategy mj unsupported on mpc/3party-dealer\n"
     assert not out.exists()
 
 
@@ -267,6 +290,7 @@ BAD_INPUTS = [
      "--t-blocks abc is not a comma-separated list of numbers"),
     (["generate", "--size", "-5"], (), None, "--size must be at least 0, not -5"),
     (["generate", "--split", "1.5"], (), None, "--split must lie in [0, 1], not 1.5"),
+    (["generate", "--seed", "-1"], (), None, "bad config: seed must be at least 0, not -1"),
 ]
 
 

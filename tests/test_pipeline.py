@@ -19,13 +19,12 @@ from oblivlink import (CapabilityError, JaccardParams, Machine, MinHasher, Obfus
                        run_pper_from_uploads, read_party_dir, write_party_dir,
                        prepare_upload)
 from oblivlink import intersect, machine
-from oblivlink.blocking import EncodedRecord
 from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, Runs, slot_runs
 from oblivlink.intersect import PAD_SENTINEL
-from oblivlink.blocking import digest_index
+from oblivlink.blocking import BandPlan, digest_index
 from oblivlink.evalkit import shared_key_pairs
 from oblivlink.pipeline import (digest_limbs, finalize, filter_and_resolve, merge_and_dedup,
-                                obfuscate)
+                                obfuscate, validate_uploads)
 
 from conftest import ALL_BACKENDS, open_machine, reference_eeq, reference_ve_indices, upload_runs
 
@@ -54,6 +53,20 @@ def _block_digests(mach, plain1, plain2, shape):
 
 def _merge_blocks(mach, plain1, plain2, shape):
     return merge_and_dedup(mach, *_block_digests(mach, plain1, plain2, shape))
+
+
+def _upload_of(records, digests, ids, manifest=None) -> PartyUpload:
+    """An upload of the given records' containers, in the one flat layout."""
+    records = [list(rec) for rec in records]
+    return PartyUpload(np.array([c for rec in records for c in rec], dtype=np.uint64),
+                       np.array([len(rec) for rec in records], dtype=np.int64),
+                       digests, ids, {} if manifest is None else manifest)
+
+
+def _records_of(up) -> list[list[int]]:
+    """Each record's containers of an upload, as Python ints."""
+    values, ends = np.asarray(up.containers).tolist(), np.cumsum(up.lengths).tolist()
+    return [values[hi - n:hi] for n, hi in zip(np.asarray(up.lengths).tolist(), ends)]
 
 
 # -- merge and dedup -----------------------------------------------------------
@@ -357,8 +370,8 @@ def test_stage_errors_carry_the_failing_stage():
     cfg = PipelineConfig(backend="sim", profile="simd", strategy="ve", seed=0)
 
     def upload(first):
-        return PartyUpload([EncodedRecord("0", tuple(range(first, first + 710)), 1)],
-                           np.zeros((1, cfg.band_plan().bands), dtype=np.uint64), ["r"])
+        return _upload_of([range(first, first + 710)],
+                          np.zeros((1, cfg.band_plan().bands), dtype=np.uint64), ["r"])
     with pytest.raises(StageError) as excinfo:
         run_pper_from_uploads(upload(0), upload(1), cfg)
     assert excinfo.value.stage == "filter_er"
@@ -384,13 +397,11 @@ def _twin_digests(*rows):
 def _twin_uploads(token_shift, digests1=None):
     # identical shapes; token contents differ, and so do the digests when
     # digests1 is given
-    enc1 = [EncodedRecord("0", (1000 + token_shift, 2000, 3000), 1),
-            EncodedRecord("1", (1500, 2500 + token_shift, 3500), 1)]
-    enc2 = [EncodedRecord("0", (1000, 2000, 3000 + token_shift), 1),
-            EncodedRecord("1", (9000, 9100, 9200), 1)]
+    enc1 = [(1000 + token_shift, 2000, 3000), (1500, 2500 + token_shift, 3500)]
+    enc2 = [(1000, 2000, 3000 + token_shift), (9000, 9100, 9200)]
     digests1 = _twin_digests(7, 8) if digests1 is None else digests1
-    u1 = PartyUpload(enc1, digests1, ["a0", "a1"], {})
-    u2 = PartyUpload(enc2, _twin_digests(7, 8), ["b0", "b1"], {})
+    u1 = _upload_of(enc1, digests1, ["a0", "a1"])
+    u2 = _upload_of(enc2, _twin_digests(7, 8), ["b0", "b1"])
     return u1, u2
 
 
@@ -432,13 +443,12 @@ def _random_upload(data, counts, side):
     """An upload of the given public shape with drawn contents and digests;
     digests from a pool of three, so that which cells they flag varies."""
     rows = len(counts)
-    encoded = [EncodedRecord(str(r), tuple(data.draw(st.lists(
-        st.integers(0, (1 << 16) - 1), min_size=n, max_size=n, unique=True))), 1)
-        for r, n in enumerate(counts)]
+    records = [data.draw(st.lists(st.integers(0, (1 << 16) - 1), min_size=n, max_size=n,
+                                  unique=True)) for n in counts]
     digests = data.draw(st.lists(st.sampled_from([0, 1 << 40, (1 << 64) - 1]),
                                  min_size=rows * _TWIN_BANDS, max_size=rows * _TWIN_BANDS))
-    return PartyUpload(encoded, np.array(digests, dtype=np.uint64).reshape(rows, _TWIN_BANDS),
-                       [f"{side}{r}" for r in range(rows)], {})
+    return _upload_of(records, np.array(digests, dtype=np.uint64).reshape(rows, _TWIN_BANDS),
+                      [f"{side}{r}" for r in range(rows)])
 
 
 # Each example links two twins on three backends, about 50 ms in all.
@@ -474,14 +484,14 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
     cfg = PipelineConfig(backend=kind, profile=profile or "generic", seed=0)
     u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
     # what the upload before batching encrypted, one enc each, in its order
-    per_value = [list(rec.containers) for up in (u1, u2) for rec in up.encoded]
+    per_value = [rec for up in (u1, u2) for rec in _records_of(up)]
     encrypted = []
 
     def per_value_upload(mach, flat, lengths):
         # one enc per run, the runs then joined into the pass's one vector
         out, lo = [], 0
         for n in lengths:
-            encrypted.append(list(flat[lo:lo + n]))
+            encrypted.append(np.asarray(flat[lo:lo + n]).tolist())
             out.append(mach.enc(flat[lo:lo + n]))
             lo += n
         return Runs(mach.concat(*out), lengths)
@@ -512,7 +522,7 @@ def test_batched_upload_and_join_link_as_the_per_item_calls_did(spec, monkeypatc
     (matches, transcript, trace, rounds, ledger), batched = outputs
     # the reference joins each of the two passes (D1's and D2's records)
     # with one concat in upload, its first stage
-    cuts = np.cumsum([0, len(u1.encoded), len(u2.encoded)])
+    cuts = np.cumsum([0, len(u1.lengths), len(u2.lengths)])
     concats = [k for k, e in enumerate(trace) if e[0] == "concat"][:2]
     assert [trace[k] for k in concats] == [
         ("concat",) + tuple((len(v),) for v in per_value[lo:hi])
@@ -599,10 +609,9 @@ def test_run_slot_floor_changes_no_result_and_sets_the_runs(spec, strategy, monk
     cfg = PipelineConfig(backend=kind, profile=profile or "generic", seed=0, rho=0.05,
                          strategy=strategy)
     u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
-    rows, cols = len(u1.encoded), len(u2.encoded)
+    rows, cols = len(u1.lengths), len(u2.lengths)
     assert rows * cols < MIN_RUN_SLOTS
-    len1 = np.array([len(r.containers) for r in u1.encoded])
-    len2 = np.array([len(r.containers) for r in u2.encoded])
+    len1, len2 = u1.lengths, u2.lengths
     band_slots = [rows * cols] * cfg.band_plan().bands
     outputs, runs = [], {}
     for floor in (0, MIN_RUN_SLOTS):
@@ -707,33 +716,108 @@ def test_run_result_transcript_is_a_snapshot_of_python_values():
     assert all(type(row) is int for _, row, _ in counts)
 
 
+def _changed(records: dict):
+    """A change of an upload that gives record k the containers
+    ``records[k](containers of record k)``, as Python ints that numpy puts
+    in the one array type that holds them all."""
+    def change(up):
+        recs = _records_of(up)
+        for k, rewrite in records.items():
+            recs[k] = rewrite(recs[k])
+        return np.array([c for rec in recs for c in rec]), np.array([len(r) for r in recs])
+    return change
+
+
+def _doubled(rec):
+    return rec * 2
+
+
+def _widened(rec):
+    return rec + [1 << 16]
+
+
+def _padded(rec):
+    return rec + [PAD_SENTINEL]
+
+
+def _shifted_length(lengths):
+    # a negative length whose record's containers move to the next record
+    lengths = lengths.copy()
+    lengths[1] += lengths[0] + 1
+    lengths[0] = -1
+    return lengths
+
+
+# (pack, change of D1's (containers, lengths), the refusal); D1 holds 20
+# records, 836 containers at pack 1
+MALFORMED_RECORDS = {
+    # row 19 (rec-012-org) with its containers doubled once linked quietly
+    # to the false match (rec-012-org, rec-005-dup-3)
+    "a repeated container": (1, _changed({19: _doubled}), "D1 record 19 repeats a container"),
+    "a container past the packing": (1, _changed({3: _widened}),
+                                     "D1 record 3 holds a container outside [0, 2^16)"),
+    "a negative container": (1, _changed({3: lambda rec: rec + [-1]}),
+                             "D1 record 3 holds a container outside [0, 2^16)"),
+    "a negative container at pack 4": (4, _changed({3: lambda rec: rec + [-1]}),
+                                       "D1 record 3 holds a container outside [0, 2^64)"),
+    "the padding at pack 1": (1, _changed({3: _padded}),
+                              "D1 record 3 holds a container outside [0, 2^16)"),
+    # VR's padding 2^63-1 lies inside pack 4's 64 bits; VR once counted such
+    # a container equal to the padding, and linked records sharing no container
+    "the padding at pack 4": (4, _changed({3: _padded}), "D1 record 3 holds VR's padding 2^63-1"),
+    # two faulty records: the lower one is named, whatever its fault
+    "a padding before a repeat": (4, _changed({3: _padded, 7: _doubled}),
+                                  "D1 record 3 holds VR's padding 2^63-1"),
+    "a repeat before a padding": (4, _changed({3: _doubled, 7: _padded}),
+                                  "D1 record 3 repeats a container"),
+    "a value outside before a repeat": (1, _changed({3: _widened, 7: _doubled}),
+                                        "D1 record 3 holds a container outside [0, 2^16)"),
+    "a repeat before a value outside": (1, _changed({3: _doubled, 7: _widened}),
+                                        "D1 record 3 repeats a container"),
+    # a record that repeats a container and holds one outside is said to repeat
+    "a repeat and a value outside": (1, _changed({3: lambda rec: _widened(_doubled(rec))}),
+                                     "D1 record 3 repeats a container"),
+    "float containers": (1, lambda up: (up.containers.astype(np.float64), up.lengths),
+                         "D1 containers are not a 1-D array of integers"),
+    "bool containers": (1, lambda up: (up.containers > 0, up.lengths),
+                        "D1 containers are not a 1-D array of integers"),
+    "object containers": (1, lambda up: (up.containers.astype(object), up.lengths),
+                          "D1 containers are not a 1-D array of integers"),
+    "2-D containers": (1, lambda up: (up.containers[:, None], up.lengths),
+                       "D1 containers are not a 1-D array of integers"),
+    "float lengths": (1, lambda up: (up.containers, up.lengths.astype(np.float64)),
+                      "D1 record lengths are not a 1-D array of integers"),
+    "2-D lengths": (1, lambda up: (up.containers, up.lengths[:, None]),
+                    "D1 record lengths are not a 1-D array of integers"),
+    "a negative length": (1, lambda up: (up.containers, _shifted_length(up.lengths)),
+                          "D1 record lengths hold a negative length"),
+    "lengths short of the containers": (1, lambda up: (up.containers[:-1], up.lengths),
+                                        "D1 record lengths sum to 836, not its 835 containers"),
+    "lengths past the containers": (1, lambda up: (up.containers, up.lengths + 1),
+                                    "D1 record lengths sum to 856, not its 836 containers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_records_are_refused_at_upload(case):
+    pack, change, message = MALFORMED_RECORDS[case]
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    cfg = PipelineConfig(pack=pack, strategy="ve", rho=1.0)
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
+    u1.containers, u1.lengths = change(u1)
+    assert _refused_upload(u1, u2, cfg) == f"[upload] {message}"
+
+
 def test_upload_refusal_names_the_first_fault_in_order():
     d1, d2, _ = generate_dataset(seed=0, size=100)
     cfg = PipelineConfig()
-
-    def uploads():
-        return prepare_upload(d1, cfg), prepare_upload(d2, cfg)
-
-    def doubled(rec, extra=()):
-        return EncodedRecord(rec.record_id, rec.containers * 2 + extra, rec.pack)
-
-    def widened(rec):
-        return EncodedRecord(rec.record_id, rec.containers + (1 << 16,), rec.pack)
-
-    # two faulty rows on one side: the lower row is named, whatever its fault
-    u1, u2 = uploads()
-    u2.encoded[7], u2.encoded[3] = doubled(u2.encoded[7]), widened(u2.encoded[3])
-    assert _refused_upload(u1, u2, cfg) == \
-        "[upload] D2 record 3 holds a container outside [0, 2^16)"
-    u2.encoded[7], u2.encoded[3] = widened(u2.encoded[7]), doubled(u2.encoded[3])
-    assert _refused_upload(u1, u2, cfg) == "[upload] D2 record 3 repeats a container"
-    # a record that repeats a container and holds one outside is said to repeat
-    u2.encoded[3] = doubled(u2.encoded[3], (1 << 16,))
-    assert _refused_upload(u1, u2, cfg) == "[upload] D2 record 3 repeats a container"
+    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
     # records before digests
+    sound = u2.containers, u2.lengths
+    u2.containers, u2.lengths = _changed({3: _doubled})(u2)
     u2.digests = u2.digests[:, :-1]
     assert _refused_upload(u1, u2, cfg) == "[upload] D2 record 3 repeats a container"
-    u2.encoded = uploads()[1].encoded
+    u2.containers, u2.lengths = sound
     assert _refused_upload(u1, u2, cfg) == "[upload] D2 digests hold 24 bands, not 25"
     # D1 before D2
     u1.digests = u1.digests[:-1]
@@ -741,6 +825,57 @@ def test_upload_refusal_names_the_first_fault_in_order():
     # the manifests first
     u1.manifest["seed"] = 1
     assert "manifests disagree on seed" in _refused_upload(u1, u2, cfg)
+
+
+def _set_oracle(records: list, bits: int) -> str | None:
+    """The refusal of records, one Python ``set`` per record."""
+    for k, rec in enumerate(records):
+        if len(set(rec)) < len(rec):
+            return f"record {k} repeats a container"
+        if not all(0 <= c < 1 << bits for c in rec):
+            return f"record {k} holds a container outside [0, 2^{bits})"
+        if bits == 64 and PAD_SENTINEL in rec:
+            return f"record {k} holds VR's padding 2^63-1"
+    return None
+
+
+# values about each bound: repeats, both ends of 16 bits, the padding, 2^64-1
+_NEAR_BOUNDS = st.sampled_from([-1, 0, 1, 2, 5, (1 << 16) - 1, 1 << 16, PAD_SENTINEL - 1,
+                                PAD_SENTINEL, (1 << 64) - 1])
+_NOT_INTEGERS = "containers are not a 1-D array of integers"
+
+
+@given(records=st.lists(st.lists(_NEAR_BOUNDS, max_size=5), max_size=6),
+       pack=st.sampled_from([1, 4]),
+       layout=st.sampled_from(["int", "float64", "bool", "2-D", "lengths short",
+                               "lengths long"]))
+def test_record_check_equals_a_per_record_set_oracle(records, pack, layout):
+    values = [c for rec in records for c in rec]
+    lengths = np.array([len(rec) for rec in records], dtype=np.int64)
+    if min(values, default=0) < 0 <= max(values, default=0) - (1 << 63):
+        containers = np.array(values, dtype=object)  # no integer array holds them
+        message = _NOT_INTEGERS
+    else:
+        containers = np.array(values, dtype=np.int64 if min(values, default=0) < 0
+                              else np.uint64)
+        message = _set_oracle(records, 16 * pack)
+    if layout in ("float64", "bool", "2-D"):
+        containers = {"float64": containers.astype(np.float64), "bool": containers > 0,
+                      "2-D": containers[:, None]}[layout]
+        message = _NOT_INTEGERS
+    elif layout.startswith("lengths") and message != _NOT_INTEGERS:
+        lengths = np.append(lengths, 1) if layout == "lengths long" else lengths[:-1]
+        if lengths.sum() != len(values):
+            message = f"record lengths sum to {lengths.sum()}, not its {len(values)} containers"
+    cfg = PipelineConfig(pack=pack)
+    bands = cfg.band_plan().bands
+    up = PartyUpload(containers, lengths, np.zeros((len(lengths), bands), dtype=np.uint64),
+                     [str(k) for k in range(len(lengths))], {})
+    sound = _upload_of([], np.zeros((0, bands), dtype=np.uint64), [])
+    if message is None:
+        validate_uploads(up, sound, cfg, cfg.band_plan())
+    else:
+        assert _refused_upload(up, sound, cfg) == f"[upload] D1 {message}"
 
 
 def test_upload_manifests_must_agree_with_each_other_and_the_config():
@@ -756,6 +891,7 @@ def test_upload_manifests_must_agree_with_each_other_and_the_config():
     assert "pack" in _refused_upload(u1, u2, PipelineConfig(pack=4))
 
 
+# changes of D1's digests, and the refusal
 MALFORMED_DIGESTS = {
     "a row short": (lambda d: d[:-1], "D1 digests hold 19 rows for 20 records"),
     "a row too many": (lambda d: np.vstack([d, d[:1]]), "D1 digests hold 21 rows for 20 records"),
@@ -782,32 +918,6 @@ def test_malformed_digests_are_refused_at_upload(case):
     assert _refused_upload(u1, u2, cfg) == f"[upload] {message}"
 
 
-def test_upload_record_repeating_a_container_is_refused():
-    # row 19 (rec-012-org) with its containers doubled once linked quietly
-    # to the false match (rec-012-org, rec-005-dup-3)
-    d1, d2, _ = generate_dataset(seed=0, size=100)
-    cfg = PipelineConfig(strategy="ve", rho=1.0)
-    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
-    rec = u1.encoded[19]
-    u1.encoded[19] = EncodedRecord(rec.record_id, rec.containers * 2, rec.pack)
-    assert "repeats a container" in _refused_upload(u1, u2, cfg)
-
-
-@pytest.mark.parametrize("pack", [1, 4])
-def test_upload_container_outside_the_packing_is_refused(pack):
-    d1, d2, _ = generate_dataset(seed=0, size=100)
-    cfg = PipelineConfig(pack=pack)
-    u1, u2 = prepare_upload(d1, cfg), prepare_upload(d2, cfg)
-    rec = u2.encoded[3]
-    for bad in (1 << (16 * pack), -1):
-        u2.encoded[3] = EncodedRecord(rec.record_id, rec.containers + (bad,), rec.pack)
-        assert "outside" in _refused_upload(u1, u2, cfg)
-    # VR's padding 2^63-1 lies inside pack 4's 64 bits; VR once counted such
-    # a container equal to the padding, and linked records sharing no container
-    u2.encoded[3] = EncodedRecord(rec.record_id, rec.containers + (PAD_SENTINEL,), rec.pack)
-    assert ("padding" if pack == 4 else "outside") in _refused_upload(u1, u2, cfg)
-
-
 def _party_dirs(tmp_path, cfg, size):
     d1, d2, _ = generate_dataset(seed=0, size=size)
     dirs = tmp_path / "p1", tmp_path / "p2"
@@ -816,19 +926,14 @@ def _party_dirs(tmp_path, cfg, size):
     return dirs
 
 
-def test_upload_records_out_of_row_order_are_refused(tmp_path):
-    # swapping P1's first two records once linked 23 matches instead of 25
+def test_upload_id_map_rows_out_of_order_are_refused(tmp_path):
     cfg = PipelineConfig()
     p1, p2 = _party_dirs(tmp_path, cfg, 60)
     assert len(run_pper_from_uploads(read_party_dir(str(p1)), read_party_dir(str(p2)),
                                      cfg).matches) == 25
     lines = (p1 / "records.enc").read_text().splitlines(keepends=True)
-    (p1 / "records.enc").write_text("".join([lines[1], lines[0]] + lines[2:]))
-    assert _refused_upload(p1, p2, cfg).endswith("records.enc entry 0 holds row 1, not 0")
-    (p1 / "records.enc").write_text("".join([lines[0], '{"containers": [1]}\n'] + lines[2:]))
-    assert _refused_upload(p1, p2, cfg).endswith("records.enc entry 1 holds row None, not 1")
-    # a record and its digests dropped from the end leave the rows in
-    # order; the id map then holds a row too many
+    # a record and its digests dropped from the end leave the id map a row
+    # too many
     digests = (p1 / "digests.enc").read_text().splitlines(keepends=True)
     (p1 / "records.enc").write_text("".join(lines[:-1]))
     (p1 / "digests.enc").write_text("".join(digests[:-1]))
@@ -897,63 +1002,69 @@ def _mutate_line(name, k, change):
     return mutate
 
 
-def _mutate_record(k, change):
-    def rewrite(line):
-        item = json.loads(line)
-        change(item)
-        return json.dumps(item) + "\n"
-    return _mutate_line("records.enc", k, rewrite)
-
-
-def _mutate_digest(k, value):
-    """Entry k of digests.enc with its first digest made ``value``."""
+def _mutate_first(name, k, value):
+    """Entry k of the JSON array lines file ``name`` with its first value
+    made ``value``."""
     def rewrite(line):
         row = json.loads(line)
         return json.dumps([value] + row[1:]) + "\n"
-    return _mutate_line("digests.enc", k, rewrite)
+    return _mutate_line(name, k, rewrite)
+
+
+def _mutate_record(k, value):
+    return _mutate_first("records.enc", k, value)
+
+
+def _mutate_digest(k, value):
+    return _mutate_first("digests.enc", k, value)
 
 
 MALFORMED_PARTY_FILES = {
     "record not json": (_mutate_line("records.enc", 2, lambda line: line[:-3] + "\n"),
-                        "records.enc entry 2 is not a JSON object"),
-    "record not an object": (_mutate_line("records.enc", 2, lambda line: "[1, 2]\n"),
-                             "records.enc entry 2 is not a JSON object"),
-    "record without containers": (_mutate_record(2, lambda item: item.pop("containers")),
-                                  "records.enc entry 2 lacks containers"),
-    "record without pack": (_mutate_record(2, lambda item: item.pop("pack")),
-                            "records.enc entry 2 lacks pack"),
-    "container off its integer": (
-        _mutate_record(2, lambda item: item.update(containers=[item["containers"][0] + 0.5])),
-        "records.enc entry 2 holds a container that is not an integer"),
-    "container a bool": (_mutate_record(2, lambda item: item.update(containers=[True])),
-                         "records.enc entry 2 holds a container that is not an integer"),
-    "containers not a list": (_mutate_record(2, lambda item: item.update(containers=7)),
-                              "records.enc entry 2 holds a container that is not an integer"),
-    "pack other than the manifest's": (_mutate_record(2, lambda item: item.update(pack=4)),
-                                       "records.enc entry 2 has pack 4, not 1"),
-    "pack a bool": (_mutate_record(2, lambda item: item.update(pack=True)),
-                    "records.enc entry 2 has pack True, not 1"),
-    "row a string": (_mutate_record(0, lambda item: item.update(row="0")),
-                     "records.enc entry 0 holds row '0', not 0"),
+                        "records.enc entry 2 is not a JSON array"),
+    "record an object": (_mutate_line("records.enc", 2, lambda line: '{"containers": [1]}\n'),
+                         "records.enc entry 2 is not a JSON array"),
+    "record a number": (_mutate_line("records.enc", 2, lambda line: "7\n"),
+                        "records.enc entry 2 is not a JSON array"),
+    "container off its integer": (_mutate_record(2, 0.5),
+                                  "records.enc entry 2 holds a value that is not an integer"),
+    "container a bool": (_mutate_record(2, True),
+                         "records.enc entry 2 holds a value that is not an integer"),
+    "container negative": (_mutate_record(2, -1),
+                           "records.enc entry 2 holds a value outside [0, 2^64)"),
+    "container past 64 bits": (_mutate_record(2, 1 << 64),
+                               "records.enc entry 2 holds a value outside [0, 2^64)"),
+    "container past the packing": (_mutate_record(2, 1 << 16),
+                                   "D1 record 2 holds a container outside [0, 2^16)"),
+    "container repeated": (_mutate_line("records.enc", 2,
+                                        lambda line: json.dumps(json.loads(line) * 2) + "\n"),
+                           "D1 record 2 repeats a container"),
+    "records a row short": (_mutate_line("records.enc", 3, lambda line: ""),
+                            "D1 id map holds 12 rows for 11 records"),
     "digest not an integer": (_mutate_digest(3, 1.5),
-                              "digests.enc entry 3 holds a digest that is not an integer"),
+                              "digests.enc entry 3 holds a value that is not an integer"),
     "digest a bool": (_mutate_digest(3, False),
-                      "digests.enc entry 3 holds a digest that is not an integer"),
+                      "digests.enc entry 3 holds a value that is not an integer"),
     "digest true": (_mutate_digest(3, True),
-                    "digests.enc entry 3 holds a digest that is not an integer"),
+                    "digests.enc entry 3 holds a value that is not an integer"),
     "digest a string": (_mutate_digest(3, "3"),
-                        "digests.enc entry 3 holds a digest that is not an integer"),
+                        "digests.enc entry 3 holds a value that is not an integer"),
     "digest negative": (_mutate_digest(3, -1),
-                        "digests.enc entry 3 holds a digest outside [0, 2^64)"),
+                        "digests.enc entry 3 holds a value outside [0, 2^64)"),
     "digest past 64 bits": (_mutate_digest(3, 1 << 64),
-                            "digests.enc entry 3 holds a digest outside [0, 2^64)"),
+                            "digests.enc entry 3 holds a value outside [0, 2^64)"),
     "digests a band short": (_mutate_line("digests.enc", 3,
                                           lambda line: json.dumps(json.loads(line)[1:]) + "\n"),
                              "digests.enc entry 3 holds 24 bands, not 25"),
+    "every digest row a band short": (
+        lambda path: (path / "digests.enc").write_text("".join(
+            json.dumps(json.loads(line)[1:]) + "\n"
+            for line in (path / "digests.enc").read_text().splitlines())),
+        "D1 digests hold 24 bands, not 25"),
     "digests a row short": (_mutate_line("digests.enc", 3, lambda line: ""),
-                            "digests.enc holds 11 rows for 12 records"),
+                            "D1 digests hold 11 rows for 12 records"),
     "digests a row too many": (_mutate_line("digests.enc", 3, lambda line: line * 2),
-                               "digests.enc holds 13 rows for 12 records"),
+                               "D1 digests hold 13 rows for 12 records"),
     "digests not json": (_mutate_line("digests.enc", 3, lambda line: line[:-3] + "\n"),
                          "digests.enc entry 3 is not a JSON array"),
     "manifest not json": (lambda path: (path / "manifest").write_text("pack=1"),
@@ -1015,20 +1126,19 @@ def _placed(rows: list, values: list) -> list | None:
 
 def _read_side(files: dict) -> tuple | None:
     """(containers, digests, ids) of one party's files, with records and
-    id-map rows placed by their ``row`` fields, not by their lines, and
-    digests by their lines; None when the files do not say one thing."""
+    digests placed by their lines and id-map rows by their ``row``
+    fields; None when the files do not say one thing."""
     def lines(name):
         out = files[name].decode("utf-8").split("\n")
         return out[:-1] if out[-1] == "" else out
     try:
-        items = [json.loads(line) for line in lines("records.enc")]
-        rows = [item["row"] for item in items]
-        containers = _placed(rows, [item["containers"] for item in items])
+        containers = [json.loads(line) for line in lines("records.enc")]
         digests = [json.loads(line) for line in lines("digests.enc")]
         id_rows = [line.split(",", 1) for line in lines("idmap.csv")[1:]]
         ids = _placed([r[0] for r in id_rows], [r[1] for r in id_rows])
         bands = PipelineConfig().band_plan().bands
-        valid = (containers is not None and ids is not None and len(ids) == len(containers)
+        valid = (ids is not None and len(ids) == len(containers)
+                 and all(type(rec) is list for rec in containers)
                  and all(type(c) is int and 0 <= c < 1 << 16 for rec in containers for c in rec)
                  and all(len(set(rec)) == len(rec) for rec in containers)
                  and len(digests) == len(containers)
@@ -1079,7 +1189,7 @@ def _mutated(text: str, kind: str, a: int, b: int) -> str:
         hit = found[a % len(found)]
         v = hit.group()
         if kind == "key":
-            options = [v[:-1] + '_x"', '"row"', '"pack"', '"containers"']
+            options = [v[:-1] + '_x"', '"pack"', '"bands"', '"seed"']
         elif kind == "number":
             v = int(v)
             options = [v + 1, v - 1, v + 7, v + (1 << 16), -v - 1]
@@ -1105,7 +1215,7 @@ def party_files(party_blocks):
 @example([("p1", "records.enc", "swap", 0, 1)])
 @example([("p1", "idmap.csv", "swap", 1, 2)])
 def test_mutated_party_files_are_refused_or_link_as_they_read(party_files, mutations):
-    # a reader that placed records by their lines would link a swap
+    # a reader that placed id-map rows by their lines would link a swap
     # quietly wrong; the oracle places them by their row fields
     files = {party: dict(named) for party, named in party_files.items()}
     for party, name, kind, a, b in mutations:
@@ -1131,19 +1241,56 @@ def test_mutated_party_files_are_refused_or_link_as_they_read(party_files, mutat
 # -- transport ------------------------------------------------------------------------
 
 
-def test_party_dir_round_trip(tmp_path):
+def _assert_same_upload(loaded: PartyUpload, upload: PartyUpload):
+    assert loaded.containers.dtype == np.uint64 and loaded.lengths.dtype == np.int64
+    assert loaded.digests.dtype == np.uint64
+    assert loaded.containers.tolist() == np.asarray(upload.containers).tolist()
+    assert loaded.lengths.tolist() == np.asarray(upload.lengths).tolist()
+    assert loaded.digests.tolist() == upload.digests.tolist()
+    assert loaded.id_map == upload.id_map and loaded.manifest == upload.manifest
+
+
+@pytest.mark.parametrize("pack", [1, 4])
+def test_party_dir_round_trip(tmp_path, pack):
     d1, _, _ = generate_dataset(seed=1, size=30, split=0.5)
-    cfg = PipelineConfig(seed=1)
+    cfg = PipelineConfig(seed=1, pack=pack)
     upload = prepare_upload(d1, cfg)
     write_party_dir(str(tmp_path / "p1"), upload)
     loaded = read_party_dir(str(tmp_path / "p1"))
-    assert [tuple(r.containers) for r in loaded.encoded] == \
-        [tuple(r.containers) for r in upload.encoded]
-    assert loaded.digests.dtype == np.uint64
-    assert loaded.digests.tolist() == upload.digests.tolist()
+    _assert_same_upload(loaded, upload)
     assert loaded.index == upload.index
-    assert loaded.id_map == upload.id_map
-    assert loaded.manifest["pack"] == 1
+    assert loaded.manifest["pack"] == pack
+
+
+@given(records=st.lists(st.lists(st.one_of(st.integers(0, (1 << 16) - 1),
+                                           st.integers(0, (1 << 64) - 1),
+                                           st.just((1 << 64) - 1)), max_size=4), max_size=5),
+       pack=st.sampled_from([1, 4]), bands=st.integers(1, 3), data=st.data())
+def test_party_dir_round_trips_the_flat_layout(records, pack, bands, data):
+    # zero records, empty records, 2^64-1 and either packing: what is written
+    # reads back as the same arrays, and links or is refused alike
+    digests = np.array(data.draw(st.lists(st.integers(0, (1 << 64) - 1),
+                                          min_size=len(records) * bands,
+                                          max_size=len(records) * bands)),
+                       dtype=np.uint64).reshape(len(records), bands)
+    upload = _upload_of(records, digests, [f"id{k},x" for k in range(len(records))],
+                        {"pack": pack})
+    with tempfile.TemporaryDirectory() as root:
+        write_party_dir(root, upload)
+        loaded = read_party_dir(root)
+    _assert_same_upload(loaded, upload)
+    if records:
+        assert loaded.digests.shape == upload.digests.shape
+    cfg = PipelineConfig(pack=pack)
+    plan = BandPlan(bands, 1)
+    verdicts = []
+    for up in (upload, loaded):
+        try:
+            validate_uploads(up, up, cfg, plan)
+            verdicts.append(None)
+        except StageError as exc:
+            verdicts.append(str(exc))
+    assert verdicts[0] == verdicts[1]
 
 
 def test_run_from_transport_equals_in_memory(tmp_path):
