@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -213,56 +212,6 @@ class Observation:
     value: object
 
 
-class Transcript(Sequence):
-    """The role-visible observations of one context, in the order made.
-
-    Besides single observations it holds batches of one kind: for each
-    index k, one observation whose value is the k-th item of the batch's one
-    column, or the tuple of the k-th items of its columns.  Reading yields
-    the same ``Observation`` sequence that the equivalent ``append`` calls
-    give, so a stage that observes one fact per record records them in one
-    call."""
-
-    def __init__(self):
-        self._parts: list = []  # Observation, or (role, kind, columns)
-        self._len = 0
-
-    def append(self, obs: Observation):
-        self._parts.append(obs)
-        self._len += 1
-
-    def append_batch(self, role: str, kind: str, columns):
-        """Columns are sequences of one length holding the values as they
-        are to be read (Python numbers, not numpy scalars); they are copied."""
-        columns = tuple(tuple(col) for col in columns)
-        sizes = {len(col) for col in columns}
-        if len(sizes) != 1:
-            raise ValueError("a transcript batch needs one or more columns of one length")
-        self._parts.append((role, kind, columns))
-        self._len += sizes.pop()
-
-    def copy(self) -> Transcript:
-        """A snapshot: observations made later are not in it."""
-        out = Transcript()
-        out._parts, out._len = list(self._parts), self._len
-        return out
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        for part in self._parts:
-            if isinstance(part, Observation):
-                yield part
-                continue
-            role, kind, columns = part
-            for value in columns[0] if len(columns) == 1 else zip(*columns):
-                yield Observation(role, kind, value)
-
-    def __getitem__(self, i):
-        return list(self)[i]
-
-
 class DecryptionAuthority:
     """Token naming who may decrypt values from one backend context."""
 
@@ -330,7 +279,7 @@ class Backend:
         self.ledger = OpCostLedger()
         self.trace: list[tuple] = []
         self.trace_enabled = False
-        self.transcript = Transcript()
+        self.transcript: list[Observation] = []
         self._stage = "main"
 
     # -- accounting ------------------------------------------------------
@@ -363,12 +312,11 @@ class Backend:
             self.trace = []
 
     def observe(self, role: str, kind: str, value):
+        """Append one observation of ``role`` to the transcript, a plain
+        list of ``Observation``s in the order made.  The value is kept as
+        given: a Python value, or a numpy array that nothing writes to
+        later."""
         self.transcript.append(Observation(role, kind, value))
-
-    def observe_batch(self, role: str, kind: str, *columns):
-        """Observe ``kind`` once for each index k of the columns, with the
-        k-th value (see ``Transcript``)."""
-        self.transcript.append_batch(role, kind, columns)
 
     def observations(self, role: str) -> list[Observation]:
         return [o for o in self.transcript if o.role == role]

@@ -262,26 +262,12 @@ def digest_index(digests: np.ndarray) -> dict[str, list[int]]:
     """Inverted index of a (records, bands) digest matrix: blocking key ->
     0-based record rows (the row order is the upload order), keys in the
     order they first occur, record by record and band by band.  A key is
-    the band index plus the band's digest, hex encoded.  A stable sort of
-    each band's digests groups the rows of equal keys, in ascending row
-    order, and orders the keys as their strings sort."""
-    digests = np.asarray(digests, dtype=np.uint64).T
-    bands = len(digests)
-    rows = np.argsort(digests, axis=1, kind="stable")
-    digest = np.take_along_axis(digests, rows, axis=1).reshape(-1)
-    band = np.repeat(np.arange(bands), digests.shape[1])
-    rows = rows.reshape(-1)
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (band[1:] != band[:-1]) | (digest[1:] != digest[:-1])
-    starts = np.flatnonzero(new)
-    hexes = digest[starts].astype(">u8").tobytes().hex()
-    prefixes = [f"{b:03d}-" for b in range(bands)]
-    keys = [prefixes[b] + hexes[16 * k:16 * k + 16]
-            for k, b in enumerate(band[starts].tolist())]
-    first = rows[starts] * bands + band[starts]
-    groups, bounds = rows.tolist(), starts.tolist() + [len(rows)]
-    return {keys[k]: groups[bounds[k]:bounds[k + 1]]
-            for k in np.argsort(first, kind="stable").tolist()}
+    the band index plus the band's digest, hex encoded."""
+    index: dict[str, list[int]] = {}
+    for row, digests_of_row in enumerate(np.asarray(digests, dtype=np.uint64).tolist()):
+        for band, digest in enumerate(digests_of_row):
+            index.setdefault(f"{band:03d}-{digest:016x}", []).append(row)
+    return index
 
 
 def block_index(signatures: np.ndarray, plan: BandPlan) -> dict[str, list[int]]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backends.base import tagged_rng
 from .blocking import (BandPlan, MinHasher, TokenSet, build_block_index, normalize_text,
-                       tokenize_bigrams)
+                       optimal_band_plan, tokenize_bigrams)
 
 DEFAULT_FIELDS = ["given_name", "surname", "street_number", "address",
                   "suburb", "postcode", "state"]
@@ -338,7 +338,6 @@ def performance_sweep(d1: list[Record], d2: list[Record], gold: GoldStandard,
     total = len(d1) * len(d2)
     rows = []
     for t in thresholds:
-        from .blocking import optimal_band_plan
         plan = optimal_band_plan(t, num_perm)
         blocked = plain_blocked_pairs(d1, d2, plan, hasher)
         matched = plain_matches(d1, d2, Fraction(t).limit_denominator(1000))

@@ -427,9 +427,7 @@ class Machine:
         if width < 0 or min(lengths, default=0) < 0 or v.length != sum(lengths) * width:
             raise ShapeError(f"segment sum of {v.length} slots into rows of {width} "
                              f"with run lengths {lengths}")
-        # the length list enters the trace only while tracing
-        meta = ((len(lengths), width), lengths) if self.b.trace_enabled else ()
-        self.b._record("segment_sum", v.payload.shape, *meta)
+        self.b._record("segment_sum", v.payload.shape, (len(lengths), width), lengths)
         return PrivateMatrix(self.b, self.b._linear("segment_sum", (v.payload,), width,
                                                     np.asarray(lengths, dtype=np.int64)))
 

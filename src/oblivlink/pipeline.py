@@ -31,7 +31,7 @@ import numpy as np
 
 from .backends import make_backend
 from .backends.base import (APPROX, APPROX_EXACT_BITS, ROLE_HOST, ROLE_OWNER_1, ROLE_OWNER_2,
-                            Transcript, tagged_rng)
+                            Observation, tagged_rng)
 from .blocking import (PACKS, TOKEN_BITS, BandPlan, MinHasher, band_digests, bigram_codes,
                        digest_index, optimal_band_plan, pack_records)
 from .errors import DomainError, OblivLinkError, StageError
@@ -110,6 +110,10 @@ class PartyUpload:
 
 @dataclass
 class RunResult:
+    """One linkage's outcome.  ``transcript`` is a list of the backend's
+    observations at the end of the run, not changed by later ones; P3's
+    ``obfu_pairs`` among them is its own copy of the revealed bool
+    matrix."""
     matches: list[tuple[str, str]]
     strategy: Strategy
     obfu_count: int
@@ -117,7 +121,7 @@ class RunResult:
     shape: tuple[int, int]
     ledger: object
     round_stats: object | None
-    transcript: Transcript
+    transcript: list[Observation]
     trace: list
 
 
@@ -292,7 +296,7 @@ def obfuscate(mach: Machine, cand: PrivateMatrix, policy: ObfuscationPolicy,
     ones = mach.enc(np.ones(shape, dtype=np.int64))
     noisy = mach.choose_mat(noise, ones, cand)
     obfu = mach.reveal(noisy, authority) > 0.5
-    mach.b.observe(ROLE_HOST, "obfu_pairs", tuple(map(tuple, obfu.astype(int).tolist())))
+    mach.b.observe(ROLE_HOST, "obfu_pairs", obfu.copy())
     return obfu
 
 
@@ -382,8 +386,8 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
         records = []
         for role, up in (("D1", u1), ("D2", u2)):
             lengths = np.asarray(up.lengths).tolist()
-            backend.observe_batch(ROLE_HOST, "record_container_count",
-                                  [role] * len(lengths), range(len(lengths)), lengths)
+            for row, n in enumerate(lengths):
+                backend.observe(ROLE_HOST, "record_container_count", (role, row, n))
             records.append(mach.enc_runs(up.containers, lengths))
         digests = [mach.enc(digest_limbs(np.asarray(up.digests, dtype=np.uint64),
                                          backend.domain)) for up in (u1, u2)]
@@ -421,7 +425,7 @@ def run_pper_from_uploads(u1: PartyUpload, u2: PartyUpload, config: PipelineConf
         matches=matches, strategy=strategy,
         obfu_count=int(obfu.sum()), evaluated_cells=evaluated, shape=shape,
         ledger=backend.ledger, round_stats=stats,
-        transcript=backend.transcript.copy(),
+        transcript=list(backend.transcript),
         trace=list(backend.trace) if backend.trace_enabled else [],
     )
 

@@ -195,52 +195,6 @@ def test_sharemind_profile_supports_join_rejects_rotation():
         mach.rshift(mach.enc([1, 2]), 1)
 
 
-def test_transcript_batches_read_as_the_single_observations():
-    single, batched = make_backend("clear"), make_backend("clear")
-    labels, sizes = ["aa", "bb", "cc"], np.array([3, 1, 2])
-    single.observe("P3", "dataset_size", ("D1", 3))
-    for row, n in enumerate(sizes.tolist()):
-        single.observe("P3", "record_container_count", ("D1", row, n))
-    for label in labels:
-        single.observe("P3", "label", label)
-    single.observe("P1", "note", "last")
-
-    assert not batched.transcript
-    batched.observe("P3", "dataset_size", ("D1", 3))
-    batched.observe_batch("P3", "record_container_count", ["D1"] * 3, range(3), sizes.tolist())
-    batched.observe_batch("P3", "label", labels)
-    batched.observe_batch("P3", "label", [])
-    batched.observe("P1", "note", "last")
-
-    read = list(batched.transcript)
-    assert read == list(single.transcript)
-    assert len(batched.transcript) == len(read) == 8 and batched.transcript
-    assert batched.transcript[1] == read[1] and batched.transcript[-1] == read[-1]
-    assert batched.observations("P3") == single.observations("P3") == read[:-1]
-    assert batched.observations("P1") == [read[-1]]
-    # values keep their Python types
-    for obs in read:
-        if obs.kind == "record_container_count":
-            assert [type(v) for v in obs.value] == [str, int, int]
-    # columns of different lengths, or none, are refused
-    with pytest.raises(ValueError):
-        batched.observe_batch("P3", "record_container_count", ["D1"], labels, sizes.tolist())
-    with pytest.raises(ValueError):
-        batched.observe_batch("P3", "label")
-    assert len(batched.transcript) == 8
-
-
-def test_transcript_copy_is_a_snapshot():
-    backend = make_backend("clear")
-    backend.observe("P3", "dataset_size", ("D1", 2))
-    backend.observe_batch("P3", "label", ["aa", "bb"])
-    copy = backend.transcript.copy()
-    backend.observe("P3", "late", 1)
-    backend.observe_batch("P3", "label", ["cc"])
-    assert len(copy) == 3 and [o.kind for o in copy] == ["dataset_size", "label", "label"]
-    assert len(backend.transcript) == 5
-
-
 # -- one definition per primitive ----------------------------------------------------
 
 SHARED_PRIMITIVES = ("add", "sub", "mul", "dot", "matmul", "vecmat", "outer", "transpose",

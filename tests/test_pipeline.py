@@ -18,7 +18,7 @@ from oblivlink import (CapabilityError, JaccardParams, Machine, MinHasher, Obfus
                        plain_blocked_pairs, plain_matches, run_pper,
                        run_pper_from_uploads, read_party_dir, write_party_dir,
                        prepare_upload)
-from oblivlink import intersect, machine
+from oblivlink import intersect, machine, pipeline
 from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, Runs, slot_runs
 from oblivlink.intersect import PAD_SENTINEL
 from oblivlink.blocking import BandPlan, digest_index
@@ -701,9 +701,12 @@ def _refused_upload(u1, u2, cfg):
     return str(excinfo.value)
 
 
-def test_run_result_transcript_is_a_snapshot_of_python_values():
+def test_run_result_transcript_is_a_snapshot_of_python_values(monkeypatch):
     d1, d2, _ = generate_dataset(seed=0, size=40, split=0.25)
     backend = make_backend("clear")
+    returned = []
+    monkeypatch.setattr(pipeline, "obfuscate",
+                        lambda *args: returned.append(obfuscate(*args)) or returned[-1])
     result = run_pper(d1, d2, PipelineConfig(rho=0.05), backend=backend)
     seen = list(result.transcript)
     assert result.transcript is not backend.transcript and seen == list(backend.transcript)
@@ -714,6 +717,14 @@ def test_run_result_transcript_is_a_snapshot_of_python_values():
     for value in counts:
         assert type(value[0]) is str and type(value[-1]) is int
     assert all(type(row) is int for _, row, _ in counts)
+    # P3's view of the reveal is the bool matrix, kept apart from the one
+    # that obfuscate hands to the filter
+    (pairs,) = [o.value for o in seen if o.kind == "obfu_pairs"]
+    assert pairs.dtype == bool and pairs.shape == result.shape
+    assert int(pairs.sum()) == result.obfu_count
+    kept = pairs.copy()
+    returned[0][:] = ~returned[0]
+    assert np.array_equal(pairs, kept)
 
 
 def _changed(records: dict):
