@@ -7,9 +7,10 @@ import pytest
 
 from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, PipelineConfig,
                        Strategy, TaintViolation, assert_oblivious, generate_dataset,
-                       jaccard_match, intersection_size, make_backend, run_pper, Runs)
+                       jaccard_match, intersection_size, make_backend, prepare_upload,
+                       run_pper, run_pper_from_uploads, Runs)
 from oblivlink.backends import (CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, Backend,
-                                SimBackend)
+                                Observation, SimBackend)
 from oblivlink.backends.base import KERNELS, to_u64
 from oblivlink.backends.local import LocalBackend
 from oblivlink.mpc import MpcBackend
@@ -193,6 +194,49 @@ def test_sharemind_profile_supports_join_rejects_rotation():
     mach.join_count(mach.enc([1, 2]), mach.enc([2, 3]))
     with pytest.raises(CapabilityError):
         mach.rshift(mach.enc([1, 2]), 1)
+
+
+def test_transcript_batches_read_as_the_single_observations():
+    # upload observes each record's container count on its own: the P3 view
+    # of a side's lengths is one observation per record, in row order
+    d1, d2, _ = generate_dataset(seed=1, size=30, split=0.3)
+    config = PipelineConfig(rho=0.05)
+    u1, u2 = prepare_upload(d1, config), prepare_upload(d2, config)
+    backend = make_backend("clear")
+    result = run_pper_from_uploads(u1, u2, config, backend=backend)
+    assert isinstance(backend.transcript, list)
+    assert all(type(o) is Observation for o in backend.transcript)
+    expected = [("D1", row, n) for row, n in enumerate(u1.lengths.tolist())]
+    expected += [("D2", row, n) for row, n in enumerate(u2.lengths.tolist())]
+    counts = [o.value for o in backend.transcript if o.kind == "record_container_count"]
+    assert counts == expected and len(counts) == sum(result.shape)
+    for value in counts:
+        assert [type(v) for v in value] == [str, int, int]
+    assert backend.observations("P3") == [o for o in backend.transcript if o.role == "P3"]
+    # single observe calls keep their order and their roles apart
+    single = make_backend("clear")
+    single.observe("P3", "dataset_size", ("D1", 2))
+    single.observe("P1", "note", "first")
+    single.observe("P3", "label", [])
+    assert [o.kind for o in single.observations("P3")] == ["dataset_size", "label"]
+    assert single.observations("P1") == [Observation("P1", "note", "first")]
+    assert single.transcript[-1].value == []
+
+
+def test_transcript_copy_is_a_snapshot():
+    d1, d2, _ = generate_dataset(seed=0, size=20, split=0.25)
+    backend = make_backend("clear")
+    result = run_pper(d1, d2, PipelineConfig(rho=0.05), backend=backend)
+    seen = list(backend.transcript)
+    assert result.transcript == seen and result.transcript is not backend.transcript
+    # later observations and edits on either side stay on that side
+    backend.observe("P3", "late", 1)
+    assert result.transcript == seen
+    result.transcript.append(Observation("P3", "extra", 2))
+    assert backend.transcript[-1] == Observation("P3", "late", 1)
+    assert len(backend.transcript) == len(seen) + 1
+    backend.transcript.clear()
+    assert result.transcript[:-1] == seen
 
 
 # -- one definition per primitive ----------------------------------------------------
