@@ -2,9 +2,9 @@
 
 A backend runs the primitives that ``Machine`` defines over opaque
 payloads: it supplies encrypt/decrypt, the kernels of the shared primitives
-(linear, rotation among them, bilinear, comparison gates) and its own
-protocols for the optional ones.  It only computes; ``Machine`` records
-every entry.  Every backend carries:
+(linear, the one structural gather among them, bilinear, comparison gates)
+and its own protocols for the optional ones.  It only computes; ``Machine``
+records every entry.  Every backend carries:
 
   * a capability table that strategy selection consults,
   * an operation-cost ledger (counts per pipeline stage and primitive),
@@ -99,13 +99,30 @@ def segment_sum(v: np.ndarray, width: int, lengths) -> np.ndarray:
     return sums.reshape(len(lengths), width)
 
 
+def slot_runs(sizes, bound: int) -> list[range]:
+    """Consecutive runs of items whose slot counts sum to at most ``bound``;
+    an item above the bound alone is a run of its own.  Each run is one
+    search of the running sums.  Batched stages and kernels use it to keep
+    each batch's temporaries within a public budget; sizes are public, so
+    the runs are too."""
+    ends = np.cumsum(np.asarray(sizes, dtype=np.int64))
+    runs: list[range] = []
+    lo, first = 0, 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, first + bound, side="right")))
+        runs.append(range(lo, hi))
+        lo, first = hi, int(ends[hi - 1])
+    return runs
+
+
 # The numpy kernel of every primitive that is linear in each operand (the
-# structural ones included) or bilinear in two (mul, dot, outer, vecmat,
-# matmul).  Applied to additive shares, a linear kernel computes shares of
-# its result, so the local backends run the kernels on values, the mpc
-# parties on their share components and Beaver multiplication on its
-# openings.  On uint64 payloads the kernels wrap without overflow warnings;
-# numpy's integer matmul is exact mod 2^64.
+# one structural kernel, the gather ``take``, among them; it returns an array
+# for a 0-d index too) or bilinear in two (mul, dot, outer, vecmat, matmul).
+# Applied to additive shares, a linear kernel computes shares of its result,
+# so the local backends run the kernels on values, the mpc parties on their
+# share components and Beaver multiplication on its openings.  On uint64
+# payloads the kernels wrap without overflow warnings; numpy's integer
+# matmul is exact mod 2^64.
 KERNELS = {
     "add": np.add,
     "sub": np.subtract,
@@ -114,16 +131,9 @@ KERNELS = {
     "outer": lambda u, v: u[:, None] * v[None, :],
     "vecmat": lambda u, v: (u[:, None] * v).sum(axis=0),
     "matmul": np.matmul,
-    "transpose": lambda m: m.T.copy(),
-    "rotate": np.roll,
-    "tile": np.tile,
-    "repeat_each": np.repeat,
-    "take": lambda v, idx: v.reshape(-1)[idx],
+    "take": lambda v, idx: np.asarray(v.ravel()[idx]),
     "concat": lambda *parts: np.concatenate(parts),
     "segment_sum": segment_sum,
-    "slice": lambda v, lo, hi: v[lo:hi].copy(),
-    "get": lambda v, i: np.asarray(v[i]),
-    "broadcast": lambda s, shape: np.broadcast_to(s, shape).copy(),
     "stack": lambda *rows: np.stack(rows),
 }
 
@@ -249,11 +259,11 @@ class Backend:
     ``Machine`` defines each primitive once: it checks the handles, the
     capability and the domain, records the op and its public metadata here,
     and then calls one of three kernel hooks that a concrete backend
-    supplies: ``_linear(op, srcs, *args)`` for linear and structural
-    kernels, rotation among them, ``_bilinear(op, a, b)`` for products and
+    supplies: ``_linear(op, srcs, *args)`` for linear kernels, the gather
+    ``take`` among them, ``_bilinear(op, a, b)`` for products and
     ``_compare(op, a, b)`` for the ``eq``/``gt`` gates.  A hook reads its
-    result's shape off its payloads.  Public arguments (indices, counts,
-    widths, shapes) arrive as Python ints, which ``Machine`` makes them.
+    result's shape off its payloads.  Public arguments arrive as Python
+    ints or int64 arrays, which ``Machine`` makes them.
 
     Besides the hooks, a backend supplies ``enc`` and ``dec`` (which
     returns a fresh signed int64, or float64, array) and its own

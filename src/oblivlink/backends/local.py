@@ -17,12 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS, ROLE_HOST,
-                   XI_DEFAULT, Backend, to_u64)
+                   XI_DEFAULT, Backend, slot_runs, to_u64)
 
-# The join counts its cells in chunks of at most this many second-side
-# elements plus one cell's, which bounds the chunk's index temporaries,
-# about 40 bytes per element, whatever the number of cells; the chunks
-# read the public lengths alone.
+# The join counts its cells in ``slot_runs`` chunks of at most this many
+# second-side elements, or one cell's when that is more, which bounds the
+# chunk's index temporaries, about 40 bytes per element, whatever the number
+# of cells; the chunks read the public lengths alone.
 _JOIN_CHUNK = 1 << 15
 
 
@@ -109,9 +109,8 @@ class LocalBackend(Backend):
         i, j = cells[:, 0], cells[:, 1]
         n = len2[j]
         ends = np.cumsum(n)
-        cuts = np.searchsorted(ends, np.arange(_JOIN_CHUNK, int(ends[-1]), _JOIN_CHUNK),
-                               side="right").tolist()
-        for lo, hi in zip([0] + cuts, cuts + [len(cells)]):
+        for run in slot_runs(n, _JOIN_CHUNK):
+            lo, hi = run.start, run.stop
             nk, first = n[lo:hi], ends[lo:hi] - n[lo:hi]
             live = nk > 0
             if not live.any():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends.base import tagged_rng
+from .backends.base import slot_runs, tagged_rng
 
 TOKEN_BITS = 16
 PACKS = (1, 4)  # the packing factors: codes per container
@@ -148,10 +148,9 @@ class MinHasher:
         lengths = np.asarray(lengths, dtype=np.int64)
         out = np.full((self.num_perm, len(lengths)), _MERSENNE_PRIME - 1, dtype=np.uint64)
         ends = np.cumsum(lengths)
-        lo = 0
-        while lo < len(lengths):
+        for run in slot_runs(lengths, _SPAN_TOKENS):
+            lo, hi = run.start, run.stop
             first = int(ends[lo] - lengths[lo])
-            hi = max(lo + 1, int(np.searchsorted(ends, first + _SPAN_TOKENS, side="right")))
             full = np.flatnonzero(lengths[lo:hi]) + lo
             if len(full):
                 distinct, inv = np.unique(codes[first:int(ends[hi - 1])], return_inverse=True)
@@ -162,7 +161,6 @@ class MinHasher:
                     table = (a * distinct + b) % np.uint64(_MERSENNE_PRIME)
                     out[p:p + step, full] = np.minimum.reduceat(
                         np.take(table, inv, axis=1), starts, axis=1)
-            lo = hi
         return np.ascontiguousarray(out.T)
 
     def signature(self, tokens) -> np.ndarray:

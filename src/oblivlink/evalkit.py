@@ -240,9 +240,11 @@ def generate_dataset(seed: int = 0, size: int = 100, split: float = 0.2,
     n1 = int(round(size * split))
     d1 = [records[i] for i in order[:n1]]
     d2 = [records[i] for i in order[n1:]]
-    pairs = frozenset(
-        (a.record_id, b.record_id)
-        for a in d1 for b in d2 if a.entity == b.entity)
+    # the gold pairs: each D1 record with every D2 record of its entity
+    by_entity: dict[int, list[str]] = {}
+    for b in d2:
+        by_entity.setdefault(b.entity, []).append(b.record_id)
+    pairs = frozenset((a.record_id, b_id) for a in d1 for b_id in by_entity.get(a.entity, ()))
     return d1, d2, GoldStandard(pairs)
 
 

@@ -34,8 +34,8 @@ import numpy as np
 from .backends.base import APPROX
 from .backends.local import LocalBackend
 from .errors import CapabilityError, DomainError
-from .machine import (EQ_BIT_ERROR, Machine, PrivateScalar, PrivateVector, Runs, run_slots,
-                      slot_runs)
+from .machine import (EQ_BIT_ERROR, Machine, PrivateScalar, PrivateVector, Runs, run_cells,
+                      run_slots, slot_runs)
 
 # Public padding value for VR.  No owner's container equals it: it lies
 # outside pack 1's 16 bits, and as a pack-4 container it would repeat the
@@ -177,7 +177,7 @@ def _ve_counts(mach: Machine, runs1: Runs, runs2: Runs, cells: np.ndarray,
     i, j = cells[:, 0], cells[:, 1]
     slots = len1[i] * len2[j]
     parts = []
-    for run in slot_runs(slots.tolist(), max_slots):
+    for run in slot_runs(slots, max_slots):
         r = slice(run.start, run.stop)
         n = slots[r]
         # A cell's slots are one block per v2 element, |v1| slots wide, that
@@ -288,13 +288,14 @@ def jaccard_cells(mach: Machine, runs1: Runs, runs2: Runs, cells, params: Jaccar
     every cell in one backend call; the other strategies count each pair
     of ``slice``s and join the counts with one ``stack``.
     One threshold gate then decides every cell.  ``cells`` must not be
-    empty.  On the approximate domain a count sums at most n² equality
-    bits, n the longest record's container count, each off by up to
-    ``EQ_BIT_ERROR``; cells for which that sum reaches 1/2 are refused
+    empty, and a cell outside the runs is refused with ``ShapeError``.  On
+    the approximate domain a count sums at most n² equality bits, n the
+    longest record's container count, each off by up to ``EQ_BIT_ERROR``;
+    cells for which that sum reaches 1/2 are refused.  Either refusal comes
     before any machine work.
     """
     require_strategy(mach.b, strategy)
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    cells = run_cells(runs1, runs2, cells)
     len1, len2 = runs1.lengths[cells[:, 0]], runs2.lengths[cells[:, 1]]
     if mach.b.domain == APPROX:
         longest = int(max(len1.max(), len2.max()))

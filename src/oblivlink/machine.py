@@ -28,9 +28,9 @@ import math
 
 import numpy as np
 
-# XI_DEFAULT and EQ_BIT_ERROR, the approximate equality's offset and bit
-# error, are defined with the backend that runs it and re-exported here.
-from .backends.base import APPROX, EQ_BIT_ERROR, XI_DEFAULT, Backend  # noqa: F401
+# XI_DEFAULT, EQ_BIT_ERROR (the approximate equality's offset and bit error)
+# and slot_runs are defined with the backends that use them, re-exported here.
+from .backends.base import APPROX, EQ_BIT_ERROR, XI_DEFAULT, Backend, slot_runs  # noqa: F401
 from .errors import (CapabilityError, ContextMismatchError, DomainError, ShapeError,
                      TaintViolation)
 
@@ -54,6 +54,7 @@ APPROX_EQ_CLOSE = RECIPROCAL_CLOSE + ("enc", "mul", "mul", "enc", "add")
 # cuts a linkage from 201 rounds to 30, and peak RSS goes from 43.2 MB to
 # 45.5 MB at 2^14, 48.4 MB at 2^15 and 54.7 MB at 2^16: mpc holds about
 # 200 B per slot of a run alive, and the benchmark bounds RSS growth at 15%.
+# 2^14 is also the slot count of one CKKS ciphertext at logN = 15.
 MIN_RUN_SLOTS = 1 << 14
 
 
@@ -65,24 +66,13 @@ def run_slots(shape: tuple[int, int]) -> int:
     return max(rows * cols, MIN_RUN_SLOTS)
 
 
-def slot_runs(sizes, bound: int) -> list[range]:
-    """Consecutive runs of items whose slot counts sum to at most ``bound``;
-    an item above the bound alone is a run of its own.  Batched stages use
-    it to keep each batch's temporaries within a public budget, ``run_slots``
-    of the matrix's shape in merge and filter; sizes are public, so the runs
-    are too."""
-    runs: list[range] = []
-    start, total = 0, None
-    for k, size in enumerate(sizes):
-        if total is not None and total + size <= bound:
-            total += size
-            continue
-        if total is not None:
-            runs.append(range(start, k))
-        start, total = k, size
-    if total is not None:
-        runs.append(range(start, len(sizes)))
-    return runs
+def _count(n) -> int:
+    """A public repetition count or side as a Python int; a negative one is
+    refused, before anything is recorded."""
+    n = int(n)
+    if n < 0:
+        raise ShapeError(f"negative count {n}")
+    return n
 
 
 class _PrivateValue:
@@ -197,6 +187,18 @@ class Runs:
         """Run k as one ``slice`` of the vector."""
         lo = int(self.starts[k])
         return Machine(self.values.ctx).slice(self.values, lo, lo + int(self.lengths[k]))
+
+
+def run_cells(runs1: Runs, runs2: Runs, cells) -> np.ndarray:
+    """The public cells (i, j), run i of ``runs1`` and run j of ``runs2``,
+    as an ``(n, 2)`` int64 array; a cell outside len(runs1) x len(runs2) is
+    refused with ``ShapeError``."""
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    # one pass per side: a negative index viewed as uint64 is at least 2^63
+    if len(cells) and (cells[:, 0].view(np.uint64).max() >= len(runs1)
+                       or cells[:, 1].view(np.uint64).max() >= len(runs2)):
+        raise ShapeError(f"cells outside {len(runs1)} x {len(runs2)} runs")
+    return cells
 
 
 class Machine:
@@ -340,8 +342,9 @@ class Machine:
     def _shift(self, v: PrivateVector, k: int) -> PrivateVector:
         self._check_ctx(v)
         self.b.require("rotation")
-        self.b._record("rotate", v.payload.shape, k)
-        return PrivateVector(self.b, self.b._linear("rotate", (v.payload,), k))
+        n = v.length
+        shift = k % n if n else 0  # k may be any int, however large
+        return self._gather("rotate", v, (np.arange(n) - shift) % n, k)
 
     def size(self, value):
         """Public size: length of a vector, (rows, cols) of a matrix."""
@@ -355,10 +358,13 @@ class Machine:
 
     def transpose(self, value):
         self._check_ctx(value)
-        self.b._record("transpose", value.payload.shape)
         if isinstance(value, PrivateMatrix):
-            return PrivateMatrix(self.b, self.b._linear("transpose", (value.payload,)))
+            rows, cols = value.shape
+            # slot (j, i) of the result reads slot (i, j)
+            idx = np.arange(rows) * cols + np.arange(cols)[:, None]
+            return self._gather("transpose", value, idx)
         # Vector transpose is orientation bookkeeping only.
+        self.b._record("transpose", value.payload.shape)
         return value
 
     # -- structure helpers (public shapes) ------------------------------------
@@ -371,34 +377,37 @@ class Machine:
         self.b._record("concat", *(p.shape for p in payloads))
         return PrivateVector(self.b, self.b._linear("concat", payloads))
 
+    def _gather(self, op: str, v, idx, *args):
+        """Record ``op`` over v's shape and its public arguments, then run it
+        as a ``take`` at the public index ``idx`` built from them."""
+        self.b._record(op, v.payload.shape, *args)
+        return self._wrap(self.b._linear("take", (v.payload,), idx))
+
     def tile(self, v: PrivateVector, times: int) -> PrivateVector:
         """The whole vector repeated ``times`` times."""
         self._check_ctx(v)
-        times = int(times)
-        self.b._record("tile", v.payload.shape, times)
-        return PrivateVector(self.b, self.b._linear("tile", (v.payload,), times))
+        times = _count(times)
+        return self._gather("tile", v, np.tile(np.arange(v.length), times), times)
 
     def repeat_each(self, v: PrivateVector, times: int) -> PrivateVector:
         """Each element repeated ``times`` times, in place."""
         self._check_ctx(v)
-        times = int(times)
-        self.b._record("repeat_each", v.payload.shape, times)
-        return PrivateVector(self.b, self.b._linear("repeat_each", (v.payload,), times))
+        times = _count(times)
+        return self._gather("repeat_each", v, np.repeat(np.arange(v.length), times), times)
 
     def take(self, v, idx):
         """Gather at public indices: slot k of the result is slot ``idx[k]``
-        of ``v`` read in row-major order, so the result has idx's shape.
-        ``tile`` and ``repeat_each`` are the special cases of a fixed index
-        pattern.  The index is public: every party knows it, and the trace
-        holds the two shapes, never the index."""
+        of ``v`` read in row-major order, so the result has idx's shape; the
+        other structural primitives are gathers at fixed index patterns.  The
+        index is public: every party knows it, and the trace holds the two
+        shapes, never the index."""
         self._check_ctx(v)
         idx = np.asarray(idx, dtype=np.int64)
         size = math.prod(v.payload.shape)
         # one pass: a negative index viewed as uint64 is at least 2^63
         if idx.ndim > 2 or (idx.size and idx.view(np.uint64).max() >= size):
             raise ShapeError(f"gather of index shape {idx.shape} out of {size} slots")
-        self.b._record("take", v.payload.shape, idx.shape)
-        return self._wrap(self.b._linear("take", (v.payload,), idx))
+        return self._gather("take", v, idx, idx.shape)
 
     def slice(self, v: PrivateVector, lo: int, hi: int) -> PrivateVector:
         """Slots lo to hi - 1, for public bounds 0 <= lo <= hi <= len(v);
@@ -407,15 +416,16 @@ class Machine:
         lo, hi = int(lo), int(hi)
         if not 0 <= lo <= hi <= v.length:
             raise ShapeError(f"slice [{lo}:{hi}] of a vector of {v.length} slots")
-        self.b._record("slice", v.payload.shape, lo, hi)
-        return PrivateVector(self.b, self.b._linear("slice", (v.payload,), lo, hi))
+        return self._gather("slice", v, np.arange(lo, hi), lo, hi)
 
     def vget(self, v: PrivateVector, i: int) -> PrivateScalar:
-        """Element at a public index (the index is not protected)."""
+        """Element at a public index 0 <= i < len(v) (the index is not
+        protected); others are refused before the backend records anything."""
         self._check_ctx(v)
         i = int(i)
-        self.b._record("get", v.payload.shape, i)
-        return PrivateScalar(self.b, self.b._linear("get", (v.payload,), i))
+        if not 0 <= i < v.length:
+            raise ShapeError(f"element {i} of a vector of {v.length} slots")
+        return self._gather("get", v, i, i)
 
     def segment_sum(self, v: PrivateVector, width: int, lengths) -> PrivateMatrix:
         """Read ``v`` as rows of ``width`` slots; row k of the result sums the
@@ -433,14 +443,17 @@ class Machine:
 
     def _broadcast(self, s: PrivateScalar, shape: tuple):
         self._check_ctx(s)
+        shape = tuple(_count(n) for n in shape)
         self.b._record("broadcast", shape)
-        return self.b._linear("broadcast", (s.payload,), shape)
+        return self._wrap(self.b._linear("take", (s.payload,), np.zeros(shape, dtype=np.int64)))
 
     def broadcast(self, s: PrivateScalar, n: int) -> PrivateVector:
-        return PrivateVector(self.b, self._broadcast(s, (int(n),)))
+        """The scalar in each of n slots, for a public n >= 0."""
+        return self._broadcast(s, (n,))
 
     def broadcast_mat(self, s: PrivateScalar, shape) -> PrivateMatrix:
-        return PrivateMatrix(self.b, self._broadcast(s, tuple(int(n) for n in shape)))
+        """The scalar in every cell of a public shape of no negative side."""
+        return self._broadcast(s, shape)
 
     def stack(self, first: PrivateScalar, *rest: PrivateScalar) -> PrivateVector:
         """The scalars joined into one vector."""
@@ -539,11 +552,7 @@ class Machine:
         cell outside the runs is refused before anything is recorded."""
         self._check_ctx(runs1.values, runs2.values)
         self.b.require("join")
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        # one pass per side: a negative index viewed as uint64 is at least 2^63
-        if len(cells) and (cells[:, 0].view(np.uint64).max() >= len(runs1)
-                           or cells[:, 1].view(np.uint64).max() >= len(runs2)):
-            raise ShapeError(f"join cells outside {len(runs1)} x {len(runs2)} runs")
+        cells = run_cells(runs1, runs2, cells)
         # the pairs' shapes enter the trace only while tracing
         len1, len2 = runs1.lengths.tolist(), runs2.lengths.tolist()
         metas = ([((len1[i],), (len2[j],)) for i, j in cells.tolist()]

@@ -3,7 +3,7 @@
 Values are handles into the parties' share stores.  ``Machine`` defines
 each primitive and records every ledger and trace entry; this backend only
 computes.  It supplies enc/dec and the three kernel hooks that run the
-primitives: linear and structural operations (rotation included)
+primitives: linear operations (the structural gather included)
 party-locally, products on dealer Beaver triples (one exchange round), and
 equality/ordering on the dealer gates over masked differences.  Every
 primitive runs to completion: it sends its messages hop by hop, pumping

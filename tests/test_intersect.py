@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oblivlink import (CapabilityError, ContextMismatchError, JaccardParams, Machine, ShapeError,
-                       Strategy, intersection_size, jaccard_match,
+                       Strategy, intersection_size, jaccard_cells, jaccard_match,
                        pick_strategy, supported_strategies, zero_count)
 from oblivlink.backends import CAPS_ALL, CAPS_SIMD, local
 from oblivlink.intersect import (_dry_run_ops, _ve_counts, estimated_cost, isect_so, isect_vr,
@@ -163,6 +163,21 @@ def test_join_counts_refuse_a_cell_outside_the_lists(cells):
     with pytest.raises(ShapeError):
         mach.join_counts(runs1, runs2, cells)
     assert b.trace == [] and not b.ledger.by_op().get("join")
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+@pytest.mark.parametrize("cell", [(-1, 0), (2, 0), (0, 1), (0, -1)])
+def test_jaccard_cells_refuse_a_cell_outside_the_runs(spec, cell):
+    # a negative index would wrap to the last run; 2 is one past it
+    mach, _, b = open_machine(spec)
+    runs1, runs2 = upload_runs(mach, [[7, 8], [1, 2, 3]]), upload_runs(mach, [[1, 2, 3]])
+    b.enable_trace()
+    ledger = dict(b.ledger.counts)
+    for strategy in supported_strategies(b.caps):
+        with pytest.raises(ShapeError):
+            jaccard_cells(mach, runs1, runs2, [(0, 0), cell], JaccardParams(Fraction(1, 2)),
+                          strategy)
+    assert b.trace == [] and b.ledger.counts == ledger
 
 
 def test_join_counts_refuses_a_foreign_handle_in_either_list():

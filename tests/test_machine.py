@@ -452,6 +452,95 @@ def test_slot_runs_greedy_within_bound():
     assert slot_runs([], 6) == []
 
 
+def _slot_runs_reference(sizes, bound):
+    """The per-item greedy loop ``slot_runs`` ran before it searched the
+    running sums, kept as the reference."""
+    runs = []
+    start, total = 0, None
+    for k, size in enumerate(sizes):
+        if total is not None and total + size <= bound:
+            total += size
+            continue
+        if total is not None:
+            runs.append(range(start, k))
+        start, total = k, size
+    if total is not None:
+        runs.append(range(start, len(sizes)))
+    return runs
+
+
+@given(sizes=st.lists(st.one_of(st.just(0), st.integers(0, 30)), max_size=30),
+       bound=st.integers(0, 25), as_array=st.booleans())
+def test_slot_runs_equals_the_per_item_greedy_loop(sizes, bound, as_array):
+    # zero sizes, and items above the bound, in lists and int64 arrays
+    arg = np.asarray(sizes, dtype=np.int64) if as_array else sizes
+    assert slot_runs(arg, bound) == _slot_runs_reference(sizes, bound)
+
+
+def _components(b, value):
+    """The arrays that hold a value: its payload, or each mpc party's share
+    component of it."""
+    if b.kind == "mpc":
+        return [store[value.payload.hid] for store in b._stores]
+    return [value.payload]
+
+
+def _assert_reveals(mach, auth, value, want):
+    got = mach.reveal(value, auth)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", ["clear", "sim:simd", "mpc"])
+@given(values=st.lists(st.integers(-1000, 1000), max_size=5),
+       k=st.one_of(st.integers(-12, 12), st.integers(-(1 << 70), 1 << 70)),
+       times=st.integers(0, 3), rows=st.integers(0, 3), cols=st.integers(0, 3),
+       data=st.data())
+def test_structural_primitives_equal_their_numpy_kernels(spec, values, k, times, rows, cols,
+                                                         data):
+    # the seven kernels each primitive ran before it became a gather are the
+    # reference: empty and one-slot vectors, shifts beyond ±n, zero counts
+    # and matrices with a zero side
+    mach, auth, b = open_machine(spec)
+    x = np.array(values, dtype=np.int64)
+    n = len(x)
+    v = mach.enc(x)
+    _assert_reveals(mach, auth, mach.rshift(v, k), np.roll(x, k))
+    _assert_reveals(mach, auth, mach.lshift(v, k), np.roll(x, -k))
+    _assert_reveals(mach, auth, mach.tile(v, times), np.tile(x, times))
+    _assert_reveals(mach, auth, mach.repeat_each(v, times), np.repeat(x, times))
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    _assert_reveals(mach, auth, mach.slice(v, lo, hi), x[lo:hi].copy())
+    if n:
+        i = data.draw(st.integers(0, n - 1))
+        got = mach.vget(v, i)
+        assert all(type(c) is np.ndarray and c.shape == () for c in _components(b, got))
+        _assert_reveals(mach, auth, got, np.asarray(x[i]))
+    m = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols) * 3 - 4
+    _assert_reveals(mach, auth, mach.transpose(mach.enc(m)), m.T.copy())
+    s = mach.enc(k % 1000)
+    _assert_reveals(mach, auth, mach.broadcast(s, times),
+                    np.broadcast_to(np.int64(k % 1000), (times,)).copy())
+    _assert_reveals(mach, auth, mach.broadcast_mat(s, (rows, cols)),
+                    np.broadcast_to(np.int64(k % 1000), (rows, cols)).copy())
+
+
+@pytest.mark.parametrize("spec", ["clear", "sim:simd", "mpc"])
+@pytest.mark.parametrize("op, operand, arg", [
+    ("vget", "v", 3), ("vget", "v", -1), ("tile", "v", -1), ("repeat_each", "v", -1),
+    ("broadcast", "s", -1), ("broadcast_mat", "s", (2, -1)), ("broadcast_mat", "s", (-1, 0)),
+])
+def test_structural_primitives_refuse_bad_public_arguments_before_recording(spec, op, operand,
+                                                                            arg):
+    mach, _, b = open_machine(spec)
+    handles = {"v": mach.enc([1, 2, 3]), "s": mach.enc(7)}
+    b.enable_trace()
+    ledger = dict(b.ledger.counts)
+    with pytest.raises(ShapeError):
+        getattr(mach, op)(handles[operand], arg)
+    assert b.trace == [] and b.ledger.counts == ledger
+
+
 def _take_refused_reference(idx, size):
     """The two-pass bounds check ``Machine.take`` made before it scanned the
     index once, kept as the reference."""
