@@ -307,14 +307,16 @@ class Backend:
         if self.trace_enabled:
             self.trace.append((op,) + meta)
 
-    def _record_each(self, op: str, count: int, metas):
-        """``_record(op, *meta)`` for each of ``count`` meta tuples, in order:
-        one ledger tick by the count, and ``metas`` (an iterable of the
-        tuples) read only while tracing."""
+    def _record_each(self, ops: tuple, count: int, metas):
+        """``_record(op, *meta)`` for each of ``count`` meta tuples, in order,
+        and for each op of ``ops``, in order: one ledger tick per op by the
+        count, and ``metas`` (an iterable of the tuples) read only while
+        tracing."""
         if count:
-            self.ledger.tick(self._stage, op, count)
+            for op in ops:
+                self.ledger.tick(self._stage, op, count)
         if self.trace_enabled:
-            self.trace.extend((op,) + meta for meta in metas)
+            self.trace.extend((op,) + meta for meta in metas for op in ops)
 
     def enable_trace(self, on: bool = True):
         self.trace_enabled = on

@@ -210,12 +210,16 @@ class Machine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _check_ctx(self, *values):
+    def _check_ctx(self, *values, kind=None):
+        """Refuse a handle of another context, or one that is not a
+        ``kind`` when the primitive takes only that kind."""
         for v in values:
             if v.ctx is not self.b:
                 raise ContextMismatchError(
                     f"handle from context {v.ctx.context_id} used in context "
                     f"{self.b.context_id}")
+            if kind is not None and not isinstance(v, kind):
+                raise ShapeError(f"{v!r} where a {kind.__name__} is required")
 
     def _same_shape(self, a, b):
         if a.payload.shape != b.payload.shape:
@@ -252,7 +256,7 @@ class Machine:
             raise ShapeError(f"runs of lengths {lengths} over a flat value of shape "
                              f"{shape}")
         values = PrivateVector(self.b, self.b.enc(flat))
-        self.b._record_each("enc", len(lengths), (((n,),) for n in lengths))
+        self.b._record_each(("enc",), len(lengths), (((n,),) for n in lengths))
         return Runs(values, lengths)
 
     def reveal(self, value, authority) -> np.ndarray:
@@ -326,9 +330,7 @@ class Machine:
 
     def outer(self, col: PrivateVector, row: PrivateVector) -> PrivateMatrix:
         """Outer product: cell (i, j) is col[i]·row[j]."""
-        self._check_ctx(col, row)
-        if not (isinstance(col, PrivateVector) and isinstance(row, PrivateVector)):
-            raise ShapeError(f"outer product of {col!r} and {row!r}")
+        self._check_ctx(col, row, kind=PrivateVector)
         return PrivateMatrix(self.b, self._product("outer", col, row, col.payload.shape,
                                                    row.payload.shape))
 
@@ -340,7 +342,7 @@ class Machine:
         return self._shift(v, -int(k))
 
     def _shift(self, v: PrivateVector, k: int) -> PrivateVector:
-        self._check_ctx(v)
+        self._check_ctx(v, kind=PrivateVector)
         self.b.require("rotation")
         n = v.length
         shift = k % n if n else 0  # k may be any int, however large
@@ -372,7 +374,7 @@ class Machine:
     def concat(self, first: PrivateVector, *rest: PrivateVector) -> PrivateVector:
         """The vectors joined end to end."""
         parts = (first,) + rest
-        self._check_ctx(*parts)
+        self._check_ctx(*parts, kind=PrivateVector)
         payloads = [p.payload for p in parts]
         self.b._record("concat", *(p.shape for p in payloads))
         return PrivateVector(self.b, self.b._linear("concat", payloads))
@@ -385,13 +387,13 @@ class Machine:
 
     def tile(self, v: PrivateVector, times: int) -> PrivateVector:
         """The whole vector repeated ``times`` times."""
-        self._check_ctx(v)
+        self._check_ctx(v, kind=PrivateVector)
         times = _count(times)
         return self._gather("tile", v, np.tile(np.arange(v.length), times), times)
 
     def repeat_each(self, v: PrivateVector, times: int) -> PrivateVector:
         """Each element repeated ``times`` times, in place."""
-        self._check_ctx(v)
+        self._check_ctx(v, kind=PrivateVector)
         times = _count(times)
         return self._gather("repeat_each", v, np.repeat(np.arange(v.length), times), times)
 
@@ -412,7 +414,7 @@ class Machine:
     def slice(self, v: PrivateVector, lo: int, hi: int) -> PrivateVector:
         """Slots lo to hi - 1, for public bounds 0 <= lo <= hi <= len(v);
         others are refused before the backend records anything."""
-        self._check_ctx(v)
+        self._check_ctx(v, kind=PrivateVector)
         lo, hi = int(lo), int(hi)
         if not 0 <= lo <= hi <= v.length:
             raise ShapeError(f"slice [{lo}:{hi}] of a vector of {v.length} slots")
@@ -421,7 +423,7 @@ class Machine:
     def vget(self, v: PrivateVector, i: int) -> PrivateScalar:
         """Element at a public index 0 <= i < len(v) (the index is not
         protected); others are refused before the backend records anything."""
-        self._check_ctx(v)
+        self._check_ctx(v, kind=PrivateVector)
         i = int(i)
         if not 0 <= i < v.length:
             raise ShapeError(f"element {i} of a vector of {v.length} slots")
@@ -431,7 +433,7 @@ class Machine:
         """Read ``v`` as rows of ``width`` slots; row k of the result sums the
         next ``lengths[k]`` rows (zero rows for a length of 0).  Linear, so
         local on every backend; width and lengths are public."""
-        self._check_ctx(v)
+        self._check_ctx(v, kind=PrivateVector)
         width = int(width)
         lengths = [int(n) for n in lengths]
         if width < 0 or min(lengths, default=0) < 0 or v.length != sum(lengths) * width:
@@ -442,7 +444,7 @@ class Machine:
                                                     np.asarray(lengths, dtype=np.int64)))
 
     def _broadcast(self, s: PrivateScalar, shape: tuple):
-        self._check_ctx(s)
+        self._check_ctx(s, kind=PrivateScalar)
         shape = tuple(_count(n) for n in shape)
         self.b._record("broadcast", shape)
         return self._wrap(self.b._linear("take", (s.payload,), np.zeros(shape, dtype=np.int64)))
@@ -458,7 +460,7 @@ class Machine:
     def stack(self, first: PrivateScalar, *rest: PrivateScalar) -> PrivateVector:
         """The scalars joined into one vector."""
         parts = (first,) + rest
-        self._check_ctx(*parts)
+        self._check_ctx(*parts, kind=PrivateScalar)
         self.b._record("stack", (len(parts),))
         return PrivateVector(self.b, self.b._linear("stack", [p.payload for p in parts]))
 
@@ -489,16 +491,14 @@ class Machine:
             raise CapabilityError(
                 "equality needs a native gate or division for the workaround")
         self.b.require_domain(APPROX, "masked reciprocal")
-        shape, record = seq.payload.shape, self.b._record
-        for op in APPROX_EQ_OPEN:
-            record(op, shape)
+        metas = ((seq.payload.shape,),)
+        self.b._record_each(APPROX_EQ_OPEN, 1, metas)
         bits = self.b.approx_eq(seq.payload, idx.payload)
-        for op in APPROX_EQ_CLOSE:
-            record(op, shape)
+        self.b._record_each(APPROX_EQ_CLOSE, 1, metas)
         return PrivateVector(self.b, bits)
 
     def eeq_scalar(self, a: PrivateScalar, b: PrivateScalar) -> PrivateScalar:
-        self._check_ctx(a, b)
+        self._check_ctx(a, b, kind=PrivateScalar)
         if self.b.caps.native_eq:
             return PrivateScalar(self.b, self._eq(a, b))
         return self.vget(self.eeq(self.broadcast(a, 1), self.broadcast(b, 1)), 0)
@@ -528,17 +528,15 @@ class Machine:
         self._check_ctx(x)
         self.b.require("division")
         self.b.require_domain(APPROX, "masked reciprocal")
-        shape, record = x.payload.shape, self.b._record
-        for op in RECIPROCAL_OPEN:
-            record(op, shape)
+        metas = ((x.payload.shape,),)
+        self.b._record_each(RECIPROCAL_OPEN, 1, metas)
         recip = self.b.masked_reciprocal(x.payload)
-        for op in RECIPROCAL_CLOSE:
-            record(op, shape)
+        self.b._record_each(RECIPROCAL_CLOSE, 1, metas)
         return self._wrap(recip)
 
     def sort_vec(self, v: PrivateVector) -> PrivateVector:
         """Obliviously sorted copy (backend sort capability)."""
-        self._check_ctx(v)
+        self._check_ctx(v, kind=PrivateVector)
         self.b.require("sort")
         self.b._record("sort", v.payload.shape)
         return PrivateVector(self.b, self.b.sort(v.payload))
@@ -553,16 +551,16 @@ class Machine:
         self._check_ctx(runs1.values, runs2.values)
         self.b.require("join")
         cells = run_cells(runs1, runs2, cells)
-        # the pairs' shapes enter the trace only while tracing
+        # the pairs' shapes, built only while tracing
         len1, len2 = runs1.lengths.tolist(), runs2.lengths.tolist()
-        metas = ([((len1[i],), (len2[j],)) for i, j in cells.tolist()]
-                 if self.b.trace_enabled else ())
-        self.b._record_each("join", len(cells), metas)
+        self.b._record_each(("join",), len(cells),
+                            (((len1[i],), (len2[j],)) for i, j in cells))
         return PrivateVector(self.b, self.b.join_counts(
             runs1.values.payload, runs1.lengths, runs2.values.payload, runs2.lengths, cells))
 
     def join_count(self, v1: PrivateVector, v2: PrivateVector) -> PrivateScalar:
         """The one-pair case of ``join_counts``."""
+        self._check_ctx(v1, v2, kind=PrivateVector)
         counts = self.join_counts(Runs(v1), Runs(v2), [(0, 0)])
         return PrivateScalar(self.b, counts.payload.reshape(()))
 
@@ -589,7 +587,7 @@ class Machine:
 
     def mask_gen(self, size: int, idx: PrivateScalar) -> PrivateVector:
         """One-hot vector of a public size with the 1 at a private index."""
-        self._check_ctx(idx)
+        self._check_ctx(idx, kind=PrivateScalar)
         size = int(size)
         seq = self.enc(list(range(size)))
         return self.eeq(seq, self.broadcast(idx, size))

@@ -7,8 +7,8 @@ strategy that backend supports, and keeps each link's ``matches.csv``,
 ``ledger.csv``, ``rounds.csv`` (mpc only) and ``run.config`` under
 ``<backend>-<profile>-<strategy>/``.  ``bench --backends clear,sim,mpc``
 gives ``bench.csv``.  Each ``link`` runs with its backend's trace on, and
-``digests.sha256`` holds the sha256 of that trace and of each role's
-transcript, which are too large to commit.
+``digests.sha256`` holds the sha256 of that trace, of each role's
+transcript and, on mpc, of the message log, which are too large to commit.
 
     PYTHONPATH=src python tests/golden/regenerate.py            # rewrite tests/golden
     PYTHONPATH=src python tests/golden/regenerate.py OUT_DIR    # write elsewhere
@@ -29,6 +29,7 @@ from oblivlink import cli
 from oblivlink.backends import make_backend
 from oblivlink.backends.base import ROLE_HOST, ROLE_OWNER_1, ROLE_OWNER_2
 from oblivlink.intersect import supported_strategies
+from oblivlink.mpc import BeaverTriple
 from oblivlink.pipeline import run_pper_from_uploads
 
 BACKENDS = (("clear", "generic"), ("sim", "generic"), ("sim", "simd"),
@@ -64,14 +65,16 @@ def sha256_of(items) -> str:
 
 
 def traced_link(argv: list[str]):
-    """Run ``link`` with its backend's trace on; returns the linkage's
-    ``RunResult``."""
+    """Run ``link`` with its backend's trace on, and on mpc its message log;
+    returns the linkage's ``RunResult`` and its backend."""
     results = []
 
     def traced(u1, u2, config, backend):
         backend.enable_trace()
-        results.append(run_pper_from_uploads(u1, u2, config, backend=backend))
-        return results[-1]
+        if backend.kind == "mpc":
+            backend.net.record_log = True
+        results.append((run_pper_from_uploads(u1, u2, config, backend=backend), backend))
+        return results[-1][0]
 
     with mock.patch.object(cli, "run_pper_from_uploads", traced):
         if cli.main(["link"] + argv):
@@ -79,13 +82,29 @@ def traced_link(argv: list[str]):
     return results[0]
 
 
-def digest_lines(run: str, result) -> list[str]:
-    """``<sha256>  <run>/<name>`` lines for one run's trace and each role's
-    transcript."""
+def message_items(log):
+    """Every envelope of an mpc message log, in send order: its ``src``,
+    ``dst``, ``kind``, ``tag`` and ``nbytes``, then its payload values in key
+    order, a Beaver triple as its ``a``, ``b`` and ``c`` arrays."""
+    for env in log:
+        yield from (env.src, env.dst, env.kind, env.tag, env.nbytes)
+        for key in sorted(env.payload):
+            value = env.payload[key]
+            if isinstance(value, BeaverTriple):
+                yield from (value.a, value.b, value.c)
+            else:
+                yield value
+
+
+def digest_lines(run: str, result, backend) -> list[str]:
+    """``<sha256>  <run>/<name>`` lines for one run's trace, each role's
+    transcript and, on mpc, the message log."""
     lines = [f"{sha256_of(result.trace)}  {run}/trace"]
     for role in ROLES:
         items = (x for o in result.transcript if o.role == role for x in (o.kind, o.value))
         lines.append(f"{sha256_of(items)}  {run}/transcript.{role}")
+    if backend.kind == "mpc":
+        lines.append(f"{sha256_of(message_items(backend.net.log))}  {run}/messages")
     return lines
 
 
@@ -110,15 +129,16 @@ def regenerate(out: str):
         for kind, profile, strategy in runs():
             link = os.path.join(work, "link")
             run = f"{kind}-{profile}-{strategy}"
-            result = traced_link(["--blocks", blocks, "--out", link, "--backend", kind,
-                                  "--profile", profile, "--isect", strategy, "--seed", "0"])
+            result, backend = traced_link(["--blocks", blocks, "--out", link, "--backend", kind,
+                                           "--profile", profile, "--isect", strategy,
+                                           "--seed", "0"])
             target = os.path.join(out, run)
             os.makedirs(target, exist_ok=True)
             for name in KEPT:
                 if os.path.exists(os.path.join(link, name)):
                     shutil.copyfile(os.path.join(link, name), os.path.join(target, name))
             shutil.rmtree(link)
-            digests += digest_lines(run, result)
+            digests += digest_lines(run, result, backend)
         with open(os.path.join(out, DIGESTS), "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in digests)
 

@@ -541,6 +541,43 @@ def test_structural_primitives_refuse_bad_public_arguments_before_recording(spec
     assert b.trace == [] and b.ledger.counts == ledger
 
 
+# Each vector-only or scalar-only primitive (and ``mask_gen``, whose index
+# is a scalar), on a handle of another kind: a vector "v" of 3 slots, a
+# scalar "s" or the 2 x 2 matrix "m"; with the capability it needs, if any.
+_WRONG_KIND = [
+    ("vget", ("m", 0), None), ("vget", ("s", 0), None),
+    ("rshift", ("m", 1), "rotation"), ("lshift", ("m", 1), "rotation"),
+    ("tile", ("m", 2), None), ("tile", ("s", 2), None), ("repeat_each", ("m", 2), None),
+    ("slice", ("m", 0, 1), None), ("segment_sum", ("m", 1, [2, 2]), None),
+    ("concat", ("m", "m"), None), ("concat", ("v", "m"), None),
+    ("sort_vec", ("m",), "sort"), ("outer", ("m", "v"), None),
+    ("stack", ("v", "v"), None), ("stack", ("s", "m"), None),
+    ("broadcast", ("v", 2), None), ("broadcast_mat", ("m", (2, 2)), None),
+    ("eeq_scalar", ("v", "v"), None), ("eeq_scalar", ("s", "m"), None),
+    ("join_count", ("m", "m"), "join"), ("join_count", ("s", "v"), "join"),
+    ("mask_gen", (2, "v"), None),
+]
+
+
+def _wrong_kind_cases():
+    for spec in ("clear", "sim:simd", "mpc"):
+        caps = open_machine(spec)[2].caps
+        for op, args, capability in _WRONG_KIND:
+            if capability is None or getattr(caps, capability):
+                yield pytest.param(spec, op, args, id=f"{spec}-{op}-{''.join(a for a in args if isinstance(a, str))}")
+
+
+@pytest.mark.parametrize("spec, op, args", _wrong_kind_cases())
+def test_primitives_refuse_a_handle_of_the_wrong_kind_before_recording(spec, op, args):
+    mach, _, b = open_machine(spec)
+    handles = {"v": mach.enc([1, 2, 3]), "s": mach.enc(7), "m": mach.enc([[1, 2], [3, 4]])}
+    b.enable_trace()
+    ledger, transcript = dict(b.ledger.counts), list(b.transcript)
+    with pytest.raises(ShapeError):
+        getattr(mach, op)(*(handles[a] if isinstance(a, str) else a for a in args))
+    assert b.trace == [] and b.ledger.counts == ledger and b.transcript == transcript
+
+
 def _take_refused_reference(idx, size):
     """The two-pass bounds check ``Machine.take`` made before it scanned the
     index once, kept as the reference."""

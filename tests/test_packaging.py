@@ -1,7 +1,10 @@
-"""The package imports no third-party module that an install lacks."""
+"""The package imports no third-party module that an install lacks, and
+loads nothing at import that a linkage does not need."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +39,16 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert "numpy" in third_party  # the scan reaches the package's imports
     undeclared = {name: where for name, where in third_party.items() if name not in declared}
     assert not undeclared, f"imported but not in pyproject dependencies: {undeclared}"
+
+
+def test_importing_the_package_loads_no_runtime_cli_or_test_module():
+    # linkbench's setup_s times the import: the mpc runtime and the CLI load
+    # on first use, and test libraries never
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, oblivlink; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        check=True, timeout=60).stdout.split()
+    assert "oblivlink.machine" in loaded
+    unwanted = {"oblivlink.mpc", "oblivlink.cli", "argparse", "scipy", "hypothesis", "pytest"}
+    assert not unwanted & set(loaded), sorted(unwanted & set(loaded))

@@ -6,7 +6,9 @@ import os
 import re
 import shutil
 import tempfile
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +326,24 @@ def test_run_pper_equals_oracle_on_every_backend(seed, size, rho, t_jaccard):
         cfg = PipelineConfig(backend=kind, profile=profile or "generic", t_jaccard=t_jaccard,
                              t_block=0.5, rho=rho, seed=seed)
         assert set(run_pper(d1, d2, cfg).matches) == oracle, spec
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+# every golden run, from the golden owner files with the golden link's config
+@pytest.mark.parametrize("run", sorted(p.name for p in _GOLDEN.iterdir()
+                                       if p.is_dir() and p.name not in ("blocks", "__pycache__")))
+def test_the_ledger_is_the_trace_counted(run):
+    kind, profile, strategy = run.split("-")
+    u1, u2 = (read_party_dir(str(_GOLDEN / "blocks" / party)) for party in ("p1", "p2"))
+    cfg = PipelineConfig(backend=kind, profile=profile, strategy=strategy, seed=0)
+    backend = make_backend(kind, profile, seed=cfg.seed)
+    backend.enable_trace()
+    traced = run_pper_from_uploads(u1, u2, cfg, backend=backend)
+    assert Counter(entry[0] for entry in traced.trace) == traced.ledger.by_op()
+    # tracing changes no count
+    assert run_pper_from_uploads(u1, u2, cfg).ledger.counts == traced.ledger.counts
 
 
 def test_obfuscation_neutrality():
