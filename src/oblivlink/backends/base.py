@@ -99,6 +99,16 @@ def segment_sum(v: np.ndarray, width: int, lengths) -> np.ndarray:
     return sums.reshape(len(lengths), width)
 
 
+def band_outer(op, a: np.ndarray, b: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``op(a[i, c], b[j, c])`` for each column c of ``columns`` in turn,
+    then each row i of ``a`` and each row j of ``b``: one flat vector in
+    (c, i, j) order.  The columns are gathered, len(columns) x rows on each
+    side, and broadcast against each other, so no index array of the
+    result's size is built.  A linear ``op`` (a difference) applies to
+    additive shares as it does to values."""
+    return op(a.T[columns][:, :, None], b.T[columns][:, None, :]).ravel()
+
+
 def slot_runs(sizes, bound: int) -> list[range]:
     """Consecutive runs of items whose slot counts sum to at most ``bound``;
     an item above the bound alone is a run of its own.  Each run is one
@@ -258,12 +268,15 @@ class Backend:
 
     ``Machine`` defines each primitive once: it checks the handles, the
     capability and the domain, records the op and its public metadata here,
-    and then calls one of three kernel hooks that a concrete backend
+    and then calls one of four kernel hooks that a concrete backend
     supplies: ``_linear(op, srcs, *args)`` for linear kernels, the gather
-    ``take`` among them, ``_bilinear(op, a, b)`` for products and
-    ``_compare(op, a, b)`` for the ``eq``/``gt`` gates.  A hook reads its
-    result's shape off its payloads.  Public arguments arrive as Python
-    ints or int64 arrays, which ``Machine`` makes them.
+    ``take`` among them, ``_bilinear(op, a, b)`` for products,
+    ``_compare(op, a, b)`` for the ``eq``/``gt`` gates and ``band_eq(a,
+    b, columns)`` for the equality of two matrices' columns in
+    ``band_outer``'s layout (the ``eq`` gate, or the approximate equality
+    on a backend without one).  A hook reads its result's shape off its
+    payloads.  Public arguments arrive as Python ints or int64 arrays,
+    which ``Machine`` makes them.
 
     Besides the hooks, a backend supplies ``enc`` and ``dec`` (which
     returns a fresh signed int64, or float64, array) and its own

@@ -6,7 +6,7 @@ exact results; it is the cleartext reference (the ``clear`` kind) that every
 other backend and profile must match.  It performs no real encryption;
 opacity is enforced at the machine layer and audited via trace/transcript.
 ``Machine`` defines each shared primitive and records every ledger and
-trace entry; this backend only computes.  It supplies enc/dec, the three
+trace entry; this backend only computes.  It supplies enc/dec, the four
 kernel hooks, which apply the numpy kernels to the values themselves, and
 its own protocols for sort, join, the masked reciprocal and approximate
 equality.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (APPROX, CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, KERNELS, ROLE_HOST,
-                   XI_DEFAULT, Backend, slot_runs, to_u64)
+                   XI_DEFAULT, Backend, band_outer, slot_runs, to_u64)
 
 # The join counts its cells in ``slot_runs`` chunks of at most this many
 # second-side elements, or one cell's when that is more, which bounds the
@@ -74,6 +74,15 @@ class LocalBackend(Backend):
         if op == "eq":
             return self._bits(a == b)
         return self._bits(self._signed(a) > self._signed(b))
+
+    def band_eq(self, a: np.ndarray, b: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """The equality of ``band_outer``'s layout: the gate's bits, or
+        without a native gate ``approx_eq``'s, from the same flat
+        difference vector that the gathered operands would give."""
+        if self.caps.native_eq:
+            return self._bits(band_outer(np.equal, a, b, columns))
+        with np.errstate(over="ignore"):
+            return self._approx_eq_of(band_outer(np.subtract, a, b, columns))
 
     # -- optional primitives ---------------------------------------------------
 
@@ -154,12 +163,14 @@ class LocalBackend(Backend):
         records.  ``d·(-q) + 1`` and ``1 - d·q`` are the same float64
         value, so the bits equal the chain's."""
         with np.errstate(over="ignore"):
-            d = a - b
-            shifted = d + XI_DEFAULT
-        bits = self.masked_reciprocal(shifted)
-        with np.errstate(over="ignore"):
-            bits *= d
-            return np.subtract(1.0, bits, out=bits)
+            return self._approx_eq_of(a - b)
+
+    def _approx_eq_of(self, d: np.ndarray) -> np.ndarray:
+        """``approx_eq``'s bits from the difference d = a - b; the caller
+        silences overflow."""
+        bits = self.masked_reciprocal(d + XI_DEFAULT)
+        bits *= d
+        return np.subtract(1.0, bits, out=bits)
 
 
 class SimBackend(LocalBackend):

@@ -17,7 +17,7 @@ primitive sequence that depends only on public shapes.
 
 Each primitive is defined here, once for every backend: it checks its
 handles, the backend's capability and domain, records its ledger and trace
-entries, and runs one of the backend's three kernel hooks.  A backend
+entries, and runs one of the backend's four kernel hooks.  A backend
 supplies enc/dec, those hooks and its own protocols for the optional
 primitives; it only computes, and this module records every entry.
 """
@@ -54,7 +54,10 @@ APPROX_EQ_CLOSE = RECIPROCAL_CLOSE + ("enc", "mul", "mul", "enc", "add")
 # cuts a linkage from 201 rounds to 30, and peak RSS goes from 43.2 MB to
 # 45.5 MB at 2^14, 48.4 MB at 2^15 and 54.7 MB at 2^16: mpc holds about
 # 200 B per slot of a run alive, and the benchmark bounds RSS growth at 15%.
-# 2^14 is also the slot count of one CKKS ciphertext at logN = 15.
+# 2^14 is also the slot count of one CKKS ciphertext at logN = 15.  Merge's
+# gathers are recorded, one band-major ``take`` per side of a run's slots,
+# as the data movement a platform pays; the simulator does not materialize
+# them, since ``band_eq`` compares the sides' digest columns in outer form.
 MIN_RUN_SLOTS = 1 << 14
 
 
@@ -466,10 +469,30 @@ class Machine:
 
     # -- equality and ordering gates --------------------------------------------
 
-    def _eq(self, a, b):
-        """The native gate; the callers have checked ``native_eq``."""
-        self.b._record("eq", a.payload.shape)
-        return self.b._compare("eq", a.payload, b.payload)
+    def _native_eq(self) -> bool:
+        """Whether the backend has the native equality gate; without one it
+        runs the arithmetic workaround, and a backend that can do neither
+        is refused before anything is recorded."""
+        if self.b.caps.native_eq:
+            return True
+        if not self.b.caps.division:
+            raise CapabilityError(
+                "equality needs a native gate or division for the workaround")
+        self.b.require_domain(APPROX, "masked reciprocal")
+        return False
+
+    def _equality(self, shape: tuple, gate):
+        """``gate()``, the backend's equality over a public ``shape``,
+        between the entries of what it stands for: one ``eq`` before the
+        native gate, or the workaround's ``APPROX_EQ_OPEN`` before and
+        ``APPROX_EQ_CLOSE`` after."""
+        native = self.b.caps.native_eq
+        metas = ((shape,),)
+        self.b._record_each(("eq",) if native else APPROX_EQ_OPEN, 1, metas)
+        bits = gate()
+        if not native:
+            self.b._record_each(APPROX_EQ_CLOSE, 1, metas)
+        return bits
 
     def eeq(self, seq: PrivateVector, idx: PrivateVector) -> PrivateVector:
         """Element-wise equality: slot i is 1 iff seq[i] == idx[i].
@@ -485,23 +508,42 @@ class Machine:
         """
         self._check_ctx(seq, idx)
         self._same_shape(seq, idx)
-        if self.b.caps.native_eq:
-            return PrivateVector(self.b, self._eq(seq, idx))
-        if not self.b.caps.division:
-            raise CapabilityError(
-                "equality needs a native gate or division for the workaround")
-        self.b.require_domain(APPROX, "masked reciprocal")
-        metas = ((seq.payload.shape,),)
-        self.b._record_each(APPROX_EQ_OPEN, 1, metas)
-        bits = self.b.approx_eq(seq.payload, idx.payload)
-        self.b._record_each(APPROX_EQ_CLOSE, 1, metas)
-        return PrivateVector(self.b, bits)
+        a, b = seq.payload, idx.payload
+        if self._native_eq():
+            return PrivateVector(self.b, self._equality(
+                a.shape, lambda: self.b._compare("eq", a, b)))
+        return PrivateVector(self.b, self._equality(a.shape, lambda: self.b.approx_eq(a, b)))
 
     def eeq_scalar(self, a: PrivateScalar, b: PrivateScalar) -> PrivateScalar:
         self._check_ctx(a, b, kind=PrivateScalar)
         if self.b.caps.native_eq:
-            return PrivateScalar(self.b, self._eq(a, b))
+            return PrivateScalar(self.b, self._equality(
+                a.payload.shape, lambda: self.b._compare("eq", a.payload, b.payload)))
         return self.vget(self.eeq(self.broadcast(a, 1), self.broadcast(b, 1)), 0)
+
+    def band_eq(self, m1: PrivateMatrix, m2: PrivateMatrix, columns) -> PrivateVector:
+        """Band-major outer equality of two matrices' public ``columns``:
+        slot (b, i, j), at b·rows·cols + i·cols + j, is 1 iff
+        ``m1[i, columns[b]] == m2[j, columns[b]]``.  The ledger and trace
+        hold what the gathered form costs, one band-major ``take`` per side
+        of all its slots and then ``eeq``'s entries, and its bits are
+        ``eeq``'s of those gathers, bit for bit; the simulator broadcasts
+        the columns instead and builds no index array.  A vector operand,
+        unequal column counts or a column outside [0, cols) is refused
+        before anything is recorded."""
+        self._check_ctx(m1, m2, kind=PrivateMatrix)
+        columns = np.asarray(columns, dtype=np.int64)
+        # one pass: a negative column viewed as uint64 is at least 2^63
+        if (m1.cols != m2.cols or columns.ndim != 1
+                or (columns.size and columns.view(np.uint64).max() >= m1.cols)):
+            raise ShapeError(f"band equality of columns of shape {columns.shape} of "
+                             f"{m1.shape} and {m2.shape} matrices")
+        self._native_eq()  # refuses a backend with no equality at all
+        n = (len(columns) * m1.rows * m2.rows,)
+        self.b._record("take", m1.payload.shape, n)
+        self.b._record("take", m2.payload.shape, n)
+        return PrivateVector(self.b, self._equality(
+            n, lambda: self.b.band_eq(m1.payload, m2.payload, columns)))
 
     def gt(self, a, b, bound: int) -> PrivateScalar:
         """1 iff a > b (signed), computed by the backend's comparison gate.
@@ -575,12 +617,14 @@ class Machine:
         return self.eadd(self.emul(cond, self.esub(v1, v2)), v2)
 
     def choose_vec_ext(self, cond: PrivateScalar, v1: PrivateVector, v2: PrivateVector) -> PrivateVector:
+        self._check_ctx(v1, v2, kind=PrivateVector)
         return self.choose_vec(self.broadcast(cond, v1.length), v1, v2)
 
     def choose_mat(self, cond: PrivateMatrix, m1: PrivateMatrix, m2: PrivateMatrix) -> PrivateMatrix:
         return self.eadd(self.emul(cond, self.esub(m1, m2)), m2)
 
     def choose_mat_ext(self, cond: PrivateScalar, m1: PrivateMatrix, m2: PrivateMatrix) -> PrivateMatrix:
+        self._check_ctx(m1, m2, kind=PrivateMatrix)
         return self.choose_mat(self.broadcast_mat(cond, m1.shape), m1, m2)
 
     # -- private matrix manipulation ---------------------------------------------
@@ -594,20 +638,24 @@ class Machine:
 
     def vector_lookup(self, vec: PrivateVector, idx: PrivateScalar) -> PrivateScalar:
         """vec[idx] with an access pattern independent of idx."""
+        self._check_ctx(vec, kind=PrivateVector)
         mask = self.mask_gen(vec.length, idx)
         return self.dot(vec, self.transpose(mask))
 
     def vector_update(self, vec: PrivateVector, idx: PrivateScalar, val: PrivateScalar) -> PrivateVector:
         """Rewrite the whole vector so that slot idx becomes val."""
+        self._check_ctx(vec, kind=PrivateVector)
         mask = self.mask_gen(vec.length, idx)
         return self.choose_vec(mask, self.broadcast(val, vec.length), vec)
 
     def matrix_lookup(self, mat: PrivateMatrix, row: PrivateScalar, col: PrivateScalar) -> PrivateScalar:
+        self._check_ctx(mat, kind=PrivateMatrix)
         mask = self.mask_gen(mat.rows, row)
         return self.vector_lookup(self.mul(mask, mat), col)
 
     def matrix_update(self, mat: PrivateMatrix, row: PrivateScalar, col: PrivateScalar,
                       val: PrivateScalar) -> PrivateMatrix:
+        self._check_ctx(mat, kind=PrivateMatrix)
         row_mask = self.mask_gen(mat.rows, row)
         col_mask = self.mask_gen(mat.cols, col)
         return self.choose_mat(self.outer(row_mask, col_mask),

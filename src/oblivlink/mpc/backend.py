@@ -2,10 +2,11 @@
 
 Values are handles into the parties' share stores.  ``Machine`` defines
 each primitive and records every ledger and trace entry; this backend only
-computes.  It supplies enc/dec and the three kernel hooks that run the
+computes.  It supplies enc/dec and the four kernel hooks that run the
 primitives: linear operations (the structural gather included)
 party-locally, products on dealer Beaver triples (one exchange round), and
-equality/ordering on the dealer gates over masked differences.  Every
+equality/ordering on the dealer gates over masked differences, merge's
+band equality among them.  Every
 primitive runs to completion: it sends its messages hop by hop, pumping
 the network after each, so its result is in every party's store and no
 message is in flight when it returns.  Sorting, joins, and
@@ -20,7 +21,7 @@ import itertools
 import numpy as np
 
 from ..backends.base import (EXACT, KERNELS, PRODUCT_SHAPES, Backend, Capabilities,
-                             tagged_rng, to_u64)
+                             band_outer, tagged_rng, to_u64)
 from .runtime import COORD, DEALER, PARTIES, Collector, DealerActor, Network, PartyActor
 from .sharing import reconstruct3, share3
 
@@ -59,7 +60,7 @@ class ShareRef:
 
 class MpcBackend(Backend):
     """Shares in three party stores; ``enc`` and ``dec`` move them, and the
-    three hooks compute on them."""
+    four hooks compute on them."""
 
     kind = "mpc"
     profile = "3party-dealer"
@@ -120,13 +121,30 @@ class MpcBackend(Backend):
 
     def _compare(self, op: str, a: ShareRef, b: ShareRef) -> ShareRef:
         """The dealer gate over the parties' masked differences."""
+        return self._gate(op, a.shape, lambda store: store[a.hid] - store[b.hid])
+
+    def band_eq(self, a: ShareRef, b: ShareRef, columns: np.ndarray) -> ShareRef:
+        """The ``eq`` gate over ``band_outer``'s layout: each party forms
+        the difference of its own components' columns, which is linear, so
+        the gathered operands are never stored.  The ledger prices their two
+        gathers, and their two hids are drawn as storing them would, so the
+        handles after it are named alike."""
+        for _ in range(2):
+            next(self._ids)
+        n = len(columns) * a.shape[0] * b.shape[0]
+        return self._gate("eq", (n,), lambda store: band_outer(
+            np.subtract, store[a.hid], store[b.hid], columns))
+
+    def _gate(self, op: str, shape: tuple, difference) -> ShareRef:
+        """One dealer gate: each party masks ``difference(store)``, its
+        share of the operands' difference, of the public ``shape``."""
         tag = (self._stage, op)
         net, parties = self.net, self.parties
         with np.errstate(over="ignore"):
             for p in parties:
-                p.gate_mask(op, a.hid, b.hid, tag)
+                p.gate_mask(op, difference(p.store), tag)
             net.pump()
-            out = self._new_ref(a.shape)
+            out = self._new_ref(shape)
             for p in parties:
                 p.gate_close(out.hid)
         net.stats.add_round(tag)

@@ -176,9 +176,9 @@ class PartyActor:
             e = e + msg["e"]
         self.store[dst] = beaver_combine(op, self.pid, triple, d, e)
 
-    def gate_mask(self, op: str, h1: int, h2: int, tag):
-        """Send the dealer this party's share of the masked difference."""
-        diff = self.store[h1] - self.store[h2]
+    def gate_mask(self, op: str, diff: np.ndarray, tag):
+        """Send the dealer this party's share of the masked difference, from
+        ``diff``, its share of the gate operands' difference."""
         if op == "eq":
             # odd multiplicative mask: r*diff == 0 iff diff == 0.  It equals
             # integers(0, 2^63) << 1 | 1 word for word, at a quarter of the

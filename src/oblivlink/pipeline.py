@@ -255,26 +255,24 @@ def merge_and_dedup(mach: Machine, digests1: PrivateMatrix,
     when records i and j agree on some band's digest, that is when
     Σ_b eq(K1[i, b], K2[j, b]) > 0 over the owners' digest matrices as
     ``digest_limbs`` uploads them.  Bands go in runs of at most
-    ``run_slots`` slots.  Per run, one band-major gather per side and limb
-    lays out every (band, i, j) slot, one equality gate per limb compares
-    them (the limbs' bits multiplied), and one segment sum adds the run's
-    bands into the counts.  The work depends on the public shapes alone."""
+    ``run_slots`` slots.  Per run and limb, one ``band_eq`` compares every
+    (band, i, j) slot in outer form, each band's digest column of side 1
+    against side 2's (the limbs' bits multiplied), and one segment sum adds
+    the run's bands into the counts.  The ledger prices the band-major
+    layout as one ``take`` per side and limb, the data movement a platform
+    pays, which the simulator does not materialize.  The work depends on
+    the public shapes alone."""
     rows, cols = digests1.rows, digests2.rows
     limbs = 2 if mach.b.domain == APPROX else 1
     bands = digests1.cols // limbs
     cells = rows * cols
     if not cells:
         return mach.enc(np.zeros((rows, cols), dtype=np.int64))
-    # slot (i, j) of a band reads row i of side 1 and row j of side 2
-    base1 = np.repeat(np.arange(rows) * digests1.cols, cols)
-    base2 = np.tile(np.arange(cols) * digests2.cols, rows)
     counts = None
     for run in slot_runs([cells] * bands, run_slots((rows, cols))):
         bits = None
         for limb in range(limbs):
-            column = np.arange(run.start, run.stop)[:, None] + limb * bands
-            eq = mach.eeq(mach.take(digests1, (base1 + column).ravel()),
-                          mach.take(digests2, (base2 + column).ravel()))
+            eq = mach.band_eq(digests1, digests2, np.arange(run.start, run.stop) + limb * bands)
             bits = eq if bits is None else mach.emul(bits, eq)
         part = mach.segment_sum(bits, cells, [len(run)])
         counts = part if counts is None else mach.add(counts, part)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from oblivlink import XI_DEFAULT, Machine, make_backend
+from oblivlink.machine import APPROX, run_slots, slot_runs
 
 # Property tests draw the same examples on every run, and a fixed number of
 # them, so they are reproducible and their run time is bounded.
@@ -70,3 +71,32 @@ def reference_ve_indices(len1, len2, cells):
     p = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
     width = np.repeat(len1[i], n)
     return (np.repeat(off1[i], n) + p % width, np.repeat(off2[j], n) + p // width)
+
+
+def reference_merge(mach, digests1, digests2):
+    """``merge_and_dedup`` with its band-major layout materialized: per run
+    of bands and per limb, one ``take`` per side at an index of every
+    (band, i, j) slot, then ``eeq``.  The reference that ``band_eq``'s
+    outer form must reproduce, entry for entry and bit for bit."""
+    rows, cols = digests1.rows, digests2.rows
+    limbs = 2 if mach.b.domain == APPROX else 1
+    bands = digests1.cols // limbs
+    cells = rows * cols
+    if not cells:
+        return mach.enc(np.zeros((rows, cols), dtype=np.int64))
+    # slot (i, j) of a band reads row i of side 1 and row j of side 2
+    base1 = np.repeat(np.arange(rows) * digests1.cols, cols)
+    base2 = np.tile(np.arange(cols) * digests2.cols, rows)
+    counts = None
+    for run in slot_runs([cells] * bands, run_slots((rows, cols))):
+        bits = None
+        for limb in range(limbs):
+            column = np.arange(run.start, run.stop)[:, None] + limb * bands
+            eq = mach.eeq(mach.take(digests1, (base1 + column).ravel()),
+                          mach.take(digests2, (base2 + column).ravel()))
+            bits = eq if bits is None else mach.emul(bits, eq)
+        part = mach.segment_sum(bits, cells, [len(run)])
+        counts = part if counts is None else mach.add(counts, part)
+    counts = mach.take(counts, np.arange(cells).reshape(rows, cols))
+    cut = 0.5 if limbs == 2 else 0
+    return mach.gt(counts, mach.enc(np.full((rows, cols), cut)), bound=bands)

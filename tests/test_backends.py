@@ -11,7 +11,7 @@ from oblivlink import (CapabilityError, DomainError, JaccardParams, Machine, Pip
                        run_pper, run_pper_from_uploads, Runs)
 from oblivlink.backends import (CAPS_ALL, CAPS_SHAREMIND, CAPS_SIMD, EXACT, Backend,
                                 Observation, SimBackend)
-from oblivlink.backends.base import KERNELS, to_u64
+from oblivlink.backends.base import KERNELS, band_outer, to_u64
 from oblivlink.backends.local import LocalBackend
 from oblivlink.mpc import MpcBackend
 
@@ -272,7 +272,7 @@ def test_a_capability_refusal_records_nothing(spec, call, error):
 
 class _BareBackend(Backend):
     """Only what a backend must supply, over numpy values: enc, dec, the
-    three kernel hooks, sort and join_counts.  It records nothing."""
+    four kernel hooks, sort and join_counts.  It records nothing."""
 
     kind = "bare"
 
@@ -295,6 +295,9 @@ class _BareBackend(Backend):
         bit = a == b if op == "eq" else a.view(np.int64) > b.view(np.int64)
         return bit.astype(np.uint64)
 
+    def band_eq(self, a, b, columns):
+        return band_outer(np.equal, a, b, columns).astype(np.uint64)
+
     def sort(self, v):
         return np.sort(v.view(np.int64)).view(np.uint64)
 
@@ -312,12 +315,15 @@ def test_a_backend_that_only_computes_records_what_clear_records():
         v = mach.enc([5, -3, 9, 1])
         runs = mach.enc_runs([4, 9, 7, 1, 5], [2, 3])
         out = [mach.rshift(v, 1), mach.lshift(v, 3), mach.sort_vec(v),
-               mach.join_counts(runs, Runs(v), [(0, 0), (1, 0)]), mach.eeq(v, mach.sort_vec(v))]
+               mach.join_counts(runs, Runs(v), [(0, 0), (1, 0)]), mach.eeq(v, mach.sort_vec(v)),
+               mach.band_eq(mach.enc([[1, 2], [3, 4]]), mach.enc([[1, 4], [5, 2], [3, 2]]),
+                            [1, 0])]
         values = [mach.dec(x, auth) for x in out]
         return values, backend.ledger.rows(), list(backend.trace)
 
     want = run(make_backend("clear"))
-    assert want[0] == [[1, 5, -3, 9], [1, 5, -3, 9], [-3, 1, 5, 9], [1, 2], [0, 0, 0, 0]]
+    assert want[0] == [[1, 5, -3, 9], [1, 5, -3, 9], [-3, 1, 5, 9], [1, 2], [0, 0, 0, 0],
+                       [0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1]]
     assert run(_BareBackend()) == want
 
 

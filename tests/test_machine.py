@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oblivlink import (AuthorityError, ContextMismatchError, Machine, ShapeError,
                        TaintViolation, TAU_BOOL, TAU_NUM, XI_DEFAULT, make_backend)
@@ -559,23 +559,92 @@ _WRONG_KIND = [
 ]
 
 
-def _wrong_kind_cases():
+# Each derived operator over a vector or a matrix, on one of the other kind:
+# the vector and matrix lookups and updates, and the ternaries whose
+# condition is a scalar.
+_WRONG_KIND_DERIVED = [
+    ("vector_lookup", ("m", "s"), None), ("vector_update", ("m", "s", "s"), None),
+    ("choose_vec_ext", ("s", "m", "m"), None), ("matrix_lookup", ("v", "s", "s"), None),
+    ("matrix_update", ("v", "s", "s", "s"), None), ("choose_mat_ext", ("s", "v", "v"), None),
+]
+
+
+def _wrong_kind_cases(cases):
     for spec in ("clear", "sim:simd", "mpc"):
         caps = open_machine(spec)[2].caps
-        for op, args, capability in _WRONG_KIND:
+        for op, args, capability in cases:
             if capability is None or getattr(caps, capability):
                 yield pytest.param(spec, op, args, id=f"{spec}-{op}-{''.join(a for a in args if isinstance(a, str))}")
 
 
-@pytest.mark.parametrize("spec, op, args", _wrong_kind_cases())
-def test_primitives_refuse_a_handle_of_the_wrong_kind_before_recording(spec, op, args):
+def _refused_before_recording(spec, op, args):
+    """``op`` of the handles that ``args`` names (a vector "v" of 3 slots,
+    a scalar "s", the 2 x 2 matrix "m" or the 1 x 3 matrix "w") and its
+    other arguments raises ``ShapeError`` and records nothing."""
     mach, _, b = open_machine(spec)
-    handles = {"v": mach.enc([1, 2, 3]), "s": mach.enc(7), "m": mach.enc([[1, 2], [3, 4]])}
+    handles = {"v": mach.enc([1, 2, 3]), "s": mach.enc(7), "m": mach.enc([[1, 2], [3, 4]]),
+               "w": mach.enc([[1, 2, 3]])}
     b.enable_trace()
     ledger, transcript = dict(b.ledger.counts), list(b.transcript)
     with pytest.raises(ShapeError):
         getattr(mach, op)(*(handles[a] if isinstance(a, str) else a for a in args))
     assert b.trace == [] and b.ledger.counts == ledger and b.transcript == transcript
+
+
+@pytest.mark.parametrize("spec, op, args", _wrong_kind_cases(_WRONG_KIND))
+def test_primitives_refuse_a_handle_of_the_wrong_kind_before_recording(spec, op, args):
+    _refused_before_recording(spec, op, args)
+
+
+@pytest.mark.parametrize("spec, op, args", _wrong_kind_cases(_WRONG_KIND_DERIVED))
+def test_derived_operators_refuse_a_handle_of_the_wrong_kind_before_recording(spec, op, args):
+    _refused_before_recording(spec, op, args)
+
+
+@pytest.mark.parametrize("spec", ["clear", "sim:simd", "mpc"])
+@pytest.mark.parametrize("args", [
+    ("v", "m", [0]), ("m", "v", [0]), ("s", "m", [0]),     # not two matrices
+    ("m", "w", [0]),                                        # 2 columns against 3
+    ("m", "m", [2]), ("m", "m", [-1]), ("m", "m", [0, -(1 << 63)]),
+    ("m", "m", [[0]]),                                      # not one list of columns
+])
+def test_band_eq_refuses_bad_operands_before_recording(spec, args):
+    _refused_before_recording(spec, "band_eq", args)
+
+
+def _gathered_band_eq(mach, m1, m2, columns):
+    """``band_eq`` as the gathers it is priced as: one ``take`` per side at
+    an index of every (band, i, j) slot, then ``eeq``."""
+    rows, cols, width = m1.rows, m2.rows, m1.cols
+    c = np.asarray(columns, dtype=np.int64)[:, None, None]
+    idx1 = np.broadcast_to(c + width * np.arange(rows)[:, None], (len(c), rows, cols))
+    idx2 = np.broadcast_to(c + width * np.arange(cols), (len(c), rows, cols))
+    return mach.eeq(mach.take(m1, idx1.ravel()), mach.take(m2, idx2.ravel()))
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+@settings(max_examples=20)
+@given(rows=st.integers(0, 3), cols=st.integers(0, 3), width=st.integers(1, 4),
+       data=st.data())
+def test_band_eq_equals_eeq_of_its_gathers(spec, rows, cols, width, data):
+    # columns in any order, repeated or none; values from a small range so
+    # that slots agree
+    columns = data.draw(st.lists(st.integers(0, width - 1), max_size=4))
+    m1, m2 = (np.array(data.draw(st.lists(st.integers(0, 2), min_size=n * width,
+                                          max_size=n * width)),
+                       dtype=np.int64).reshape(n, width) for n in (rows, cols))
+    outputs = []
+    for band_eq in (Machine.band_eq, _gathered_band_eq):
+        mach, auth, b = open_machine(spec)
+        h1, h2 = mach.enc(m1), mach.enc(m2)
+        b.enable_trace()
+        got = mach.reveal(band_eq(mach, h1, h2, columns), auth)
+        outputs.append((got.dtype, got.tobytes(), b.ledger.rows(), b.trace,
+                        [np.asarray(o.value).tobytes() for o in b.transcript]))
+    assert outputs[0] == outputs[1]
+    want = m1.T[columns][:, :, None] == m2.T[columns][:, None, :]
+    assert np.array_equal(np.rint(np.frombuffer(outputs[0][1], dtype=outputs[0][0])),
+                          want.ravel())
 
 
 def _take_refused_reference(idx, size):

@@ -9,6 +9,7 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,14 +22,16 @@ from oblivlink import (CapabilityError, JaccardParams, Machine, MinHasher, Obfus
                        run_pper_from_uploads, read_party_dir, write_party_dir,
                        prepare_upload)
 from oblivlink import intersect, machine, pipeline
-from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, Runs, slot_runs
+from oblivlink.machine import MIN_RUN_SLOTS, PrivateScalar, Runs, run_slots, slot_runs
+from oblivlink.mpc import BeaverTriple
 from oblivlink.intersect import PAD_SENTINEL
 from oblivlink.blocking import BandPlan, digest_index
 from oblivlink.evalkit import shared_key_pairs
 from oblivlink.pipeline import (digest_limbs, finalize, filter_and_resolve, merge_and_dedup,
                                 obfuscate, validate_uploads)
 
-from conftest import ALL_BACKENDS, open_machine, reference_eeq, reference_ve_indices, upload_runs
+from conftest import (ALL_BACKENDS, LOCAL_EXACT, open_machine, reference_eeq, reference_merge,
+                      reference_ve_indices, upload_runs)
 
 
 def _enc_digests(mach, digests):
@@ -191,6 +194,116 @@ def test_simd_merge_equals_clear_at_n400(seed):
         return got.tolist()
 
     assert run("sim:simd") == run("clear")
+
+
+def _plain(value):
+    """A payload value as plain data: an array by its dtype, shape and
+    bytes, a Beaver triple by its three arrays, anything else as it is."""
+    if isinstance(value, BeaverTriple):
+        return tuple(_plain(x) for x in (value.a, value.b, value.c))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+def _merge_outputs(spec, merge, d1, d2, floor):
+    """One ``merge`` of the digest matrices d1 and d2 on a fresh backend of
+    ``spec``, its run floor ``floor``: the revealed candidates, the ledger,
+    the trace, each observation and, on mpc, every envelope of the message
+    log, all as plain data."""
+    mach, auth, backend = open_machine(spec)
+    backend.enable_trace()
+    if backend.kind == "mpc":
+        backend.net.record_log = True
+    with mock.patch.object(machine, "MIN_RUN_SLOTS", floor):
+        cand = merge(mach, _enc_digests(mach, d1), _enc_digests(mach, d2))
+    revealed = _plain(mach.reveal(cand, auth))
+    observed = [(o.role, o.kind, _plain(o.value)) for o in backend.transcript]
+    log = backend.net.log if backend.kind == "mpc" else []
+    envelopes = [(e.src, e.dst, e.kind, e.tag, e.nbytes,
+                  [(key, _plain(e.payload[key])) for key in sorted(e.payload)]) for e in log]
+    return revealed, backend.ledger.rows(), backend.trace, observed, envelopes
+
+
+def _merge_equals_the_gathers(spec, d1, d2, floor):
+    assert (_merge_outputs(spec, merge_and_dedup, d1, d2, floor)
+            == _merge_outputs(spec, reference_merge, d1, d2, floor))
+
+
+_MERGE_SHAPES = st.tuples(st.integers(1, 5), st.integers(0, 4), st.integers(0, 5),
+                          st.sampled_from([0, 7, MIN_RUN_SLOTS]))
+
+
+def _drawn_merge(spec, shape, data):
+    bands, rows, cols, floor = shape
+    d1, d2 = (np.array(data.draw(st.lists(_DIGEST, min_size=n * bands, max_size=n * bands)),
+                       dtype=np.uint64).reshape(n, bands) for n in (rows, cols))
+    if rows and cols and data.draw(st.booleans()):
+        d2[0] = d1[-1]  # a candidate on every band
+    _merge_equals_the_gathers(spec, d1, d2, floor)
+
+
+@pytest.mark.parametrize("spec", LOCAL_EXACT + ["sim:simd"])
+@settings(max_examples=25)
+@given(shape=_MERGE_SHAPES, data=st.data())
+def test_band_eq_merge_equals_the_materialized_gathers(spec, shape, data):
+    _drawn_merge(spec, shape, data)
+
+
+@settings(max_examples=8)
+@given(shape=_MERGE_SHAPES, data=st.data())
+def test_band_eq_merge_equals_the_materialized_gathers_on_mpc(shape, data):
+    _drawn_merge("mpc", shape, data)
+
+
+@pytest.mark.parametrize("spec", ALL_BACKENDS)
+@pytest.mark.parametrize("bands, rows, cols, floor, runs", [
+    (3, 2, 3, MIN_RUN_SLOTS, [3]),  # one run of several bands
+    (3, 2, 3, 0, [1, 1, 1]),        # runs of one band each
+    (3, 1, 3, 7, [2, 1]),           # runs of two bands and of one
+    (2, 0, 3, 0, []),               # a side of no row
+    (2, 3, 0, 7, []),
+    (2, 1, 1, MIN_RUN_SLOTS, [2]),  # sides of one row
+    (4, 1, 1, 0, [1, 1, 1, 1]),
+])
+def test_band_eq_merge_equals_the_materialized_gathers_at_set_shapes(spec, bands, rows, cols,
+                                                                     floor, runs):
+    cells = rows * cols
+    if cells:
+        assert [len(r) for r in slot_runs([cells] * bands, max(cells, floor))] == runs
+    # digests whose high and low limbs each take one of four values, so
+    # that rows agree on whole digests and on one limb alone
+    rng = np.random.default_rng([bands, rows, cols, floor])
+    values = np.array([h << 32 | lo for h in _LIMBS for lo in _LIMBS], dtype=np.uint64)
+    d1, d2 = (rng.choice(values, size=(n, bands)) for n in (rows, cols))
+    _merge_equals_the_gathers(spec, d1, d2, floor)
+
+
+@pytest.mark.parametrize("spec", ["mpc", "sim:simd"])
+def test_band_eq_merge_is_byte_identical_to_the_gathers_over_three_runs(spec):
+    # mpc-n100's shape: 20 x 80 records and 25 bands go in three runs, so
+    # the message log and P3's openings are compared across run boundaries
+    d1, d2, _ = generate_dataset(seed=0, size=100)
+    cfg = PipelineConfig()
+    k1, k2 = prepare_upload(d1, cfg).digests, prepare_upload(d2, cfg).digests
+    assert k1.shape == (20, 25) and k2.shape == (80, 25)
+    assert len(slot_runs([20 * 80] * 25, run_slots((20, 80)))) == 3
+    got, want = (_merge_outputs(spec, merge, k1, k2, MIN_RUN_SLOTS)
+                 for merge in (merge_and_dedup, reference_merge))
+    assert got == want
+    revealed, _, _, observed, envelopes = got
+    dtype, _, cand = revealed
+    assert np.frombuffer(cand, dtype=dtype).any()  # some cell is a candidate
+    if spec == "mpc":
+        # three eq gates, each one masked difference of 16,000 or 8,000
+        # slots per party
+        masked = [dict(e[5]) for e in envelopes if e[2] == "masked"]
+        assert [m["fragment"][1] for m in masked if m["op"] == "eq"] == \
+            [(16_000,)] * 6 + [(8_000,)] * 3
+    else:
+        # two limbs per run, each one opening of the run's slots
+        shapes = [value[1] for _, kind, value in observed if kind == "masked_value"]
+        assert shapes == [(16_000,)] * 4 + [(8_000,)] * 2
 
 
 # -- obfuscation -------------------------------------------------------------------
